@@ -1,23 +1,29 @@
-"""Kernel dispatch: compiled tally core when available, pure Python
-otherwise.
+"""Moment engine: qualifying-word counts by dynamic programming over a
+flat integer view of the labeled shadowed graph.
 
-Set GROUPOIDLAB_PURE=1 to force the pure backend (used by the test
-suite and the benchmark to compare the two).
+A word freely reduces to a vertex exactly when it is a closed walk in
+the universal-cover tree of the shadowed graph.  A tree node entered by
+signed edge e has one child per out-edge f of dst(e) other than inv(e),
+so a closed walk splits into first-return excursions: step down some f,
+walk closed below it, step back by inv(f).  With H_e(m) the closed
+walks of length m below a node entered by e,
+
+    H_e(0) = 1,  H_e(m) = sum_{k>=2} sum_{f in out(dst e), f != inv e}
+                          H_f(k-2) * H_e(m-k),
+
+and the moment M_v(n) is the same sum at the root, over every f in
+out(v).  A per-position label pattern pins the labels at the opening
+and closing letter of each excursion, so the tables are then keyed by
+the interval of positions an excursion fills instead of its length.
+
+The balance condition (per-label signed letter counts all zero) is a
+walk count over (start, current vertex, balance vector).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-from . import _kernel_py
-
-try:
-    from . import _kernel_c
-except ImportError:
-    _kernel_c = None
-
-HAVE_COMPILED = _kernel_c is not None
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -25,9 +31,9 @@ class KernelGraph:
     """Flat integer view of a labeled shadowed graph.
 
     Signed edge i has endpoints src[i] -> dst[i] (vertex indices),
-    inverse partner inv[i], and signed label labels[i].  out_start and
-    out_list form a CSR adjacency over signed edges, index-sorted so
-    enumeration order is deterministic.
+    inverse partner inv[i], and signed label labels[i] (the inverse
+    carries the negated label).  out_start and out_list form a CSR
+    adjacency over signed edges, index-sorted.
     """
 
     n_vertices: int
@@ -40,9 +46,12 @@ class KernelGraph:
     out_list: tuple
     n_labels: int
 
+    def out(self, v: int) -> tuple:
+        return self.out_list[self.out_start[v] : self.out_start[v + 1]]
+
 
 def kernel_graph(lg) -> KernelGraph:
-    """Flatten a LabeledGraph for the tally kernels."""
+    """Flatten a LabeledGraph for the moment engine."""
     sh = lg.shadowed
     g = sh.graph
     vidx = {v: i for i, v in enumerate(g.vertices)}
@@ -73,15 +82,179 @@ def kernel_graph(lg) -> KernelGraph:
     )
 
 
-def _backend():
-    if os.environ.get("GROUPOIDLAB_PURE"):
-        return _kernel_py
-    return _kernel_c if _kernel_c is not None else _kernel_py
-
-
 def backend_name() -> str:
-    return _backend().BACKEND
+    return "dp"
+
+
+class _Budget:
+    """Running count of DP transitions (terms of the recurrence sums,
+    or edge steps out of a balance state) against an optional cap."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.spent = 0
+
+    def charge(self, work: int) -> bool:
+        """Book work transitions; False once the cap would be passed."""
+        self.spent += work
+        return self.cap is None or self.spent <= self.cap
 
 
 def tally_words(kg: KernelGraph, n: int, mode: str, pattern=None, budget=None):
-    return _backend().tally_words(kg, n, mode, pattern=pattern, budget=budget)
+    """Count qualifying admissible length-n words by start vertex.
+
+    mode: "reduction" counts words whose free reduction is a vertex;
+          "balance" counts loop words with an all-zero balance vector.
+    pattern: optional per-position signed label filter (length n).
+    budget: cap on DP transitions.  When it runs out the flag is set
+            and only the vertices finished so far carry their (exact)
+            counts; the others read 0.
+
+    Returns (counts per vertex index, admissible length-n words matching
+    the pattern, truncated).
+    """
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    if pattern is not None and len(pattern) != n:
+        raise ValueError("pattern length must equal n")
+    if mode not in ("reduction", "balance"):
+        raise ValueError(f"unknown tally mode {mode!r}")
+    spend = _Budget(budget)
+    if mode == "balance":
+        counts, truncated = _balanced_loops(kg, n, pattern, spend)
+    elif pattern is None:
+        counts, truncated = _closed_by_length(kg, n, spend)
+    else:
+        counts, truncated = _closed_by_interval(kg, n, pattern, spend)
+    return counts, _walk_count(kg, n, pattern), truncated
+
+
+def _walk_count(kg, n, pattern) -> int:
+    """Admissible length-n words that match the pattern, if any."""
+    ends = [1] * kg.n_vertices
+    for pos in range(n):
+        want = None if pattern is None else pattern[pos]
+        nxt = [0] * kg.n_vertices
+        for e in range(kg.n_signed):
+            if want is None or kg.labels[e] == want:
+                nxt[kg.dst[e]] += ends[kg.src[e]]
+        ends = nxt
+    return sum(ends)
+
+
+def _closed_by_length(kg, n, spend):
+    """Reduction counts from the length-keyed excursion recurrence.
+
+    Closed tree walks have even length, so tables are indexed by half
+    length: H[e][j] counts the closed walks of length 2j below a node
+    entered by e, and S[v][j] sums H[f][j] over f in out(v).
+    """
+    counts = [0] * kg.n_vertices
+    if n % 2:
+        return counts, False
+    half = n // 2
+    H = [[1] for _ in range(kg.n_signed)]
+    S = [[len(kg.out(v))] for v in range(kg.n_vertices)]
+    # G[e][i]: one excursion of length 2i + 2 from a node entered by e
+    G = [[] for _ in range(kg.n_signed)]
+    for j in range(1, half):
+        if not spend.charge(kg.n_signed * j):
+            return counts, True
+        for e in range(kg.n_signed):
+            G[e].append(S[kg.dst[e]][j - 1] - H[kg.inv[e]][j - 1])
+        for e in range(kg.n_signed):
+            H[e].append(sum(map(mul, G[e], reversed(H[e]))))
+        for v in range(kg.n_vertices):
+            S[v].append(sum(H[f][j] for f in kg.out(v)))
+    for v in range(kg.n_vertices):
+        if not spend.charge(half * (half + 1) // 2):
+            return counts, True
+        M = [1]
+        for j in range(1, half + 1):
+            M.append(sum(map(mul, S[v][:j], reversed(M))))
+        counts[v] = M[half]
+    return counts, False
+
+
+def _closed_by_interval(kg, n, pattern, spend):
+    """Reduction counts under a label pattern: the excursion recurrence
+    over intervals [a, b) of word positions.
+
+    H[e][a, b] counts the closed walks below a node entered by e that
+    fill positions a..b-1.  X[u][a, c] counts single excursions from a
+    node at vertex u that open at position a with an out-edge of u and
+    close at c-1; the closing letter inverts the opening one, so its
+    label is the negation.
+    """
+    counts = [0] * kg.n_vertices
+    if n % 2:
+        return counts, False
+    H = [{} for _ in range(kg.n_signed)]
+    X = [{} for _ in range(kg.n_vertices)]
+
+    def excursion(e, a, c):
+        # X at dst(e) without the step back up through inv(e)
+        if pattern[c - 1] != -pattern[a]:
+            return 0
+        total = X[kg.dst[e]].get((a, c), 0)
+        back = kg.inv[e]
+        if kg.labels[back] == pattern[a]:
+            total -= H[back].get((a + 1, c - 1), 0)
+        return total
+
+    # inner intervals lie in positions 1..n-2: inside the root's excursions
+    for length in range(0, n - 1, 2):
+        starts = range(1, n - length)
+        if not spend.charge(kg.n_signed * len(starts) * (length // 2)):
+            return counts, True
+        for a in starts:
+            b = a + length
+            for e in range(kg.n_signed):
+                H[e][a, b] = 1 if length == 0 else sum(
+                    excursion(e, a, c) * H[e][c, b] for c in range(a + 2, b + 1, 2)
+                )
+        for a in starts:
+            b = a + length
+            if pattern[b] != -pattern[a - 1]:
+                continue
+            for u in range(kg.n_vertices):
+                X[u][a - 1, b + 1] = sum(
+                    H[f][a, b] for f in kg.out(u) if kg.labels[f] == pattern[a - 1]
+                )
+    half = n // 2
+    for v in range(kg.n_vertices):
+        if not spend.charge(half * (half + 1) // 2):
+            return counts, True
+        M = {n: 1}
+        for a in range(n - 2, -1, -2):
+            M[a] = sum(X[v].get((a, c), 0) * M[c] for c in range(a + 2, n + 1, 2))
+        counts[v] = M[0]
+    return counts, False
+
+
+def _balanced_loops(kg, n, pattern, spend):
+    """Balance counts: per start vertex, walks tracked by (current
+    vertex, balance code).  The balance vector is packed into one
+    integer in balanced base 2n + 1, whose digits (one per label index,
+    each in -n..n) never carry, so code 0 is exactly the zero vector."""
+    counts = [0] * kg.n_vertices
+    radix = 2 * n + 1
+    step = [
+        (1 if k > 0 else -1) * radix ** (abs(k) - 1) for k in kg.labels
+    ]
+    for s in range(kg.n_vertices):
+        states = {(s, 0): 1}
+        for pos in range(n):
+            want = None if pattern is None else pattern[pos]
+            nxt: dict = {}
+            for (cur, code), c in states.items():
+                edges = kg.out(cur)
+                if not spend.charge(len(edges)):
+                    return counts, True
+                for e in edges:
+                    if want is None or kg.labels[e] == want:
+                        key = (kg.dst[e], code + step[e])
+                        nxt[key] = nxt.get(key, 0) + c
+            states = nxt
+        counts[s] = states.get((s, 0), 0)
+    return counts, False

@@ -17,7 +17,6 @@ from .errors import BudgetExceededError
 from .graphs import GraphError, shadow, validate_graph
 from .labeling import LabeledGraph, count_axis_paths
 from .moments import DiagonalElement
-from .util import worker_count
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -224,7 +223,7 @@ def _cmd_freeness(args) -> tuple[dict, int]:
         "command": "freeness",
         "inputs": ctx["inputs"],
         "result": result,
-        "diagnostics": {"notes": ctx["notes"], "truncated": False, "workers": worker_count()},
+        "diagnostics": {"notes": ctx["notes"], "truncated": False},
     }, EXIT_OK
 
 
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--basis-budget", type=_positive_int, default=operators.BASIS_BUDGET
         )
 
-    p = sub.add_parser("moments", help="E(T_G^n) by word enumeration")
+    p = sub.add_parser("moments", help="E(T_G^n) by the excursion DP")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["reduction", "balance"], default="reduction")

@@ -2,7 +2,7 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured enumeration or basis budget was exhausted.
+    """A configured DP, enumeration or basis budget was exhausted.
 
     Carries whatever partial result was assembled so callers can emit
     it with a truncation flag instead of discarding the work.

@@ -59,10 +59,6 @@ def is_admissible(word) -> bool:
     return all(word[i].dst == word[i + 1].src for i in range(len(word) - 1))
 
 
-def is_loop(word) -> bool:
-    return is_admissible(word) and word[0].src == word[-1].dst
-
-
 def source(a):
     if isinstance(a, Vertex):
         return a.v
@@ -99,15 +95,6 @@ def reduce_word(word) -> GroupoidElement:
     return ReducedPath(tuple(stack))
 
 
-def element_word(a) -> tuple:
-    """The underlying word of a groupoid element (empty for vertices)."""
-    if isinstance(a, ReducedPath):
-        return a.word
-    if isinstance(a, Vertex):
-        return ()
-    raise ValueError("Empty element has no word")
-
-
 def inverse(a) -> GroupoidElement:
     """Groupoid inverse: reverse the word and flip every orientation."""
     if a is EMPTY or isinstance(a, Vertex):
@@ -135,19 +122,23 @@ def enumerate_admissible_words(g: ShadowedGraph, n: int) -> Iterator[tuple]:
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
+    # depth-first with an explicit stack of candidate iterators, so the
+    # word length is not limited by the recursion depth
     word: list = []
-
-    def extend() -> Iterator[tuple]:
+    pending = [iter(g.signed_edges)]
+    while pending:
+        s = next(pending[-1], None)
+        if s is None:
+            pending.pop()
+            if word:
+                word.pop()
+            continue
+        word.append(s)
         if len(word) == n:
             yield tuple(word)
-            return
-        candidates = g.out_edges(word[-1].dst) if word else g.signed_edges
-        for s in candidates:
-            word.append(s)
-            yield from extend()
             word.pop()
-
-    yield from extend()
+        else:
+            pending.append(iter(g.out_edges(s.dst)))
 
 
 def loop_words(g: ShadowedGraph, n: int) -> Iterator[tuple]:

@@ -1,11 +1,13 @@
 """Diagonal-valued moments and free cumulants of labeling operators.
 
 Values live in the diagonal algebra: finite integer maps vertex ->
-coefficient.  Moments tally admissible words that freely reduce to a
-vertex (the reduction characterization); cumulants come from Moebius
-inversion over noncrossing partitions, evaluated on exact formal sums
-of groupoid elements.  The word-set route (single-base-edge loop words
-weighted by mu_w) is computed alongside and compared, never trusted.
+coefficient.  Moments count admissible words that freely reduce to a
+vertex (the reduction characterization) with the excursion DP of
+_kernel; word enumeration (w_m_set) stays as a cross-check.
+Cumulants come from Moebius inversion over noncrossing partitions,
+evaluated on exact formal sums of groupoid elements.  The word-set
+route (single-base-edge loop words weighted by mu_w) is computed
+alongside and compared, never trusted.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .errors import BudgetExceededError
 from .groupoid import EMPTY, ReducedPath, Vertex, concat, diagram_distinct, reduce_word
 from .labeling import LabeledGraph, theta
 from .ncpartitions import NoncrossingPartition, e_pi, enumerate_nc, moebius
-from .util import parallel_map
 
 ENUM_BUDGET = 10_000_000
 
@@ -202,25 +203,26 @@ def tally(
     pattern=None,
     budget: int | None = ENUM_BUDGET,
 ) -> TallyResult:
-    """Kernel-backed tally of qualifying length-n words by vertex."""
+    """Tally of qualifying length-n words by vertex, from the moment
+    engine in _kernel; budget caps its DP transitions."""
     kg = _kernel.kernel_graph(lg)
-    counts, enumerated, truncated = _kernel.tally_words(
+    counts, words, truncated = _kernel.tally_words(
         kg, n, mode, pattern=pattern, budget=budget
     )
     vs = lg.graph.vertices
     diag = DiagonalElement.of((vs[i], c) for i, c in enumerate(counts))
-    return TallyResult(diag, enumerated, truncated)
+    return TallyResult(diag, words, truncated)
 
 
 def _unwrap(result: TallyResult, what: str) -> DiagonalElement:
     if result.truncated:
-        raise BudgetExceededError(f"{what}: enumeration budget exhausted", partial=result)
+        raise BudgetExceededError(f"{what}: DP budget exhausted", partial=result)
     return result.diagonal
 
 
 def moment(lg: LabeledGraph, n: int, budget: int | None = ENUM_BUDGET) -> DiagonalElement:
-    """E(T_G^n) by streaming enumeration: tally admissible length-n
-    words whose free reduction is a vertex."""
+    """E(T_G^n): the admissible length-n words whose free reduction is
+    a vertex, counted by the excursion DP."""
     return _unwrap(tally(lg, n, "reduction", budget=budget), f"moment n={n}")
 
 
@@ -249,26 +251,6 @@ def _check_indices(lg: LabeledGraph, indices) -> None:
     for k in indices:
         if k == 0 or abs(k) > lg.max_label:
             raise ValueError(f"label index {k} out of range for N={lg.max_label}")
-
-
-def moment_dp(lg: LabeledGraph, n: int) -> DiagonalElement:
-    """Experimental accelerator: dynamic programming keyed on the
-    reduced suffix.  Polynomial where plain enumeration is exponential;
-    always cross-checked against enumeration in the tests."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sh = lg.shadowed
-    states: dict = {Vertex(v): 1 for v in sh.vertices}
-    for _ in range(n):
-        nxt: dict = {}
-        for a, c in states.items():
-            for s in sh.out_edges(groupoid.target(a)):
-                b = concat(a, ReducedPath((s,)))
-                nxt[b] = nxt.get(b, 0) + c
-        states = nxt
-    return DiagonalElement.of(
-        (a.v, c) for a, c in states.items() if isinstance(a, Vertex)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +435,10 @@ def check_freeness(
         for idx in itertools.product(alphabet, repeat=n)
         if mixed(idx)
     ]
-    results = parallel_map(lambda idx: (idx, joint_cumulant(lg, idx)), todo)
     max_abs = 0
     nonzero = []
-    for idx, val in results:
+    for idx in todo:
+        val = joint_cumulant(lg, idx)
         if not val.is_zero:
             if len(nonzero) < nonzero_cap:
                 nonzero.append((idx, val))

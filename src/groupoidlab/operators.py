@@ -4,15 +4,15 @@ The basis collects the vertices and every reduced path of length at
 most L.  Right multiplication operators map basis vectors to basis
 vectors (or to zero), so each column holds at most one unit entry;
 products, adjoints, and powers stay in exact integer arithmetic.  This
-module is the brute-force oracle the enumeration route is checked
-against, so it deliberately stays close to the definitions.
+module is the brute-force oracle the moment DP is checked against,
+so it deliberately stays close to the definitions.
 """
 
 from __future__ import annotations
 
 from .errors import BudgetExceededError
 from .graphs import ShadowedGraph
-from .groupoid import EMPTY, ReducedPath, Vertex, concat, inverse, target
+from .groupoid import EMPTY, ReducedPath, Vertex, concat, target
 from .labeling import LabeledGraph
 
 BASIS_BUDGET = 100_000
@@ -160,10 +160,6 @@ def right_mult(w, basis: Basis) -> SparseOperator:
             continue
         op.cols[j][i] = 1
     return op
-
-
-def adjoint_symbol(w):
-    return inverse(w)
 
 
 def labeling_operator(lg: LabeledGraph, k: int, basis: Basis) -> SparseOperator:

@@ -206,6 +206,17 @@ def test_moments_words_export():
     assert len(words) == 8
 
 
+def test_moments_words_at_large_n(capsys):
+    # word length far beyond the interpreter's recursion limit
+    code, rep = run_json(
+        ["moments", "--graph", fx("single-edge"), "--n", "2000", "--words"]
+    )
+    assert code == 0
+    assert rep["result"]["diagonal"] == {"v1": "1", "v2": "1"}
+    assert len(rep["result"]["words"]) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_labeling_override_changes_n():
     code, rep = run_json(
         ["moments", "--graph", fx("example-6-2"), "--n", "2", "--labeling", "vertex"]

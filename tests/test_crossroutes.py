@@ -1,7 +1,7 @@
 """Cross-route checks on graphs beyond the bundled fixtures.
 
-Three routes exist for moment-type data (word enumeration, the sparse
-operator model, the reduced-suffix DP) and two for cumulant-type data
+Three routes exist for moment-type data (the excursion DP, word
+enumeration, the sparse operator model) and two for cumulant-type data
 (Moebius inversion, mu_w-weighted single-edge loop words).  These tests
 drive them against each other on random small multigraphs and on a
 glued two-loop graph, not just the curated fixtures.
@@ -10,16 +10,31 @@ glued two-loop graph, not just the curated fixtures.
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import DirectedGraph, Edge, shadow, validate_graph
-from groupoidlab.groupoid import Vertex, d_loop_words, reduce_word
-from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
+from groupoidlab.groupoid import (
+    Vertex,
+    d_loop_words,
+    enumerate_admissible_words,
+    reduce_word,
+)
+from groupoidlab.labeling import (
+    MODE_EXPLICIT,
+    MODE_MULTIEDGE,
+    MODE_VERTEX,
+    assign_weights,
+)
 from groupoidlab.moments import (
     DiagonalElement,
+    balance_moment,
     joint_cumulant,
+    joint_moment,
     moment,
-    moment_dp,
     mu_w,
+    w_m_set,
 )
 from groupoidlab.operators import oracle_expectation_power
 
@@ -89,7 +104,7 @@ def test_glued_graph_three_routes():
     for n in range(1, 7):
         m = moment(lg, n)
         assert m == DiagonalElement.of(oracle_expectation_power(lg, n, n))
-        assert m == moment_dp(lg, n)
+        assert m == w_m_set(lg, n).tallies
     # hand count at n = 2: from a the words ee~, la la~, ~la la;
     # from b: ~e e, lb lb~, ~lb lb
     assert moment(lg, 2).as_dict() == {"a": 3, "b": 3}
@@ -107,19 +122,8 @@ def test_glued_graph_not_fractaloid():
 def test_two_loop_matches_free_group_word_counts():
     # identity-word counts over the 4-letter alphabet of F_2
     lg = labeled("two-loop")
-    vals = [moment_dp(lg, n).as_dict().get("v", 0) for n in range(1, 11)]
+    vals = [moment(lg, n).as_dict().get("v", 0) for n in range(1, 11)]
     assert vals == [0, 4, 0, 28, 0, 232, 0, 2092, 0, 19864]
-
-
-def test_freeness_thread_cap_parity(monkeypatch):
-    from groupoidlab.moments import check_freeness
-
-    lg = labeled("two-loop")
-    monkeypatch.delenv("GROUPOID_LAB_THREADS", raising=False)
-    seq = check_freeness(lg, 1, 2, max_n=3)
-    monkeypatch.setenv("GROUPOID_LAB_THREADS", "4")
-    par = check_freeness(lg, 1, 2, max_n=3)
-    assert seq == par
 
 
 def test_random_graphs_routes_agree():
@@ -129,9 +133,58 @@ def test_random_graphs_routes_agree():
         lg = assign_weights(shadow(g))
         for n in range(1, 5):
             m = moment(lg, n)
-            assert m == moment_dp(lg, n), (trial, n, g)
+            assert m == w_m_set(lg, n).tallies, (trial, n, g)
             assert m == DiagonalElement.of(oracle_expectation_power(lg, n, n)), (
                 trial,
                 n,
                 g,
             )
+
+
+@st.composite
+def labeled_multigraphs(draw, max_vertices=3, max_edges=4):
+    """Connected labeled multigraphs, loops and parallel edges allowed,
+    in each of the three labeling modes."""
+    nv = draw(st.integers(1, max_vertices))
+    vs = [f"v{i}" for i in range(1, nv + 1)]
+    pairs = []
+    for i in range(1, nv):  # a spanning tree with random directions
+        a, b = vs[i], vs[draw(st.integers(0, i - 1))]
+        pairs.append((a, b) if draw(st.booleans()) else (b, a))
+    pair = st.tuples(st.sampled_from(vs), st.sampled_from(vs))
+    pairs += draw(
+        st.lists(pair, min_size=max(0, 1 - len(pairs)), max_size=max_edges - len(pairs))
+    )
+    edges = [Edge(f"e{j}", a, b) for j, (a, b) in enumerate(pairs, start=1)]
+    mode = draw(st.sampled_from([MODE_VERTEX, MODE_MULTIEDGE, MODE_EXPLICIT]))
+    explicit = None
+    if mode == MODE_EXPLICIT:
+        explicit = {e.id: draw(st.integers(1, 2)) for e in edges}
+    return assign_weights(shadow(DirectedGraph(vs, edges)), mode, explicit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lg=labeled_multigraphs(), n=st.integers(1, 5))
+def test_property_dp_matches_enumeration_and_oracle(lg, n):
+    m = moment(lg, n)
+    assert m == w_m_set(lg, n).tallies
+    assert m == DiagonalElement.of(oracle_expectation_power(lg, n, n))
+    assert balance_moment(lg, n) == w_m_set(lg, n, "balance").tallies
+
+
+@settings(max_examples=100, deadline=None)
+@given(lg=labeled_multigraphs(), data=st.data())
+def test_property_joint_moment_matches_pattern_filter(lg, data):
+    # the pattern is read off a random walk, so that it is never empty
+    n = data.draw(st.integers(1, 4))
+    sh = lg.shadowed
+    walk = [data.draw(st.sampled_from(sh.signed_edges))]
+    while len(walk) < n:
+        walk.append(data.draw(st.sampled_from(sh.out_edges(walk[-1].dst))))
+    indices = tuple(lg.label(s) for s in walk)
+    brute: dict = {}
+    for w in enumerate_admissible_words(lg.shadowed, n):
+        r = reduce_word(w)
+        if tuple(lg.label(s) for s in w) == indices and isinstance(r, Vertex):
+            brute[r.v] = brute.get(r.v, 0) + 1
+    assert joint_moment(lg, indices) == DiagonalElement.of(brute)

@@ -21,7 +21,6 @@ from groupoidlab.moments import (
     joint_cumulant,
     joint_moment,
     moment,
-    moment_dp,
     moment_via_cumulants,
     mu_w,
     tally,
@@ -179,19 +178,34 @@ def test_oracle_equivalence(name):
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_moment_dp_agrees_with_enumeration(name):
+def test_moment_agrees_with_enumeration(name):
     lg = labeled(name)
     for n in range(1, 7):
-        assert moment_dp(lg, n) == moment(lg, n)
+        assert moment(lg, n) == w_m_set(lg, n).tallies
 
 
 def test_moment_budget_truncation():
-    lg = labeled("two-loop")
-    result = tally(lg, 4, "reduction", budget=10)
-    assert result.truncated
-    assert result.words == 10
+    # the budget caps DP transitions; a truncated tally reports only
+    # exact per-vertex counts, and some budgets leave a nonempty part
+    lg = labeled("example-6-2")
+    for mode in ("reduction", "balance"):
+        full = tally(lg, 6, mode, budget=None)
+        exact = full.diagonal.as_dict()
+        partial_seen = False
+        budget = 1
+        while True:
+            result = tally(lg, 6, mode, budget=budget)
+            got = result.diagonal.as_dict()
+            assert all(exact[v] == c for v, c in got.items()), (mode, budget, got)
+            assert result.words == full.words
+            if not result.truncated:
+                assert got == exact
+                break
+            partial_seen = partial_seen or bool(got)
+            budget += 1
+        assert partial_seen, mode
     with pytest.raises(BudgetExceededError) as exc:
-        moment(lg, 4, budget=10)
+        moment(labeled("two-loop"), 6, budget=10)
     assert exc.value.partial.truncated
 
 
