@@ -122,20 +122,25 @@ def build_tree(aut: GraphAutomaton, root_vertex: str, depth: int) -> AutomatonTr
     if root_vertex not in aut.shadowed.vertices:
         raise GraphError(f"unknown root vertex {root_vertex!r}")
 
-    def grow(state: WeightedElement, d: int) -> tuple:
-        if d == depth:
-            return ()
-        kids = []
-        for s in aut.shadowed.out_edges(state.terminal):
-            child_state = aut.phi(state, (s,))
-            kids.append(
-                TreeNode(child_state, s, d + 1, grow(child_state, d + 1))
-            )
-        return tuple(kids)
+    # Depth-first with an explicit stack of [state, edge, depth, finished
+    # children, edges still to grow]; a node is built once all its
+    # children are.
+    def frame(state: WeightedElement, edge, d: int) -> list:
+        edges = aut.shadowed.out_edges(state.terminal) if d < depth else ()
+        return [state, edge, d, [], iter(edges)]
 
-    root_state = aut.vertex_state(root_vertex)
-    root = TreeNode(root_state, None, 0, grow(root_state, 0))
-    return AutomatonTree(root_vertex, depth, root)
+    stack = [frame(aut.vertex_state(root_vertex), None, 0)]
+    while True:
+        state, edge, d, kids, edges = stack[-1]
+        s = next(edges, None)
+        if s is not None:
+            stack.append(frame(aut.phi(state, (s,)), s, d + 1))
+            continue
+        stack.pop()
+        node = TreeNode(state, edge, d, tuple(kids))
+        if not stack:
+            return AutomatonTree(root_vertex, depth, node)
+        stack[-1][3].append(node)
 
 
 @dataclass(frozen=True)
@@ -214,15 +219,24 @@ def tree_dot(aut: GraphAutomaton, tree: AutomatonTree) -> str:
         (a, b), labels = state.endpoints, state.labels
         return f"({a},{b})|{','.join(map(str, labels))}"
 
-    def walk(node: TreeNode, name: str):
-        nonlocal counter
-        lines.append(f'  {name} [label="{fmt(node.state)}"];')
-        for child in node.children:
-            counter += 1
-            cname = f"n{counter}"
-            walk(child, cname)
-            lines.append(f'  {name} -> {cname} [label="{child.edge.name()}"];')
+    def node_line(node: TreeNode, name: str) -> str:
+        return f'  {name} [label="{fmt(node.state)}"];'
 
-    walk(tree.root, "n0")
+    # Names are given in pre-order; a node's edge line follows the
+    # subtree below it.
+    lines.append(node_line(tree.root, "n0"))
+    stack = [(tree.root, "n0", iter(tree.root.children))]
+    while stack:
+        node, name, kids = stack[-1]
+        child = next(kids, None)
+        if child is None:
+            stack.pop()
+            if stack:
+                lines.append(f'  {stack[-1][1]} -> {name} [label="{node.edge.name()}"];')
+            continue
+        counter += 1
+        cname = f"n{counter}"
+        lines.append(node_line(child, cname))
+        stack.append((child, cname, iter(child.children)))
     lines.append("}")
     return "\n".join(lines)

@@ -133,7 +133,6 @@ class ShadowedGraph:
             signed.append(SignedEdge(e, False))
             signed.append(SignedEdge(e, True))
         self.signed_edges: tuple[SignedEdge, ...] = tuple(signed)
-        self._eindex = {s: i for i, s in enumerate(signed)}
         self._by_name = {s.name(): s for s in signed}
         out: dict[str, list[SignedEdge]] = {v: [] for v in graph.vertices}
         for s in signed:
@@ -143,9 +142,6 @@ class ShadowedGraph:
     @property
     def vertices(self) -> tuple[str, ...]:
         return self.graph.vertices
-
-    def signed_index(self, s: SignedEdge) -> int:
-        return self._eindex[s]
 
     def signed_by_name(self, name: str) -> SignedEdge:
         try:

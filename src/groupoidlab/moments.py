@@ -19,7 +19,7 @@ from . import _kernel, groupoid, ncpartitions
 from .errors import BudgetExceededError
 from .groupoid import EMPTY, ReducedPath, Vertex, concat, diagram_distinct, reduce_word
 from .labeling import LabeledGraph, theta
-from .ncpartitions import NoncrossingPartition, e_pi, enumerate_nc, moebius
+from .ncpartitions import NoncrossingPartition, e_pi, enumerate_nc, moebius, nested
 
 ENUM_BUDGET = 10_000_000
 
@@ -361,25 +361,9 @@ def _k_pi(pi: NoncrossingPartition, operands) -> FormalSum:
     """Partition-dependent cumulant: like E_pi, but each block closes
     with a cumulant instead of an expectation, and a nested block's
     value multiplies the preceding argument from the right."""
-    roots, children = ncpartitions._nesting_forest(pi)
-
-    def value(block) -> FormalSum:
-        kids = children[block]
-        args = []
-        for i, x in enumerate(block):
-            arg = operands[x - 1]
-            if i + 1 < len(block):
-                lo, hi = x, block[i + 1]
-                for c in kids:
-                    if lo < c[0] < hi:
-                        arg = arg * value(c)
-            args.append(arg)
-        return FormalSum.of_diagonal(cumulant_of(args))
-
-    result = None
-    for r in roots:
-        result = value(r) if result is None else result * value(r)
-    return result
+    return nested(
+        pi, operands, lambda args: FormalSum.of_diagonal(cumulant_of(args)), _mul_fs
+    )
 
 
 def moment_via_cumulants(lg: LabeledGraph, n: int) -> DiagonalElement:

@@ -1,19 +1,24 @@
 """Noncrossing partitions of {1..n}: lattice order, Moebius functional,
-Catalan counts, and nested partition-dependent moment evaluation.
+Catalan counts, and nested partition-dependent evaluation.
 
 The Moebius value against the top element is computed through the
 standard interval factorization: [pi, 1_n] is a product of smaller
 noncrossing lattices indexed by the blocks of the Kreweras complement
-of pi, so mu multiplies over those blocks.  The two anchor identities
-mu(0_n, 1_n) = (-1)^(n-1) c_(n-1) and sum_pi mu(pi, 1_n) = 0 are held
-by the test suite.
+of pi, so mu multiplies over those blocks.  The complement's block
+sizes are the cycle type of the permutation pi^-1 gamma, with gamma the
+long cycle i -> i+1 (mod n) and pi cycling each block in increasing
+order.  The two anchor identities mu(0_n, 1_n) = (-1)^(n-1) c_(n-1) and
+sum_pi mu(pi, 1_n) = 0 are held by the test suite.
+
+Nested quantities (E_pi, and the partition-dependent cumulants built on
+the same nesting) share one left-to-right evaluator, nested().
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 
 NC_BUDGET = 12
@@ -47,12 +52,6 @@ class NoncrossingPartition:
     def of(n: int, blocks) -> "NoncrossingPartition":
         canon = tuple(tuple(sorted(b)) for b in sorted(blocks, key=min))
         return NoncrossingPartition(n, canon)
-
-    def block_of(self, x: int):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
 
     def __repr__(self) -> str:
         return "NC(" + "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks) + ")"
@@ -124,41 +123,26 @@ def leq(pi: NoncrossingPartition, theta: NoncrossingPartition) -> bool:
 
 
 def kreweras(pi: NoncrossingPartition):
-    """Block sizes of the Kreweras complement of pi.
-
-    Bar i sits after element i; bars i < j join exactly when no block of
-    pi separates the window {i+1..j} (every block lies inside it or
-    misses it).  Pairwise compatibility is transitive here, so a
-    union-find over pairs is enough.
-    """
+    """Block sizes of the Kreweras complement of pi, sorted: the cycle
+    type of pi^-1 gamma, where gamma is i -> i+1 (mod n) and pi sends
+    each element to the next one of its block, cyclically."""
     n = pi.n
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            window = range(i + 1, j + 1)
-            ok = True
-            for b in pi.blocks:
-                inside = sum(1 for x in b if x in window)
-                if 0 < inside < len(b):
-                    ok = False
-                    break
-            if ok:
-                union(i, j)
-    sizes: dict[int, int] = {}
-    for i in range(1, n + 1):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sorted(sizes.values())
+    pi_inv = [0] * (n + 1)
+    for b in pi.blocks:
+        for prev, x in zip(b[-1:] + b[:-1], b):
+            pi_inv[x] = prev
+    seen = [False] * (n + 1)
+    sizes = []
+    for start in range(1, n + 1):
+        size = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            size += 1
+            x = pi_inv[x % n + 1]
+        if size:
+            sizes.append(size)
+    return sorted(sizes)
 
 
 @lru_cache(maxsize=None)
@@ -179,61 +163,43 @@ def moebius_row(n: int, budget: int = NC_BUDGET):
     return [(pi, moebius(pi)) for pi in enumerate_nc(n, budget)]
 
 
-def _nesting_forest(pi: NoncrossingPartition):
-    """children[b] lists the blocks nested immediately inside block b,
-    ordered by minimum; roots are the outermost blocks."""
-    children = {b: [] for b in pi.blocks}
-    roots = []
-    span = {}
-    for b in pi.blocks:
-        span[b] = (b[0], b[-1])
+def nested(pi: NoncrossingPartition, operands, close, multiply):
+    """Evaluate operands (1-indexed by position) along the nesting of pi.
+
+    Positions are read left to right with a stack holding the argument
+    list of each open block; since pi is noncrossing, the innermost open
+    block is the block of the current position.  A closing block's value
+    close(args) multiplies the last argument of the enclosing block from
+    the right, or, at the outermost level, the running product of the
+    blocks before it.
+    """
+    if len(operands) != pi.n:
+        raise ValueError("operand count must equal n")
+    firsts = {b[0] for b in pi.blocks}
+    lasts = {b[-1] for b in pi.blocks}
     stack = []
-    block_at = {}
-    for b in pi.blocks:
-        for x in b:
-            block_at[x] = b
-    opened = set()
-    for x in range(1, pi.n + 1):
-        b = block_at[x]
-        if b not in opened:
-            opened.add(b)
+    result = None
+    for x, op in enumerate(operands, 1):
+        if x in firsts:
+            stack.append([op])
+        else:
+            stack[-1].append(op)
+        if x in lasts:
+            value = close(stack.pop())
             if stack:
-                children[stack[-1]].append(b)
+                stack[-1][-1] = multiply(stack[-1][-1], value)
             else:
-                roots.append(b)
-            if x != span[b][1]:
-                stack.append(b)
-        elif stack and stack[-1] == b and x == span[b][1]:
-            stack.pop()
-    return roots, children
+                result = value if result is None else multiply(result, value)
+    return result
 
 
 def e_pi(pi: NoncrossingPartition, operands, expect, multiply):
     """Partition-dependent nested moment.
 
-    Innermost blocks are evaluated first; a nested block's expect-value
-    is spliced in right after the operand it follows; the outermost
-    blocks' values multiply left to right in position order.  operands
-    are 1-indexed by position; expect and multiply are supplied by the
+    Each block multiplies its operands in position order, with the
+    values of the blocks nested inside spliced in after the operand they
+    follow, and closes with expect; the outermost blocks' values
+    multiply left to right.  expect and multiply are supplied by the
     caller (they fix the algebra).
     """
-    if len(operands) != pi.n:
-        raise ValueError("operand count must equal n")
-    roots, children = _nesting_forest(pi)
-
-    def value(block):
-        kids = children[block]
-        acc = None
-        for i, x in enumerate(block):
-            acc = operands[x - 1] if acc is None else multiply(acc, operands[x - 1])
-            if i + 1 < len(block):
-                lo, hi = x, block[i + 1]
-                for c in kids:
-                    if lo < c[0] < hi:
-                        acc = multiply(acc, value(c))
-        return expect(acc)
-
-    result = None
-    for r in roots:
-        result = value(r) if result is None else multiply(result, value(r))
-    return result
+    return nested(pi, operands, lambda args: expect(reduce(multiply, args)), multiply)

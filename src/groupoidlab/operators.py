@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import BudgetExceededError
 from .graphs import ShadowedGraph
-from .groupoid import EMPTY, ReducedPath, Vertex, concat, target
+from .groupoid import EMPTY, ReducedPath, Vertex, concat
 from .labeling import LabeledGraph
 
 BASIS_BUDGET = 100_000
@@ -25,21 +25,23 @@ class Basis:
     def __init__(self, g: ShadowedGraph, max_len: int, budget: int = BASIS_BUDGET):
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
+        # Paths are extended in signed-edge index order, so each level is
+        # born sorted by its index sequence.
         elements = [Vertex(v) for v in g.vertices]
-        frontier = elements[:]
+        level = []
         for ell in range(1, max_len + 1):
-            nxt = []
-            for a in frontier:
-                for s in g.out_edges(target(a)):
-                    if isinstance(a, ReducedPath) and a.word[-1] == s.inverted():
-                        continue
-                    word = (s,) if isinstance(a, Vertex) else a.word + (s,)
-                    nxt.append(ReducedPath(word))
-            nxt.sort(key=lambda p: tuple(g.signed_index(s) for s in p.word))
-            elements.extend(nxt)
+            if ell == 1:
+                level = [(s,) for s in g.signed_edges]
+            else:
+                level = [
+                    w + (s,)
+                    for w in level
+                    for s in g.out_edges(w[-1].dst)
+                    if s != w[-1].inverted()
+                ]
+            elements.extend(ReducedPath(w) for w in level)
             if len(elements) > budget:
                 raise BudgetExceededError(f"basis exceeds budget {budget} at length {ell}")
-            frontier = nxt
         self.graph = g
         self.max_len = max_len
         self.elements = tuple(elements)
@@ -64,10 +66,6 @@ class SparseOperator:
         self.dim = dim
         self.cols = cols if cols is not None else [dict() for _ in range(dim)]
         self.boundary_affected = boundary_affected
-
-    @staticmethod
-    def zero(dim: int) -> "SparseOperator":
-        return SparseOperator(dim)
 
     @staticmethod
     def identity(dim: int) -> "SparseOperator":

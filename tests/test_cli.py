@@ -1,11 +1,13 @@
 import io
 import json
 import os
+import re
 import sys
 
 from groupoidlab import cli
 
-FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+FIX = os.path.join(ROOT, "fixtures")
 
 
 def fx(name):
@@ -127,6 +129,14 @@ def test_tree_emits_dot():
     assert out.startswith("digraph")
 
 
+def test_tree_at_large_depth(capsys):
+    # depth far beyond the interpreter's recursion limit
+    code, out = run(["tree", "--graph", fx("single-edge"), "--depth", "1500"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert len(re.findall(r"^  n\d+ \[label=", out, re.MULTILINE)) == 1501
+
+
 def test_lattice_subcommand():
     code, out = run(["lattice", "--max-label", "1", "--length", "6"])
     assert code == 0
@@ -173,6 +183,16 @@ def test_exit_budget_partial(tmp_path):
     assert code == 5
     assert rep["diagnostics"]["truncated"] is True
     assert rep["status"] == "truncated"
+
+
+def test_truncated_moments_drop_the_counts_note():
+    # partial tallies are not compared: no "counts differ" note
+    code, rep = run_json(
+        ["moments", "--graph", fx("two-loop"), "--n", "8", "--budget", "50"]
+    )
+    assert code == 5
+    assert rep["diagnostics"]["truncated"] is True
+    assert not any("differ" in n for n in rep["diagnostics"]["notes"])
 
 
 def test_exit_verify_mismatch(monkeypatch):
@@ -224,3 +244,48 @@ def test_labeling_override_changes_n():
     assert code == 0
     assert rep["inputs"]["max_label"] == 3
     assert rep["inputs"]["labeling"] == "vertex"
+
+
+NC_4_JSON = (
+    '{"command": "nc", "diagnostics": {"truncated": false}, "result": '
+    '{"catalan": 14, "count": 14, "moebius_row": ['
+    '{"blocks": [[1], [2], [3], [4]], "mu": -5}, '
+    '{"blocks": [[1], [2], [3, 4]], "mu": 2}, '
+    '{"blocks": [[1], [2, 3], [4]], "mu": 2}, '
+    '{"blocks": [[1], [2, 4], [3]], "mu": 1}, '
+    '{"blocks": [[1], [2, 3, 4]], "mu": -1}, '
+    '{"blocks": [[1, 2], [3], [4]], "mu": 2}, '
+    '{"blocks": [[1, 2], [3, 4]], "mu": -1}, '
+    '{"blocks": [[1, 3], [2], [4]], "mu": 1}, '
+    '{"blocks": [[1, 4], [2], [3]], "mu": 2}, '
+    '{"blocks": [[1, 4], [2, 3]], "mu": -1}, '
+    '{"blocks": [[1, 2, 3], [4]], "mu": -1}, '
+    '{"blocks": [[1, 2, 4], [3]], "mu": -1}, '
+    '{"blocks": [[1, 3, 4], [2]], "mu": -1}, '
+    '{"blocks": [[1, 2, 3, 4]], "mu": 1}], '
+    '"moebius_sum": 0, "n": 4}, "status": "ok"}\n'
+)
+
+CUMULANTS_4_JSON = (
+    '{"command": "cumulants", "diagnostics": {"formulas_agree": true, "notes": '
+    '["The published moment word list for this graph omits the loop-edge words '
+    "(e22:1, ~e22:1) and (~e22:1, e22:1); the reduction count and the operator "
+    "oracle both include them, giving {v1: 3, v2: 4, v3: 1} at n = 2 instead of "
+    'the published {v1: 3, v2: 2, v3: 1}."], "truncated": false}, '
+    '"inputs": {"edges": 4, "graph": "fixtures/example-6-2.json", '
+    '"labeling": "explicit", "max_label": 2, "vertices": 3}, '
+    '"result": {"diagonal": {"v1": "-3", "v2": "-4", "v3": "-1"}, '
+    '"formula": "both", "n": 4, "wc": {"v1": "-3", "v2": "-4", "v3": "-1"}}, '
+    '"status": "ok"}\n'
+)
+
+
+def test_nc_json_bytes_pinned():
+    assert run(["nc", "--n", "4", "--json"]) == (0, NC_4_JSON)
+
+
+def test_cumulants_json_bytes_pinned(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = ["cumulants", "--graph", "fixtures/example-6-2.json", "--n", "4",
+            "--formula", "both", "--json"]
+    assert run(argv) == (0, CUMULANTS_4_JSON)

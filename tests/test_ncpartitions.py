@@ -7,6 +7,7 @@ from groupoidlab.ncpartitions import (
     catalan,
     e_pi,
     enumerate_nc,
+    kreweras,
     leq,
     moebius,
     moebius_row,
@@ -95,6 +96,17 @@ def test_leq_mismatched_n():
         leq(zero_partition(3), zero_partition(4))
 
 
+def test_kreweras_block_counts():
+    for n in range(1, 9):
+        for pi in enumerate_nc(n):
+            sizes = kreweras(pi)
+            assert sum(sizes) == n
+            assert len(sizes) == n + 1 - len(pi.blocks)
+            assert sizes == sorted(sizes)
+        assert kreweras(zero_partition(n)) == [n]
+        assert kreweras(one_partition(n)) == [1] * n
+
+
 def test_moebius_zero_to_one():
     for n in range(1, 9):
         assert moebius(zero_partition(n)) == (-1) ** (n - 1) * catalan(n - 1)
@@ -145,6 +157,22 @@ def test_e_pi_paper_nesting():
     ops = [f"a{i}" for i in range(1, 6)]
     out = e_pi(pi, ops, expect=lambda x: f"E({x})", multiply=lambda a, b: f"{a}.{b}")
     assert out == "E(a1.E(a2.a3).a4).E(a5)"
+
+
+@pytest.mark.parametrize(
+    "n, blocks, expected",
+    [
+        # two sibling blocks in one gap
+        (4, [(1, 4), (2,), (3,)], "E(a1.E(a2).E(a3).a4)"),
+        # nested three deep
+        (6, [(1, 6), (2, 5), (3, 4)], "E(a1.E(a2.E(a3.a4).a5).a6)"),
+    ],
+)
+def test_e_pi_symbolic_nesting(n, blocks, expected):
+    pi = NoncrossingPartition.of(n, blocks)
+    ops = [f"a{i}" for i in range(1, n + 1)]
+    out = e_pi(pi, ops, expect=lambda x: f"E({x})", multiply=lambda a, b: f"{a}.{b}")
+    assert out == expected
 
 
 def test_e_pi_top_and_bottom():
