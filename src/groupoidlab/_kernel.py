@@ -22,18 +22,18 @@ walk count over (start, current vertex, balance vector).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 
 @dataclass(frozen=True)
-class KernelGraph:
-    """Flat integer view of a labeled shadowed graph.
+class SignedTables:
+    """Flat integer view of a shadowed graph, labels left out.
 
-    Signed edge i has endpoints src[i] -> dst[i] (vertex indices),
-    inverse partner inv[i], and signed label labels[i] (the inverse
-    carries the negated label).  out_start and out_list form a CSR
-    adjacency over signed edges, index-sorted.
+    Signed edge i has endpoints src[i] -> dst[i] (vertex indices) and
+    inverse partner inv[i].  out_start and out_list form a CSR
+    adjacency over signed edges, index-sorted.  edge_index maps each
+    SignedEdge to its index.
     """
 
     n_vertices: int
@@ -41,27 +41,30 @@ class KernelGraph:
     src: tuple
     dst: tuple
     inv: tuple
-    labels: tuple
     out_start: tuple
     out_list: tuple
-    n_labels: int
+    edge_index: dict = field(compare=False, repr=False)
 
     def out(self, v: int) -> tuple:
         return self.out_list[self.out_start[v] : self.out_start[v + 1]]
 
 
-def kernel_graph(lg) -> KernelGraph:
-    """Flatten a LabeledGraph for the moment engine."""
-    sh = lg.shadowed
-    g = sh.graph
-    vidx = {v: i for i, v in enumerate(g.vertices)}
+@dataclass(frozen=True)
+class KernelGraph(SignedTables):
+    """SignedTables plus the signed label labels[i] of each signed edge
+    (the inverse carries the negated label)."""
+
+    labels: tuple
+    n_labels: int
+
+
+def signed_tables(sh) -> SignedTables:
+    """Flatten a ShadowedGraph: vertices and signed edges are numbered
+    in their sorted order."""
+    vidx = {v: i for i, v in enumerate(sh.vertices)}
     signed = sh.signed_edges
     eidx = {s: i for i, s in enumerate(signed)}
-    src = tuple(vidx[s.src] for s in signed)
-    dst = tuple(vidx[s.dst] for s in signed)
-    inv = tuple(eidx[s.inverted()] for s in signed)
-    labels = tuple(lg.label(s) for s in signed)
-    out: list[list[int]] = [[] for _ in g.vertices]
+    out: list[list[int]] = [[] for _ in sh.vertices]
     for i, s in enumerate(signed):
         out[vidx[s.src]].append(i)
     out_start = [0]
@@ -69,15 +72,24 @@ def kernel_graph(lg) -> KernelGraph:
     for lst in out:
         out_list.extend(lst)
         out_start.append(len(out_list))
-    return KernelGraph(
-        n_vertices=len(g.vertices),
+    return SignedTables(
+        n_vertices=len(sh.vertices),
         n_signed=len(signed),
-        src=src,
-        dst=dst,
-        inv=inv,
-        labels=labels,
+        src=tuple(vidx[s.src] for s in signed),
+        dst=tuple(vidx[s.dst] for s in signed),
+        inv=tuple(eidx[s.inverted()] for s in signed),
         out_start=tuple(out_start),
         out_list=tuple(out_list),
+        edge_index=eidx,
+    )
+
+
+def kernel_graph(lg) -> KernelGraph:
+    """Flatten a LabeledGraph for the moment engine."""
+    tables = signed_tables(lg.shadowed)
+    return KernelGraph(
+        **vars(tables),
+        labels=tuple(lg.label(s) for s in lg.shadowed.signed_edges),
         n_labels=lg.max_label,
     )
 

@@ -89,12 +89,22 @@ def _as_word(w):
     return word if word else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeNode:
+    """A node of an action tree.  Nodes compare and hash by identity,
+    and the repr counts the children instead of descending into them,
+    so deep trees need no recursion."""
+
     state: WeightedElement
     edge: SignedEdge | None  # psi output that produced this node; None at the root
     depth: int
     children: tuple
+
+    def __repr__(self) -> str:
+        return (
+            f"TreeNode(state={self.state!r}, edge={self.edge!r}, "
+            f"depth={self.depth}, children={len(self.children)})"
+        )
 
 
 @dataclass(frozen=True)

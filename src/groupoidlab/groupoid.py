@@ -103,7 +103,8 @@ def inverse(a) -> GroupoidElement:
 
 
 def concat(a, b) -> GroupoidElement:
-    """Partially defined product: Empty unless target(a) = source(b)."""
+    """Partially defined product: Empty unless target(a) = source(b).
+    Both words are reduced, so letters cancel only where they meet."""
     if a is EMPTY or b is EMPTY:
         return EMPTY
     if target(a) != source(b):
@@ -112,7 +113,12 @@ def concat(a, b) -> GroupoidElement:
         return b
     if isinstance(b, Vertex):
         return a
-    return reduce_word(a.word + b.word)
+    x, y = a.word, b.word
+    k = 0
+    while k < min(len(x), len(y)) and y[k] == x[-1 - k].inverted():
+        k += 1
+    word = x[: len(x) - k] + y[k:]
+    return ReducedPath(word) if word else Vertex(x[0].src)
 
 
 def enumerate_admissible_words(g: ShadowedGraph, n: int) -> Iterator[tuple]:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
 
+from .errors import BudgetExceededError
+
 NC_BUDGET = 12
 
 
@@ -103,11 +105,12 @@ def _gen_blocks(elems):
 
 def enumerate_nc(n: int, budget: int = NC_BUDGET):
     """All noncrossing partitions of {1..n}, deterministically ordered.
-    Guarded: the count is catalan(n), which explodes quickly."""
+    Guarded: the count is catalan(n), which explodes quickly, so n above
+    the budget raises BudgetExceededError."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > budget:
-        raise ValueError(f"n={n} exceeds the NC enumeration budget {budget}")
+        raise BudgetExceededError(f"n={n} exceeds the NC enumeration budget {budget}")
     return [NoncrossingPartition(n, bs) for bs in _gen_blocks(tuple(range(1, n + 1)))]
 
 

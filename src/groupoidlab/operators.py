@@ -5,14 +5,19 @@ most L.  Right multiplication operators map basis vectors to basis
 vectors (or to zero), so each column holds at most one unit entry;
 products, adjoints, and powers stay in exact integer arithmetic.  This
 module is the brute-force oracle the moment DP is checked against,
-so it deliberately stays close to the definitions.
+so it deliberately stays close to the definitions: the moment at a
+vertex v is the coefficient <T_G^n xi_v, xi_v>, read off after
+applying T_G n times to the vertex basis vectors.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
+from . import _kernel
 from .errors import BudgetExceededError
 from .graphs import ShadowedGraph
-from .groupoid import EMPTY, ReducedPath, Vertex, concat
+from .groupoid import EMPTY, ReducedPath, Vertex
 from .labeling import LabeledGraph
 
 BASIS_BUDGET = 100_000
@@ -20,56 +25,93 @@ BASIS_BUDGET = 100_000
 
 class Basis:
     """Ordered basis: vertices first (sorted), then reduced paths by
-    (length, signed-edge index sequence).  Closed under inverse."""
+    (length, signed-edge index sequence).  Closed under inverse.
+
+    The paths form a trie over the signed-edge tables of
+    _kernel.signed_tables: element j stores its parent (the path without
+    its last letter; a vertex for a single letter, -1 for a vertex), its
+    last signed edge (-1 for a vertex) and its target vertex.  Each
+    level extends the one before, parent by parent, by the out-edges of
+    the parent's target in index order, skipping the inverse of its last
+    letter, so every level is born in order.  Each child is recorded
+    under (parent, signed edge) as it is appended.
+    """
 
     def __init__(self, g: ShadowedGraph, max_len: int, budget: int = BASIS_BUDGET):
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
-        # Paths are extended in signed-edge index order, so each level is
-        # born sorted by its index sequence.
-        elements = [Vertex(v) for v in g.vertices]
-        level = []
-        for ell in range(1, max_len + 1):
-            if ell == 1:
-                level = [(s,) for s in g.signed_edges]
-            else:
-                level = [
-                    w + (s,)
-                    for w in level
-                    for s in g.out_edges(w[-1].dst)
-                    if s != w[-1].inverted()
-                ]
-            elements.extend(ReducedPath(w) for w in level)
-            if len(elements) > budget:
-                raise BudgetExceededError(f"basis exceeds budget {budget} at length {ell}")
+        t = _kernel.signed_tables(g)
+        nv = t.n_vertices
         self.graph = g
         self.max_len = max_len
-        self.elements = tuple(elements)
-        self.index = {a: i for i, a in enumerate(elements)}
-        self.n_vertices = len(g.vertices)
+        self.n_vertices = nv
+        self.tables = t
+        self.parent = [-1] * nv
+        self.last = [-1] * nv
+        self.target = list(range(nv))
+        # (element, signed edge) -> index of the element one letter longer
+        self._child = {}
+        level = range(nv)
+        for ell in range(1, max_len + 1):
+            start = len(self.parent)
+            if ell == 1:
+                size = t.n_signed
+            else:
+                size = sum(len(t.out(self.target[j])) - 1 for j in level)
+            if start + size > budget:
+                raise BudgetExceededError(f"basis exceeds budget {budget} at length {ell}")
+            if ell == 1:
+                grown = [(t.src[s], s) for s in range(t.n_signed)]
+            else:
+                grown = []
+                for j in level:
+                    back = t.inv[self.last[j]]
+                    grown.extend((j, s) for s in t.out(self.target[j]) if s != back)
+            for j, s in grown:
+                self._child[j, s] = len(self.parent)
+                self.parent.append(j)
+                self.last.append(s)
+                self.target.append(t.dst[s])
+            level = range(start, start + size)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.parent)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The Vertex and ReducedPath objects, in basis order."""
+        signed = self.graph.signed_edges
+        words = [()] * self.n_vertices
+        for j in range(self.n_vertices, len(self)):
+            words.append(words[self.parent[j]] + (signed[self.last[j]],))
+        return tuple(Vertex(v) for v in self.graph.vertices) + tuple(
+            ReducedPath(w) for w in words[self.n_vertices :]
+        )
+
+    @cached_property
+    def index(self) -> dict:
+        return {a: i for i, a in enumerate(self.elements)}
 
     def vertex_positions(self):
-        return {self.elements[i].v: i for i in range(self.n_vertices)}
+        return {v: i for i, v in enumerate(self.graph.vertices)}
+
+    def step(self, j: int, s: int) -> int:
+        """Index of element j times signed edge s (s must leave the
+        target of j), or -1 when the product is longer than max_len.
+        A letter inverse to the last one cancels it; any other letter
+        extends the path."""
+        last = self.last[j]
+        if last >= 0 and s == self.tables.inv[last]:
+            return self.parent[j]
+        return self._child.get((j, s), -1)
 
 
 class SparseOperator:
-    """Integer matrix stored column-wise: cols[j] maps row -> value.
+    """Integer matrix stored column-wise: cols[j] maps row -> value."""
 
-    boundary_affected records whether any image fell outside the
-    truncation and was dropped; it propagates through sums and products.
-    """
-
-    def __init__(self, dim: int, cols=None, boundary_affected: bool = False):
+    def __init__(self, dim: int, cols=None):
         self.dim = dim
         self.cols = cols if cols is not None else [dict() for _ in range(dim)]
-        self.boundary_affected = boundary_affected
-
-    @staticmethod
-    def identity(dim: int) -> "SparseOperator":
-        return SparseOperator(dim, [{j: 1} for j in range(dim)])
 
     def entry(self, i: int, j: int) -> int:
         return self.cols[j].get(i, 0)
@@ -86,9 +128,7 @@ class SparseOperator:
                 else:
                     c.pop(r, None)
             cols.append(c)
-        return SparseOperator(
-            self.dim, cols, self.boundary_affected or other.boundary_affected
-        )
+        return SparseOperator(self.dim, cols)
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         assert self.dim == other.dim
@@ -103,24 +143,23 @@ class SparseOperator:
                     else:
                         c.pop(r, None)
             cols.append(c)
-        return SparseOperator(
-            self.dim, cols, self.boundary_affected or other.boundary_affected
-        )
+        return SparseOperator(self.dim, cols)
 
-    def power(self, n: int) -> "SparseOperator":
+    def power(self, n: int, x: "SparseOperator") -> "SparseOperator":
+        """self^n @ x, as n left products self @ acc: only the nonzero
+        columns of x are ever expanded."""
         if n < 0:
             raise ValueError("power must be >= 0")
-        acc = SparseOperator.identity(self.dim)
         for _ in range(n):
-            acc = acc @ self
-        return acc
+            x = self @ x
+        return x
 
     def transpose(self) -> "SparseOperator":
         cols = [dict() for _ in range(self.dim)]
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 cols[i][j] = v
-        return SparseOperator(self.dim, cols, self.boundary_affected)
+        return SparseOperator(self.dim, cols)
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
@@ -143,20 +182,36 @@ def build_basis(g: ShadowedGraph, max_len: int, budget: int = BASIS_BUDGET) -> B
 def right_mult(w, basis: Basis) -> SparseOperator:
     """Matrix of the right multiplication by a groupoid element: column
     w' holds a unit at the basis position of w'w when that product is a
-    basis element, nothing when it is Empty, and is dropped (flagged)
-    when it reduces past the truncation length."""
+    basis element, nothing when it is Empty or longer than the
+    truncation length.
+
+    Each column whose target is the source of w walks the basis trie
+    along the letters of w.  Both factors are reduced, so letters cancel
+    only at the junction: the walk first climbs towards the root, then
+    only descends, and once it leaves the truncation it cannot return.
+    """
     if w is EMPTY:
         raise ValueError("right multiplication by Empty is undefined")
+    g = basis.graph
+    if isinstance(w, Vertex):
+        src = g.graph.vertex_index(w.v)
+        letters = ()
+    else:
+        index = basis.tables.edge_index
+        letters = tuple(index[s] for s in w.word)
+        src = basis.tables.src[letters[0]]
     op = SparseOperator(len(basis))
-    for j, b in enumerate(basis.elements):
-        t = concat(b, w)
-        if t is EMPTY:
+    step = basis.step
+    for j, tgt in enumerate(basis.target):
+        if tgt != src:
             continue
-        i = basis.index.get(t)
-        if i is None:
-            op.boundary_affected = True
-            continue
-        op.cols[j][i] = 1
+        i = j
+        for s in letters:
+            i = step(i, s)
+            if i < 0:
+                break
+        else:
+            op.cols[j][i] = 1
     return op
 
 
@@ -182,13 +237,13 @@ def total_labeling_operator(lg: LabeledGraph, basis: Basis) -> SparseOperator:
 def oracle_expectation_power(
     lg: LabeledGraph, n: int, max_len: int, budget: int = BASIS_BUDGET
 ):
-    """Diagonal of T_G^n at the vertex basis vectors, as a plain map
-    vertex -> integer.
+    """<T_G^n xi_v, xi_v> for every vertex v, as a plain map vertex ->
+    integer: T_G is applied n times to the vertex basis vectors only.
 
-    Valid whenever max_len >= n: a vertex column of T_G^n only sees
-    words of length <= n, so the truncation boundary cannot reach it.
-    The diagonal entry at xi_v is the coefficient of R_v, because R_w
-    fixes xi_v exactly when w = v.
+    Valid whenever max_len >= n: T_G^k xi_v only sees words of length
+    <= k, so the truncation boundary cannot reach it.  The coefficient
+    at xi_v is the coefficient of R_v, because R_w fixes xi_v exactly
+    when w = v.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -196,5 +251,9 @@ def oracle_expectation_power(
         raise ValueError("need max_len >= n for an exact vertex diagonal")
     basis = build_basis(lg.shadowed, max_len, budget)
     t = total_labeling_operator(lg, basis)
-    p = t.power(n)
-    return {v: p.entry(i, i) for v, i in basis.vertex_positions().items()}
+    vertices = basis.vertex_positions()
+    x = SparseOperator(len(basis))
+    for i in vertices.values():
+        x.cols[i][i] = 1
+    p = t.power(n, x)
+    return {v: p.entry(i, i) for v, i in vertices.items()}

@@ -170,6 +170,19 @@ def test_tree_depth_monotone_prefix():
     assert signature(t3, 3) == signature(t4, 3)
 
 
+def test_deep_tree_root_hashes_and_prints():
+    # nodes hash by identity and print without their subtrees, so depth
+    # is not limited by the recursion limit
+    aut = automaton_for("single-edge")
+    tree = build_tree(aut, "v1", 1500)
+    root = tree.root
+    assert hash(root) == hash(root)
+    assert root == root and root != tree.nodes()[1]
+    assert repr(root).endswith("depth=0, children=1)")
+    assert hash(tree) == hash(tree)
+    assert "children=1)" in repr(tree)
+
+
 def test_build_tree_unknown_root():
     aut = automaton_for("one-loop")
     with pytest.raises(GraphError):

@@ -289,3 +289,48 @@ def test_cumulants_json_bytes_pinned(monkeypatch):
     argv = ["cumulants", "--graph", "fixtures/example-6-2.json", "--n", "4",
             "--formula", "both", "--json"]
     assert run(argv) == (0, CUMULANTS_4_JSON)
+
+
+ORACLE_TWO_LOOP_7_JSON = (
+    '{"command": "oracle", "diagnostics": {"notes": ["For max label N >= 2 the '
+    "balance-condition count exceeds the reduction count (36 vs 28 at n = 4 on "
+    "the two-loop graph); the reduction count is the one matching the operator "
+    'oracle."], "truncated": false}, "inputs": {"edges": 2, "graph": '
+    '"fixtures/two-loop.json", "labeling": "vertex", "max_label": 2, '
+    '"vertices": 1}, "result": {"diagonal": {"v": "0"}, "max_len": 7, "n": 7}, '
+    '"status": "ok"}\n'
+)
+
+ORACLE_THREE_LOOP_8_JSON = (
+    '{"command": "oracle", "diagnostics": {"notes": ["basis exceeds budget '
+    '100000 at length 7"], "truncated": true}, "result": {}, '
+    '"status": "truncated"}\n'
+)
+
+
+def test_oracle_json_bytes_pinned(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = ["oracle", "--graph", "fixtures/two-loop.json", "--n", "7",
+            "--max-len", "7", "--json"]
+    assert run(argv) == (0, ORACLE_TWO_LOOP_7_JSON)
+    argv = ["oracle", "--graph", "fixtures/three-loop.json", "--n", "8",
+            "--max-len", "8", "--json"]
+    assert run(argv) == (5, ORACLE_THREE_LOOP_8_JSON)
+
+
+def test_nc_budget_exhaustion_exits_5(capsys):
+    # NC(13) is past NC_BUDGET = 12: a truncated report, not an error
+    note = "n=13 exceeds the NC enumeration budget 12"
+    for argv in (
+        ["nc", "--n", "13"],
+        ["cumulants", "--graph", fx("one-loop"), "--n", "13"],
+        ["joint", "--graph", fx("one-loop"), "--indices", ",".join(["1", "-1"] * 6 + ["1"])],
+    ):
+        code, rep = run_json(argv)
+        assert code == 5, argv
+        assert rep["status"] == "truncated"
+        assert rep["diagnostics"] == {"truncated": True, "notes": [note]}
+        code, out = run(argv)
+        assert code == 5
+        assert "status: truncated" in out and note in out
+        assert capsys.readouterr().err == ""

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import DirectedGraph, Edge, shadow, validate_graph
 from groupoidlab.groupoid import (
+    ReducedPath,
     Vertex,
+    concat,
     d_loop_words,
     enumerate_admissible_words,
     reduce_word,
@@ -170,6 +172,32 @@ def test_property_dp_matches_enumeration_and_oracle(lg, n):
     assert m == w_m_set(lg, n).tallies
     assert m == DiagonalElement.of(oracle_expectation_power(lg, n, n))
     assert balance_moment(lg, n) == w_m_set(lg, n, "balance").tallies
+
+
+@settings(max_examples=200, deadline=None)
+@given(lg=labeled_multigraphs(), data=st.data())
+def test_property_concat_matches_full_reduction(lg, data):
+    # a from a random walk; b's walk retraces a random number of a's
+    # last letters before going on, so long junction cancellations occur
+    sh = lg.shadowed
+    walk = [data.draw(st.sampled_from(sh.signed_edges))]
+    for _ in range(data.draw(st.integers(0, 5))):
+        walk.append(data.draw(st.sampled_from(sh.out_edges(walk[-1].dst))))
+    a = reduce_word(tuple(walk))
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(walk)))
+        back = [s.inverted() for s in reversed(walk[len(walk) - k :])]
+        start = walk[-1].dst
+    else:
+        back = []
+        start = data.draw(st.sampled_from(sh.vertices))
+    tail = []
+    for _ in range(data.draw(st.integers(0 if back else 1, 4))):
+        at = tail[-1].dst if tail else (back[-1].dst if back else start)
+        tail.append(data.draw(st.sampled_from(sh.out_edges(at))))
+    b = reduce_word(tuple(back + tail))
+    if isinstance(a, ReducedPath) and isinstance(b, ReducedPath):
+        assert concat(a, b) == reduce_word(a.word + b.word)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+from groupoidlab.errors import BudgetExceededError
 from groupoidlab.ncpartitions import (
     NoncrossingPartition,
+    _has_crossing,
     catalan,
     e_pi,
     enumerate_nc,
@@ -67,10 +69,17 @@ def test_enumerate_deterministic_and_budgeted():
     assert [pi.blocks for pi in enumerate_nc(4)] == [
         pi.blocks for pi in enumerate_nc(4)
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError):
         enumerate_nc(13)
     with pytest.raises(ValueError):
         enumerate_nc(0)
+
+
+def test_crossing_check_matches_brute_force():
+    for n in range(1, 8):
+        for p in all_set_partitions(n):
+            blocks = tuple(tuple(sorted(b)) for b in sorted(p, key=min))
+            assert _has_crossing(blocks) == (not crossing_free(blocks)), blocks
 
 
 def test_crossing_rejected_by_type():

@@ -1,11 +1,12 @@
 import pytest
 
 from groupoidlab.errors import BudgetExceededError
-from groupoidlab.fixtures import fixture
+from groupoidlab.fixtures import FIXTURES, fixture
 from groupoidlab.graphs import shadow
-from groupoidlab.groupoid import ReducedPath, Vertex, inverse
+from groupoidlab.groupoid import EMPTY, ReducedPath, Vertex, concat, inverse
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.operators import (
+    SparseOperator,
     build_basis,
     labeling_operator,
     oracle_expectation_power,
@@ -38,6 +39,44 @@ def test_basis_l0_vertices_only():
 def test_basis_two_loop_l2():
     b = build_basis(shadow(fixture("two-loop").graph), 2)
     assert len(b) == 17  # 1 + 4 + 12
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_basis_order_by_length_and_index_sequence(name):
+    sh = shadow(fixture(name).graph)
+    b = build_basis(sh, 4)
+    rank = {s: i for i, s in enumerate(sh.signed_edges)}
+
+    def key(a):
+        if isinstance(a, Vertex):
+            return (0, (sh.vertices.index(a.v),))
+        return (len(a.word), tuple(rank[s] for s in a.word))
+
+    keys = [key(a) for a in b.elements]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(b) == len(b.index)
+    assert b.n_vertices == len(sh.vertices)
+
+
+def right_mult_by_concat(w, basis):
+    """Reference right multiplication: each basis element times w by
+    concat, located through the basis index."""
+    op = SparseOperator(len(basis))
+    for j, a in enumerate(basis.elements):
+        t = concat(a, w)
+        if t is not EMPTY and t in basis.index:
+            op.cols[j][basis.index[t]] = 1
+    return op
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_right_mult_trie_walk_matches_concat(name):
+    sh = shadow(fixture(name).graph)
+    b = build_basis(sh, 4)
+    factors = [a for a in b.elements if isinstance(a, Vertex) or len(a.word) <= 3]
+    assert len(factors) >= len(sh.vertices) + len(sh.signed_edges)
+    for w in factors:
+        assert right_mult(w, b) == right_mult_by_concat(w, b), w
 
 
 def test_basis_closed_under_inverse():
