@@ -52,7 +52,6 @@ from .operators import (
 )
 from .moments import (
     DiagonalElement,
-    FormalSum,
     check_freeness,
     cumulant_direct,
     cumulant_via_wc,

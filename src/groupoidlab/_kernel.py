@@ -12,9 +12,11 @@ walks of length m below a node entered by e,
                           H_f(k-2) * H_e(m-k),
 
 and the moment M_v(n) is the same sum at the root, over every f in
-out(v).  A per-position label pattern pins the labels at the opening
-and closing letter of each excursion, so the tables are then keyed by
-the interval of positions an excursion fills instead of its length.
+out(v).  Per-position letter weights (a label pattern is the 0/1 case;
+the nested expectations E_pi of moments weigh letters by integers)
+enter at the opening and closing letter of each excursion, so the
+tables are then keyed by the interval of positions an excursion fills
+instead of its length.
 
 The balance condition (per-label signed letter counts all zero) is a
 walk count over (start, current vertex, balance vector).
@@ -137,7 +139,8 @@ def tally_words(kg: KernelGraph, n: int, mode: str, pattern=None, budget=None):
     elif pattern is None:
         counts, truncated = _closed_by_length(kg, n, spend)
     else:
-        counts, truncated = _closed_by_interval(kg, n, pattern, spend)
+        weights = [tuple(int(k == want) for k in kg.labels) for want in pattern]
+        counts, truncated = _closed_by_interval(kg, weights, spend)
     return counts, _walk_count(kg, n, pattern), truncated
 
 
@@ -188,58 +191,54 @@ def _closed_by_length(kg, n, spend):
     return counts, False
 
 
-def _closed_by_interval(kg, n, pattern, spend):
-    """Reduction counts under a label pattern: the excursion recurrence
-    over intervals [a, b) of word positions.
+def _closed_by_interval(t, weights, spend):
+    """Weighted reduction counts: the excursion recurrence over
+    intervals [a, b) of word positions.  A closed walk weighs the
+    product of weights[p][e] over its letters e at positions p; only
+    the signed tables t (dst, inv, out) are read.
 
-    H[e][a, b] counts the closed walks below a node entered by e that
-    fill positions a..b-1.  X[u][a, c] counts single excursions from a
-    node at vertex u that open at position a with an out-edge of u and
-    close at c-1; the closing letter inverts the opening one, so its
-    label is the negation.
+    H[e][a, b] sums the closed walks below a node entered by e that
+    fill positions a..b-1.  Y[f][a, c] sums the single excursions
+    through f that open at position a and close at c-1 with inv(f),
+    and X[u][a, c] sums Y over the out-edges f of u.
     """
-    counts = [0] * kg.n_vertices
+    n = len(weights)
+    counts = [0] * t.n_vertices
     if n % 2:
         return counts, False
-    H = [{} for _ in range(kg.n_signed)]
-    X = [{} for _ in range(kg.n_vertices)]
+    H = [{} for _ in range(t.n_signed)]
+    Y = [{} for _ in range(t.n_signed)]
+    X = [{} for _ in range(t.n_vertices)]
 
     def excursion(e, a, c):
         # X at dst(e) without the step back up through inv(e)
-        if pattern[c - 1] != -pattern[a]:
-            return 0
-        total = X[kg.dst[e]].get((a, c), 0)
-        back = kg.inv[e]
-        if kg.labels[back] == pattern[a]:
-            total -= H[back].get((a + 1, c - 1), 0)
-        return total
+        return X[t.dst[e]][a, c] - Y[t.inv[e]][a, c]
 
     # inner intervals lie in positions 1..n-2: inside the root's excursions
     for length in range(0, n - 1, 2):
         starts = range(1, n - length)
-        if not spend.charge(kg.n_signed * len(starts) * (length // 2)):
+        if not spend.charge(t.n_signed * len(starts) * (length // 2)):
             return counts, True
         for a in starts:
             b = a + length
-            for e in range(kg.n_signed):
+            for e in range(t.n_signed):
                 H[e][a, b] = 1 if length == 0 else sum(
                     excursion(e, a, c) * H[e][c, b] for c in range(a + 2, b + 1, 2)
                 )
         for a in starts:
             b = a + length
-            if pattern[b] != -pattern[a - 1]:
-                continue
-            for u in range(kg.n_vertices):
-                X[u][a - 1, b + 1] = sum(
-                    H[f][a, b] for f in kg.out(u) if kg.labels[f] == pattern[a - 1]
-                )
+            opening, closing = weights[a - 1], weights[b]
+            for f in range(t.n_signed):
+                Y[f][a - 1, b + 1] = opening[f] * closing[t.inv[f]] * H[f][a, b]
+            for u in range(t.n_vertices):
+                X[u][a - 1, b + 1] = sum(Y[f][a - 1, b + 1] for f in t.out(u))
     half = n // 2
-    for v in range(kg.n_vertices):
+    for v in range(t.n_vertices):
         if not spend.charge(half * (half + 1) // 2):
             return counts, True
         M = {n: 1}
         for a in range(n - 2, -1, -2):
-            M[a] = sum(X[v].get((a, c), 0) * M[c] for c in range(a + 2, n + 1, 2))
+            M[a] = sum(X[v][a, c] * M[c] for c in range(a + 2, n + 1, 2))
         counts[v] = M[0]
     return counts, False
 

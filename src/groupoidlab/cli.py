@@ -190,7 +190,10 @@ def _cmd_joint(args) -> tuple[dict, int]:
     lg, ctx = _load_labeled(args)
     indices = _parse_indices(args.indices)
     m = moments.joint_moment(lg, indices, budget=args.budget)
-    k = moments.joint_cumulant(lg, indices)
+    try:
+        k = moments.joint_cumulant(lg, indices)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(str(exc), partial=m) from exc
     result = {
         "indices": list(indices),
         "diagonal": _diag_payload(m),

@@ -4,22 +4,25 @@ Values live in the diagonal algebra: finite integer maps vertex ->
 coefficient.  Moments count admissible words that freely reduce to a
 vertex (the reduction characterization) with the excursion DP of
 _kernel; word enumeration (w_m_set) stays as a cross-check.
-Cumulants come from Moebius inversion over noncrossing partitions,
-evaluated on exact formal sums of groupoid elements.  The word-set
-route (single-base-edge loop words weighted by mu_w) is computed
-alongside and compared, never trusted.
+Cumulants come from Moebius inversion over noncrossing partitions.
+Their operands are letter weights (one integer per signed edge), and
+each nested expectation E_pi closes its blocks with the same excursion
+DP, weighted, so no product of groupoid elements is ever formed.  The
+word-set route (single-base-edge loop words weighted by mu_w) is
+computed alongside and compared, never trusted.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from . import _kernel, groupoid, ncpartitions
 from .errors import BudgetExceededError
-from .groupoid import EMPTY, ReducedPath, Vertex, concat, diagram_distinct, reduce_word
+from .groupoid import ReducedPath, Vertex, diagram_distinct, reduce_word
 from .labeling import LabeledGraph, theta
-from .ncpartitions import NoncrossingPartition, e_pi, enumerate_nc, moebius, nested
+from .ncpartitions import NoncrossingPartition, enumerate_nc, moebius, nested
 
 ENUM_BUDGET = 10_000_000
 
@@ -73,61 +76,6 @@ class DiagonalElement:
         if self.is_zero:
             return "Diagonal(0)"
         return "Diagonal(" + ", ".join(f"{v}: {c}" for v, c in self.coeffs) + ")"
-
-
-class FormalSum:
-    """Finite integer combination of groupoid elements.
-
-    Multiplication concatenates keys in position order (left factor
-    first), dropping Empty products, so a product of letter sums is the
-    sum over words read left to right.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict = {}
-        if terms:
-            for k, c in terms.items() if isinstance(terms, dict) else terms:
-                if c and k is not EMPTY:
-                    self.terms[k] = self.terms.get(k, 0) + c
-            self.terms = {k: c for k, c in self.terms.items() if c}
-
-    @staticmethod
-    def of_element(a, c: int = 1) -> "FormalSum":
-        return FormalSum([(a, c)])
-
-    @staticmethod
-    def of_diagonal(d: DiagonalElement) -> "FormalSum":
-        return FormalSum([(Vertex(v), c) for v, c in d.coeffs])
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum(list(self.terms.items()) + list(other.terms.items()))
-
-    def scale(self, c: int) -> "FormalSum":
-        return FormalSum([(k, c * x) for k, x in self.terms.items()])
-
-    def __mul__(self, other: "FormalSum") -> "FormalSum":
-        acc: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                k = concat(a, b)
-                if k is EMPTY:
-                    continue
-                acc[k] = acc.get(k, 0) + ca * cb
-        return FormalSum(acc)
-
-    def expectation(self) -> DiagonalElement:
-        """Project onto the diagonal: keep vertex terms only."""
-        return DiagonalElement.of(
-            (k.v, c) for k, c in self.terms.items() if isinstance(k, Vertex)
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormalSum) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"FormalSum({len(self.terms)} terms)"
 
 
 @dataclass(frozen=True)
@@ -257,38 +205,64 @@ def _check_indices(lg: LabeledGraph, indices) -> None:
 # Cumulants
 
 
-def edge_sum(lg: LabeledGraph, k: int) -> FormalSum:
-    """T_k as a formal sum of single-edge paths."""
-    return FormalSum([(ReducedPath((s,)), 1) for s in lg.signed_with_label(k)])
+def edge_sum(lg: LabeledGraph, k: int) -> tuple:
+    """T_k as letter weights, indexed like lg.shadowed.signed_edges: 1 on
+    each signed edge labeled k, 0 elsewhere."""
+    return tuple(int(lg.label(s) == k) for s in lg.shadowed.signed_edges)
 
 
-def total_sum(lg: LabeledGraph) -> FormalSum:
-    """T_G as a formal sum over all signed edges."""
-    return FormalSum([(ReducedPath((s,)), 1) for s in lg.shadowed.signed_edges])
+def total_sum(lg: LabeledGraph) -> tuple:
+    """T_G as letter weights: 1 on every signed edge."""
+    return (1,) * len(lg.shadowed.signed_edges)
 
 
-def _expect_fs(fs: FormalSum) -> FormalSum:
-    return FormalSum.of_diagonal(fs.expectation())
+def _right_mult(tables):
+    """The product of nested(): a diagonal d (a per-vertex list, the
+    value of a closed block) multiplies letter weights x from the right,
+    so x[e] picks up d at the target of e; at the outermost level two
+    diagonals multiply pointwise."""
+
+    def multiply(x, d):
+        if isinstance(x, list):
+            return list(map(mul, x, d))
+        return tuple(w * d[v] for w, v in zip(x, tables.dst))
+
+    return multiply
 
 
-def _mul_fs(a: FormalSum, b: FormalSum) -> FormalSum:
-    return a * b
+def _diagonal(lg: LabeledGraph, counts) -> DiagonalElement:
+    return DiagonalElement.of(zip(lg.graph.vertices, counts))
 
 
-def expectation_pi(pi: NoncrossingPartition, operands) -> DiagonalElement:
-    """Partition-dependent expectation of formal-sum operands, nested
-    per the block structure."""
-    return e_pi(pi, list(operands), _expect_fs, _mul_fs).expectation()
+def expectation_pi(
+    lg: LabeledGraph, pi: NoncrossingPartition, operands, tables=None
+) -> DiagonalElement:
+    """Partition-dependent expectation E_pi of letter-weight operands:
+    each block, with the values of the blocks nested in it multiplied
+    in, closes with the weighted excursion DP (the closed walks from
+    each vertex, weighted by the product of their letters' weights).
+    tables: lg's _kernel.signed_tables, when the caller holds them."""
+    if tables is None:
+        tables = _kernel.signed_tables(lg.shadowed)
+    unlimited = _kernel._Budget(None)
+
+    def close(weights):
+        return _kernel._closed_by_interval(tables, weights, unlimited)[0]
+
+    operands = [tuple(x) for x in operands]
+    return _diagonal(lg, nested(pi, operands, close, _right_mult(tables)))
 
 
-def cumulant_of(operands, nc_budget: int = ncpartitions.NC_BUDGET) -> DiagonalElement:
-    """Joint free cumulant of formal-sum operands by Moebius inversion:
-    sum over pi of mu(pi, 1_n) E_pi(...)."""
+def cumulant_of(
+    lg: LabeledGraph, operands, nc_budget: int = ncpartitions.NC_BUDGET
+) -> DiagonalElement:
+    """Joint free cumulant of letter-weight operands by Moebius
+    inversion: sum over pi of mu(pi, 1_n) E_pi(...)."""
     operands = list(operands)
-    n = len(operands)
+    tables = _kernel.signed_tables(lg.shadowed)
     acc = DiagonalElement.zero()
-    for pi in enumerate_nc(n, nc_budget):
-        acc = acc + expectation_pi(pi, operands).scale(moebius(pi))
+    for pi in enumerate_nc(len(operands), nc_budget):
+        acc = acc + expectation_pi(lg, pi, operands, tables).scale(moebius(pi))
     return acc
 
 
@@ -298,7 +272,7 @@ def cumulant_direct(
     """k_n(T_G, ..., T_G) via Moebius inversion over NC(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return cumulant_of([total_sum(lg)] * n, nc_budget)
+    return cumulant_of(lg, [total_sum(lg)] * n, nc_budget)
 
 
 def joint_cumulant(
@@ -307,23 +281,26 @@ def joint_cumulant(
     """Joint cumulant with per-position operators T_{indices[j]}."""
     indices = tuple(indices)
     _check_indices(lg, indices)
-    return cumulant_of([edge_sum(lg, k) for k in indices], nc_budget)
+    return cumulant_of(lg, [edge_sum(lg, k) for k in indices], nc_budget)
 
 
 def mu_w(lg: LabeledGraph, word) -> int:
     """The cumulant weight of a vertex-reducing word: the Moebius sum
-    over the noncrossing partitions whose nested expectation of the
-    letters reproduces E of the whole word (a nonzero unit mass)."""
+    over the noncrossing partitions each of whose blocks, its letters
+    read in order, reduces to a vertex.  These are exactly the
+    partitions whose nested expectation of the letters reproduces E of
+    the whole word (a nonzero unit mass)."""
     word = tuple(word)
-    target = expectation_of_word(word)
-    if target.is_zero:
+    if expectation_of_word(word).is_zero:
         raise ValueError("mu_w requires a word that reduces to a vertex")
-    operands = [FormalSum.of_element(ReducedPath((s,))) for s in word]
-    total = 0
-    for pi in enumerate_nc(len(word)):
-        if expectation_pi(pi, operands) == target:
-            total += moebius(pi)
-    return total
+    return sum(
+        moebius(pi)
+        for pi in enumerate_nc(len(word))
+        if all(
+            isinstance(reduce_word(tuple(word[x - 1] for x in b)), Vertex)
+            for b in pi.blocks
+        )
+    )
 
 
 def cumulant_via_wc(
@@ -357,22 +334,25 @@ def cumulant_comparison(lg: LabeledGraph, n: int) -> dict:
     return {"direct": direct, "wc": wc, "equal": diff.is_zero, "diff": diff}
 
 
-def _k_pi(pi: NoncrossingPartition, operands) -> FormalSum:
-    """Partition-dependent cumulant: like E_pi, but each block closes
-    with a cumulant instead of an expectation, and a nested block's
-    value multiplies the preceding argument from the right."""
-    return nested(
-        pi, operands, lambda args: FormalSum.of_diagonal(cumulant_of(args)), _mul_fs
-    )
+def _k_pi(lg: LabeledGraph, tables, pi: NoncrossingPartition, operands) -> list:
+    """Partition-dependent cumulant, as a per-vertex list: like E_pi,
+    but each block closes with a cumulant instead of an expectation."""
+
+    def close(weights):
+        k = cumulant_of(lg, weights).as_dict()
+        return [k.get(v, 0) for v in lg.graph.vertices]
+
+    return nested(pi, operands, close, _right_mult(tables))
 
 
 def moment_via_cumulants(lg: LabeledGraph, n: int) -> DiagonalElement:
     """Reconstruct E(T_G^n) as the sum over NC(n) of the
     partition-dependent cumulants (the inversion identity)."""
+    tables = _kernel.signed_tables(lg.shadowed)
     x = total_sum(lg)
     acc = DiagonalElement.zero()
     for pi in enumerate_nc(n):
-        acc = acc + _k_pi(pi, [x] * n).expectation()
+        acc = acc + _diagonal(lg, _k_pi(lg, tables, pi, [x] * n))
     return acc
 
 
@@ -407,6 +387,8 @@ def check_freeness(
     for k in (k1, k2):
         if not 1 <= k <= lg.max_label:
             raise ValueError(f"family index {k} out of range 1..{lg.max_label}")
+    # every tuple is built before the first cumulant: check first
+    ncpartitions.check_nc_budget(max_n)
     alphabet = (k1, -k1, k2, -k2)
 
     def mixed(indices):

@@ -40,19 +40,18 @@ class NoncrossingPartition:
     n: int
     blocks: tuple
 
-    def __post_init__(self):
-        flat = sorted(x for b in self.blocks for x in b)
-        if flat != list(range(1, self.n + 1)):
-            raise ValueError("blocks must partition 1..n")
-        canon = tuple(tuple(sorted(b)) for b in sorted(self.blocks, key=min))
-        if canon != self.blocks:
-            raise ValueError("blocks not in canonical form")
-        if _has_crossing(self.blocks):
-            raise ValueError("partition has a crossing")
-
     @staticmethod
     def of(n: int, blocks) -> "NoncrossingPartition":
+        """The partition of 1..n with the given blocks, in any order;
+        raises ValueError unless they form a noncrossing partition.
+        The constructor itself trusts its blocks to be canonical and
+        noncrossing, as enumerate_nc makes them."""
         canon = tuple(tuple(sorted(b)) for b in sorted(blocks, key=min))
+        flat = sorted(x for b in canon for x in b)
+        if flat != list(range(1, n + 1)):
+            raise ValueError("blocks must partition 1..n")
+        if _has_crossing(canon):
+            raise ValueError("partition has a crossing")
         return NoncrossingPartition(n, canon)
 
     def __repr__(self) -> str:
@@ -103,14 +102,19 @@ def _gen_blocks(elems):
                 yield tuple(sorted((block,) + rest, key=min))
 
 
-def enumerate_nc(n: int, budget: int = NC_BUDGET):
-    """All noncrossing partitions of {1..n}, deterministically ordered.
-    Guarded: the count is catalan(n), which explodes quickly, so n above
-    the budget raises BudgetExceededError."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def check_nc_budget(n: int, budget: int = NC_BUDGET) -> None:
+    """Raise BudgetExceededError when n is above the NC budget: the
+    count of NC(n) is catalan(n), which explodes quickly."""
     if n > budget:
         raise BudgetExceededError(f"n={n} exceeds the NC enumeration budget {budget}")
+
+
+def enumerate_nc(n: int, budget: int = NC_BUDGET):
+    """All noncrossing partitions of {1..n}, deterministically ordered.
+    Guarded by check_nc_budget."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    check_nc_budget(n, budget)
     return [NoncrossingPartition(n, bs) for bs in _gen_blocks(tuple(range(1, n + 1)))]
 
 

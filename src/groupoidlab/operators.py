@@ -215,23 +215,34 @@ def right_mult(w, basis: Basis) -> SparseOperator:
     return op
 
 
+def _label_sum(lg: LabeledGraph, labels, basis: Basis) -> SparseOperator:
+    """The sum of the right multiplications by the signed edges whose
+    label is in labels, filled column by column in place: column j holds
+    a unit at j times s for each such s leaving the target of j, when
+    that product is in the basis.  Distinct letters give distinct
+    products, so no entry is hit twice."""
+    t = basis.tables
+    wanted = {t.edge_index[s] for k in labels for s in lg.signed_with_label(k)}
+    op = SparseOperator(len(basis))
+    for j, tgt in enumerate(basis.target):
+        for s in t.out(tgt):
+            if s in wanted:
+                i = basis.step(j, s)
+                if i >= 0:
+                    op.cols[j][i] = 1
+    return op
+
+
 def labeling_operator(lg: LabeledGraph, k: int, basis: Basis) -> SparseOperator:
     """T_k: the sum of right multiplications by the signed edges whose
     label is k."""
-    op = SparseOperator(len(basis))
-    for s in lg.signed_with_label(k):
-        op = op + right_mult(ReducedPath((s,)), basis)
-    return op
+    return _label_sum(lg, (k,), basis)
 
 
 def total_labeling_operator(lg: LabeledGraph, basis: Basis) -> SparseOperator:
     """T_G: the sum of T_k over all signed labels -N..-1, 1..N."""
-    op = SparseOperator(len(basis))
-    for k in range(-lg.max_label, lg.max_label + 1):
-        if k == 0:
-            continue
-        op = op + labeling_operator(lg, k, basis)
-    return op
+    labels = [k for k in range(-lg.max_label, lg.max_label + 1) if k]
+    return _label_sum(lg, labels, basis)
 
 
 def oracle_expectation_power(

@@ -280,6 +280,30 @@ CUMULANTS_4_JSON = (
 )
 
 
+JOINT_EXAMPLE_6_2_JSON = (
+    '{"command": "joint", "diagnostics": {"notes": ["The published moment '
+    "word list for this graph omits the loop-edge words (e22:1, ~e22:1) and "
+    "(~e22:1, e22:1); the reduction count and the operator oracle both "
+    "include them, giving {v1: 3, v2: 4, v3: 1} at n = 2 instead of the "
+    'published {v1: 3, v2: 2, v3: 1}."], "truncated": false}, "inputs": '
+    '{"edges": 4, "graph": "fixtures/example-6-2.json", "labeling": '
+    '"explicit", "max_label": 2, "vertices": 3}, "result": {"cumulant": '
+    '{"v1": "-2", "v2": "-1"}, "diagonal": {"v1": "5", "v2": "2"}, '
+    '"indices": [1, -1, 1, -1]}, "status": "ok"}\n'
+)
+
+CUMULANTS_TWO_LOOP_6_JSON = (
+    '{"command": "cumulants", "diagnostics": {"formulas_agree": true, '
+    '"notes": ["For max label N >= 2 the balance-condition count exceeds the '
+    "reduction count (36 vs 28 at n = 4 on the two-loop graph); the reduction "
+    'count is the one matching the operator oracle."], "truncated": false}, '
+    '"inputs": {"edges": 2, "graph": "fixtures/two-loop.json", "labeling": '
+    '"vertex", "max_label": 2, "vertices": 1}, "result": {"diagonal": '
+    '{"v": "8"}, "formula": "both", "n": 6, "wc": {"v": "8"}}, '
+    '"status": "ok"}\n'
+)
+
+
 def test_nc_json_bytes_pinned():
     assert run(["nc", "--n", "4", "--json"]) == (0, NC_4_JSON)
 
@@ -289,6 +313,16 @@ def test_cumulants_json_bytes_pinned(monkeypatch):
     argv = ["cumulants", "--graph", "fixtures/example-6-2.json", "--n", "4",
             "--formula", "both", "--json"]
     assert run(argv) == (0, CUMULANTS_4_JSON)
+    argv = ["cumulants", "--graph", "fixtures/two-loop.json", "--n", "6",
+            "--formula", "both", "--json"]
+    assert run(argv) == (0, CUMULANTS_TWO_LOOP_6_JSON)
+
+
+def test_joint_json_bytes_pinned(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = ["joint", "--graph", "fixtures/example-6-2.json", "--indices",
+            "1,-1,1,-1", "--json"]
+    assert run(argv) == (0, JOINT_EXAMPLE_6_2_JSON)
 
 
 ORACLE_TWO_LOOP_7_JSON = (
@@ -325,6 +359,8 @@ def test_nc_budget_exhaustion_exits_5(capsys):
         ["nc", "--n", "13"],
         ["cumulants", "--graph", fx("one-loop"), "--n", "13"],
         ["joint", "--graph", fx("one-loop"), "--indices", ",".join(["1", "-1"] * 6 + ["1"])],
+        # checked before any of the 4^n index tuples is built
+        ["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", "13"],
     ):
         code, rep = run_json(argv)
         assert code == 5, argv
@@ -334,3 +370,23 @@ def test_nc_budget_exhaustion_exits_5(capsys):
         assert code == 5
         assert "status: truncated" in out and note in out
         assert capsys.readouterr().err == ""
+
+
+def test_joint_past_nc_budget_keeps_the_moment(capsys):
+    # the joint moment is finished before the cumulant runs out of budget
+    argv = ["joint", "--graph", fx("two-loop"), "--indices", ",".join(["1,-1"] * 7)]
+    note = "n=14 exceeds the NC enumeration budget 12"
+    code, rep = run_json(argv)
+    assert code == 5
+    assert rep["result"] == {"diagonal": {"v": "1"}}
+    assert rep["diagnostics"] == {"truncated": True, "notes": [note]}
+    code, out = run(argv)
+    assert code == 5
+    assert out.splitlines() == [
+        "command: joint",
+        "diagonal: {v: 1}",
+        f"note: {note}",
+        "truncated: True",
+        "status: truncated",
+    ]
+    assert capsys.readouterr().err == ""

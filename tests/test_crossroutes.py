@@ -2,13 +2,16 @@
 
 Three routes exist for moment-type data (the excursion DP, word
 enumeration, the sparse operator model) and two for cumulant-type data
-(Moebius inversion, mu_w-weighted single-edge loop words).  These tests
-drive them against each other on random small multigraphs and on a
-glued two-loop graph, not just the curated fixtures.
+(Moebius inversion, mu_w-weighted single-edge loop words), and the
+nested expectations E_pi under the Moebius route have a weighted word
+sum.  These tests drive them against each other on random small
+multigraphs and on a glued two-loop graph, not just the curated
+fixtures.
 """
 
 import itertools
 import random
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,12 +35,14 @@ from groupoidlab.labeling import (
 from groupoidlab.moments import (
     DiagonalElement,
     balance_moment,
+    expectation_pi,
     joint_cumulant,
     joint_moment,
     moment,
     mu_w,
     w_m_set,
 )
+from groupoidlab.ncpartitions import enumerate_nc
 from groupoidlab.operators import oracle_expectation_power
 
 
@@ -216,3 +221,31 @@ def test_property_joint_moment_matches_pattern_filter(lg, data):
         if tuple(lg.label(s) for s in w) == indices and isinstance(r, Vertex):
             brute[r.v] = brute.get(r.v, 0) + 1
     assert joint_moment(lg, indices) == DiagonalElement.of(brute)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lg=labeled_multigraphs(), data=st.data())
+def test_property_weighted_e_pi_matches_word_sum(lg, data):
+    # E_pi of integer letter weights is the sum, over the admissible
+    # words from each vertex whose blocks each reduce to a vertex, of
+    # the product of the letters' weights at their positions
+    n = data.draw(st.integers(1, 5))
+    signed = lg.shadowed.signed_edges
+    index = {s: i for i, s in enumerate(signed)}
+    weight = st.integers(-2, 3)
+    operands = [tuple(data.draw(weight) for _ in signed) for _ in range(n)]
+    partitions = enumerate_nc(n)
+    brute = {pi: {} for pi in partitions}
+    for w in enumerate_admissible_words(lg.shadowed, n):
+        c = prod(operands[p][index[s]] for p, s in enumerate(w))
+        if not c:
+            continue
+        closed = {}
+        for pi in partitions:
+            for b in pi.blocks:
+                if b not in closed:
+                    closed[b] = isinstance(reduce_word(tuple(w[x - 1] for x in b)), Vertex)
+            if all(closed[b] for b in pi.blocks):
+                brute[pi][w[0].src] = brute[pi].get(w[0].src, 0) + c
+    for pi in partitions:
+        assert expectation_pi(lg, pi, operands) == DiagonalElement.of(brute[pi])

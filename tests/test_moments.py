@@ -5,11 +5,9 @@ import pytest
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import shadow
-from groupoidlab.groupoid import ReducedPath
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.moments import (
     DiagonalElement,
-    FormalSum,
     balance_moment,
     check_freeness,
     cumulant_comparison,
@@ -18,6 +16,7 @@ from groupoidlab.moments import (
     cumulant_via_wc,
     edge_sum,
     expectation_of_word,
+    expectation_pi,
     joint_cumulant,
     joint_moment,
     moment,
@@ -27,6 +26,7 @@ from groupoidlab.moments import (
     total_sum,
     w_m_set,
 )
+from groupoidlab.ncpartitions import one_partition
 from groupoidlab.operators import oracle_expectation_power
 
 FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
@@ -338,10 +338,10 @@ def test_conjugate_pair_cumulant():
 def test_joint_cumulant_multilinear():
     lg = labeled("two-loop")
     t1, t2 = edge_sum(lg, 1), edge_sum(lg, 2)
-    mix = t1.scale(3) + t2.scale(-2)
+    mix = tuple(3 * a - 2 * b for a, b in zip(t1, t2))
     other = [edge_sum(lg, -1), edge_sum(lg, 1), edge_sum(lg, -1)]
-    lhs = cumulant_of([mix] + other)
-    rhs = cumulant_of([t1] + other).scale(3) + cumulant_of([t2] + other).scale(-2)
+    lhs = cumulant_of(lg, [mix] + other)
+    rhs = cumulant_of(lg, [t1] + other).scale(3) + cumulant_of(lg, [t2] + other).scale(-2)
     assert lhs == rhs
 
 
@@ -384,19 +384,8 @@ def test_diagonal_element_algebra():
     assert a.max_abs() == 2
 
 
-def test_formal_sum_product_follows_word_order():
-    lg = labeled("circulant-3")
-    sh = lg.shadowed
-    e1 = FormalSum.of_element(ReducedPath((sh.signed_by_name("e1"),)))
-    e2 = FormalSum.of_element(ReducedPath((sh.signed_by_name("e2"),)))
-    prod = e1 * e2  # path e1 then e2
-    (key,) = prod.terms
-    assert [s.name() for s in key.word] == ["e1", "e2"]
-    assert (e2 * e1).terms == {}  # not composable in that order
-
-
 def test_total_sum_expectation_is_zero():
     lg = labeled("example-6-2")
-    assert total_sum(lg).expectation().is_zero
-    sq = total_sum(lg) * total_sum(lg)
-    assert sq.expectation() == moment(lg, 2)
+    assert expectation_pi(lg, one_partition(1), [total_sum(lg)]).is_zero
+    sq = expectation_pi(lg, one_partition(2), [total_sum(lg)] * 2)
+    assert sq == moment(lg, 2)

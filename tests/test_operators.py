@@ -157,6 +157,10 @@ def test_labeling_operator_example_6_2():
     assert t1 == expected
     t2 = labeling_operator(lg, 2, b)
     assert t2 == right_mult(ReducedPath((sh.signed_by_name("e12:2"),)), b)
+    total = SparseOperator(len(b))
+    for s in sh.signed_edges:
+        total += right_mult(ReducedPath((s,)), b)
+    assert total_labeling_operator(lg, b) == total
 
 
 @pytest.mark.parametrize(
