@@ -53,6 +53,7 @@ from .operators import (
 from .moments import (
     DiagonalElement,
     check_freeness,
+    closed_form_cumulant,
     cumulant_direct,
     cumulant_via_wc,
     expectation_of_word,

@@ -214,11 +214,15 @@ def _closed_by_interval(t, weights, spend):
         # X at dst(e) without the step back up through inv(e)
         return X[t.dst[e]][a, c] - Y[t.inv[e]][a, c]
 
-    # inner intervals lie in positions 1..n-2: inside the root's excursions
-    for length in range(0, n - 1, 2):
+    # inner intervals lie in positions 1..n-2: inside the root's
+    # excursions.  No vertex finishes before every interval is filled,
+    # so their transitions are charged up front, and a budget that
+    # cannot pay for them stops the count before any table is built.
+    lengths = range(0, n - 1, 2)
+    if not spend.charge(sum(t.n_signed * (n - 1 - m) * (m // 2) for m in lengths)):
+        return counts, True
+    for length in lengths:
         starts = range(1, n - length)
-        if not spend.charge(t.n_signed * len(starts) * (length // 2)):
-            return counts, True
         for a in starts:
             b = a + length
             for e in range(t.n_signed):

@@ -172,7 +172,14 @@ def _cmd_cumulants(args) -> tuple[dict, int]:
         direct = moments.cumulant_direct(lg, args.n)
         result["diagonal"] = _diag_payload(direct)
     if args.formula in ("wc", "both"):
-        wc = moments.cumulant_via_wc(lg, args.n, budget=args.budget)
+        try:
+            wc = moments.cumulant_via_wc(lg, args.n, budget=args.budget)
+        except BudgetExceededError as exc:
+            # past the NC budget the wc route has no partial sum; keep
+            # the finished direct value
+            if args.formula == "wc" or exc.partial is not None:
+                raise
+            raise BudgetExceededError(str(exc), partial=direct) from exc
         result.setdefault("diagonal", _diag_payload(wc))
         result["wc"] = _diag_payload(wc)
     diagnostics: dict = {"notes": ctx["notes"], "truncated": False}
@@ -190,10 +197,7 @@ def _cmd_joint(args) -> tuple[dict, int]:
     lg, ctx = _load_labeled(args)
     indices = _parse_indices(args.indices)
     m = moments.joint_moment(lg, indices, budget=args.budget)
-    try:
-        k = moments.joint_cumulant(lg, indices)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(str(exc), partial=m) from exc
+    k = moments.joint_cumulant(lg, indices)
     result = {
         "indices": list(indices),
         "diagonal": _diag_payload(m),

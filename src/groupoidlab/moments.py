@@ -4,27 +4,40 @@ Values live in the diagonal algebra: finite integer maps vertex ->
 coefficient.  Moments count admissible words that freely reduce to a
 vertex (the reduction characterization) with the excursion DP of
 _kernel; word enumeration (w_m_set) stays as a cross-check.
-Cumulants come from Moebius inversion over noncrossing partitions.
-Their operands are letter weights (one integer per signed edge), and
-each nested expectation E_pi closes its blocks with the same excursion
-DP, weighted, so no product of groupoid elements is ever formed.  The
-word-set route (single-base-edge loop words weighted by mu_w) is
-computed alongside and compared, never trusted.
+
+Cumulant operands are letter weights (one integer per signed edge).
+The edge operators are free over the diagonal and each pairs with its
+inverse as a Haar partial isometry, so the free cumulants have a closed
+form (closed_form_cumulant), the primary route of cumulant_direct and
+joint_cumulant.  Its oracles stay close to the definitions: Moebius
+inversion over noncrossing partitions (cumulant_of), whose nested
+expectations E_pi close each block with the excursion DP, weighted, so
+no product of groupoid elements is ever formed; and the word-set route
+(single-base-edge loop words weighted by mu_w), computed alongside and
+compared, never trusted; mu_w is the Moebius cumulant of a word's
+letters.  check_freeness keeps the Moebius route: its sums are the
+evidence that mixed cumulants vanish.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from functools import partial
+from math import prod
+from operator import add, mul
 
 from . import _kernel, groupoid, ncpartitions
 from .errors import BudgetExceededError
 from .groupoid import ReducedPath, Vertex, diagram_distinct, reduce_word
 from .labeling import LabeledGraph, theta
-from .ncpartitions import NoncrossingPartition, enumerate_nc, moebius, nested
+from .ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius, nested
 
 ENUM_BUDGET = 10_000_000
+# The closed-form k_n has about 0.3 n digits: Python converts at most
+# 4300 digits of an int to a string by default, and building and
+# printing the value take time about quadratic in n.
+ORDER_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -225,82 +238,143 @@ def _right_mult(tables):
     def multiply(x, d):
         if isinstance(x, list):
             return list(map(mul, x, d))
-        return tuple(w * d[v] for w, v in zip(x, tables.dst))
+        return tuple(map(mul, x, map(d.__getitem__, tables.dst)))
 
     return multiply
 
 
 def _diagonal(lg: LabeledGraph, counts) -> DiagonalElement:
-    return DiagonalElement.of(zip(lg.graph.vertices, counts))
+    # the vertices are sorted and distinct: no merge and no sort needed
+    return DiagonalElement(tuple((v, c) for v, c in zip(lg.graph.vertices, counts) if c))
 
 
 def expectation_pi(
-    lg: LabeledGraph, pi: NoncrossingPartition, operands, tables=None
+    lg: LabeledGraph, pi: NoncrossingPartition, operands, tables=None, memo=None
 ) -> DiagonalElement:
     """Partition-dependent expectation E_pi of letter-weight operands:
     each block, with the values of the blocks nested in it multiplied
     in, closes with the weighted excursion DP (the closed walks from
     each vertex, weighted by the product of their letters' weights).
-    tables: lg's _kernel.signed_tables, when the caller holds them."""
+    tables: lg's _kernel.signed_tables, when the caller holds them.
+    memo: a dict of block closes keyed by the block's weights, shared
+    between calls on the same lg."""
     if tables is None:
         tables = _kernel.signed_tables(lg.shadowed)
     unlimited = _kernel._Budget(None)
 
     def close(weights):
-        return _kernel._closed_by_interval(tables, weights, unlimited)[0]
+        if memo is None:
+            return _kernel._closed_by_interval(tables, weights, unlimited)[0]
+        key = tuple(weights)
+        if key not in memo:
+            memo[key] = _kernel._closed_by_interval(tables, weights, unlimited)[0]
+        return memo[key]
 
     operands = [tuple(x) for x in operands]
     return _diagonal(lg, nested(pi, operands, close, _right_mult(tables)))
 
 
+def _moebius_row(n: int) -> list:
+    """(pi, mu(pi, 1_n)) for every pi in NC(n), like
+    ncpartitions.moebius_row, but through this module's enumerate_nc
+    and moebius."""
+    return [(pi, moebius(pi)) for pi in enumerate_nc(n)]
+
+
 def cumulant_of(
-    lg: LabeledGraph, operands, nc_budget: int = ncpartitions.NC_BUDGET
+    lg: LabeledGraph, operands, row=None, memo=None, tables=None
 ) -> DiagonalElement:
     """Joint free cumulant of letter-weight operands by Moebius
-    inversion: sum over pi of mu(pi, 1_n) E_pi(...)."""
+    inversion: sum over pi of mu(pi, 1_n) E_pi(...).  The oracle of
+    closed_form_cumulant, and the route of check_freeness.
+    row: the (pi, mu) pairs of NC(n), when the caller holds them.
+    memo: block closes shared with other calls (see expectation_pi);
+    by default, one memo for this call.
+    tables: lg's _kernel.signed_tables, when the caller holds them."""
     operands = list(operands)
+    if tables is None:
+        tables = _kernel.signed_tables(lg.shadowed)
+    if row is None:
+        row = _moebius_row(len(operands))
+    if memo is None:
+        memo = {}
+    index = {v: i for i, v in enumerate(lg.graph.vertices)}
+    acc = [0] * len(index)
+    for pi, mu in row:
+        for v, c in expectation_pi(lg, pi, operands, tables, memo).coeffs:
+            acc[index[v]] += mu * c
+    return _diagonal(lg, acc)
+
+
+def _closed_form(tables, operands) -> list:
+    """Free cumulant of letter-weight operands, per vertex.  The edge
+    operators are free over the diagonal, and each pair of a signed
+    edge e and its inverse is a Haar partial isometry, so for n = 2m
+    only the words e, inv(e), e, ... survive, each with the Haar
+    unitary cumulant (-1)^(m-1) C_(m-1):
+
+        k(x_1..x_n)_v = (-1)^(m-1) C_(m-1) sum_{e in out(v)}
+                        prod_{j odd} x_j[e] prod_{j even} x_j[inv e],
+
+    and every odd cumulant is 0."""
+    n = len(operands)
+    counts = [0] * tables.n_vertices
+    if n % 2:
+        return counts
+    m = n // 2
+    haar = (-1) ** (m - 1) * catalan(m - 1)
+    odd, even = operands[0::2], operands[1::2]
+    for e, f in enumerate(tables.inv):
+        counts[tables.src[e]] += prod(x[e] for x in odd) * prod(x[f] for x in even)
+    return [haar * c for c in counts]
+
+
+def closed_form_cumulant(lg: LabeledGraph, operands) -> DiagonalElement:
+    """Joint free cumulant of letter-weight operands in closed form:
+    O(n |E|) work, no noncrossing partition enumerated.  The primary
+    route of cumulant_direct and joint_cumulant."""
     tables = _kernel.signed_tables(lg.shadowed)
-    acc = DiagonalElement.zero()
-    for pi in enumerate_nc(len(operands), nc_budget):
-        acc = acc + expectation_pi(lg, pi, operands, tables).scale(moebius(pi))
-    return acc
+    return _diagonal(lg, _closed_form(tables, list(operands)))
 
 
-def cumulant_direct(
-    lg: LabeledGraph, n: int, nc_budget: int = ncpartitions.NC_BUDGET
-) -> DiagonalElement:
-    """k_n(T_G, ..., T_G) via Moebius inversion over NC(n)."""
+def cumulant_direct(lg: LabeledGraph, n: int) -> DiagonalElement:
+    """k_n(T_G, ..., T_G) in closed form: outdeg(v) (-1)^(m-1) C_(m-1)
+    for n = 2m.  Orders past ORDER_BUDGET raise BudgetExceededError."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return cumulant_of(lg, [total_sum(lg)] * n, nc_budget)
+    if n > ORDER_BUDGET:
+        raise BudgetExceededError(
+            f"n={n} exceeds the cumulant order budget {ORDER_BUDGET}"
+        )
+    return closed_form_cumulant(lg, [total_sum(lg)] * n)
 
 
-def joint_cumulant(
-    lg: LabeledGraph, indices, nc_budget: int = ncpartitions.NC_BUDGET
-) -> DiagonalElement:
-    """Joint cumulant with per-position operators T_{indices[j]}."""
+def joint_cumulant(lg: LabeledGraph, indices) -> DiagonalElement:
+    """Joint cumulant with per-position operators T_{indices[j]}, in
+    closed form."""
     indices = tuple(indices)
     _check_indices(lg, indices)
-    return cumulant_of(lg, [edge_sum(lg, k) for k in indices], nc_budget)
+    return closed_form_cumulant(lg, [edge_sum(lg, k) for k in indices])
 
 
 def mu_w(lg: LabeledGraph, word) -> int:
     """The cumulant weight of a vertex-reducing word: the Moebius sum
     over the noncrossing partitions each of whose blocks, its letters
-    read in order, reduces to a vertex.  These are exactly the
-    partitions whose nested expectation of the letters reproduces E of
-    the whole word (a nonzero unit mass)."""
+    read in order, reduces to a vertex.  For exactly these partitions
+    the nested expectation of the letters reproduces E of the whole
+    word, the unit mass at its source, and for the others it is 0; so
+    mu_w is the joint cumulant of the letters at the source."""
     word = tuple(word)
     if expectation_of_word(word).is_zero:
         raise ValueError("mu_w requires a word that reduces to a vertex")
-    return sum(
-        moebius(pi)
-        for pi in enumerate_nc(len(word))
-        if all(
-            isinstance(reduce_word(tuple(word[x - 1] for x in b)), Vertex)
-            for b in pi.blocks
-        )
-    )
+    return _mu_w(lg, word, _moebius_row(len(word)), {})
+
+
+def _mu_w(lg: LabeledGraph, word, row, memo) -> int:
+    signed = lg.shadowed.signed_edges
+    letters = [tuple(int(t == s) for t in signed) for s in word]
+    k = cumulant_of(lg, letters, row=row, memo=memo)
+    return k.as_dict().get(word[0].src, 0)
 
 
 def cumulant_via_wc(
@@ -308,11 +382,19 @@ def cumulant_via_wc(
 ) -> DiagonalElement:
     """k_n(T_G, ..., T_G) by the word-set formula: single-base-edge loop
     words reducing to a vertex, each weighted by mu_w.  Compared against
-    cumulant_direct by cumulant_comparison, never silently trusted."""
+    cumulant_direct by cumulant_comparison, never silently trusted.
+
+    The letters of such a word are one edge and its inverse, so mu_w
+    depends only on which letters equal the first one and on whether
+    the edge is a loop; it is computed once per such pattern, over one
+    Moebius row, enumerated at the first vertex-reducing word."""
     if n < 1:
         raise ValueError("n must be >= 1")
     acc: dict[str, int] = {}
     seen = 0
+    row = None
+    memo: dict = {}
+    weight: dict = {}
     for w in groupoid.d_loop_words(lg.shadowed, n):
         seen += 1
         if budget is not None and seen > budget:
@@ -322,7 +404,12 @@ def cumulant_via_wc(
             )
         r = reduce_word(w)
         if isinstance(r, Vertex):
-            acc[r.v] = acc.get(r.v, 0) + mu_w(lg, w)
+            key = (tuple(s == w[0] for s in w), w[0].src == w[0].dst)
+            if key not in weight:
+                if row is None:
+                    row = _moebius_row(n)
+                weight[key] = _mu_w(lg, w, row, memo)
+            acc[r.v] = acc.get(r.v, 0) + weight[key]
     return DiagonalElement.of(acc)
 
 
@@ -334,15 +421,11 @@ def cumulant_comparison(lg: LabeledGraph, n: int) -> dict:
     return {"direct": direct, "wc": wc, "equal": diff.is_zero, "diff": diff}
 
 
-def _k_pi(lg: LabeledGraph, tables, pi: NoncrossingPartition, operands) -> list:
+def _k_pi(tables, pi: NoncrossingPartition, operands) -> list:
     """Partition-dependent cumulant, as a per-vertex list: like E_pi,
-    but each block closes with a cumulant instead of an expectation."""
-
-    def close(weights):
-        k = cumulant_of(lg, weights).as_dict()
-        return [k.get(v, 0) for v in lg.graph.vertices]
-
-    return nested(pi, operands, close, _right_mult(tables))
+    but each block closes with the closed-form cumulant instead of an
+    expectation."""
+    return nested(pi, operands, partial(_closed_form, tables), _right_mult(tables))
 
 
 def moment_via_cumulants(lg: LabeledGraph, n: int) -> DiagonalElement:
@@ -350,10 +433,10 @@ def moment_via_cumulants(lg: LabeledGraph, n: int) -> DiagonalElement:
     partition-dependent cumulants (the inversion identity)."""
     tables = _kernel.signed_tables(lg.shadowed)
     x = total_sum(lg)
-    acc = DiagonalElement.zero()
+    acc = [0] * tables.n_vertices
     for pi in enumerate_nc(n):
-        acc = acc + _diagonal(lg, _k_pi(lg, tables, pi, [x] * n))
-    return acc
+        acc = list(map(add, acc, _k_pi(tables, pi, [x] * n)))
+    return _diagonal(lg, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -387,35 +470,36 @@ def check_freeness(
     for k in (k1, k2):
         if not 1 <= k <= lg.max_label:
             raise ValueError(f"family index {k} out of range 1..{lg.max_label}")
-    # every tuple is built before the first cumulant: check first
+    # up front: the orders below max_n would otherwise all run first
     ncpartitions.check_nc_budget(max_n)
     alphabet = (k1, -k1, k2, -k2)
-
-    def mixed(indices):
-        fams = {abs(i) for i in indices}
-        return fams == {k1, k2}
-
-    todo = [
-        idx
-        for n in range(2, max_n + 1)
-        for idx in itertools.product(alphabet, repeat=n)
-        if mixed(idx)
-    ]
+    weights = {k: edge_sum(lg, k) for k in alphabet}
+    tables = _kernel.signed_tables(lg.shadowed)
+    memo: dict = {}
+    checked = 0
     max_abs = 0
     nonzero = []
-    for idx in todo:
-        val = joint_cumulant(lg, idx)
-        if not val.is_zero:
-            if len(nonzero) < nonzero_cap:
-                nonzero.append((idx, val))
-            max_abs = max(max_abs, val.max_abs())
+    for n in range(2, max_n + 1):
+        row = _moebius_row(n)
+        for idx in itertools.product(alphabet, repeat=n):
+            if {abs(i) for i in idx} != {k1, k2}:
+                continue
+            checked += 1
+            # the Moebius route, not the closed form: this sum is the
+            # evidence that the mixed cumulants vanish
+            operands = [weights[k] for k in idx]
+            val = cumulant_of(lg, operands, row=row, memo=memo, tables=tables)
+            if not val.is_zero:
+                if len(nonzero) < nonzero_cap:
+                    nonzero.append((idx, val))
+                max_abs = max(max_abs, val.max_abs())
     fam1 = [ReducedPath((s,)) for k in (k1, -k1) for s in lg.signed_with_label(k)]
     fam2 = [ReducedPath((s,)) for k in (k2, -k2) for s in lg.signed_with_label(k)]
     distinct = all(diagram_distinct(a, b) for a in fam1 for b in fam2)
     return FreenessReport(
         families=(k1, k2),
         max_n=max_n,
-        tuples_checked=len(todo),
+        tuples_checked=checked,
         max_abs_coefficient=max_abs,
         nonzero=tuple(nonzero),
         families_diagram_distinct=distinct,

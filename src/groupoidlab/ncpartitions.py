@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import comb
 
 from .errors import BudgetExceededError
@@ -53,6 +53,13 @@ class NoncrossingPartition:
         if _has_crossing(canon):
             raise ValueError("partition has a crossing")
         return NoncrossingPartition(n, canon)
+
+    @cached_property
+    def ends(self) -> tuple:
+        """(opens a block, closes a block) for each position 1..n."""
+        firsts = {b[0] for b in self.blocks}
+        lasts = {b[-1] for b in self.blocks}
+        return tuple((x in firsts, x in lasts) for x in range(1, self.n + 1))
 
     def __repr__(self) -> str:
         return "NC(" + "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks) + ")"
@@ -182,16 +189,14 @@ def nested(pi: NoncrossingPartition, operands, close, multiply):
     """
     if len(operands) != pi.n:
         raise ValueError("operand count must equal n")
-    firsts = {b[0] for b in pi.blocks}
-    lasts = {b[-1] for b in pi.blocks}
     stack = []
     result = None
-    for x, op in enumerate(operands, 1):
-        if x in firsts:
+    for op, (first, last) in zip(operands, pi.ends):
+        if first:
             stack.append([op])
         else:
             stack[-1].append(op)
-        if x in lasts:
+        if last:
             value = close(stack.pop())
             if stack:
                 stack[-1][-1] = multiply(stack[-1][-1], value)

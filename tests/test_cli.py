@@ -357,8 +357,6 @@ def test_nc_budget_exhaustion_exits_5(capsys):
     note = "n=13 exceeds the NC enumeration budget 12"
     for argv in (
         ["nc", "--n", "13"],
-        ["cumulants", "--graph", fx("one-loop"), "--n", "13"],
-        ["joint", "--graph", fx("one-loop"), "--indices", ",".join(["1", "-1"] * 6 + ["1"])],
         # checked before any of the 4^n index tuples is built
         ["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", "13"],
     ):
@@ -372,21 +370,95 @@ def test_nc_budget_exhaustion_exits_5(capsys):
         assert capsys.readouterr().err == ""
 
 
-def test_joint_past_nc_budget_keeps_the_moment(capsys):
-    # the joint moment is finished before the cumulant runs out of budget
+def test_cumulants_past_nc_budget_exact(capsys):
+    # the closed form enumerates no partition: k_14 = outdeg(v) (-1)^6 C_6
+    code, rep = run_json(["cumulants", "--graph", fx("one-loop"), "--n", "14"])
+    assert code == 0
+    assert rep["result"]["diagonal"] == {"v": "264"}
+    code, rep = run_json(["cumulants", "--graph", fx("one-loop"), "--n", "13"])
+    assert code == 0
+    assert rep["result"]["diagonal"] == {}
+    assert capsys.readouterr().err == ""
+
+
+def test_joint_past_nc_budget_exact(capsys):
     argv = ["joint", "--graph", fx("two-loop"), "--indices", ",".join(["1,-1"] * 7)]
+    code, rep = run_json(argv)
+    assert code == 0
+    assert rep["result"]["diagonal"] == {"v": "1"}
+    assert rep["result"]["cumulant"] == {"v": "132"}
+    code, rep = run_json(
+        ["joint", "--graph", fx("one-loop"), "--indices", ",".join(["1", "-1"] * 6 + ["1"])]
+    )
+    assert code == 0
+    assert rep["result"]["diagonal"] == {} and rep["result"]["cumulant"] == {}
+    assert capsys.readouterr().err == ""
+
+
+def test_joint_past_nc_budget_keeps_the_moment(capsys):
+    # the joint cumulant has no NC budget left to run out of: 14 letters
+    # give the moment and the closed-form cumulant (-1)^6 C_6
+    argv = ["joint", "--graph", fx("two-loop"), "--indices", ",".join(["1,-1"] * 7)]
+    code, rep = run_json(argv)
+    assert code == 0
+    assert rep["result"] == {
+        "cumulant": {"v": "132"},
+        "diagonal": {"v": "1"},
+        "indices": [1, -1] * 7,
+    }
+    assert rep["diagnostics"]["truncated"] is False
+    code, out = run(argv)
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        "cumulant: {v: 132}",
+        "diagonal: {v: 1}",
+        "indices: " + json.dumps([1, -1] * 7),
+        "note: For max label N >= 2 the balance-condition count exceeds the "
+        "reduction count (36 vs 28 at n = 4 on the two-loop graph); the "
+        "reduction count is the one matching the operator oracle.",
+        "truncated: False",
+        "status: ok",
+    ]
+    assert capsys.readouterr().err == ""
+
+
+def test_cumulants_both_past_nc_budget_keeps_the_direct_value(capsys):
+    # the wc route still runs out of the NC budget at n = 14; the
+    # finished closed-form value is the partial result
+    argv = ["cumulants", "--graph", fx("one-loop"), "--n", "14", "--formula", "both"]
     note = "n=14 exceeds the NC enumeration budget 12"
     code, rep = run_json(argv)
     assert code == 5
-    assert rep["result"] == {"diagonal": {"v": "1"}}
+    assert rep["result"] == {"diagonal": {"v": "264"}}
     assert rep["diagnostics"] == {"truncated": True, "notes": [note]}
     code, out = run(argv)
     assert code == 5
     assert out.splitlines() == [
-        "command: joint",
-        "diagonal: {v: 1}",
+        "command: cumulants",
+        "diagonal: {v: 264}",
         f"note: {note}",
         "truncated: True",
         "status: truncated",
     ]
+    # the wc route alone has nothing finished to report
+    code, rep = run_json(argv[:-1] + ["wc"])
+    assert code == 5
+    assert rep["result"] == {}
     assert capsys.readouterr().err == ""
+
+
+def test_hostile_cumulant_orders(capsys):
+    # huge orders end in a budget report, not a traceback or a hang:
+    # the closed form's order and the joint moment's interval tables
+    # are checked before anything is built
+    for argv, note in (
+        (["cumulants", "--graph", fx("one-loop"), "--n", "20000"],
+         "n=20000 exceeds the cumulant order budget 10000"),
+        (["joint", "--graph", fx("two-loop"), "--indices", ",".join(["1,-1"] * 5000)],
+         "DP budget exhausted"),
+    ):
+        code, rep = run_json(argv)
+        assert code == 5, argv
+        assert rep["status"] == "truncated"
+        assert rep["diagnostics"]["notes"][0].endswith(note)
+        assert capsys.readouterr().err == ""

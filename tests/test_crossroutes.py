@@ -1,8 +1,9 @@
 """Cross-route checks on graphs beyond the bundled fixtures.
 
 Three routes exist for moment-type data (the excursion DP, word
-enumeration, the sparse operator model) and two for cumulant-type data
-(Moebius inversion, mu_w-weighted single-edge loop words), and the
+enumeration, the sparse operator model) and three for cumulant-type
+data (the closed form, Moebius inversion, mu_w-weighted single-edge
+loop words), and the
 nested expectations E_pi under the Moebius route have a weighted word
 sum.  These tests drive them against each other on random small
 multigraphs and on a glued two-loop graph, not just the curated
@@ -35,6 +36,9 @@ from groupoidlab.labeling import (
 from groupoidlab.moments import (
     DiagonalElement,
     balance_moment,
+    closed_form_cumulant,
+    cumulant_of,
+    edge_sum,
     expectation_pi,
     joint_cumulant,
     joint_moment,
@@ -249,3 +253,24 @@ def test_property_weighted_e_pi_matches_word_sum(lg, data):
                 brute[pi][w[0].src] = brute[pi].get(w[0].src, 0) + c
     for pi in partitions:
         assert expectation_pi(lg, pi, operands) == DiagonalElement.of(brute[pi])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lg=labeled_multigraphs(), data=st.data())
+def test_property_closed_form_matches_moebius(lg, data):
+    # integer letter weights, not only the 0/1 weights of T_k
+    n = data.draw(st.integers(1, 6))
+    weight = st.integers(-2, 3)
+    signed = lg.shadowed.signed_edges
+    operands = [tuple(data.draw(weight) for _ in signed) for _ in range(n)]
+    assert closed_form_cumulant(lg, operands) == cumulant_of(lg, operands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lg=labeled_multigraphs(), data=st.data())
+def test_property_joint_cumulant_matches_moebius(lg, data):
+    n = data.draw(st.integers(1, 6))
+    labels = [k for k in range(-lg.max_label, lg.max_label + 1) if k]
+    indices = tuple(data.draw(st.sampled_from(labels)) for _ in range(n))
+    moebius = cumulant_of(lg, [edge_sum(lg, k) for k in indices])
+    assert joint_cumulant(lg, indices) == moebius

@@ -10,6 +10,7 @@ from groupoidlab.moments import (
     DiagonalElement,
     balance_moment,
     check_freeness,
+    closed_form_cumulant,
     cumulant_comparison,
     cumulant_direct,
     cumulant_of,
@@ -26,7 +27,7 @@ from groupoidlab.moments import (
     total_sum,
     w_m_set,
 )
-from groupoidlab.ncpartitions import one_partition
+from groupoidlab.ncpartitions import catalan, one_partition
 from groupoidlab.operators import oracle_expectation_power
 
 FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
@@ -209,6 +210,26 @@ def test_moment_budget_truncation():
     assert exc.value.partial.truncated
 
 
+def test_joint_moment_budget_truncation_points():
+    # the interval tables cost 14 transitions per signed edge at n = 8
+    # (112 on example-6-2); no vertex finishes before they are paid for,
+    # then each vertex costs 1 + 2 + 3 + 4 = 10
+    lg = labeled("example-6-2")
+    idx = (1, -1) * 4
+    seen = {}
+    for budget in (111, 112, 121, 122, 141, 142):
+        result = tally(lg, 8, "reduction", pattern=idx, budget=budget)
+        seen[budget] = (result.diagonal.as_dict(), result.truncated)
+    assert seen == {
+        111: ({}, True),
+        112: ({}, True),
+        121: ({}, True),
+        122: ({"v1": 34}, True),
+        141: ({"v1": 34, "v2": 13}, True),
+        142: ({"v1": 34, "v2": 13}, False),
+    }
+
+
 # --- joint moments
 
 
@@ -274,6 +295,36 @@ def test_cumulant_direct_one_loop():
     lg = labeled("one-loop")
     assert cumulant_direct(lg, 2).as_dict() == {"v": 2}  # m2 - m1^2
     assert cumulant_direct(lg, 4).as_dict() == {"v": -2}  # inversion of 2, 6
+
+
+def test_cumulant_direct_closed_form_values():
+    # k_2m(T_G)_v = outdeg(v) (-1)^(m-1) C_(m-1), past the NC budget too
+    lg = labeled("example-6-2")
+    outdeg = {v: len(lg.shadowed.out_edges(v)) for v in lg.graph.vertices}
+    for m in (1, 2, 5, 6, 7, 20):
+        expected = {v: d * (-1) ** (m - 1) * catalan(m - 1) for v, d in outdeg.items()}
+        assert cumulant_direct(lg, 2 * m).as_dict() == expected
+        assert cumulant_direct(lg, 2 * m + 1).is_zero
+
+
+def test_cumulant_direct_order_budget():
+    lg = labeled("one-loop")
+    assert cumulant_direct(lg, 10_000).as_dict() == {"v": -2 * catalan(4999)}
+    with pytest.raises(BudgetExceededError) as exc:
+        cumulant_direct(lg, 10_002)
+    assert exc.value.partial is None
+
+
+def test_closed_form_cumulant_alternates_an_edge_with_its_inverse():
+    # one letter weight per signed edge: only e, inv(e), e, ... survives
+    lg = labeled("single-edge")
+    e = lg.shadowed.signed_by_name("e1")
+    signed = lg.shadowed.signed_edges
+    unit = {s: tuple(int(t == s) for t in signed) for s in signed}
+    f = e.inverted()
+    assert closed_form_cumulant(lg, [unit[e], unit[f]] * 3).as_dict() == {"v1": 2}
+    assert closed_form_cumulant(lg, [unit[f], unit[e]] * 3).as_dict() == {"v2": 2}
+    assert closed_form_cumulant(lg, [unit[e], unit[f], unit[f], unit[e]]).is_zero
 
 
 def test_cumulants_odd_zero():
@@ -343,6 +394,18 @@ def test_joint_cumulant_multilinear():
     lhs = cumulant_of(lg, [mix] + other)
     rhs = cumulant_of(lg, [t1] + other).scale(3) + cumulant_of(lg, [t2] + other).scale(-2)
     assert lhs == rhs
+
+
+def test_cumulant_of_with_a_shared_memo():
+    # one memo of block closes across all tuples, as check_freeness uses
+    # it, gives each tuple's own cumulant
+    lg = labeled("example-6-2")
+    memo = {}
+    for n in (1, 2, 3, 4):
+        for idx in itertools.product((1, -1, 2, -2), repeat=n):
+            operands = [edge_sum(lg, k) for k in idx]
+            assert cumulant_of(lg, operands, memo=memo) == joint_cumulant(lg, idx), idx
+    assert memo
 
 
 def test_check_freeness_two_loop():
