@@ -19,7 +19,9 @@ tables are then keyed by the interval of positions an excursion fills
 instead of its length.
 
 The balance condition (per-label signed letter counts all zero) is a
-walk count over (start, current vertex, balance vector).
+walk count over (start, current vertex, balance vector), taken to half
+length: inverting a walk negates its balance, so the balanced closed
+walks number the sum of the squared half-walk counts.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ def tally_words(kg: KernelGraph, n: int, mode: str, pattern=None, budget=None):
 
     mode: "reduction" counts words whose free reduction is a vertex;
           "balance" counts loop words with an all-zero balance vector.
-    pattern: optional per-position signed label filter (length n).
+    pattern: optional per-position signed label filter (length n),
+             reduction mode only.
     budget: cap on DP transitions.  When it runs out the flag is set
             and only the vertices finished so far carry their (exact)
             counts; the others read 0.
@@ -133,9 +136,11 @@ def tally_words(kg: KernelGraph, n: int, mode: str, pattern=None, budget=None):
         raise ValueError("pattern length must equal n")
     if mode not in ("reduction", "balance"):
         raise ValueError(f"unknown tally mode {mode!r}")
+    if mode == "balance" and pattern is not None:
+        raise ValueError("the balance mode takes no pattern")
     spend = _Budget(budget)
     if mode == "balance":
-        counts, truncated = _balanced_loops(kg, n, pattern, spend)
+        counts, truncated = _balanced_loops(kg, n, spend)
     elif pattern is None:
         counts, truncated = _closed_by_length(kg, n, spend)
     else:
@@ -247,29 +252,31 @@ def _closed_by_interval(t, weights, spend):
     return counts, False
 
 
-def _balanced_loops(kg, n, pattern, spend):
-    """Balance counts: per start vertex, walks tracked by (current
-    vertex, balance code).  The balance vector is packed into one
-    integer in balanced base 2n + 1, whose digits (one per label index,
-    each in -n..n) never carry, so code 0 is exactly the zero vector."""
+def _balanced_loops(kg, n, spend):
+    """Balance counts by half-walk squares: per start vertex s, F counts
+    the length-n/2 walks from s by (end vertex, balance code), and the
+    count is the sum of F^2; odd n gives zeros.  The balance vector is
+    packed into one integer in balanced base n + 1, whose digits (one
+    per label index, each in -n/2..n/2) never carry, so equal codes are
+    equal vectors."""
     counts = [0] * kg.n_vertices
-    radix = 2 * n + 1
+    if n % 2:
+        return counts, False
+    radix = n + 1
     step = [
         (1 if k > 0 else -1) * radix ** (abs(k) - 1) for k in kg.labels
     ]
     for s in range(kg.n_vertices):
         states = {(s, 0): 1}
-        for pos in range(n):
-            want = None if pattern is None else pattern[pos]
+        for _ in range(n // 2):
             nxt: dict = {}
             for (cur, code), c in states.items():
                 edges = kg.out(cur)
                 if not spend.charge(len(edges)):
                     return counts, True
                 for e in edges:
-                    if want is None or kg.labels[e] == want:
-                        key = (kg.dst[e], code + step[e])
-                        nxt[key] = nxt.get(key, 0) + c
+                    key = (kg.dst[e], code + step[e])
+                    nxt[key] = nxt.get(key, 0) + c
             states = nxt
-        counts[s] = states.get((s, 0), 0)
+        counts[s] = sum(c * c for c in states.values())
     return counts, False

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import groupoid
+from . import _kernel, groupoid
+from .errors import BudgetExceededError
 from .graphs import GraphError, SignedEdge
 from .groupoid import EMPTY, ReducedPath, Vertex
 from .labeling import EMPTY_WEIGHT, LabeledGraph, WeightedElement, weight
+
+# Nodes of the largest action tree build_tree makes: the tree is
+# materialized, and its DOT rendering is as large.
+NODE_BUDGET = 100_000
 
 
 class GraphAutomaton:
@@ -123,14 +128,38 @@ class AutomatonTree:
         return out
 
 
+def _walk_counts(tables, root: int, depth: int):
+    """For d = 0..depth, the number of length-d walks from root ending
+    at each vertex.  Every phi output on a single edge is nonempty, so
+    these are also the depth-d nodes of the action tree by terminal
+    vertex."""
+    ends = [0] * tables.n_vertices
+    ends[root] = 1
+    yield ends
+    for _ in range(depth):
+        nxt = [0] * tables.n_vertices
+        for e in range(tables.n_signed):
+            nxt[tables.dst[e]] += ends[tables.src[e]]
+        ends = nxt
+        yield ends
+
+
 def build_tree(aut: GraphAutomaton, root_vertex: str, depth: int) -> AutomatonTree:
     """Breadth-regular action tree to the given depth.  A node's
     children follow the signed edges leaving its terminal vertex, in
-    sorted signed-edge order; payloads are the phi outputs."""
+    sorted signed-edge order; payloads are the phi outputs.  A tree of
+    more than NODE_BUDGET nodes is refused before any node is built."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if root_vertex not in aut.shadowed.vertices:
         raise GraphError(f"unknown root vertex {root_vertex!r}")
+    tables = _kernel.signed_tables(aut.shadowed)
+    root = aut.shadowed.vertices.index(root_vertex)
+    size = sum(sum(ends) for ends in _walk_counts(tables, root, depth))
+    if size > NODE_BUDGET:
+        raise BudgetExceededError(
+            f"tree of {size} nodes exceeds the node budget {NODE_BUDGET}"
+        )
 
     # Depth-first with an explicit stack of [state, edge, depth, finished
     # children, edges still to grow]; a node is built once all its
@@ -178,26 +207,34 @@ def is_fractaloid(aut: GraphAutomaton, depth: int = 4) -> FractaloidVerdict:
     Local criterion (complete for finite labeled graphs): at every
     vertex of the shadowed graph the outgoing signed edges carry each
     label of {-N..-1, 1..N} exactly once, which makes every action tree
-    the full 2N-regular tree.  The depth-d trees are built as evidence
-    either way; the verdict is labeled with the depth checked.
+    the full 2N-regular tree.  No tree is built: per root, the depth-d
+    tree's node count (walks of length <= depth) and its regularity (the
+    local criterion at each vertex reached in fewer than depth steps)
+    come from walk counts.  The verdict is labeled with the depth checked.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = aut.lg.max_label
     full = sorted(list(range(-n, 0)) + list(range(1, n + 1)))
+    label_sets = _local_label_sets(aut)
     witness = None
-    for v, labels in sorted(_local_label_sets(aut).items()):
+    for v, labels in sorted(label_sets.items()):
         if labels != full:
             witness = {
                 "vertex": v,
                 "reason": f"outgoing labels {labels} != full set {full}",
             }
             break
+    irregular = [label_sets[v] != full for v in aut.shadowed.vertices]
+    tables = _kernel.signed_tables(aut.shadowed)
     trees = []
-    for v in aut.shadowed.vertices:
-        tree = build_tree(aut, v, depth)
-        regular = _regular_to_depth(aut, tree, full)
-        trees.append((v, regular, len(tree.nodes())))
+    for root, v in enumerate(aut.shadowed.vertices):
+        regular, nodes = True, 0
+        for d, ends in enumerate(_walk_counts(tables, root, depth)):
+            nodes += sum(ends)
+            if d < depth and any(c and bad for c, bad in zip(ends, irregular)):
+                regular = False
+        trees.append((v, regular, nodes))
     fractaloid = witness is None
     return FractaloidVerdict(
         fractaloid=fractaloid,
@@ -206,16 +243,6 @@ def is_fractaloid(aut: GraphAutomaton, depth: int = 4) -> FractaloidVerdict:
         witness=witness,
         trees=tuple(trees),
     )
-
-
-def _regular_to_depth(aut: GraphAutomaton, tree: AutomatonTree, full) -> bool:
-    for node in tree.nodes():
-        if node.depth == tree.depth:
-            continue
-        labels = sorted(aut.lg.label(k.edge) for k in node.children)
-        if labels != full:
-            return False
-    return True
 
 
 def tree_dot(aut: GraphAutomaton, tree: AutomatonTree) -> str:

@@ -175,9 +175,8 @@ def _cmd_cumulants(args) -> tuple[dict, int]:
         try:
             wc = moments.cumulant_via_wc(lg, args.n, budget=args.budget)
         except BudgetExceededError as exc:
-            # past the NC budget the wc route has no partial sum; keep
-            # the finished direct value
-            if args.formula == "wc" or exc.partial is not None:
+            # keep the finished direct value
+            if args.formula == "wc":
                 raise
             raise BudgetExceededError(str(exc), partial=direct) from exc
         result.setdefault("diagonal", _diag_payload(wc))
@@ -275,7 +274,18 @@ def _cmd_tree(args) -> tuple[dict, int]:
 
 
 def _cmd_lattice(args) -> tuple[dict, int]:
-    count = count_axis_paths(args.max_label, args.length)
+    n, k = args.max_label, args.length
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    # refuse up front a count that str() might not print: it is at most
+    # (2N)^k, which is at least 16^limit once k * bit_length(N) >= 4 limit
+    if limit and n >= 1 and k >= 1 and not k % 2 and (
+        k * n.bit_length() >= 4 * limit or (2 * n) ** k >= 10**limit
+    ):
+        raise BudgetExceededError(
+            f"lattice k={k}: a count of up to (2N)^k = {2 * n}^{k} may pass "
+            f"the {limit}-digit limit for printing an integer"
+        )
+    count = count_axis_paths(n, k, budget=args.budget)
     result = {"max_label": args.max_label, "length": args.length, "count": str(count)}
     return {
         "command": "lattice",

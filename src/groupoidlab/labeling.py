@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import comb
 
+from .errors import BudgetExceededError
 from .graphs import DirectedGraph, GraphError, ShadowedGraph, SignedEdge
 from . import groupoid
 from .groupoid import EMPTY, ReducedPath, Vertex
@@ -206,10 +207,19 @@ def omega_plus(we: WeightedElement) -> tuple:
     return (we.endpoints, theta(we.labels))
 
 
-def count_axis_paths(max_label: int, length: int) -> int:
+def count_axis_paths(max_label: int, length: int, budget: int | None = None) -> int:
     """Number of length-k label words over {+-1..+-N} whose balance is
-    zero.  Closed form: sum over compositions m_1+...+m_N = k/2 of
-    k! / prod(m_j!)^2; zero for odd k.
+    zero (none for odd k).  Such a word holds m_j letters +j and m_j
+    letters -j, so the count is the sum over compositions
+    m_1+...+m_N = k/2 of k! / prod(m_j!)^2 = C(k, k/2) g_N(k/2), where
+    g_j(t) sums the squared multinomials t! / prod(m_i!) over the
+    compositions of t into j parts:
+
+        g_1(t) = 1,  g_j(t) = sum_m C(t, m)^2 g_(j-1)(t - m).
+
+    Only g_N(k/2) is needed from the last step.  budget caps the terms
+    summed, (N - 2)(h + 1)(h + 2)/2 + h + 1 for h = k/2 and N >= 2, and
+    is charged before any is summed.
     """
     if max_label < 1:
         raise ValueError("max_label must be >= 1")
@@ -218,18 +228,26 @@ def count_axis_paths(max_label: int, length: int) -> int:
     if length % 2:
         return 0
     half = length // 2
-    total = 0
-    for cut in itertools.combinations(range(half + max_label - 1), max_label - 1):
-        parts = []
-        prev = -1
-        for c in cut:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(half + max_label - 2 - prev)
-        denom = 1
-        for m in parts:
-            denom *= factorial(m) ** 2
-        total += factorial(length) // denom
+    if max_label == 1:
+        return comb(length, half)
+    terms = (max_label - 2) * (half + 1) * (half + 2) // 2 + half + 1
+    if budget is not None and terms > budget:
+        raise BudgetExceededError(
+            f"lattice N={max_label} k={length}: {terms} recurrence terms "
+            f"exceed the budget {budget}"
+        )
+    g = [1] * (half + 1)
+    for _ in range(max_label - 2):
+        g = [_square_convolution(g, t) for t in range(half + 1)]
+    return comb(length, half) * _square_convolution(g, half)
+
+
+def _square_convolution(g: list, t: int) -> int:
+    """sum_m C(t, m)^2 g[t - m], each C(t, m) from the one before."""
+    total, c = 0, 1
+    for m in range(t + 1):
+        total += c * c * g[t - m]
+        c = c * (t - m) // (m + 1)
     return total
 
 

@@ -235,3 +235,16 @@ def test_tree_dot_output():
     dot = tree_dot(aut, build_tree(aut, "v1", 1))
     assert dot.startswith("digraph")
     assert '"e1"' in dot and "(v1,v2)|1" in dot
+
+
+def test_build_tree_node_budget(monkeypatch):
+    # two-loop at depth 3: 1 + 4 + 16 + 64 nodes
+    from groupoidlab import automaton
+    from groupoidlab.errors import BudgetExceededError
+
+    aut = automaton_for("two-loop")
+    monkeypatch.setattr(automaton, "NODE_BUDGET", 85)
+    assert len(build_tree(aut, "v", 3).nodes()) == 85
+    monkeypatch.setattr(automaton, "NODE_BUDGET", 84)
+    with pytest.raises(BudgetExceededError, match="tree of 85 nodes exceeds the node budget 84"):
+        build_tree(aut, "v", 3)

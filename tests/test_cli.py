@@ -462,3 +462,76 @@ def test_hostile_cumulant_orders(capsys):
         assert rep["status"] == "truncated"
         assert rep["diagnostics"]["notes"][0].endswith(note)
         assert capsys.readouterr().err == ""
+
+
+def test_tree_past_the_node_budget_exits_5(capsys):
+    # three-loop at depth 7: 1 + 6 + ... + 6^7 nodes, refused unbuilt
+    argv = ["tree", "--graph", fx("three-loop"), "--depth", "7"]
+    note = "tree of 335923 nodes exceeds the node budget 100000"
+    code, rep = run_json(argv)
+    assert code == 5
+    assert rep["result"] == {}
+    assert rep["diagnostics"] == {"truncated": True, "notes": [note]}
+    code, out = run(argv)
+    assert code == 5
+    assert out.splitlines() == [
+        "command: tree",
+        f"note: {note}",
+        "truncated: True",
+        "status: truncated",
+    ]
+    assert capsys.readouterr().err == ""
+
+
+def test_lattice_budgets_exit_5(capsys):
+    for argv, note in (
+        # the recurrence's terms are charged to --budget up front
+        (["lattice", "--max-label", "5", "--length", "2000", "--budget", "1000"],
+         "lattice N=5 k=2000: 1505504 recurrence terms exceed the budget 1000"),
+        # 2^30000 has more digits than str() converts
+        (["lattice", "--max-label", "1", "--length", "30000"],
+         "lattice k=30000: a count of up to (2N)^k = 2^30000 may pass the "
+         f"{sys.get_int_max_str_digits()}-digit limit for printing an integer"),
+        (["lattice", "--max-label", "1000000000", "--length", "100000000"],
+         "lattice k=100000000: a count of up to (2N)^k = 2000000000^100000000 may "
+         f"pass the {sys.get_int_max_str_digits()}-digit limit for printing an integer"),
+    ):
+        code, rep = run_json(argv)
+        assert code == 5, argv
+        assert rep["result"] == {}
+        assert rep["diagnostics"] == {"truncated": True, "notes": [note]}
+        assert capsys.readouterr().err == ""
+    # odd lengths count 0 at any size
+    code, rep = run_json(["lattice", "--max-label", "1", "--length", "30001"])
+    assert code == 0 and rep["result"]["count"] == "0"
+
+
+def test_lattice_pinned_count():
+    # checked separately as k! [x^(k/2)] (sum_m x^m / m!^2)^N in exact
+    # rationals
+    code, rep = run_json(["lattice", "--max-label", "12", "--length", "60"])
+    assert code == 0
+    assert rep["result"]["count"] == (
+        "129819358854936648696892292190621795227972793646557166046085610967874011136"
+    )
+
+
+def test_cumulants_both_past_the_word_budget_keeps_the_direct_value(capsys):
+    argv = ["cumulants", "--graph", fx("one-loop"), "--n", "6", "--formula", "both",
+            "--budget", "10"]
+    code, rep = run_json(argv)
+    assert code == 5
+    assert rep["result"] == {"diagonal": {"v": "4"}}
+    assert rep["diagnostics"]["notes"] == ["cumulant_via_wc: enumeration budget exhausted"]
+    assert capsys.readouterr().err == ""
+
+
+def test_balance_count_no_longer_truncates_moments(capsys):
+    # the half-walk balance count fits where the full-length walk ran out
+    code, rep = run_json(
+        ["moments", "--graph", fx("two-loop"), "--n", "8", "--budget", "300"]
+    )
+    assert code == 0
+    assert rep["diagnostics"]["reduction_count"] == 2092
+    assert rep["diagnostics"]["balance_count"] == 4900
+    assert capsys.readouterr().err == ""

@@ -17,7 +17,9 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidlab.fixtures import fixture
+from groupoidlab import _kernel
+from groupoidlab.automaton import GraphAutomaton, build_tree, is_fractaloid
+from groupoidlab.fixtures import FIXTURES, fixture
 from groupoidlab.graphs import DirectedGraph, Edge, shadow, validate_graph
 from groupoidlab.groupoid import (
     ReducedPath,
@@ -181,6 +183,89 @@ def test_property_dp_matches_enumeration_and_oracle(lg, n):
     assert m == w_m_set(lg, n).tallies
     assert m == DiagonalElement.of(oracle_expectation_power(lg, n, n))
     assert balance_moment(lg, n) == w_m_set(lg, n, "balance").tallies
+
+
+def balanced_loops_full(kg, n):
+    """Reference balance counts: every length-n walk from each start
+    vertex, tracked by (current vertex, balance code) to the end.  The
+    balance vector is packed in balanced base 2n + 1, whose digits never
+    carry, so code 0 is exactly the zero vector."""
+    radix = 2 * n + 1
+    step = [(1 if k > 0 else -1) * radix ** (abs(k) - 1) for k in kg.labels]
+    counts = []
+    for s in range(kg.n_vertices):
+        states = {(s, 0): 1}
+        for _ in range(n):
+            nxt = {}
+            for (cur, code), c in states.items():
+                for e in kg.out(cur):
+                    key = (kg.dst[e], code + step[e])
+                    nxt[key] = nxt.get(key, 0) + c
+            states = nxt
+        counts.append(states.get((s, 0), 0))
+    return counts
+
+
+
+
+def regular_to_depth(aut, tree, full):
+    """Reference regularity: every node above the last level has one
+    child per label of the full set."""
+    for node in tree.nodes():
+        if node.depth == tree.depth:
+            continue
+        labels = sorted(aut.lg.label(k.edge) for k in node.children)
+        if labels != full:
+            return False
+    return True
+
+
+def assert_verdict_matches_trees(lg, depth):
+    aut = GraphAutomaton(lg)
+    n = lg.max_label
+    full = sorted(list(range(-n, 0)) + list(range(1, n + 1)))
+    trees = []
+    for v in lg.shadowed.vertices:
+        tree = build_tree(aut, v, depth)
+        trees.append((v, regular_to_depth(aut, tree, full), len(tree.nodes())))
+    assert is_fractaloid(aut, depth).trees == tuple(trees)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lg=labeled_multigraphs(), depth=st.integers(1, 4))
+def test_property_fractaloid_verdict_matches_built_trees(lg, depth):
+    assert_verdict_matches_trees(lg, depth)
+
+
+def test_fractaloid_regular_ignores_the_last_level():
+    # v1 carries all of +-1, +-2 and v2 does not: the depth-1 tree from
+    # v1 is regular, the depth-2 tree is not
+    g = DirectedGraph(
+        ["v1", "v2"],
+        [Edge("a", "v1", "v1"), Edge("b", "v1", "v2"), Edge("c", "v2", "v1")],
+    )
+    lg = assign_weights(shadow(g), MODE_EXPLICIT, {"a": 1, "b": 2, "c": 2})
+    for depth in (1, 2, 3):
+        assert_verdict_matches_trees(lg, depth)
+    aut = GraphAutomaton(lg)
+    assert is_fractaloid(aut, 1).trees[0] == ("v1", True, 5)
+    assert is_fractaloid(aut, 2).trees[0] == ("v1", False, 17)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lg=labeled_multigraphs(), n=st.integers(1, 10))
+def test_property_balance_count_matches_full_length_walks(lg, n):
+    kg = _kernel.kernel_graph(lg)
+    counts, _, truncated = _kernel.tally_words(kg, n, "balance")
+    assert counts == balanced_loops_full(kg, n)
+    assert not truncated
+
+
+def test_fixture_balance_counts_match_full_length_walks():
+    for name in sorted(FIXTURES):
+        kg = _kernel.kernel_graph(labeled(name))
+        for n in range(1, 11):
+            assert _kernel.tally_words(kg, n, "balance")[0] == balanced_loops_full(kg, n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,10 @@
+import itertools
 import random
+from math import factorial
 
 import pytest
 
+from groupoidlab.errors import BudgetExceededError
 from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import GraphError, shadow
 from groupoidlab.groupoid import ReducedPath, Vertex, inverse, reduce_word
@@ -221,6 +224,43 @@ def test_count_axis_paths_matches_brute():
             if (2 * n) ** k > 300_000:
                 continue
             assert count_axis_paths(n, k) == count_axis_paths_brute(n, k)
+
+
+def count_axis_paths_compositions(max_label, length):
+    """Reference: the sum over compositions m_1+...+m_N = k/2 of
+    k! / prod(m_j!)^2, one term per composition."""
+    if length % 2:
+        return 0
+    half = length // 2
+    total = 0
+    for cut in itertools.combinations(range(half + max_label - 1), max_label - 1):
+        parts = []
+        prev = -1
+        for c in cut:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(half + max_label - 2 - prev)
+        denom = 1
+        for m in parts:
+            denom *= factorial(m) ** 2
+        total += factorial(length) // denom
+    return total
+
+
+def test_count_axis_paths_matches_composition_sum():
+    for n in range(1, 7):
+        for k in range(1, 25):
+            assert count_axis_paths(n, k) == count_axis_paths_compositions(n, k), (n, k)
+
+
+def test_count_axis_paths_budget_counts_recurrence_terms():
+    # N = 3, k = 8: one middle step of 1 + 2 + ... + 5 terms, then 5
+    assert count_axis_paths(3, 8, budget=20) == count_axis_paths(3, 8)
+    with pytest.raises(BudgetExceededError, match="20 recurrence terms"):
+        count_axis_paths(3, 8, budget=19)
+    # odd lengths and N = 1 sum nothing
+    assert count_axis_paths(3, 9, budget=1) == 0
+    assert count_axis_paths(1, 8, budget=1) == 70
 
 
 def test_assign_weights_empty_graph_errors():
