@@ -155,11 +155,14 @@ def build_tree(aut: GraphAutomaton, root_vertex: str, depth: int) -> AutomatonTr
         raise GraphError(f"unknown root vertex {root_vertex!r}")
     tables = _kernel.signed_tables(aut.shadowed)
     root = aut.shadowed.vertices.index(root_vertex)
-    size = sum(sum(ends) for ends in _walk_counts(tables, root, depth))
-    if size > NODE_BUDGET:
-        raise BudgetExceededError(
-            f"tree of {size} nodes exceeds the node budget {NODE_BUDGET}"
-        )
+    size = 0
+    for d, ends in enumerate(_walk_counts(tables, root, depth)):
+        size += sum(ends)
+        if size > NODE_BUDGET:  # counting stops at the first level past it
+            more = "" if d == depth else "more than "
+            raise BudgetExceededError(
+                f"tree of {more}{size} nodes exceeds the node budget {NODE_BUDGET}"
+            )
 
     # Depth-first with an explicit stack of [state, edge, depth, finished
     # children, edges still to grow]; a node is built once all its
@@ -201,7 +204,9 @@ def _local_label_sets(aut: GraphAutomaton):
     }
 
 
-def is_fractaloid(aut: GraphAutomaton, depth: int = 4) -> FractaloidVerdict:
+def is_fractaloid(
+    aut: GraphAutomaton, depth: int = 4, max_nodes: int | None = None
+) -> FractaloidVerdict:
     """Decide the fractaloid property.
 
     Local criterion (complete for finite labeled graphs): at every
@@ -211,6 +216,8 @@ def is_fractaloid(aut: GraphAutomaton, depth: int = 4) -> FractaloidVerdict:
     tree's node count (walks of length <= depth) and its regularity (the
     local criterion at each vertex reached in fewer than depth steps)
     come from walk counts.  The verdict is labeled with the depth checked.
+    A tree of more than max_nodes nodes raises BudgetExceededError at the
+    first level where its count passes the bound.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -232,6 +239,10 @@ def is_fractaloid(aut: GraphAutomaton, depth: int = 4) -> FractaloidVerdict:
         regular, nodes = True, 0
         for d, ends in enumerate(_walk_counts(tables, root, depth)):
             nodes += sum(ends)
+            if max_nodes is not None and nodes > max_nodes:
+                raise BudgetExceededError(
+                    f"the depth-{depth} tree at {v} passes max_nodes at depth {d}"
+                )
             if d < depth and any(c and bad for c, bad in zip(ends, irregular)):
                 regular = False
         trees.append((v, regular, nodes))

@@ -4,6 +4,9 @@ Exit codes: 0 ok, 2 IO error, 3 parse/schema error, 4 validation
 failure, 5 budget exhausted (partial results are still emitted, with a
 truncated flag), 6 verification mismatch.  Identical invocations print
 byte-identical output.
+
+Each subcommand returns only its result, adding its own diagnostics to
+the dict it is handed; main assembles and emits the one report.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ EXIT_VERIFY = 6
 
 
 class VerificationMismatch(RuntimeError):
-    def __init__(self, message, report):
+    def __init__(self, message, result):
         super().__init__(message)
-        self.report = report
+        self.result = result
 
 
 def _diag_payload(d: DiagonalElement) -> dict:
@@ -38,7 +41,7 @@ def _diag_payload(d: DiagonalElement) -> dict:
     return {v: str(c) for v, c in d.coeffs}
 
 
-def _load_labeled(args) -> tuple[LabeledGraph, dict]:
+def _load_labeled(args) -> tuple[LabeledGraph, dict, list]:
     graph, file_labels = graphio.parse_graph_file(args.graph)
     report = validate_graph(graph)
     if not report.ok:
@@ -59,8 +62,7 @@ def _load_labeled(args) -> tuple[LabeledGraph, dict]:
         "max_label": lg.max_label,
         "labeling": mode,
     }
-    notes = list(fixtures.notes_for(graph, file_labels))
-    return lg, {"inputs": inputs, "notes": notes}
+    return lg, inputs, list(fixtures.notes_for(graph, file_labels))
 
 
 def _emit(args, report: dict) -> None:
@@ -106,67 +108,58 @@ def _emit_text(report: dict) -> None:
     print(f"status: {report['status']}")
 
 
-def _cmd_moments(args) -> tuple[dict, int]:
-    lg, ctx = _load_labeled(args)
-    diagnostics = {"notes": ctx["notes"], "truncated": False}
-    code = EXIT_OK
+def _digit_limit() -> int:
+    """Python's limit on the digits of an integer str() prints; 0: none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _unprintable(what: str, limit: int) -> BudgetExceededError:
+    return BudgetExceededError(f"{what} the {limit}-digit limit for printing an integer")
+
+
+def _cmd_moments(args, lg, diagnostics) -> dict:
     reduction = moments.tally(lg, args.n, "reduction", budget=args.budget)
     balance = moments.tally(lg, args.n, "balance", budget=args.budget)
     primary = reduction if args.mode == "reduction" else balance
     if reduction.truncated or balance.truncated:
         diagnostics["truncated"] = True
-        code = EXIT_BUDGET
     red_total = sum(c for _, c in reduction.diagonal.coeffs)
     bal_total = sum(c for _, c in balance.diagonal.coeffs)
     diagnostics["reduction_count"] = red_total
     diagnostics["balance_count"] = bal_total
     # a difference between partial tallies says nothing about the counts
     if red_total != bal_total and not diagnostics["truncated"]:
-        diagnostics["notes"] = diagnostics["notes"] + [
+        diagnostics["notes"].append(
             f"reduction and balance counts differ at n={args.n} "
             f"({red_total} vs {bal_total}); the reduction count is the one "
             "matching the operator oracle."
-        ]
+        )
     result = {"diagonal": _diag_payload(primary.diagonal), "n": args.n, "mode": args.mode}
     if args.words:
         rep = moments.w_m_set(lg, args.n, args.mode, budget=args.budget)
         result["words"] = [[s.name() for s in w] for w in rep.words]
-    report = {
-        "command": "moments",
-        "inputs": ctx["inputs"],
-        "result": result,
-        "diagnostics": diagnostics,
-    }
     if args.verify:
         oracle = operators.oracle_expectation_power(
             lg, args.n, args.n, budget=args.basis_budget
         )
-        report["diagnostics"]["oracle"] = {v: str(c) for v, c in sorted(oracle.items())}
+        diagnostics["oracle"] = {v: str(c) for v, c in sorted(oracle.items())}
         if DiagonalElement.of(oracle) != reduction.diagonal:
-            raise VerificationMismatch("moments disagree with the oracle", report)
-    return report, code
+            raise VerificationMismatch("moments disagree with the oracle", result)
+    return result
 
 
-def _cmd_oracle(args) -> tuple[dict, int]:
-    lg, ctx = _load_labeled(args)
+def _cmd_oracle(args, lg, diagnostics) -> dict:
     values = operators.oracle_expectation_power(
         lg, args.n, args.max_len, budget=args.basis_budget
     )
-    result = {
+    return {
         "diagonal": {v: str(c) for v, c in sorted(values.items())},
         "n": args.n,
         "max_len": args.max_len,
     }
-    return {
-        "command": "oracle",
-        "inputs": ctx["inputs"],
-        "result": result,
-        "diagnostics": {"notes": ctx["notes"], "truncated": False},
-    }, EXIT_OK
 
 
-def _cmd_cumulants(args) -> tuple[dict, int]:
-    lg, ctx = _load_labeled(args)
+def _cmd_cumulants(args, lg, diagnostics) -> dict:
     result: dict = {"n": args.n, "formula": args.formula}
     if args.formula in ("direct", "both"):
         direct = moments.cumulant_direct(lg, args.n)
@@ -181,40 +174,25 @@ def _cmd_cumulants(args) -> tuple[dict, int]:
             raise BudgetExceededError(str(exc), partial=direct) from exc
         result.setdefault("diagonal", _diag_payload(wc))
         result["wc"] = _diag_payload(wc)
-    diagnostics: dict = {"notes": ctx["notes"], "truncated": False}
     if args.formula == "both":
         diagnostics["formulas_agree"] = result["diagonal"] == result["wc"]
+    return result
+
+
+def _cmd_joint(args, lg, diagnostics) -> dict:
+    m = moments.joint_moment(lg, args.indices, budget=args.budget)
+    k = moments.joint_cumulant(lg, args.indices)
     return {
-        "command": "cumulants",
-        "inputs": ctx["inputs"],
-        "result": result,
-        "diagnostics": diagnostics,
-    }, EXIT_OK
-
-
-def _cmd_joint(args) -> tuple[dict, int]:
-    lg, ctx = _load_labeled(args)
-    indices = _parse_indices(args.indices)
-    m = moments.joint_moment(lg, indices, budget=args.budget)
-    k = moments.joint_cumulant(lg, indices)
-    result = {
-        "indices": list(indices),
+        "indices": list(args.indices),
         "diagonal": _diag_payload(m),
         "cumulant": _diag_payload(k),
     }
-    return {
-        "command": "joint",
-        "inputs": ctx["inputs"],
-        "result": result,
-        "diagnostics": {"notes": ctx["notes"], "truncated": False},
-    }, EXIT_OK
 
 
-def _cmd_freeness(args) -> tuple[dict, int]:
-    lg, ctx = _load_labeled(args)
-    k1, k2 = _parse_indices(args.families)
+def _cmd_freeness(args, lg, diagnostics) -> dict:
+    k1, k2 = args.families
     rep = moments.check_freeness(lg, k1, k2, max_n=args.max_n)
-    result = {
+    return {
         "families": [k1, k2],
         "max_n": rep.max_n,
         "tuples_checked": rep.tuples_checked,
@@ -226,19 +204,27 @@ def _cmd_freeness(args) -> tuple[dict, int]:
             for idx, val in rep.nonzero
         ],
     }
+
+
+def _cmd_fractaloid(args, lg, diagnostics) -> dict:
+    sh = lg.shadowed
+    # one step per signed edge, depth and root, charged up front
+    steps = args.depth * len(sh.signed_edges) * len(sh.vertices)
+    if steps > args.budget:
+        raise BudgetExceededError(
+            f"fractaloid depth={args.depth}: {steps} walk steps exceed the "
+            f"budget {args.budget}"
+        )
+    limit = _digit_limit()
+    try:
+        verdict = automaton.is_fractaloid(
+            automaton.GraphAutomaton(lg),
+            depth=args.depth,
+            max_nodes=10**limit - 1 if limit else None,
+        )
+    except BudgetExceededError:
+        raise _unprintable(f"fractaloid depth={args.depth}: a node count passes", limit) from None
     return {
-        "command": "freeness",
-        "inputs": ctx["inputs"],
-        "result": result,
-        "diagnostics": {"notes": ctx["notes"], "truncated": False},
-    }, EXIT_OK
-
-
-def _cmd_fractaloid(args) -> tuple[dict, int]:
-    lg, ctx = _load_labeled(args)
-    aut = automaton.GraphAutomaton(lg)
-    verdict = automaton.is_fractaloid(aut, depth=args.depth)
-    result = {
         "fractaloid": verdict.fractaloid,
         "depth": verdict.depth,
         "max_label": verdict.max_label,
@@ -247,56 +233,37 @@ def _cmd_fractaloid(args) -> tuple[dict, int]:
             {"root": v, "regular": reg, "nodes": cnt} for v, reg, cnt in verdict.trees
         ],
     }
-    return {
-        "command": "fractaloid",
-        "inputs": ctx["inputs"],
-        "result": result,
-        "diagnostics": {"notes": ctx["notes"], "truncated": False},
-    }, EXIT_OK
 
 
-def _cmd_tree(args) -> tuple[dict, int]:
-    lg, ctx = _load_labeled(args)
+def _cmd_tree(args, lg, diagnostics) -> dict | None:
     aut = automaton.GraphAutomaton(lg)
     root = args.root or lg.graph.vertices[0]
     tree = automaton.build_tree(aut, root, args.depth)
     dot = automaton.tree_dot(aut, tree)
     if args.format == "text":
         print(dot)
-        return None, EXIT_OK  # DOT already emitted
-    result = {"root": root, "depth": args.depth, "dot": dot, "nodes": len(tree.nodes())}
-    return {
-        "command": "tree",
-        "inputs": ctx["inputs"],
-        "result": result,
-        "diagnostics": {"notes": ctx["notes"], "truncated": False},
-    }, EXIT_OK
+        return None  # DOT already emitted
+    return {"root": root, "depth": args.depth, "dot": dot, "nodes": len(tree.nodes())}
 
 
-def _cmd_lattice(args) -> tuple[dict, int]:
+def _cmd_lattice(args, lg, diagnostics) -> dict:
     n, k = args.max_label, args.length
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    limit = _digit_limit()
     # refuse up front a count that str() might not print: it is at most
     # (2N)^k, which is at least 16^limit once k * bit_length(N) >= 4 limit
     if limit and n >= 1 and k >= 1 and not k % 2 and (
         k * n.bit_length() >= 4 * limit or (2 * n) ** k >= 10**limit
     ):
-        raise BudgetExceededError(
-            f"lattice k={k}: a count of up to (2N)^k = {2 * n}^{k} may pass "
-            f"the {limit}-digit limit for printing an integer"
+        raise _unprintable(
+            f"lattice k={k}: a count of up to (2N)^k = {2 * n}^{k} may pass", limit
         )
     count = count_axis_paths(n, k, budget=args.budget)
-    result = {"max_label": args.max_label, "length": args.length, "count": str(count)}
-    return {
-        "command": "lattice",
-        "result": result,
-        "diagnostics": {"truncated": False},
-    }, EXIT_OK
+    return {"max_label": n, "length": k, "count": str(count)}
 
 
-def _cmd_nc(args) -> tuple[dict, int]:
+def _cmd_nc(args, lg, diagnostics) -> dict:
     row = ncpartitions.moebius_row(args.n)
-    result = {
+    return {
         "n": args.n,
         "count": len(row),
         "catalan": ncpartitions.catalan(args.n),
@@ -305,18 +272,20 @@ def _cmd_nc(args) -> tuple[dict, int]:
         ],
         "moebius_sum": sum(mu for _, mu in row),
     }
-    return {
-        "command": "nc",
-        "result": result,
-        "diagnostics": {"truncated": False},
-    }, EXIT_OK
 
 
-def _parse_indices(raw: str) -> tuple:
+def _index_list(raw: str) -> tuple:
     try:
         return tuple(int(part) for part in raw.split(",") if part.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad index list {raw!r}") from None
+
+
+def _label_pair(raw: str) -> tuple:
+    pair = _index_list(raw)
+    if len(pair) != 2:
+        raise argparse.ArgumentTypeError(f"need exactly two labels, got {raw!r}")
+    return pair
 
 
 def _positive_int(raw: str) -> int:
@@ -333,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, graph=True):
+    def add_command(name, func, help, graph=True, csv=False, budget=False,
+                    basis_budget=False):
+        """A subcommand with only the common flags that func reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         if graph:
             p.add_argument("--graph", required=True, help="graph JSON file")
             p.add_argument(
@@ -342,9 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default="auto",
                 help="labeling mode (auto: explicit when the file has labels)",
             )
-        p.add_argument(
-            "--format", choices=["text", "json", "csv"], default="text"
-        )
+        formats = ["text", "json", "csv"] if csv else ["text", "json"]
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument(
             "--json",
             dest="format",
@@ -352,13 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
             const="json",
             help="shorthand for --format json",
         )
-        p.add_argument("--budget", type=_positive_int, default=moments.ENUM_BUDGET)
-        p.add_argument(
-            "--basis-budget", type=_positive_int, default=operators.BASIS_BUDGET
-        )
+        if budget:
+            p.add_argument("--budget", type=_positive_int, default=moments.ENUM_BUDGET)
+        if basis_budget:
+            p.add_argument(
+                "--basis-budget", type=_positive_int, default=operators.BASIS_BUDGET
+            )
+        return p
 
-    p = sub.add_parser("moments", help="E(T_G^n) by the excursion DP")
-    add_common(p)
+    p = add_command("moments", _cmd_moments, "E(T_G^n) by the excursion DP",
+                    csv=True, budget=True, basis_budget=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["reduction", "balance"], default="reduction")
     p.add_argument("--verify", action="store_true", help="cross-check with the oracle")
@@ -367,61 +342,53 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the qualifying words (signed edge ids, ~ marks the shadow)",
     )
-    p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("oracle", help="E(T_G^n) from the truncated operator model")
-    add_common(p)
+    p = add_command("oracle", _cmd_oracle, "E(T_G^n) from the truncated operator model",
+                    csv=True, basis_budget=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("cumulants", help="k_n(T_G, ..., T_G)")
-    add_common(p)
+    p = add_command("cumulants", _cmd_cumulants, "k_n(T_G, ..., T_G)", csv=True, budget=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--formula", choices=["direct", "wc", "both"], default="direct")
-    p.set_defaults(func=_cmd_cumulants)
 
-    p = sub.add_parser("joint", help="joint moment and cumulant for an index tuple")
-    add_common(p)
-    p.add_argument("--indices", required=True, help="comma-separated labels, e.g. 1,-1,2")
-    p.set_defaults(func=_cmd_joint)
+    p = add_command("joint", _cmd_joint, "joint moment and cumulant for an index tuple",
+                    csv=True, budget=True)
+    p.add_argument("--indices", type=_index_list, required=True,
+                   help="comma-separated labels, e.g. 1,-1,2")
 
-    p = sub.add_parser("freeness", help="mixed cumulants between two label families")
-    add_common(p)
-    p.add_argument("--families", required=True, help="two labels, e.g. 1,2")
+    p = add_command("freeness", _cmd_freeness, "mixed cumulants between two label families")
+    p.add_argument("--families", type=_label_pair, required=True, help="two labels, e.g. 1,2")
     p.add_argument("--max-n", type=int, default=4)
-    p.set_defaults(func=_cmd_freeness)
 
-    p = sub.add_parser("fractaloid", help="decide the fractaloid property")
-    add_common(p)
+    p = add_command("fractaloid", _cmd_fractaloid, "decide the fractaloid property",
+                    budget=True)
     p.add_argument("--depth", type=int, default=4)
-    p.set_defaults(func=_cmd_fractaloid)
 
-    p = sub.add_parser("tree", help="emit the depth-d action tree as DOT")
-    add_common(p)
+    p = add_command("tree", _cmd_tree, "emit the depth-d action tree as DOT")
     p.add_argument("--root", default=None)
     p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=_cmd_tree)
 
-    p = sub.add_parser("lattice", help="count balanced label words")
-    add_common(p, graph=False)
+    p = add_command("lattice", _cmd_lattice, "count balanced label words", graph=False,
+                    budget=True)
     p.add_argument("--max-label", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.set_defaults(func=_cmd_lattice)
 
-    p = sub.add_parser("nc", help="noncrossing partition diagnostics")
-    add_common(p, graph=False)
+    p = add_command("nc", _cmd_nc, "noncrossing partition diagnostics", graph=False)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_nc)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    diagnostics: dict = {"truncated": False}
+    report: dict = {"command": args.command, "diagnostics": diagnostics}
     try:
-        report, code = args.func(args)
+        lg = None
+        if hasattr(args, "graph"):
+            lg, report["inputs"], diagnostics["notes"] = _load_labeled(args)
+        report["result"] = args.func(args, lg, diagnostics)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -439,22 +406,20 @@ def main(argv=None) -> int:
             "command": args.command,
             "result": _partial_payload(exc),
             "diagnostics": {"truncated": True, "notes": [str(exc)]},
-            "status": "truncated",
         }
-        _emit(args, report)
-        return EXIT_BUDGET
     except VerificationMismatch as exc:
-        exc.report["status"] = "verification-mismatch"
-        _emit(args, exc.report)
+        report.update(result=exc.result, status="verification-mismatch")
+        _emit(args, report)
         return EXIT_VERIFY
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if report is None:
-        return code
-    report["status"] = "ok" if code == EXIT_OK else "truncated"
+    if report["result"] is None:  # tree has printed its DOT
+        return EXIT_OK
+    truncated = report["diagnostics"]["truncated"]
+    report["status"] = "truncated" if truncated else "ok"
     _emit(args, report)
-    return code
+    return EXIT_BUDGET if truncated else EXIT_OK
 
 
 def _partial_payload(exc: BudgetExceededError) -> dict:

@@ -252,10 +252,14 @@ def _square_convolution(g: list, t: int) -> int:
 
 
 def count_axis_paths_brute(max_label: int, length: int) -> int:
-    """Independent check of count_axis_paths by full enumeration.
-    Exponential; intended for small inputs only.
+    """Independent check of count_axis_paths by full enumeration: a word
+    is balanced when each label k occurs as often as -k.  Exponential;
+    intended for small inputs only.
     """
+    labels = range(1, max_label + 1)
     alphabet = [k for k in range(-max_label, max_label + 1) if k != 0]
     return sum(
-        1 for w in itertools.product(alphabet, repeat=length) if theta(w).is_zero
+        1
+        for w in itertools.product(alphabet, repeat=length)
+        if all(w.count(k) == w.count(-k) for k in labels)
     )

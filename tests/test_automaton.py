@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
+from groupoidlab import automaton
 from groupoidlab.automaton import (
     GraphAutomaton,
     build_tree,
     is_fractaloid,
     tree_dot,
 )
-from groupoidlab.fixtures import fixture
+from groupoidlab.errors import BudgetExceededError
+from groupoidlab.fixtures import FIXTURES, fixture
 from groupoidlab.graphs import GraphError, shadow
 from groupoidlab.groupoid import EMPTY, concat, reduce_word
 from groupoidlab.labeling import EMPTY_WEIGHT, MODE_EXPLICIT, MODE_VERTEX, assign_weights
@@ -248,3 +250,25 @@ def test_build_tree_node_budget(monkeypatch):
     monkeypatch.setattr(automaton, "NODE_BUDGET", 84)
     with pytest.raises(BudgetExceededError, match="tree of 85 nodes exceeds the node budget 84"):
         build_tree(aut, "v", 3)
+
+
+def test_build_tree_stops_counting_past_the_node_budget(monkeypatch):
+    # two-loop: 1 + 4 + 16 nodes pass 20 at depth 2, however deep the tree
+    monkeypatch.setattr(automaton, "NODE_BUDGET", 20)
+    with pytest.raises(
+        BudgetExceededError, match="tree of more than 21 nodes exceeds the node budget 20"
+    ):
+        build_tree(automaton_for("two-loop"), "v", 10**9)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fractaloid_node_bound(name):
+    aut = automaton_for(name)
+    verdict = is_fractaloid(aut, depth=5)
+    largest = max(cnt for _, _, cnt in verdict.trees)
+    assert is_fractaloid(aut, depth=5, max_nodes=largest) == verdict
+    with pytest.raises(BudgetExceededError):
+        is_fractaloid(aut, depth=5, max_nodes=largest - 1)
+    # counting stops at the first level past the bound
+    with pytest.raises(BudgetExceededError, match="at depth 6$"):
+        is_fractaloid(aut, depth=10**9, max_nodes=largest)

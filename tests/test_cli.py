@@ -4,6 +4,8 @@ import os
 import re
 import sys
 
+import pytest
+
 from groupoidlab import cli
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -465,22 +467,26 @@ def test_hostile_cumulant_orders(capsys):
 
 
 def test_tree_past_the_node_budget_exits_5(capsys):
-    # three-loop at depth 7: 1 + 6 + ... + 6^7 nodes, refused unbuilt
-    argv = ["tree", "--graph", fx("three-loop"), "--depth", "7"]
-    note = "tree of 335923 nodes exceeds the node budget 100000"
-    code, rep = run_json(argv)
-    assert code == 5
-    assert rep["result"] == {}
-    assert rep["diagnostics"] == {"truncated": True, "notes": [note]}
-    code, out = run(argv)
-    assert code == 5
-    assert out.splitlines() == [
-        "command: tree",
-        f"note: {note}",
-        "truncated: True",
-        "status: truncated",
-    ]
-    assert capsys.readouterr().err == ""
+    # three-loop at depth 7: 1 + 6 + ... + 6^7 nodes, refused unbuilt;
+    # deeper trees stop being counted at depth 7
+    for depth, note in (
+        ("7", "tree of 335923 nodes exceeds the node budget 100000"),
+        ("20000", "tree of more than 335923 nodes exceeds the node budget 100000"),
+    ):
+        argv = ["tree", "--graph", fx("three-loop"), "--depth", depth]
+        code, rep = run_json(argv)
+        assert code == 5
+        assert rep["result"] == {}
+        assert rep["diagnostics"] == {"truncated": True, "notes": [note]}
+        code, out = run(argv)
+        assert code == 5
+        assert out.splitlines() == [
+            "command: tree",
+            f"note: {note}",
+            "truncated: True",
+            "status: truncated",
+        ]
+        assert capsys.readouterr().err == ""
 
 
 def test_lattice_budgets_exit_5(capsys):
@@ -535,3 +541,158 @@ def test_balance_count_no_longer_truncates_moments(capsys):
     assert rep["diagnostics"]["reduction_count"] == 2092
     assert rep["diagnostics"]["balance_count"] == 4900
     assert capsys.readouterr().err == ""
+
+
+def run_contract(argv):
+    """(exit code, stdout, stderr) of one in-process run; argparse usage
+    errors end in SystemExit, any other exception is a traceback and
+    fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdout, sys.stderr = old
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_bad_index_lists_are_usage_errors():
+    for argv in (
+        ["joint", "--graph", fx("two-loop"), "--indices", "1,x"],
+        ["freeness", "--graph", fx("two-loop"), "--families", "1,x"],
+        ["freeness", "--graph", fx("two-loop"), "--families", "1"],
+        ["freeness", "--graph", fx("two-loop"), "--families", "1,2,3"],
+    ):
+        code, out, err = run_contract(argv)
+        assert code == 2, argv
+        assert out == "" and "Traceback" not in err
+        assert f"error: argument {argv[3]}: " in err
+
+
+def test_unread_flags_are_usage_errors():
+    # each subcommand declares only the common flags it reads
+    for argv in (
+        ["oracle", "--graph", fx("one-loop"), "--n", "2", "--max-len", "2", "--budget", "5"],
+        ["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--budget", "1"],
+        ["tree", "--graph", fx("one-loop"), "--depth", "1", "--budget", "5"],
+        ["nc", "--n", "3", "--budget", "5"],
+        ["cumulants", "--graph", fx("one-loop"), "--n", "2", "--basis-budget", "5"],
+        ["joint", "--graph", fx("one-loop"), "--indices", "1,-1", "--basis-budget", "5"],
+        ["fractaloid", "--graph", fx("one-loop"), "--basis-budget", "5"],
+        ["lattice", "--max-label", "1", "--length", "2", "--basis-budget", "5"],
+        ["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--format", "csv"],
+        ["fractaloid", "--graph", fx("one-loop"), "--format", "csv"],
+        ["tree", "--graph", fx("one-loop"), "--depth", "1", "--format", "csv"],
+        ["lattice", "--max-label", "1", "--length", "2", "--format", "csv"],
+        ["nc", "--n", "3", "--format", "csv"],
+    ):
+        code, out, err = run_contract(argv)
+        assert code == 2, argv
+        assert out == "" and "Traceback" not in err
+
+
+def test_deep_fractaloid_exits_5(capsys):
+    limit = sys.get_int_max_str_digits()
+    for argv, note in (
+        # the node counts pass the digit limit long before depth 20000;
+        # counting stops at the first level past it
+        (["fractaloid", "--graph", fx("example-6-2"), "--depth", "20000"],
+         f"fractaloid depth=20000: a node count passes the {limit}-digit limit "
+         "for printing an integer"),
+        (["fractaloid", "--graph", fx("three-loop"), "--depth", "300000"],
+         f"fractaloid depth=300000: a node count passes the {limit}-digit limit "
+         "for printing an integer"),
+        # depth x signed edges x roots, charged up front
+        (["fractaloid", "--graph", fx("example-6-2"), "--depth", "10", "--budget", "239"],
+         "fractaloid depth=10: 240 walk steps exceed the budget 239"),
+    ):
+        code, out = run(argv)
+        assert code == 5, argv
+        assert out.splitlines() == [
+            "command: fractaloid",
+            f"note: {note}",
+            "truncated: True",
+            "status: truncated",
+        ]
+        assert capsys.readouterr().err == ""
+    # the whole budget is enough
+    argv = ["fractaloid", "--graph", fx("example-6-2"), "--depth", "10", "--budget", "240"]
+    assert run(argv)[0] == 0
+
+
+BIG = str(10**9)
+
+# Hostile sizes for every subcommand, with the exit code each must give.
+# Left out, as they run far longer than a test should: the word routes
+# (`moments --words`, `cumulants --formula wc`) at huge n, whose
+# --budget counts whole words of n letters each; `moments` at n = 10^9,
+# whose count of admissible words is not budgeted; and `moments --n
+# 20000` at the default budget, whose 10^7 DP transitions on big
+# integers run past 100 s on two-loop.
+HOSTILE = (
+    (["moments", "--graph", fx("two-loop"), "--n", "10001"], 0),
+    (["moments", "--graph", fx("two-loop"), "--n", "10000", "--budget", "1000"], 5),
+    (["moments", "--graph", fx("two-loop"), "--n", "10000", "--mode", "balance",
+      "--budget", "1000"], 5),
+    (["moments", "--graph", fx("two-loop"), "--n", "10000", "--verify",
+      "--budget", "1000"], 5),
+    (["moments", "--graph", fx("two-loop"), "--n", "-" + BIG], 4),
+    (["oracle", "--graph", fx("two-loop"), "--n", BIG, "--max-len", BIG], 5),
+    (["oracle", "--graph", fx("two-loop"), "--n", BIG, "--max-len", "2"], 4),
+    (["cumulants", "--graph", fx("two-loop"), "--n", BIG], 5),
+    (["cumulants", "--graph", fx("two-loop"), "--n", BIG, "--formula", "both"], 5),
+    (["joint", "--graph", fx("two-loop"), "--indices", ",".join(["1,-1"] * 5000)], 5),
+    (["joint", "--graph", fx("two-loop"), "--indices", f"{BIG},-{BIG}"], 4),
+    (["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", BIG], 5),
+    (["freeness", "--graph", fx("two-loop"), "--families", f"1,{BIG}"], 4),
+    (["fractaloid", "--graph", fx("two-loop"), "--depth", BIG], 5),
+    (["fractaloid", "--graph", fx("example-6-2"), "--depth", "20000"], 5),
+    (["fractaloid", "--graph", fx("three-loop"), "--depth", "300000"], 5),
+    (["tree", "--graph", fx("two-loop"), "--depth", BIG], 5),
+    (["tree", "--graph", fx("two-loop"), "--depth", "-" + BIG], 4),
+    (["lattice", "--max-label", BIG, "--length", BIG], 5),
+    (["lattice", "--max-label", BIG, "--length", "2"], 5),
+    (["lattice", "--max-label", "2", "--length", BIG], 5),
+    (["nc", "--n", BIG], 5),
+)
+
+
+def argv_id(argv):
+    """A short test id: fixture names for paths, long values cut."""
+    return " ".join(os.path.basename(a).removesuffix(".json")[:20] for a in argv)
+
+
+@pytest.mark.parametrize("argv, expected", HOSTILE, ids=[argv_id(a) for a, _ in HOSTILE])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_hostile_sizes_keep_the_exit_code_contract(argv, expected, fmt):
+    code, out, err = run_contract(argv + fmt)
+    assert code == expected
+    assert "Traceback" not in err
+    if code == 5:
+        assert err == ""
+        assert out.rstrip().endswith("truncated" if not fmt else '"status": "truncated"}')
+
+
+RERUN = (
+    ["moments", "--graph", fx("example-6-2"), "--n", "6", "--verify", "--words"],
+    ["moments", "--graph", fx("two-loop"), "--n", "8", "--budget", "50"],
+    ["oracle", "--graph", fx("two-loop"), "--n", "4", "--max-len", "4"],
+    ["cumulants", "--graph", fx("one-loop"), "--n", "4", "--formula", "both"],
+    ["joint", "--graph", fx("example-6-2"), "--indices", "1,-1,2,-2"],
+    ["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", "3"],
+    ["fractaloid", "--graph", fx("example-6-2"), "--depth", "4"],
+    ["tree", "--graph", fx("example-6-2"), "--depth", "2"],
+    ["lattice", "--max-label", "3", "--length", "10"],
+    ["nc", "--n", "5"],
+)
+
+
+@pytest.mark.parametrize("argv", RERUN, ids=[argv_id(a) for a in RERUN])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_rerun_gives_identical_bytes(argv, fmt):
+    first = run_contract(argv + fmt)
+    assert first[1]
+    assert run_contract(argv + fmt) == first

@@ -14,7 +14,7 @@ import itertools
 import random
 from math import prod
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupoidlab import _kernel
@@ -26,6 +26,7 @@ from groupoidlab.groupoid import (
     Vertex,
     concat,
     d_loop_words,
+    diagram_distinct,
     enumerate_admissible_words,
     reduce_word,
 )
@@ -359,3 +360,18 @@ def test_property_joint_cumulant_matches_moebius(lg, data):
     indices = tuple(data.draw(st.sampled_from(labels)) for _ in range(n))
     moebius = cumulant_of(lg, [edge_sum(lg, k) for k in indices])
     assert joint_cumulant(lg, indices) == moebius
+
+
+@settings(max_examples=100, deadline=None)
+@given(lg=labeled_multigraphs(max_edges=5), data=st.data())
+def test_property_label_families_are_diagram_distinct(lg, data):
+    # check_freeness reports this as a constant: a base edge carries one
+    # |label|, so no letter of one family shares a base edge with, or
+    # inverts, a letter of the other
+    assume(lg.max_label >= 2)
+    k1, k2 = data.draw(
+        st.lists(st.integers(1, lg.max_label), min_size=2, max_size=2, unique=True)
+    )
+    fam1 = [ReducedPath((s,)) for k in (k1, -k1) for s in lg.signed_with_label(k)]
+    fam2 = [ReducedPath((s,)) for k in (k2, -k2) for s in lg.signed_with_label(k)]
+    assert all(diagram_distinct(a, b) for a in fam1 for b in fam2)
