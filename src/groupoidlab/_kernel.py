@@ -26,40 +26,114 @@ walks number the sum of the squared half-walk counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
+from .errors import frozen
 
-@dataclass(frozen=True)
+
 class SignedTables:
     """Flat integer view of a shadowed graph, labels left out.
 
     Signed edge i has endpoints src[i] -> dst[i] (vertex indices) and
     inverse partner inv[i].  out_start and out_list form a CSR
     adjacency over signed edges, index-sorted.  edge_index maps each
-    SignedEdge to its index.
+    SignedEdge to its index; it is left out of equality, hash and repr.
     """
 
-    n_vertices: int
-    n_signed: int
-    src: tuple
-    dst: tuple
-    inv: tuple
-    out_start: tuple
-    out_list: tuple
-    edge_index: dict = field(compare=False, repr=False)
+    __slots__ = (
+        "n_vertices",
+        "n_signed",
+        "src",
+        "dst",
+        "inv",
+        "out_start",
+        "out_list",
+        "edge_index",
+    )
+
+    def __init__(
+        self,
+        n_vertices: int,
+        n_signed: int,
+        src: tuple,
+        dst: tuple,
+        inv: tuple,
+        out_start: tuple,
+        out_list: tuple,
+        edge_index: dict,
+    ):
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "n_signed", n_signed)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "out_start", out_start)
+        object.__setattr__(self, "out_list", out_list)
+        object.__setattr__(self, "edge_index", edge_index)
+
+    __setattr__ = __delattr__ = frozen
+
+    def _key(self) -> tuple:
+        return (
+            self.n_vertices,
+            self.n_signed,
+            self.src,
+            self.dst,
+            self.inv,
+            self.out_start,
+            self.out_list,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _fields_repr(self) -> str:
+        return (
+            f"n_vertices={self.n_vertices!r}, n_signed={self.n_signed!r}, "
+            f"src={self.src!r}, dst={self.dst!r}, inv={self.inv!r}, "
+            f"out_start={self.out_start!r}, out_list={self.out_list!r}"
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._fields_repr()})"
 
     def out(self, v: int) -> tuple:
         return self.out_list[self.out_start[v] : self.out_start[v + 1]]
 
 
-@dataclass(frozen=True)
 class KernelGraph(SignedTables):
     """SignedTables plus the signed label labels[i] of each signed edge
     (the inverse carries the negated label)."""
 
-    labels: tuple
-    n_labels: int
+    __slots__ = ("labels", "n_labels")
+
+    def __init__(
+        self,
+        n_vertices: int,
+        n_signed: int,
+        src: tuple,
+        dst: tuple,
+        inv: tuple,
+        out_start: tuple,
+        out_list: tuple,
+        edge_index: dict,
+        labels: tuple,
+        n_labels: int,
+    ):
+        super().__init__(n_vertices, n_signed, src, dst, inv, out_start, out_list, edge_index)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "n_labels", n_labels)
+
+    def _key(self) -> tuple:
+        return super()._key() + (self.labels, self.n_labels)
+
+    def _fields_repr(self) -> str:
+        return super()._fields_repr() + f", labels={self.labels!r}, n_labels={self.n_labels!r}"
 
 
 def signed_tables(sh) -> SignedTables:
@@ -92,7 +166,14 @@ def kernel_graph(lg) -> KernelGraph:
     """Flatten a LabeledGraph for the moment engine."""
     tables = signed_tables(lg.shadowed)
     return KernelGraph(
-        **vars(tables),
+        tables.n_vertices,
+        tables.n_signed,
+        tables.src,
+        tables.dst,
+        tables.inv,
+        tables.out_start,
+        tables.out_list,
+        tables.edge_index,
         labels=tuple(lg.label(s) for s in lg.shadowed.signed_edges),
         n_labels=lg.max_label,
     )

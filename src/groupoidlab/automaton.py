@@ -9,10 +9,8 @@ continuation path in its extended form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _kernel, groupoid
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, frozen
 from .graphs import GraphError, SignedEdge
 from .groupoid import EMPTY, ReducedPath, Vertex
 from .labeling import EMPTY_WEIGHT, LabeledGraph, WeightedElement, weight
@@ -94,16 +92,26 @@ def _as_word(w):
     return word if word else None
 
 
-@dataclass(frozen=True, eq=False)
 class TreeNode:
     """A node of an action tree.  Nodes compare and hash by identity,
     and the repr counts the children instead of descending into them,
     so deep trees need no recursion."""
 
-    state: WeightedElement
-    edge: SignedEdge | None  # psi output that produced this node; None at the root
-    depth: int
-    children: tuple
+    __slots__ = ("state", "edge", "depth", "children")
+
+    def __init__(
+        self,
+        state: WeightedElement,
+        edge: SignedEdge | None,  # psi output that produced this node; None at the root
+        depth: int,
+        children: tuple,
+    ):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "children", children)
+
+    __setattr__ = __delattr__ = frozen
 
     def __repr__(self) -> str:
         return (
@@ -112,11 +120,32 @@ class TreeNode:
         )
 
 
-@dataclass(frozen=True)
 class AutomatonTree:
-    root_vertex: str
-    depth: int
-    root: TreeNode
+    __slots__ = ("root_vertex", "depth", "root")
+
+    def __init__(self, root_vertex: str, depth: int, root: TreeNode):
+        object.__setattr__(self, "root_vertex", root_vertex)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "root", root)
+
+    __setattr__ = __delattr__ = frozen
+
+    def _key(self) -> tuple:
+        return (self.root_vertex, self.depth, self.root)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"AutomatonTree(root_vertex={self.root_vertex!r}, depth={self.depth!r}, "
+            f"root={self.root!r})"
+        )
 
     def nodes(self):
         out = []
@@ -185,13 +214,41 @@ def build_tree(aut: GraphAutomaton, root_vertex: str, depth: int) -> AutomatonTr
         stack[-1][3].append(node)
 
 
-@dataclass(frozen=True)
 class FractaloidVerdict:
-    fractaloid: bool
-    depth: int
-    max_label: int
-    witness: dict | None  # vertex and reason of the first local failure
-    trees: tuple  # per-root (vertex, regular, node count)
+    __slots__ = ("fractaloid", "depth", "max_label", "witness", "trees")
+
+    def __init__(
+        self,
+        fractaloid: bool,
+        depth: int,
+        max_label: int,
+        witness: dict | None,  # vertex and reason of the first local failure
+        trees: tuple,  # per-root (vertex, regular, node count)
+    ):
+        object.__setattr__(self, "fractaloid", fractaloid)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "max_label", max_label)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "trees", trees)
+
+    __setattr__ = __delattr__ = frozen
+
+    def _key(self) -> tuple:
+        return (self.fractaloid, self.depth, self.max_label, self.witness, self.trees)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"FractaloidVerdict(fractaloid={self.fractaloid!r}, depth={self.depth!r}, "
+            f"max_label={self.max_label!r}, witness={self.witness!r}, trees={self.trees!r})"
+        )
 
 
 def _local_label_sets(aut: GraphAutomaton):

@@ -1,4 +1,4 @@
-"""Shared error types."""
+"""Shared error types, and the refusal the immutable value types raise."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -11,3 +11,9 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+def frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable value types,
+    whose ``__init__`` sets each field once through ``object.__setattr__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")

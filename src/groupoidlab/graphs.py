@@ -7,21 +7,35 @@ deterministic across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import frozen
 
 
 class GraphError(ValueError):
     """Structurally invalid graph input."""
 
 
-@dataclass(frozen=True)
 class Edge:
-    id: str
-    src: str
-    dst: str
+    __slots__ = ("id", "src", "dst")
+
+    def __init__(self, id: str, src: str, dst: str):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+
+    __setattr__ = __delattr__ = frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.src, self.dst) == (other.id, other.src, other.dst)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.src, self.dst))
+
+    def __repr__(self) -> str:
+        return f"Edge(id={self.id!r}, src={self.src!r}, dst={self.dst!r})"
 
 
-@dataclass(frozen=True)
 class SignedEdge:
     """A base edge together with an orientation.
 
@@ -29,8 +43,21 @@ class SignedEdge:
     shadow (source and target swapped).  ``inverted()`` is an involution.
     """
 
-    edge: Edge
-    inverse: bool = False
+    __slots__ = ("edge", "inverse")
+
+    def __init__(self, edge: Edge, inverse: bool = False):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "inverse", inverse)
+
+    __setattr__ = __delattr__ = frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edge, self.inverse) == (other.edge, other.inverse)
+
+    def __hash__(self) -> int:
+        return hash((self.edge, self.inverse))
 
     @property
     def src(self) -> str:
@@ -55,9 +82,24 @@ class SignedEdge:
         return f"SignedEdge({self.name()!r})"
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    violations: tuple[str, ...]
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[str, ...]):
+        object.__setattr__(self, "violations", violations)
+
+    __setattr__ = __delattr__ = frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.violations == other.violations
+
+    def __hash__(self) -> int:
+        return hash((self.violations,))
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(violations={self.violations!r})"
 
     @property
     def ok(self) -> bool:

@@ -8,9 +8,9 @@ a non-admissible word to the absorbing Empty element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from .errors import frozen
 from .graphs import ShadowedGraph, SignedEdge
 
 
@@ -29,19 +29,43 @@ class _EmptyElement:
 EMPTY = _EmptyElement()
 
 
-@dataclass(frozen=True)
 class Vertex:
-    v: str
+    __slots__ = ("v",)
+
+    def __init__(self, v: str):
+        object.__setattr__(self, "v", v)
+
+    __setattr__ = __delattr__ = frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.v == other.v
+
+    def __hash__(self) -> int:
+        return hash((self.v,))
 
     def __repr__(self) -> str:
         return f"Vertex({self.v})"
 
 
-@dataclass(frozen=True)
 class ReducedPath:
     """A nonempty admissible word with no adjacent inverse pair."""
 
-    word: tuple
+    __slots__ = ("word",)
+
+    def __init__(self, word: tuple):
+        object.__setattr__(self, "word", word)
+
+    __setattr__ = __delattr__ = frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
 
     def __repr__(self) -> str:
         return "Path(" + " ".join(s.name() for s in self.word) + ")"
@@ -75,6 +99,13 @@ def target(a):
     raise ValueError("Empty element has no target")
 
 
+def _cancels(s, t) -> bool:
+    """Whether t is the inverse of s: the same base edge, in the other
+    orientation.  Base edges compare by equality, since callers may build
+    equal but distinct Edge objects; identity is only the fast path."""
+    return t.inverse == (not s.inverse) and (t.edge is s.edge or t.edge == s.edge)
+
+
 def reduce_word(word) -> GroupoidElement:
     """Reduce an edge word to its groupoid element.
 
@@ -86,7 +117,7 @@ def reduce_word(word) -> GroupoidElement:
         return EMPTY
     stack = []
     for s in word:
-        if stack and stack[-1] == s.inverted():
+        if stack and _cancels(s, stack[-1]):
             stack.pop()
         else:
             stack.append(s)
@@ -115,7 +146,7 @@ def concat(a, b) -> GroupoidElement:
         return a
     x, y = a.word, b.word
     k = 0
-    while k < min(len(x), len(y)) and y[k] == x[-1 - k].inverted():
+    while k < min(len(x), len(y)) and _cancels(x[-1 - k], y[k]):
         k += 1
     word = x[: len(x) - k] + y[k:]
     return ReducedPath(word) if word else Vertex(x[0].src)

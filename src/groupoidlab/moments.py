@@ -22,13 +22,12 @@ evidence that mixed cumulants vanish.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from math import prod
 from operator import add, mul
 
 from . import _kernel, groupoid, ncpartitions
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, frozen
 from .groupoid import Vertex, reduce_word
 from .labeling import LabeledGraph, theta
 from .ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius, nested
@@ -40,12 +39,24 @@ ENUM_BUDGET = 10_000_000
 ORDER_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
 class DiagonalElement:
     """Exact element of the diagonal algebra: vertex -> coefficient,
     zero coefficients dropped."""
 
-    coeffs: tuple  # tuple[(vertex, int), ...] sorted
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):  # tuple[(vertex, int), ...] sorted
+        object.__setattr__(self, "coeffs", coeffs)
+
+    __setattr__ = __delattr__ = frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def of(mapping) -> "DiagonalElement":
@@ -91,19 +102,61 @@ class DiagonalElement:
         return "Diagonal(" + ", ".join(f"{v}: {c}" for v, c in self.coeffs) + ")"
 
 
-@dataclass(frozen=True)
 class TallyResult:
-    diagonal: DiagonalElement
-    words: int
-    truncated: bool
+    __slots__ = ("diagonal", "words", "truncated")
+
+    def __init__(self, diagonal: DiagonalElement, words: int, truncated: bool):
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "truncated", truncated)
+
+    __setattr__ = __delattr__ = frozen
+
+    def _key(self) -> tuple:
+        return (self.diagonal, self.words, self.truncated)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"TallyResult(diagonal={self.diagonal!r}, words={self.words!r}, "
+            f"truncated={self.truncated!r})"
+        )
 
 
-@dataclass(frozen=True)
 class WordSetReport:
-    n: int
-    mode: str
-    words: tuple
-    tallies: DiagonalElement
+    __slots__ = ("n", "mode", "words", "tallies")
+
+    def __init__(self, n: int, mode: str, words: tuple, tallies: DiagonalElement):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "tallies", tallies)
+
+    __setattr__ = __delattr__ = frozen
+
+    def _key(self) -> tuple:
+        return (self.n, self.mode, self.words, self.tallies)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"WordSetReport(n={self.n!r}, mode={self.mode!r}, words={self.words!r}, "
+            f"tallies={self.tallies!r})"
+        )
 
     @property
     def count(self) -> int:
@@ -443,14 +496,59 @@ def moment_via_cumulants(lg: LabeledGraph, n: int) -> DiagonalElement:
 # Freeness
 
 
-@dataclass(frozen=True)
 class FreenessReport:
-    families: tuple
-    max_n: int
-    tuples_checked: int
-    max_abs_coefficient: int
-    nonzero: tuple  # ((indices, DiagonalElement), ...) capped
-    families_diagram_distinct: bool
+    __slots__ = (
+        "families",
+        "max_n",
+        "tuples_checked",
+        "max_abs_coefficient",
+        "nonzero",
+        "families_diagram_distinct",
+    )
+
+    def __init__(
+        self,
+        families: tuple,
+        max_n: int,
+        tuples_checked: int,
+        max_abs_coefficient: int,
+        nonzero: tuple,  # ((indices, DiagonalElement), ...) capped
+        families_diagram_distinct: bool,
+    ):
+        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "tuples_checked", tuples_checked)
+        object.__setattr__(self, "max_abs_coefficient", max_abs_coefficient)
+        object.__setattr__(self, "nonzero", nonzero)
+        object.__setattr__(self, "families_diagram_distinct", families_diagram_distinct)
+
+    __setattr__ = __delattr__ = frozen
+
+    def _key(self) -> tuple:
+        return (
+            self.families,
+            self.max_n,
+            self.tuples_checked,
+            self.max_abs_coefficient,
+            self.nonzero,
+            self.families_diagram_distinct,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"FreenessReport(families={self.families!r}, max_n={self.max_n!r}, "
+            f"tuples_checked={self.tuples_checked!r}, "
+            f"max_abs_coefficient={self.max_abs_coefficient!r}, nonzero={self.nonzero!r}, "
+            f"families_diagram_distinct={self.families_diagram_distinct!r})"
+        )
 
     @property
     def free_to_order(self) -> bool:

@@ -17,11 +17,10 @@ the same nesting) share one left-to-right evaluator, nested().
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import comb
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, frozen
 
 NC_BUDGET = 12
 
@@ -32,13 +31,26 @@ def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
-@dataclass(frozen=True)
 class NoncrossingPartition:
     """A noncrossing partition in canonical form: blocks sorted by their
     minimum, elements sorted inside each block."""
 
-    n: int
-    blocks: tuple
+    # __dict__ holds the cached ``ends``
+    __slots__ = ("n", "blocks", "__dict__")
+
+    def __init__(self, n: int, blocks: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+
+    __setattr__ = __delattr__ = frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.blocks) == (other.n, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.blocks))
 
     @staticmethod
     def of(n: int, blocks) -> "NoncrossingPartition":

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from groupoidlab.fixtures import fixture
-from groupoidlab.graphs import shadow
+from groupoidlab.graphs import Edge, SignedEdge, shadow
 from groupoidlab.groupoid import (
     EMPTY,
     ReducedPath,
@@ -69,6 +69,20 @@ def test_cancel_pair_gives_source_vertex():
     e = g.signed_by_name("e1")
     assert reduce_word((e, e.inverted())) == Vertex("v1")
     assert reduce_word((e.inverted(), e)) == Vertex("v2")
+
+
+def test_cancellation_compares_equal_but_distinct_edges():
+    # a caller may build equal Edge objects that are not the same object
+    x = SignedEdge(Edge("e1", "v1", "v2"))
+    y = SignedEdge(Edge("e1", "v1", "v2"), True)
+    assert x.edge is not y.edge
+    assert reduce_word((x, y)) == Vertex("v1")
+    assert reduce_word((y, x)) == Vertex("v2")
+    assert concat(ReducedPath((x,)), ReducedPath((y,))) == Vertex("v1")
+    # a parallel edge with the other id does not cancel
+    z = SignedEdge(Edge("e2", "v1", "v2"), True)
+    assert reduce_word((x, z)) == ReducedPath((x, z))
+    assert concat(ReducedPath((x,)), ReducedPath((z,))) == ReducedPath((x, z))
 
 
 def test_non_admissible_is_empty():

@@ -1,0 +1,171 @@
+"""The immutable value types: construction, equality, hash, repr and
+immutability, and an import path free of dataclasses."""
+
+import inspect
+import os
+import subprocess
+import sys
+
+import pytest
+
+from groupoidlab import _kernel, automaton, moments
+from groupoidlab.fixtures import fixture
+from groupoidlab.graphs import Edge, SignedEdge, shadow, validate_graph
+from groupoidlab.groupoid import Vertex, reduce_word
+from groupoidlab.labeling import assign_weights, theta, weight
+from groupoidlab.ncpartitions import enumerate_nc
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def labeled(name):
+    f = fixture(name)
+    return assign_weights(shadow(f.graph), "explicit" if f.labels else "vertex", f.labels)
+
+
+def word_6_2():
+    g = shadow(fixture("example-6-2").graph)
+    return tuple(g.signed_by_name(x) for x in ("e12:1", "e22:1", "~e12:2"))
+
+
+def partition_with_ends():
+    pi = enumerate_nc(4)[5]
+    pi.ends  # fills the cache, which must not take part in equality
+    return pi
+
+
+# One builder per value type, each from the bundled fixtures.
+CASES = {
+    "Edge": lambda: fixture("example-6-2").graph.edges[0],
+    "SignedEdge": lambda: shadow(fixture("example-6-2").graph).signed_edges[1],
+    "ValidationReport": lambda: validate_graph(fixture("circulant-3").graph),
+    "Vertex": lambda: Vertex(fixture("circulant-3").graph.vertices[0]),
+    "ReducedPath": lambda: reduce_word(word_6_2()),
+    "BalanceVector": lambda: theta(labeled("example-6-2").label(s) for s in word_6_2()),
+    "WeightedElement": lambda: weight(labeled("example-6-2"), word_6_2()),
+    "SignedTables": lambda: _kernel.signed_tables(shadow(fixture("example-6-2").graph)),
+    "KernelGraph": lambda: _kernel.kernel_graph(labeled("example-6-2")),
+    "TreeNode": lambda: automaton.build_tree(
+        automaton.GraphAutomaton(labeled("two-loop")), "v", 2
+    ).root,
+    "AutomatonTree": lambda: automaton.build_tree(
+        automaton.GraphAutomaton(labeled("two-loop")), "v", 2
+    ),
+    "FractaloidVerdict": lambda: automaton.is_fractaloid(
+        automaton.GraphAutomaton(labeled("two-loop")), 2
+    ),
+    "FractaloidVerdict-witness": lambda: automaton.is_fractaloid(
+        automaton.GraphAutomaton(labeled("example-6-2")), 2
+    ),
+    "DiagonalElement": lambda: moments.moment(labeled("example-6-2"), 2),
+    "TallyResult": lambda: moments.tally(labeled("example-6-2"), 2),
+    "WordSetReport": lambda: moments.w_m_set(labeled("example-6-2"), 2),
+    "FreenessReport": lambda: moments.check_freeness(labeled("two-loop"), 1, 2, 3),
+    "NoncrossingPartition": partition_with_ends,
+    "Fixture": lambda: fixture("example-6-2"),
+}
+
+
+def field_names(cls):
+    """The fields, in constructor order."""
+    return list(inspect.signature(cls).parameters)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_type_contract(name):
+    obj = CASES[name]()
+    cls = type(obj)
+    assert cls.__name__ == name.split("-")[0]
+    names = field_names(cls)
+    values = tuple(getattr(obj, n) for n in names)
+    compared = tuple(getattr(obj, n) for n in names if n != "edge_index")
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(names, values)))
+
+    if cls is automaton.TreeNode:  # identity semantics
+        assert obj == obj and by_position != obj and by_keyword != obj
+        assert hash(obj) == object.__hash__(obj)
+    else:
+        assert by_position == obj and by_keyword == obj and not by_position != obj
+        try:
+            expected = hash(compared)
+        except TypeError:  # an unhashable field makes the object unhashable
+            with pytest.raises(TypeError):
+                hash(obj)
+        else:
+            assert hash(obj) == hash(by_position) == hash(by_keyword) == expected
+
+    # not the tuple of its fields, nor another class with the same fields
+    assert obj != values and values != obj and obj != compared
+    if len(values) == 1:
+        assert obj != values[0]
+    twin = type("Twin", (cls,), {"__slots__": ()})(*values)
+    assert twin != obj and obj != twin
+
+    with pytest.raises(AttributeError):
+        setattr(obj, names[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(obj, names[-1])
+    with pytest.raises(AttributeError):
+        obj.unknown_field = 1
+    assert tuple(getattr(obj, n) for n in names) == values
+
+
+def test_signed_tables_ignore_edge_index():
+    tables = CASES["SignedTables"]()
+    names = field_names(type(tables))
+    other = _kernel.SignedTables(*(
+        {} if n == "edge_index" else getattr(tables, n) for n in names
+    ))
+    assert other == tables and hash(other) == hash(tables)
+    assert "edge_index" not in repr(tables)
+    kg = CASES["KernelGraph"]()
+    assert kg != tables and tables != kg  # a subclass is another class
+
+
+def test_default_reprs_are_unchanged():
+    assert repr(fixture("example-6-2").graph.edges[0]) == "Edge(id='e12:1', src='v1', dst='v2')"
+    assert repr(Edge("e1", "v", "v")) == "Edge(id='e1', src='v', dst='v')"
+    lg = labeled("example-6-2")
+    assert repr(moments.tally(lg, 2)) == (
+        "TallyResult(diagonal=Diagonal(v1: 3, v2: 4, v3: 1), words=26, truncated=False)"
+    )
+    assert repr(moments.tally(lg, 4, budget=3)) == (
+        "TallyResult(diagonal=Diagonal(0), words=286, truncated=True)"
+    )
+    assert repr(CASES["FractaloidVerdict"]()) == (
+        "FractaloidVerdict(fractaloid=True, depth=2, max_label=2, witness=None, "
+        "trees=(('v', True, 21),))"
+    )
+    assert repr(CASES["FractaloidVerdict-witness"]()) == (
+        "FractaloidVerdict(fractaloid=False, depth=2, max_label=2, "
+        "witness={'vertex': 'v1', 'reason': 'outgoing labels [1, 1, 2] != full set "
+        "[-2, -1, 1, 2]'}, trees=(('v1', False, 13), ('v2', False, 19), ('v3', False, 5)))"
+    )
+    assert repr(_kernel.kernel_graph(lg)) == (
+        "KernelGraph(n_vertices=3, n_signed=8, src=(0, 1, 0, 1, 0, 2, 1, 1), "
+        "dst=(1, 0, 1, 0, 2, 0, 1, 1), inv=(1, 0, 3, 2, 5, 4, 7, 6), "
+        "out_start=(0, 3, 7, 8), out_list=(0, 2, 4, 1, 3, 6, 7, 5), "
+        "labels=(1, -1, 2, -2, 1, -1, 1, -1), n_labels=2)"
+    )
+
+
+def test_signed_edge_orientation_defaults_to_forward():
+    e = Edge("e1", "v1", "v2")
+    assert SignedEdge(e) == SignedEdge(e, False) == SignedEdge(edge=e, inverse=False)
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The CLI's import path must not pull in dataclasses (nor inspect,
+    which dataclasses imports): they were most of its start-up time."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import groupoidlab.cli\n"
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []
