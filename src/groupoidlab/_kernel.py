@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from operator import mul
 
-from .errors import frozen
+from .errors import Value
 
 
-class SignedTables:
+class SignedTables(Value):
     """Flat integer view of a shadowed graph, labels left out.
 
     Signed edge i has endpoints src[i] -> dst[i] (vertex indices) and
@@ -51,56 +51,7 @@ class SignedTables:
         "edge_index",
     )
 
-    def __init__(
-        self,
-        n_vertices: int,
-        n_signed: int,
-        src: tuple,
-        dst: tuple,
-        inv: tuple,
-        out_start: tuple,
-        out_list: tuple,
-        edge_index: dict,
-    ):
-        object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "n_signed", n_signed)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "out_start", out_start)
-        object.__setattr__(self, "out_list", out_list)
-        object.__setattr__(self, "edge_index", edge_index)
-
-    __setattr__ = __delattr__ = frozen
-
-    def _key(self) -> tuple:
-        return (
-            self.n_vertices,
-            self.n_signed,
-            self.src,
-            self.dst,
-            self.inv,
-            self.out_start,
-            self.out_list,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def _fields_repr(self) -> str:
-        return (
-            f"n_vertices={self.n_vertices!r}, n_signed={self.n_signed!r}, "
-            f"src={self.src!r}, dst={self.dst!r}, inv={self.inv!r}, "
-            f"out_start={self.out_start!r}, out_list={self.out_list!r}"
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._fields_repr()})"
+    _unkeyed = ("edge_index",)
 
     def out(self, v: int) -> tuple:
         return self.out_list[self.out_start[v] : self.out_start[v + 1]]
@@ -111,29 +62,6 @@ class KernelGraph(SignedTables):
     (the inverse carries the negated label)."""
 
     __slots__ = ("labels", "n_labels")
-
-    def __init__(
-        self,
-        n_vertices: int,
-        n_signed: int,
-        src: tuple,
-        dst: tuple,
-        inv: tuple,
-        out_start: tuple,
-        out_list: tuple,
-        edge_index: dict,
-        labels: tuple,
-        n_labels: int,
-    ):
-        super().__init__(n_vertices, n_signed, src, dst, inv, out_start, out_list, edge_index)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "n_labels", n_labels)
-
-    def _key(self) -> tuple:
-        return super()._key() + (self.labels, self.n_labels)
-
-    def _fields_repr(self) -> str:
-        return super()._fields_repr() + f", labels={self.labels!r}, n_labels={self.n_labels!r}"
 
 
 def signed_tables(sh) -> SignedTables:
@@ -234,13 +162,20 @@ def _walk_count(kg, n, pattern) -> int:
     """Admissible length-n words that match the pattern, if any."""
     ends = [1] * kg.n_vertices
     for pos in range(n):
-        want = None if pattern is None else pattern[pos]
-        nxt = [0] * kg.n_vertices
-        for e in range(kg.n_signed):
-            if want is None or kg.labels[e] == want:
-                nxt[kg.dst[e]] += ends[kg.src[e]]
-        ends = nxt
+        ends = walk_step(kg, ends, None if pattern is None else pattern[pos])
     return sum(ends)
+
+
+def walk_step(t, ends, label=None) -> list:
+    """Walks one letter longer: ends[v] counts walks ending at vertex v,
+    and each signed edge e of the tables t carries those at src(e) on to
+    dst(e).  With a label, only the edges of that signed label step (t
+    must then be a KernelGraph)."""
+    nxt = [0] * t.n_vertices
+    for e in range(t.n_signed):
+        if label is None or t.labels[e] == label:
+            nxt[t.dst[e]] += ends[t.src[e]]
+    return nxt
 
 
 def _closed_by_length(kg, n, spend):

@@ -10,7 +10,7 @@ continuation path in its extended form).
 from __future__ import annotations
 
 from . import _kernel, groupoid
-from .errors import BudgetExceededError, frozen
+from .errors import BudgetExceededError, Value
 from .graphs import GraphError, SignedEdge
 from .groupoid import EMPTY, ReducedPath, Vertex
 from .labeling import EMPTY_WEIGHT, LabeledGraph, WeightedElement, weight
@@ -30,37 +30,33 @@ class GraphAutomaton:
     def vertex_state(self, v: str) -> WeightedElement:
         return weight(self.lg, Vertex(v))
 
+    def _continuation(self, state: WeightedElement, w):
+        """The word of w when it is an admissible continuation of the
+        state, None otherwise."""
+        word = _as_word(w)
+        if state.is_empty or word is None or not groupoid.is_admissible(word):
+            return None
+        return word if word[0].src == state.terminal else None
+
     def phi(self, state: WeightedElement, w) -> WeightedElement:
         """Labeling map.  For a single edge: its weight when it continues
         the state; for a path: the weight of the path's last edge when
         the whole continuation is admissible; the empty weight otherwise.
         """
-        word = _as_word(w)
-        if state.is_empty or word is None:
-            return EMPTY_WEIGHT
-        if not groupoid.is_admissible(word) or word[0].src != state.terminal:
-            return EMPTY_WEIGHT
-        return weight(self.lg, (word[-1],))
+        word = self._continuation(state, w)
+        return EMPTY_WEIGHT if word is None else weight(self.lg, (word[-1],))
 
     def psi_edge(self, state: WeightedElement, w):
         """Shifting map, edge form: the starting edge of the admissible
         continuation (coincides with the whole input on single edges)."""
-        word = _as_word(w)
-        if state.is_empty or word is None:
-            return EMPTY
-        if not groupoid.is_admissible(word) or word[0].src != state.terminal:
-            return EMPTY
-        return word[0]
+        word = self._continuation(state, w)
+        return EMPTY if word is None else word[0]
 
     def psi_path(self, state: WeightedElement, w):
         """Shifting map, path form: the whole admissible continuation,
         returned as the raw edge word."""
-        word = _as_word(w)
-        if state.is_empty or word is None:
-            return EMPTY
-        if not groupoid.is_admissible(word) or word[0].src != state.terminal:
-            return EMPTY
-        return word
+        word = self._continuation(state, w)
+        return EMPTY if word is None else word
 
     def act(self, w):
         """The automaton action of a word: fold phi over its letters.
@@ -92,26 +88,17 @@ def _as_word(w):
     return word if word else None
 
 
-class TreeNode:
+class TreeNode(Value):
     """A node of an action tree.  Nodes compare and hash by identity,
     and the repr counts the children instead of descending into them,
     so deep trees need no recursion."""
 
+    # state: the phi output; edge: the psi output that produced this
+    # node, None at the root
     __slots__ = ("state", "edge", "depth", "children")
 
-    def __init__(
-        self,
-        state: WeightedElement,
-        edge: SignedEdge | None,  # psi output that produced this node; None at the root
-        depth: int,
-        children: tuple,
-    ):
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "edge", edge)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "children", children)
-
-    __setattr__ = __delattr__ = frozen
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return (
@@ -120,32 +107,8 @@ class TreeNode:
         )
 
 
-class AutomatonTree:
+class AutomatonTree(Value):
     __slots__ = ("root_vertex", "depth", "root")
-
-    def __init__(self, root_vertex: str, depth: int, root: TreeNode):
-        object.__setattr__(self, "root_vertex", root_vertex)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "root", root)
-
-    __setattr__ = __delattr__ = frozen
-
-    def _key(self) -> tuple:
-        return (self.root_vertex, self.depth, self.root)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"AutomatonTree(root_vertex={self.root_vertex!r}, depth={self.depth!r}, "
-            f"root={self.root!r})"
-        )
 
     def nodes(self):
         out = []
@@ -166,10 +129,7 @@ def _walk_counts(tables, root: int, depth: int):
     ends[root] = 1
     yield ends
     for _ in range(depth):
-        nxt = [0] * tables.n_vertices
-        for e in range(tables.n_signed):
-            nxt[tables.dst[e]] += ends[tables.src[e]]
-        ends = nxt
+        ends = _kernel.walk_step(tables, ends)
         yield ends
 
 
@@ -214,41 +174,10 @@ def build_tree(aut: GraphAutomaton, root_vertex: str, depth: int) -> AutomatonTr
         stack[-1][3].append(node)
 
 
-class FractaloidVerdict:
+class FractaloidVerdict(Value):
+    # witness: vertex and reason of the first local failure, or None;
+    # trees: per root, (vertex, regular, node count)
     __slots__ = ("fractaloid", "depth", "max_label", "witness", "trees")
-
-    def __init__(
-        self,
-        fractaloid: bool,
-        depth: int,
-        max_label: int,
-        witness: dict | None,  # vertex and reason of the first local failure
-        trees: tuple,  # per-root (vertex, regular, node count)
-    ):
-        object.__setattr__(self, "fractaloid", fractaloid)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "max_label", max_label)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "trees", trees)
-
-    __setattr__ = __delattr__ = frozen
-
-    def _key(self) -> tuple:
-        return (self.fractaloid, self.depth, self.max_label, self.witness, self.trees)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"FractaloidVerdict(fractaloid={self.fractaloid!r}, depth={self.depth!r}, "
-            f"max_label={self.max_label!r}, witness={self.witness!r}, trees={self.trees!r})"
-        )
 
 
 def _local_label_sets(aut: GraphAutomaton):

@@ -9,43 +9,13 @@ the computed values diverge from the published ones.
 
 from __future__ import annotations
 
-from .errors import frozen
+from .errors import Value
 from .graphs import DirectedGraph, Edge
 
 
-class Fixture:
+class Fixture(Value):
+    # labels: the explicit labels, when the fixture fixes them, or None
     __slots__ = ("name", "graph", "labels", "notes")
-
-    def __init__(
-        self,
-        name: str,
-        graph: DirectedGraph,
-        labels: dict | None,  # explicit labels, when the fixture fixes them
-        notes: tuple,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "notes", notes)
-
-    __setattr__ = __delattr__ = frozen
-
-    def _key(self) -> tuple:
-        return (self.name, self.graph, self.labels, self.notes)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"Fixture(name={self.name!r}, graph={self.graph!r}, labels={self.labels!r}, "
-            f"notes={self.notes!r})"
-        )
 
 
 def circulant(n: int) -> DirectedGraph:

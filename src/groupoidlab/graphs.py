@@ -7,36 +7,18 @@ deterministic across runs.
 
 from __future__ import annotations
 
-from .errors import frozen
+from .errors import Value
 
 
 class GraphError(ValueError):
     """Structurally invalid graph input."""
 
 
-class Edge:
+class Edge(Value):
     __slots__ = ("id", "src", "dst")
 
-    def __init__(self, id: str, src: str, dst: str):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
 
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.src, self.dst) == (other.id, other.src, other.dst)
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.src, self.dst))
-
-    def __repr__(self) -> str:
-        return f"Edge(id={self.id!r}, src={self.src!r}, dst={self.dst!r})"
-
-
-class SignedEdge:
+class SignedEdge(Value):
     """A base edge together with an orientation.
 
     The forward orientation is the edge as given; the inverse is its
@@ -48,16 +30,6 @@ class SignedEdge:
     def __init__(self, edge: Edge, inverse: bool = False):
         object.__setattr__(self, "edge", edge)
         object.__setattr__(self, "inverse", inverse)
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.edge, self.inverse) == (other.edge, other.inverse)
-
-    def __hash__(self) -> int:
-        return hash((self.edge, self.inverse))
 
     @property
     def src(self) -> str:
@@ -82,24 +54,8 @@ class SignedEdge:
         return f"SignedEdge({self.name()!r})"
 
 
-class ValidationReport:
+class ValidationReport(Value):
     __slots__ = ("violations",)
-
-    def __init__(self, violations: tuple[str, ...]):
-        object.__setattr__(self, "violations", violations)
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.violations == other.violations
-
-    def __hash__(self) -> int:
-        return hash((self.violations,))
-
-    def __repr__(self) -> str:
-        return f"ValidationReport(violations={self.violations!r})"
 
     @property
     def ok(self) -> bool:

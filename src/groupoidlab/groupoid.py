@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import frozen
+from .errors import Value
 from .graphs import ShadowedGraph, SignedEdge
 
 
@@ -29,43 +29,17 @@ class _EmptyElement:
 EMPTY = _EmptyElement()
 
 
-class Vertex:
+class Vertex(Value):
     __slots__ = ("v",)
-
-    def __init__(self, v: str):
-        object.__setattr__(self, "v", v)
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.v == other.v
-
-    def __hash__(self) -> int:
-        return hash((self.v,))
 
     def __repr__(self) -> str:
         return f"Vertex({self.v})"
 
 
-class ReducedPath:
+class ReducedPath(Value):
     """A nonempty admissible word with no adjacent inverse pair."""
 
     __slots__ = ("word",)
-
-    def __init__(self, word: tuple):
-        object.__setattr__(self, "word", word)
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash((self.word,))
 
     def __repr__(self) -> str:
         return "Path(" + " ".join(s.name() for s in self.word) + ")"
@@ -115,6 +89,12 @@ def reduce_word(word) -> GroupoidElement:
     """
     if not word or not is_admissible(word):
         return EMPTY
+    return reduce_admissible(word)
+
+
+def reduce_admissible(word) -> GroupoidElement:
+    """reduce_word without the admissibility check, for the nonempty
+    admissible words the enumerators below yield: the stack pass alone."""
     stack = []
     for s in word:
         if stack and _cancels(s, stack[-1]):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .errors import BudgetExceededError, frozen
+from .errors import BudgetExceededError, Value
 from .graphs import DirectedGraph, GraphError, ShadowedGraph, SignedEdge
 from . import groupoid
 from .groupoid import EMPTY, ReducedPath, Vertex
@@ -25,29 +25,13 @@ MODE_MULTIEDGE = "multiedge"  # parallel-edge index
 MODE_EXPLICIT = "explicit"  # labels from the input file
 
 
-class BalanceVector:
+class BalanceVector(Value):
     """Per-index signed letter counts: index k maps to (#+k) - (#-k).
 
     Zero entries are dropped, so the zero vector is the empty map.
     """
 
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: tuple):  # tuple[(index, count), ...] sorted by index
-        object.__setattr__(self, "counts", counts)
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash((self.counts,))
-
-    def __repr__(self) -> str:
-        return f"BalanceVector(counts={self.counts!r})"
+    __slots__ = ("counts",)  # ((index, count), ...) sorted by index
 
     @staticmethod
     def of(pairs) -> "BalanceVector":
@@ -72,30 +56,13 @@ class BalanceVector:
         return BalanceVector.of(list(self.counts) + list(other.counts))
 
 
-class WeightedElement:
+class WeightedElement(Value):
     """Endpoint pair plus label word; the weight of a word or element.
 
     Vertices weigh ((v, v), (0,)).  The empty weight has endpoints None.
     """
 
     __slots__ = ("endpoints", "labels")
-
-    def __init__(self, endpoints: tuple | None, labels: tuple):
-        object.__setattr__(self, "endpoints", endpoints)
-        object.__setattr__(self, "labels", labels)
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.endpoints, self.labels) == (other.endpoints, other.labels)
-
-    def __hash__(self) -> int:
-        return hash((self.endpoints, self.labels))
-
-    def __repr__(self) -> str:
-        return f"WeightedElement(endpoints={self.endpoints!r}, labels={self.labels!r})"
 
     @property
     def is_empty(self) -> bool:

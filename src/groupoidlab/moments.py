@@ -27,8 +27,8 @@ from math import prod
 from operator import add, mul
 
 from . import _kernel, groupoid, ncpartitions
-from .errors import BudgetExceededError, frozen
-from .groupoid import Vertex, reduce_word
+from .errors import BudgetExceededError, Value
+from .groupoid import Vertex, reduce_admissible, reduce_word
 from .labeling import LabeledGraph, theta
 from .ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius, nested
 
@@ -39,24 +39,11 @@ ENUM_BUDGET = 10_000_000
 ORDER_BUDGET = 10_000
 
 
-class DiagonalElement:
+class DiagonalElement(Value):
     """Exact element of the diagonal algebra: vertex -> coefficient,
     zero coefficients dropped."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple):  # tuple[(vertex, int), ...] sorted
-        object.__setattr__(self, "coeffs", coeffs)
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
+    __slots__ = ("coeffs",)  # ((vertex, int), ...) sorted
 
     @staticmethod
     def of(mapping) -> "DiagonalElement":
@@ -102,61 +89,12 @@ class DiagonalElement:
         return "Diagonal(" + ", ".join(f"{v}: {c}" for v, c in self.coeffs) + ")"
 
 
-class TallyResult:
+class TallyResult(Value):
     __slots__ = ("diagonal", "words", "truncated")
 
-    def __init__(self, diagonal: DiagonalElement, words: int, truncated: bool):
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "truncated", truncated)
 
-    __setattr__ = __delattr__ = frozen
-
-    def _key(self) -> tuple:
-        return (self.diagonal, self.words, self.truncated)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"TallyResult(diagonal={self.diagonal!r}, words={self.words!r}, "
-            f"truncated={self.truncated!r})"
-        )
-
-
-class WordSetReport:
+class WordSetReport(Value):
     __slots__ = ("n", "mode", "words", "tallies")
-
-    def __init__(self, n: int, mode: str, words: tuple, tallies: DiagonalElement):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "tallies", tallies)
-
-    __setattr__ = __delattr__ = frozen
-
-    def _key(self) -> tuple:
-        return (self.n, self.mode, self.words, self.tallies)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"WordSetReport(n={self.n!r}, mode={self.mode!r}, words={self.words!r}, "
-            f"tallies={self.tallies!r})"
-        )
 
     @property
     def count(self) -> int:
@@ -173,9 +111,10 @@ def expectation_of_word(w) -> DiagonalElement:
 
 
 def _qualifies(word, mode: str, lg: LabeledGraph) -> str | None:
-    """The tally vertex when the word qualifies under the given mode."""
+    """The tally vertex when the admissible word qualifies under the
+    given mode."""
     if mode == "reduction":
-        r = reduce_word(word)
+        r = reduce_admissible(word)
         return r.v if isinstance(r, Vertex) else None
     if mode == "balance":
         if word[0].src != word[-1].dst:
@@ -455,7 +394,7 @@ def cumulant_via_wc(
                 "cumulant_via_wc: enumeration budget exhausted",
                 partial=DiagonalElement.of(acc),
             )
-        r = reduce_word(w)
+        r = reduce_admissible(w)
         if isinstance(r, Vertex):
             key = (tuple(s == w[0] for s in w), w[0].src == w[0].dst)
             if key not in weight:
@@ -496,59 +435,15 @@ def moment_via_cumulants(lg: LabeledGraph, n: int) -> DiagonalElement:
 # Freeness
 
 
-class FreenessReport:
+class FreenessReport(Value):
     __slots__ = (
         "families",
         "max_n",
         "tuples_checked",
         "max_abs_coefficient",
-        "nonzero",
+        "nonzero",  # ((indices, DiagonalElement), ...) capped
         "families_diagram_distinct",
     )
-
-    def __init__(
-        self,
-        families: tuple,
-        max_n: int,
-        tuples_checked: int,
-        max_abs_coefficient: int,
-        nonzero: tuple,  # ((indices, DiagonalElement), ...) capped
-        families_diagram_distinct: bool,
-    ):
-        object.__setattr__(self, "families", families)
-        object.__setattr__(self, "max_n", max_n)
-        object.__setattr__(self, "tuples_checked", tuples_checked)
-        object.__setattr__(self, "max_abs_coefficient", max_abs_coefficient)
-        object.__setattr__(self, "nonzero", nonzero)
-        object.__setattr__(self, "families_diagram_distinct", families_diagram_distinct)
-
-    __setattr__ = __delattr__ = frozen
-
-    def _key(self) -> tuple:
-        return (
-            self.families,
-            self.max_n,
-            self.tuples_checked,
-            self.max_abs_coefficient,
-            self.nonzero,
-            self.families_diagram_distinct,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"FreenessReport(families={self.families!r}, max_n={self.max_n!r}, "
-            f"tuples_checked={self.tuples_checked!r}, "
-            f"max_abs_coefficient={self.max_abs_coefficient!r}, nonzero={self.nonzero!r}, "
-            f"families_diagram_distinct={self.families_diagram_distinct!r})"
-        )
 
     @property
     def free_to_order(self) -> bool:

@@ -20,7 +20,7 @@ import itertools
 from functools import cached_property, lru_cache, reduce
 from math import comb
 
-from .errors import BudgetExceededError, frozen
+from .errors import BudgetExceededError, Value
 
 NC_BUDGET = 12
 
@@ -31,26 +31,12 @@ def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
-class NoncrossingPartition:
+class NoncrossingPartition(Value):
     """A noncrossing partition in canonical form: blocks sorted by their
     minimum, elements sorted inside each block."""
 
     # __dict__ holds the cached ``ends``
     __slots__ = ("n", "blocks", "__dict__")
-
-    def __init__(self, n: int, blocks: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
-
-    __setattr__ = __delattr__ = frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.blocks) == (other.n, other.blocks)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
 
     @staticmethod
     def of(n: int, blocks) -> "NoncrossingPartition":

@@ -90,6 +90,9 @@ def test_non_admissible_is_empty():
     e1 = g.signed_by_name("e1")  # v1 -> v2
     e3 = g.signed_by_name("e3")  # v3 -> v1
     assert reduce_word((e1, e3)) is EMPTY
+    # its letters cancel in pairs, yet the word is no walk
+    assert reduce_word((e1, e3, e3.inverted(), e1.inverted())) is EMPTY
+    assert reduce_word(()) is EMPTY
 
 
 def test_nested_cancellation():

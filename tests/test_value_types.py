@@ -1,14 +1,17 @@
 """The immutable value types: construction, equality, hash, repr and
 immutability, and an import path free of dataclasses."""
 
-import inspect
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import groupoidlab
 from groupoidlab import _kernel, automaton, moments
+from groupoidlab.errors import Value
 from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import Edge, SignedEdge, shadow, validate_graph
 from groupoidlab.groupoid import Vertex, reduce_word
@@ -67,8 +70,14 @@ CASES = {
 
 
 def field_names(cls):
-    """The fields, in constructor order."""
-    return list(inspect.signature(cls).parameters)
+    """The fields, in constructor order: the __slots__ of every class
+    along the MRO, base classes first, without a __dict__ slot."""
+    return [
+        name
+        for klass in reversed(cls.__mro__)
+        for name in klass.__dict__.get("__slots__", ())
+        if name != "__dict__"
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -109,6 +118,53 @@ def test_value_type_contract(name):
     with pytest.raises(AttributeError):
         obj.unknown_field = 1
     assert tuple(getattr(obj, n) for n in names) == values
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_constructor_rejects_bad_arguments(name):
+    obj = CASES[name]()
+    cls = type(obj)
+    names = field_names(cls)
+    values = [getattr(obj, n) for n in names]
+    with pytest.raises(TypeError):  # the first field missing
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, unknown_field=1)
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+
+
+def package_classes():
+    for info in pkgutil.iter_modules(groupoidlab.__path__):
+        module = importlib.import_module(f"groupoidlab.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield obj
+
+
+# The methods a value type may still write itself, beyond its own repr.
+OVERRIDES = {
+    "SignedEdge": {"__init__"},  # the orientation defaults to forward
+    "TreeNode": {"__eq__", "__hash__"},  # identity semantics
+}
+
+
+def test_value_types_derive_from_value():
+    """Every class with __slots__ that compares by value gets its
+    constructor, equality, hash and immutability from Value."""
+    derived = set()
+    for cls in package_classes():
+        if cls is Value or "__slots__" not in vars(cls):
+            continue
+        if cls.__eq__ is object.__eq__ and not issubclass(cls, Value):
+            continue  # identity semantics, like the Empty element
+        assert issubclass(cls, Value), cls
+        derived.add(cls.__name__)
+        own = {"__init__", "__eq__", "__hash__", "__setattr__", "__delattr__"}
+        assert own & set(vars(cls)) <= OVERRIDES.get(cls.__name__, set()), cls
+    assert derived == {name.split("-")[0] for name in CASES}
 
 
 def test_signed_tables_ignore_edge_index():
