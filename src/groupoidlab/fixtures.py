@@ -87,17 +87,3 @@ def notes_for(graph: DirectedGraph, labels: dict | None) -> tuple:
         if f.graph == graph and (f.labels or None) == (labels or None):
             return f.notes
     return ()
-
-
-def write_all(directory) -> list[str]:
-    """Dump every fixture as a JSON file; returns the paths written."""
-    import os
-
-    from .graphio import dump_graph_file
-
-    paths = []
-    for name, f in sorted(FIXTURES.items()):
-        path = os.path.join(directory, f"{name}.json")
-        dump_graph_file(path, f.graph, f.labels)
-        paths.append(path)
-    return paths

@@ -95,17 +95,6 @@ class DirectedGraph:
         except KeyError:
             raise GraphError(f"unknown vertex {v!r}") from None
 
-    def out_degree(self, v: str) -> int:
-        self.vertex_index(v)
-        return sum(1 for e in self.edges if e.src == v)
-
-    def in_degree(self, v: str) -> int:
-        self.vertex_index(v)
-        return sum(1 for e in self.edges if e.dst == v)
-
-    def degree(self, v: str) -> int:
-        return self.out_degree(v) + self.in_degree(v)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DirectedGraph)
@@ -150,16 +139,6 @@ class ShadowedGraph:
     def out_edges(self, v: str) -> tuple[SignedEdge, ...]:
         self.graph.vertex_index(v)
         return self._out[v]
-
-    def out_degree(self, v: str) -> int:
-        return len(self.out_edges(v))
-
-    def in_degree(self, v: str) -> int:
-        self.graph.vertex_index(v)
-        return sum(1 for s in self.signed_edges if s.dst == v)
-
-    def degree(self, v: str) -> int:
-        return self.out_degree(v) + self.in_degree(v)
 
     def __repr__(self) -> str:
         return f"ShadowedGraph({self.graph!r})"
@@ -208,14 +187,3 @@ def shadow(g: DirectedGraph) -> ShadowedGraph:
     if not report.ok:
         raise GraphError("; ".join(report.violations))
     return ShadowedGraph(g)
-
-
-def max_out_degree(g: DirectedGraph) -> int:
-    """Largest forward out-degree over all vertices.
-
-    This is the raw edge-count convention; labelings may define a
-    different maximum label index (see ``groupoidlab.labeling``).
-    """
-    if not g.edges:
-        raise GraphError("graph has no edges: no labeling set exists")
-    return max(g.out_degree(v) for v in g.vertices)

@@ -8,10 +8,11 @@ a non-admissible word to the absorbing Empty element.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from .errors import Value
-from .graphs import ShadowedGraph, SignedEdge
+from .graphs import ShadowedGraph
 
 
 class _EmptyElement:
@@ -158,19 +159,23 @@ def enumerate_admissible_words(g: ShadowedGraph, n: int) -> Iterator[tuple]:
             pending.append(iter(g.out_edges(s.dst)))
 
 
-def loop_words(g: ShadowedGraph, n: int) -> Iterator[tuple]:
-    """Admissible length-n words with matching first source and last target."""
-    for w in enumerate_admissible_words(g, n):
-        if w[0].src == w[-1].dst:
-            yield w
-
-
 def d_loop_words(g: ShadowedGraph, n: int) -> Iterator[tuple]:
-    """Loop words whose letters all share one base edge."""
-    for w in loop_words(g, n):
-        base = {s.base_id for s in w}
-        if len(base) == 1:
-            yield w
+    """Admissible length-n loop words whose letters all share one base
+    edge, in the lexicographic signed-edge order of
+    enumerate_admissible_words.  Base edge i signs as signed_edges[2i]
+    (forward) and [2i + 1] (shadow): every word over the two is a loop
+    word when the edge is a loop; otherwise only the two alternating
+    words are, at even n."""
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    signed = g.signed_edges
+    for i in range(0, len(signed), 2):
+        fwd, back = signed[i], signed[i + 1]
+        if fwd.src == fwd.dst:
+            yield from itertools.product((fwd, back), repeat=n)
+        elif n % 2 == 0:
+            yield (fwd, back) * (n // 2)
+            yield (back, fwd) * (n // 2)
 
 
 def diagram(a) -> frozenset:

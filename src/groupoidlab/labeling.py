@@ -10,7 +10,6 @@ distinct heights are linearly independent.
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 from .errors import BudgetExceededError, Value
@@ -46,11 +45,6 @@ class BalanceVector(Value):
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.counts)
-
-    def integer_sum(self) -> int:
-        """The collapsed reading: sum of signed indices.  Diagnostic only;
-        it loses the per-index cancellation structure."""
-        return sum(k * c for k, c in self.counts)
 
     def __add__(self, other: "BalanceVector") -> "BalanceVector":
         return BalanceVector.of(list(self.counts) + list(other.counts))
@@ -122,31 +116,21 @@ def assign_weights(
     vertex mode: forward edges out of each vertex get 1..deg_out(v) in
     sorted-id order.  multiedge mode: the label is the 1-based index
     among parallel edges with the same endpoints.  explicit mode: labels
-    are taken from the given map and checked for presence and range.
-    Shadow edges always carry the negated label of their base edge.
+    are taken from the given map and checked for presence and range;
+    only this mode takes a map.  Shadow edges always carry the negated
+    label of their base edge.
     """
     g = shadowed.graph
     if not g.edges:
         raise GraphError("cannot label a graph with no edges")
+    if explicit is not None and mode != MODE_EXPLICIT:
+        raise GraphError(f"labeling mode {mode!r} takes no label map")
     labels: dict[str, int] = {}
     if mode == MODE_VERTEX:
-        if explicit is not None:
-            # caller-supplied labels must still be per-vertex bijective
-            for v in g.vertices:
-                out = [e for e in g.edges if e.src == v]
-                got = [explicit.get(e.id) for e in out]
-                if None in got:
-                    raise GraphError(f"missing explicit label at vertex {v!r}")
-                if len(set(got)) != len(got):
-                    raise GraphError(
-                        f"explicit labels violate per-vertex bijectivity at {v!r}"
-                    )
-            labels = dict(explicit)
-        else:
-            for v in g.vertices:
-                out = sorted((e for e in g.edges if e.src == v), key=lambda e: e.id)
-                for j, e in enumerate(out, start=1):
-                    labels[e.id] = j
+        for v in g.vertices:
+            out = sorted((e for e in g.edges if e.src == v), key=lambda e: e.id)
+            for j, e in enumerate(out, start=1):
+                labels[e.id] = j
     elif mode == MODE_MULTIEDGE:
         groups: dict[tuple, list] = {}
         for e in g.edges:
@@ -245,17 +229,3 @@ def _square_convolution(g: list, t: int) -> int:
         total += c * c * g[t - m]
         c = c * (t - m) // (m + 1)
     return total
-
-
-def count_axis_paths_brute(max_label: int, length: int) -> int:
-    """Independent check of count_axis_paths by full enumeration: a word
-    is balanced when each label k occurs as often as -k.  Exponential;
-    intended for small inputs only.
-    """
-    labels = range(1, max_label + 1)
-    alphabet = [k for k in range(-max_label, max_label + 1) if k != 0]
-    return sum(
-        1
-        for w in itertools.product(alphabet, repeat=length)
-        if all(w.count(k) == w.count(-k) for k in labels)
-    )

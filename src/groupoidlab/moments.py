@@ -37,6 +37,9 @@ ENUM_BUDGET = 10_000_000
 # 4300 digits of an int to a string by default, and building and
 # printing the value take time about quadratic in n.
 ORDER_BUDGET = 10_000
+# The nonzero mixed cumulants a FreenessReport lists; max_abs_coefficient
+# still covers them all.
+NONZERO_CAP = 16
 
 
 class DiagonalElement(Value):
@@ -67,18 +70,6 @@ class DiagonalElement(Value):
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.coeffs)
-
-    def __add__(self, other: "DiagonalElement") -> "DiagonalElement":
-        return DiagonalElement.of(list(self.coeffs) + list(other.coeffs))
-
-    def scale(self, c: int) -> "DiagonalElement":
-        return DiagonalElement.of((v, c * x) for v, x in self.coeffs)
-
-    def __mul__(self, other: "DiagonalElement") -> "DiagonalElement":
-        rhs = other.as_dict()
-        return DiagonalElement.of(
-            (v, c * rhs[v]) for v, c in self.coeffs if v in rhs
-        )
 
     def max_abs(self) -> int:
         return max((abs(c) for _, c in self.coeffs), default=0)
@@ -373,15 +364,20 @@ def cumulant_via_wc(
     lg: LabeledGraph, n: int, budget: int | None = ENUM_BUDGET
 ) -> DiagonalElement:
     """k_n(T_G, ..., T_G) by the word-set formula: single-base-edge loop
-    words reducing to a vertex, each weighted by mu_w.  Compared against
-    cumulant_direct by cumulant_comparison, never silently trusted.
+    words reducing to a vertex, each weighted by mu_w.  An oracle of
+    cumulant_direct: `cumulants --formula both` reports whether the two
+    agree.
 
     The letters of such a word are one edge and its inverse, so mu_w
     depends only on which letters equal the first one and on whether
     the edge is a loop; it is computed once per such pattern, over one
-    Moebius row, enumerated at the first vertex-reducing word."""
+    Moebius row, enumerated at the first vertex-reducing word.  Above
+    NC_BUDGET no row can be, and _wc_past_nc_budget decides the outcome
+    without building words."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > ncpartitions.NC_BUDGET:
+        return _wc_past_nc_budget(lg, n, budget)
     acc: dict[str, int] = {}
     seen = 0
     row = None
@@ -405,12 +401,28 @@ def cumulant_via_wc(
     return DiagonalElement.of(acc)
 
 
-def cumulant_comparison(lg: LabeledGraph, n: int) -> dict:
-    """Both cumulant routes side by side, with their disagreement."""
-    direct = cumulant_direct(lg, n)
-    wc = cumulant_via_wc(lg, n)
-    diff = direct + wc.scale(-1)
-    return {"direct": direct, "wc": wc, "equal": diff.is_zero, "diff": diff}
+def _wc_past_nc_budget(lg: LabeledGraph, n: int, budget: int | None) -> DiagonalElement:
+    """cumulant_via_wc above NC_BUDGET, where no word reaches the sum:
+    the first vertex-reducing word asks for the Moebius row of NC(n),
+    which is over budget.  The enumeration's outcome is decided here
+    without building its words of n letters.  At odd n no word reduces,
+    and each loop edge has 2^n words.  At even n the first word reduces
+    unless the first base edge is a loop; then word 2^(n/2), the first
+    balanced one, does."""
+    signed = lg.shadowed.signed_edges
+    if n % 2:
+        factor, doubling = sum(s.src == s.dst for s in signed[::2]), n
+    else:
+        factor, doubling = 1, n // 2 if signed[0].src == signed[0].dst else 0
+    # the words up to the deciding one, factor * 2^doubling, against the
+    # budget; past its bit length the shift cannot change the answer
+    if budget is not None and factor << min(doubling, budget.bit_length()) > budget:
+        raise BudgetExceededError(
+            "cumulant_via_wc: enumeration budget exhausted", partial=DiagonalElement.zero()
+        )
+    if not n % 2:
+        _moebius_row(n)  # raises BudgetExceededError
+    return DiagonalElement.zero()
 
 
 def _k_pi(tables, pi: NoncrossingPartition, operands) -> list:
@@ -450,9 +462,7 @@ class FreenessReport(Value):
         return self.max_abs_coefficient == 0
 
 
-def check_freeness(
-    lg: LabeledGraph, k1: int, k2: int, max_n: int = 4, nonzero_cap: int = 16
-) -> FreenessReport:
+def check_freeness(lg: LabeledGraph, k1: int, k2: int, max_n: int = 4) -> FreenessReport:
     """Mixed joint cumulants between the families {T_k1, T_-k1} and
     {T_k2, T_-k2}, all orders 2..max_n, with letters from both families.
     A zero maximum confirms freeness over the diagonal to that order.
@@ -463,6 +473,8 @@ def check_freeness(
     for k in (k1, k2):
         if not 1 <= k <= lg.max_label:
             raise ValueError(f"family index {k} out of range 1..{lg.max_label}")
+    if max_n < 2:
+        raise ValueError("max_n must be >= 2")
     # up front: the orders below max_n would otherwise all run first
     ncpartitions.check_nc_budget(max_n)
     alphabet = (k1, -k1, k2, -k2)
@@ -483,7 +495,7 @@ def check_freeness(
             operands = [weights[k] for k in idx]
             val = cumulant_of(lg, operands, row=row, memo=memo, tables=tables)
             if not val.is_zero:
-                if len(nonzero) < nonzero_cap:
+                if len(nonzero) < NONZERO_CAP:
                     nonzero.append((idx, val))
                 max_abs = max(max_abs, val.max_abs())
     return FreenessReport(

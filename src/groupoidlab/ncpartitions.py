@@ -1,4 +1,4 @@
-"""Noncrossing partitions of {1..n}: lattice order, Moebius functional,
+"""Noncrossing partitions of {1..n}: enumeration, Moebius functional,
 Catalan counts, and nested partition-dependent evaluation.
 
 The Moebius value against the top element is computed through the
@@ -10,14 +10,15 @@ long cycle i -> i+1 (mod n) and pi cycling each block in increasing
 order.  The two anchor identities mu(0_n, 1_n) = (-1)^(n-1) c_(n-1) and
 sum_pi mu(pi, 1_n) = 0 are held by the test suite.
 
-Nested quantities (E_pi, and the partition-dependent cumulants built on
-the same nesting) share one left-to-right evaluator, nested().
+Nested quantities (E_pi and the partition-dependent cumulants of
+groupoidlab.moments) share one left-to-right evaluator, nested(); the
+caller's close and multiply fix the algebra.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from math import comb
 
 from .errors import BudgetExceededError, Value
@@ -33,24 +34,12 @@ def catalan(k: int) -> int:
 
 class NoncrossingPartition(Value):
     """A noncrossing partition in canonical form: blocks sorted by their
-    minimum, elements sorted inside each block."""
+    minimum, elements sorted inside each block.  The constructor trusts
+    its blocks to be canonical and noncrossing, as enumerate_nc makes
+    them."""
 
     # __dict__ holds the cached ``ends``
     __slots__ = ("n", "blocks", "__dict__")
-
-    @staticmethod
-    def of(n: int, blocks) -> "NoncrossingPartition":
-        """The partition of 1..n with the given blocks, in any order;
-        raises ValueError unless they form a noncrossing partition.
-        The constructor itself trusts its blocks to be canonical and
-        noncrossing, as enumerate_nc makes them."""
-        canon = tuple(tuple(sorted(b)) for b in sorted(blocks, key=min))
-        flat = sorted(x for b in canon for x in b)
-        if flat != list(range(1, n + 1)):
-            raise ValueError("blocks must partition 1..n")
-        if _has_crossing(canon):
-            raise ValueError("partition has a crossing")
-        return NoncrossingPartition(n, canon)
 
     @cached_property
     def ends(self) -> tuple:
@@ -61,24 +50,6 @@ class NoncrossingPartition(Value):
 
     def __repr__(self) -> str:
         return "NC(" + "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks) + ")"
-
-
-def _has_crossing(blocks) -> bool:
-    # a < b < c < d with a, c in one block and b, d in another
-    for b1, b2 in itertools.combinations(blocks, 2):
-        for a, c in itertools.combinations(b1, 2):
-            for b, d in itertools.combinations(b2, 2):
-                if a < b < c < d or b < a < d < c:
-                    return True
-    return False
-
-
-def zero_partition(n: int) -> NoncrossingPartition:
-    return NoncrossingPartition.of(n, [(i,) for i in range(1, n + 1)])
-
-
-def one_partition(n: int) -> NoncrossingPartition:
-    return NoncrossingPartition.of(n, [tuple(range(1, n + 1))])
 
 
 def _gen_blocks(elems):
@@ -107,31 +78,20 @@ def _gen_blocks(elems):
                 yield tuple(sorted((block,) + rest, key=min))
 
 
-def check_nc_budget(n: int, budget: int = NC_BUDGET) -> None:
-    """Raise BudgetExceededError when n is above the NC budget: the
-    count of NC(n) is catalan(n), which explodes quickly."""
-    if n > budget:
-        raise BudgetExceededError(f"n={n} exceeds the NC enumeration budget {budget}")
+def check_nc_budget(n: int) -> None:
+    """Raise BudgetExceededError when n is above NC_BUDGET: the count of
+    NC(n) is catalan(n), which explodes quickly."""
+    if n > NC_BUDGET:
+        raise BudgetExceededError(f"n={n} exceeds the NC enumeration budget {NC_BUDGET}")
 
 
-def enumerate_nc(n: int, budget: int = NC_BUDGET):
+def enumerate_nc(n: int):
     """All noncrossing partitions of {1..n}, deterministically ordered.
     Guarded by check_nc_budget."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_nc_budget(n, budget)
+    check_nc_budget(n)
     return [NoncrossingPartition(n, bs) for bs in _gen_blocks(tuple(range(1, n + 1)))]
-
-
-def leq(pi: NoncrossingPartition, theta: NoncrossingPartition) -> bool:
-    """Refinement order: every block of pi fits inside a block of theta."""
-    if pi.n != theta.n:
-        raise ValueError("partitions of different ground sets")
-    owner = {}
-    for i, b in enumerate(theta.blocks):
-        for x in b:
-            owner[x] = i
-    return all(len({owner[x] for x in b}) == 1 for b in pi.blocks)
 
 
 def kreweras(pi: NoncrossingPartition):
@@ -170,9 +130,9 @@ def moebius(pi: NoncrossingPartition) -> int:
     return _moebius_sizes(tuple(kreweras(pi)))
 
 
-def moebius_row(n: int, budget: int = NC_BUDGET):
+def moebius_row(n: int):
     """(pi, mu(pi, 1_n)) for every pi, in enumeration order."""
-    return [(pi, moebius(pi)) for pi in enumerate_nc(n, budget)]
+    return [(pi, moebius(pi)) for pi in enumerate_nc(n)]
 
 
 def nested(pi: NoncrossingPartition, operands, close, multiply):
@@ -201,15 +161,3 @@ def nested(pi: NoncrossingPartition, operands, close, multiply):
             else:
                 result = value if result is None else multiply(result, value)
     return result
-
-
-def e_pi(pi: NoncrossingPartition, operands, expect, multiply):
-    """Partition-dependent nested moment.
-
-    Each block multiplies its operands in position order, with the
-    values of the blocks nested inside spliced in after the operand they
-    follow, and closes with expect; the outermost blocks' values
-    multiply left to right.  expect and multiply are supplied by the
-    caller (they fix the algebra).
-    """
-    return nested(pi, operands, lambda args: expect(reduce(multiply, args)), multiply)

@@ -116,20 +116,6 @@ class SparseOperator:
     def entry(self, i: int, j: int) -> int:
         return self.cols[j].get(i, 0)
 
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        assert self.dim == other.dim
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            c = dict(a)
-            for r, v in b.items():
-                nv = c.get(r, 0) + v
-                if nv:
-                    c[r] = nv
-                else:
-                    c.pop(r, None)
-            cols.append(c)
-        return SparseOperator(self.dim, cols)
-
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         assert self.dim == other.dim
         cols = []

@@ -16,7 +16,8 @@ import pytest
 
 from groupoidlab import cli
 from groupoidlab.automaton import GraphAutomaton, is_fractaloid
-from groupoidlab.fixtures import fixture, write_all
+from groupoidlab.fixtures import FIXTURES, fixture
+from groupoidlab.graphio import dump_graph_file
 from groupoidlab.graphs import shadow
 from groupoidlab.groupoid import (
     EMPTY,
@@ -32,7 +33,6 @@ from groupoidlab.labeling import (
     MODE_VERTEX,
     assign_weights,
     count_axis_paths,
-    count_axis_paths_brute,
 )
 from groupoidlab.moments import (
     DiagonalElement,
@@ -42,14 +42,7 @@ from groupoidlab.moments import (
     moment,
     moment_via_cumulants,
 )
-from groupoidlab.ncpartitions import (
-    NoncrossingPartition,
-    catalan,
-    e_pi,
-    enumerate_nc,
-    moebius,
-    zero_partition,
-)
+from groupoidlab.ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius, nested
 from groupoidlab.operators import (
     build_basis,
     labeling_operator,
@@ -57,6 +50,8 @@ from groupoidlab.operators import (
     oracle_expectation_power,
     total_labeling_operator,
 )
+
+from test_labeling import count_axis_paths_brute
 
 ORACLE_FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
 ALL_FIXTURES = ORACLE_FIXTURES + ["three-loop", "example-6-2-noloop"]
@@ -82,7 +77,8 @@ def run_cli(argv):
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fixtures")
-    write_all(str(d))
+    for name, f in FIXTURES.items():
+        dump_graph_file(str(d / f"{name}.json"), f.graph, f.labels)
     return str(d)
 
 
@@ -153,16 +149,17 @@ def test_acceptance_4_cumulants():
 def test_acceptance_5_nc_machinery():
     for n in range(1, 9):
         assert len(enumerate_nc(n)) == catalan(n)
-        assert moebius(zero_partition(n)) == (-1) ** (n - 1) * catalan(n - 1)
+        singletons = NoncrossingPartition(n, tuple((i,) for i in range(1, n + 1)))
+        assert moebius(singletons) == (-1) ** (n - 1) * catalan(n - 1)
     # at n = 1 the lattice is a point and the row sums to 1, not 0
     assert sum(moebius(pi) for pi in enumerate_nc(1)) == 1
     for n in range(2, 9):
         assert sum(moebius(pi) for pi in enumerate_nc(n)) == 0
-    pi = NoncrossingPartition.of(5, [(1, 4), (2, 3), (5,)])
-    out = e_pi(
+    pi = NoncrossingPartition(5, ((1, 4), (2, 3), (5,)))
+    out = nested(
         pi,
         [f"a{i}" for i in range(1, 6)],
-        expect=lambda x: f"E({x})",
+        close=lambda args: "E(" + ".".join(args) + ")",
         multiply=lambda a, b: f"{a}.{b}",
     )
     assert out == "E(a1.E(a2.a3).a4).E(a5)"

@@ -644,10 +644,15 @@ HOSTILE = (
     (["oracle", "--graph", fx("two-loop"), "--n", BIG, "--max-len", "2"], 4),
     (["cumulants", "--graph", fx("two-loop"), "--n", BIG], 5),
     (["cumulants", "--graph", fx("two-loop"), "--n", BIG, "--formula", "both"], 5),
+    (["cumulants", "--graph", fx("two-loop"), "--n", "13", "--formula", "wc"], 0),
+    (["cumulants", "--graph", fx("two-loop"), "--n", BIG, "--formula", "wc"], 5),
+    (["cumulants", "--graph", fx("two-loop"), "--n", str(10**9 + 1), "--formula", "wc"], 5),
     (["joint", "--graph", fx("two-loop"), "--indices", ",".join(["1,-1"] * 5000)], 5),
     (["joint", "--graph", fx("two-loop"), "--indices", f"{BIG},-{BIG}"], 4),
     (["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", BIG], 5),
     (["freeness", "--graph", fx("two-loop"), "--families", f"1,{BIG}"], 4),
+    (["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", "1"], 4),
+    (["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", "-" + BIG], 4),
     (["fractaloid", "--graph", fx("two-loop"), "--depth", BIG], 5),
     (["fractaloid", "--graph", fx("example-6-2"), "--depth", "20000"], 5),
     (["fractaloid", "--graph", fx("three-loop"), "--depth", "300000"], 5),

@@ -232,6 +232,21 @@ def assert_verdict_matches_trees(lg, depth):
     assert is_fractaloid(aut, depth).trees == tuple(trees)
 
 
+def d_loop_words_by_filter(g, n):
+    """Reference: the admissible words, kept when they are loop words
+    over a single base edge."""
+    for w in enumerate_admissible_words(g, n):
+        if w[0].src == w[-1].dst and len({s.base_id for s in w}) == 1:
+            yield w
+
+
+@settings(max_examples=100, deadline=None)
+@given(lg=labeled_multigraphs(), n=st.integers(1, 5))
+def test_property_d_loop_words_match_filter(lg, n):
+    # the same words in the same order: the wc budget counts them
+    assert list(d_loop_words(lg.shadowed, n)) == list(d_loop_words_by_filter(lg.shadowed, n))
+
+
 @settings(max_examples=60, deadline=None)
 @given(lg=labeled_multigraphs(), depth=st.integers(1, 4))
 def test_property_fractaloid_verdict_matches_built_trees(lg, depth):

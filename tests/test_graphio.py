@@ -3,18 +3,16 @@ import json
 import pytest
 
 from groupoidlab import graphio
-from groupoidlab.fixtures import FIXTURES, fixture, notes_for, write_all
+from groupoidlab.fixtures import FIXTURES, fixture, notes_for
 from groupoidlab.graphio import SchemaError, parse_graph_obj
 
 
 def test_roundtrip_all_fixtures(tmp_path):
-    paths = write_all(str(tmp_path))
-    assert len(paths) == len(FIXTURES)
-    for path in paths:
+    for name, f in FIXTURES.items():
+        path = str(tmp_path / f"{name}.json")
+        graphio.dump_graph_file(path, f.graph, f.labels)
         graph, labels = graphio.parse_graph_file(path)
-        name = path.rsplit("/", 1)[-1].removesuffix(".json")
-        f = fixture(name)
-        assert graph == f.graph
+        assert graph == fixture(name).graph
         assert labels == f.labels
 
 

@@ -16,7 +16,6 @@ from groupoidlab.groupoid import (
     enumerate_admissible_words,
     inverse,
     is_admissible,
-    loop_words,
     reduce_word,
     source,
     target,
@@ -218,18 +217,6 @@ def test_enumerate_count_matches_adjacency_power(name, n):
         ]
     expected = sum(sum(row) for row in power)
     assert sum(1 for _ in enumerate_admissible_words(g, n)) == expected
-
-
-def test_loop_words_one_loop_all_admissible():
-    g = sh("one-loop")
-    assert list(loop_words(g, 2)) == list(enumerate_admissible_words(g, 2))
-
-
-def test_loop_words_subset_of_admissible():
-    g = sh("example-6-2")
-    adm = set(enumerate_admissible_words(g, 3))
-    for w in loop_words(g, 3):
-        assert w in adm and w[0].src == w[-1].dst
 
 
 def test_d_loop_words_example_6_2_n2():

@@ -15,7 +15,6 @@ from groupoidlab.labeling import (
     MODE_VERTEX,
     assign_weights,
     count_axis_paths,
-    count_axis_paths_brute,
     omega_plus,
     theta,
     weight,
@@ -63,16 +62,10 @@ def test_explicit_mode_bad_label():
         labeled("example-6-2", MODE_EXPLICIT, f)
 
 
-def test_vertex_mode_accepts_bijective_explicit():
-    labels = {"e12:1": 1, "e12:2": 2, "e13:1": 3, "e22:1": 1}
-    lg = labeled("example-6-2", MODE_VERTEX, labels)
-    assert lg.base_labels == labels
-
-
-def test_vertex_mode_rejects_nonbijective_explicit():
-    # fixture labels reuse 1 at v1, fine for multiedge mode but not here
-    with pytest.raises(GraphError, match="bijectivity"):
-        labeled("example-6-2", MODE_VERTEX, fixture("example-6-2").labels)
+@pytest.mark.parametrize("mode", [MODE_VERTEX, MODE_MULTIEDGE])
+def test_only_explicit_mode_takes_a_label_map(mode):
+    with pytest.raises(GraphError, match="takes no label map"):
+        labeled("example-6-2", mode, fixture("example-6-2").labels)
 
 
 def test_inverse_edges_negated():
@@ -146,7 +139,7 @@ def test_theta_cancellation():
 def test_theta_separates_vector_from_integer_sum():
     bal = theta([2, -1, -1])
     assert bal.as_dict() == {1: -2, 2: 1}
-    assert bal.integer_sum() == 0
+    assert sum(k * c for k, c in bal.counts) == 0
     assert not bal.is_zero
 
 
@@ -216,6 +209,16 @@ def test_count_axis_paths_pascal_column():
 
 def test_count_axis_paths_n2_k4():
     assert count_axis_paths(2, 4) == 36
+
+
+def count_axis_paths_brute(max_label, length):
+    """Reference: every label word of the given length, kept when each
+    label k occurs as often as -k.  Exponential; small inputs only."""
+    alphabet = [k for k in range(-max_label, max_label + 1) if k]
+    return sum(
+        all(w.count(k) == w.count(-k) for k in range(1, max_label + 1))
+        for w in itertools.product(alphabet, repeat=length)
+    )
 
 
 def test_count_axis_paths_matches_brute():

@@ -3,15 +3,15 @@ import itertools
 import pytest
 
 from groupoidlab.errors import BudgetExceededError
-from groupoidlab.fixtures import fixture
+from groupoidlab.fixtures import FIXTURES as ALL_FIXTURES, fixture
 from groupoidlab.graphs import shadow
+from groupoidlab.groupoid import Vertex, d_loop_words, reduce_word
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.moments import (
     DiagonalElement,
     balance_moment,
     check_freeness,
     closed_form_cumulant,
-    cumulant_comparison,
     cumulant_direct,
     cumulant_of,
     cumulant_via_wc,
@@ -27,7 +27,7 @@ from groupoidlab.moments import (
     total_sum,
     w_m_set,
 )
-from groupoidlab.ncpartitions import catalan, one_partition
+from groupoidlab.ncpartitions import NoncrossingPartition, catalan
 from groupoidlab.operators import oracle_expectation_power
 
 FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
@@ -244,9 +244,11 @@ def test_joint_moment_sums_to_moment():
         lg = labeled(name)
         for n in (1, 2, 3, 4):
             alphabet = [k for k in range(-lg.max_label, lg.max_label + 1) if k]
-            total = DiagonalElement.zero()
-            for idx in itertools.product(alphabet, repeat=n):
-                total = total + joint_moment(lg, idx)
+            total = DiagonalElement.of(
+                pair
+                for idx in itertools.product(alphabet, repeat=n)
+                for pair in joint_moment(lg, idx).coeffs
+            )
             assert total == moment(lg, n)
 
 
@@ -341,21 +343,41 @@ def test_cumulant_via_wc_matches_direct_on_one_loop():
         assert cumulant_via_wc(lg, n) == cumulant_direct(lg, n)
 
 
-def test_cumulant_comparison_reports():
-    rep = cumulant_comparison(labeled("example-6-2"), 2)
-    assert set(rep) == {"direct", "wc", "equal", "diff"}
-    assert rep["equal"] == (rep["direct"] == rep["wc"])
-    assert rep["diff"] == rep["direct"] + rep["wc"].scale(-1)
-
-
 @pytest.mark.parametrize("name", FIXTURES)
 def test_cumulant_routes_agree_on_fixtures(name):
-    # observed agreement, frozen; the comparison function itself stays
-    # report-shaped so disagreement would surface as a diff, not a crash
     lg = labeled(name)
     for n in (2, 4):
-        rep = cumulant_comparison(lg, n)
-        assert rep["equal"], rep["diff"]
+        assert cumulant_via_wc(lg, n) == cumulant_direct(lg, n), n
+
+
+def wc_outcome_by_enumeration(lg, n, budget):
+    """Reference: how the word enumeration of cumulant_via_wc ends above
+    the NC budget, where the first vertex-reducing word needs NC(n)."""
+    for seen, w in enumerate(d_loop_words(lg.shadowed, n), start=1):
+        if budget is not None and seen > budget:
+            return "words"
+        if isinstance(reduce_word(w), Vertex):
+            return "nc"
+    return "zero"
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_wc_above_nc_budget_ends_as_its_enumeration(name):
+    lg = labeled(name)
+    for n in (13, 14, 15, 16):
+        # 2^(n/2) and loops * 2^n sit on or next to a boundary
+        for budget in (1, 2, 64, 127, 128, 255, 256, 8192, 16384, 32768, 65536, None):
+            want = wc_outcome_by_enumeration(lg, n, budget)
+            try:
+                k = cumulant_via_wc(lg, n, budget=budget)
+            except BudgetExceededError as exc:
+                got = "nc" if exc.partial is None else "words"
+                if got == "words":
+                    assert exc.partial.is_zero
+            else:
+                assert k.is_zero
+                got = "zero"
+            assert got == want, (n, budget)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -392,7 +414,8 @@ def test_joint_cumulant_multilinear():
     mix = tuple(3 * a - 2 * b for a, b in zip(t1, t2))
     other = [edge_sum(lg, -1), edge_sum(lg, 1), edge_sum(lg, -1)]
     lhs = cumulant_of(lg, [mix] + other)
-    rhs = cumulant_of(lg, [t1] + other).scale(3) + cumulant_of(lg, [t2] + other).scale(-2)
+    k1, k2 = cumulant_of(lg, [t1] + other), cumulant_of(lg, [t2] + other)
+    rhs = DiagonalElement.of([(v, 3 * c) for v, c in k1.coeffs] + [(v, -2 * c) for v, c in k2.coeffs])
     assert lhs == rhs
 
 
@@ -440,15 +463,13 @@ def test_check_freeness_example_6_2_report():
 def test_diagonal_element_algebra():
     a = DiagonalElement.of({"x": 2, "y": -1})
     b = DiagonalElement.of({"y": 1, "z": 4})
-    assert (a + b).as_dict() == {"x": 2, "z": 4}
-    assert a.scale(0).is_zero
-    assert (a * b).as_dict() == {"y": -1}
+    assert DiagonalElement.of(a.coeffs + b.coeffs).as_dict() == {"x": 2, "z": 4}
     assert DiagonalElement.of({"x": 0}).is_zero
     assert a.max_abs() == 2
 
 
 def test_total_sum_expectation_is_zero():
     lg = labeled("example-6-2")
-    assert expectation_pi(lg, one_partition(1), [total_sum(lg)]).is_zero
-    sq = expectation_pi(lg, one_partition(2), [total_sum(lg)] * 2)
+    assert expectation_pi(lg, NoncrossingPartition(1, ((1,),)), [total_sum(lg)]).is_zero
+    sq = expectation_pi(lg, NoncrossingPartition(2, ((1, 2),)), [total_sum(lg)] * 2)
     assert sq == moment(lg, 2)

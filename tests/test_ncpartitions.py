@@ -1,20 +1,17 @@
 import itertools
+from functools import reduce
 
 import pytest
 
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.ncpartitions import (
     NoncrossingPartition,
-    _has_crossing,
     catalan,
-    e_pi,
     enumerate_nc,
     kreweras,
-    leq,
     moebius,
     moebius_row,
-    one_partition,
-    zero_partition,
+    nested,
 )
 
 
@@ -37,6 +34,35 @@ def crossing_free(blocks):
                 if a < b < c < d or b < a < d < c:
                     return False
     return True
+
+
+def partition(n, blocks):
+    """The noncrossing partition of 1..n with the given blocks, in any
+    order, in canonical form."""
+    canon = tuple(tuple(sorted(b)) for b in sorted(blocks, key=min))
+    assert sorted(x for b in canon for x in b) == list(range(1, n + 1))
+    assert crossing_free(canon)
+    return NoncrossingPartition(n, canon)
+
+
+def zero(n):
+    return partition(n, [(i,) for i in range(1, n + 1)])
+
+
+def one(n):
+    return partition(n, [range(1, n + 1)])
+
+
+def leq(pi, theta):
+    """Refinement order: every block of pi fits inside a block of theta."""
+    owner = {x: i for i, b in enumerate(theta.blocks) for x in b}
+    return all(len({owner[x] for x in b}) == 1 for b in pi.blocks)
+
+
+def e_pi(pi, operands, expect, multiply):
+    """E_pi: each block multiplies its operands, with the blocks nested
+    in it spliced in, and closes with expect."""
+    return nested(pi, operands, lambda args: expect(reduce(multiply, args)), multiply)
 
 
 def test_catalan_values():
@@ -75,36 +101,6 @@ def test_enumerate_deterministic_and_budgeted():
         enumerate_nc(0)
 
 
-def test_crossing_check_matches_brute_force():
-    for n in range(1, 8):
-        for p in all_set_partitions(n):
-            blocks = tuple(tuple(sorted(b)) for b in sorted(p, key=min))
-            assert _has_crossing(blocks) == (not crossing_free(blocks)), blocks
-
-
-def test_crossing_rejected_by_type():
-    with pytest.raises(ValueError):
-        NoncrossingPartition.of(4, [(1, 3), (2, 4)])
-    with pytest.raises(ValueError):
-        NoncrossingPartition.of(3, [(1, 2)])  # not a partition
-
-
-def test_leq_basics():
-    z4, o4 = zero_partition(4), one_partition(4)
-    for pi in enumerate_nc(4):
-        assert leq(z4, pi)
-        assert leq(pi, o4)
-    a = NoncrossingPartition.of(4, [(1, 2), (3, 4)])
-    assert leq(a, o4)
-    b = NoncrossingPartition.of(4, [(1, 3), (2,), (4,)])
-    assert not leq(b, a)
-
-
-def test_leq_mismatched_n():
-    with pytest.raises(ValueError):
-        leq(zero_partition(3), zero_partition(4))
-
-
 def test_kreweras_block_counts():
     for n in range(1, 9):
         for pi in enumerate_nc(n):
@@ -112,13 +108,13 @@ def test_kreweras_block_counts():
             assert sum(sizes) == n
             assert len(sizes) == n + 1 - len(pi.blocks)
             assert sizes == sorted(sizes)
-        assert kreweras(zero_partition(n)) == [n]
-        assert kreweras(one_partition(n)) == [1] * n
+        assert kreweras(zero(n)) == [n]
+        assert kreweras(one(n)) == [1] * n
 
 
 def test_moebius_zero_to_one():
     for n in range(1, 9):
-        assert moebius(zero_partition(n)) == (-1) ** (n - 1) * catalan(n - 1)
+        assert moebius(zero(n)) == (-1) ** (n - 1) * catalan(n - 1)
 
 
 def test_moebius_sums_to_zero():
@@ -128,14 +124,14 @@ def test_moebius_sums_to_zero():
 
 def test_moebius_top_reflexive():
     for n in range(1, 8):
-        assert moebius(one_partition(n)) == 1
+        assert moebius(one(n)) == 1
 
 
 def test_moebius_matches_zeta_inversion():
     # direct recursion mu(pi, top) = -sum_{sigma > pi} mu(sigma, top)
     for n in range(1, 7):
         pis = enumerate_nc(n)
-        mu = {one_partition(n).blocks: 1}
+        mu = {one(n).blocks: 1}
         changed = True
         while changed:
             changed = False
@@ -154,7 +150,7 @@ def test_moebius_inversion_kronecker():
     # sum over sigma in [pi, 1_n] of mu(sigma, 1_n) = [pi == 1_n]
     for n in range(1, 7):
         pis = enumerate_nc(n)
-        top = one_partition(n)
+        top = one(n)
         for pi in pis:
             s = sum(moebius(sig) for sig in pis if leq(pi, sig))
             assert s == (1 if pi.blocks == top.blocks else 0)
@@ -162,7 +158,7 @@ def test_moebius_inversion_kronecker():
 
 def test_e_pi_paper_nesting():
     # pi = {(1,4),(2,3),(5)} evaluated symbolically
-    pi = NoncrossingPartition.of(5, [(1, 4), (2, 3), (5,)])
+    pi = partition(5, [(1, 4), (2, 3), (5,)])
     ops = [f"a{i}" for i in range(1, 6)]
     out = e_pi(pi, ops, expect=lambda x: f"E({x})", multiply=lambda a, b: f"{a}.{b}")
     assert out == "E(a1.E(a2.a3).a4).E(a5)"
@@ -178,7 +174,7 @@ def test_e_pi_paper_nesting():
     ],
 )
 def test_e_pi_symbolic_nesting(n, blocks, expected):
-    pi = NoncrossingPartition.of(n, blocks)
+    pi = partition(n, blocks)
     ops = [f"a{i}" for i in range(1, n + 1)]
     out = e_pi(pi, ops, expect=lambda x: f"E({x})", multiply=lambda a, b: f"{a}.{b}")
     assert out == expected
@@ -186,8 +182,8 @@ def test_e_pi_symbolic_nesting(n, blocks, expected):
 
 def test_e_pi_top_and_bottom():
     ops = ["a1", "a2", "a3"]
-    top = one_partition(3)
-    bot = zero_partition(3)
+    top = one(3)
+    bot = zero(3)
     j = lambda a, b: f"{a}.{b}"
     e = lambda x: f"E({x})"
     assert e_pi(top, ops, e, j) == "E(a1.a2.a3)"
@@ -207,4 +203,4 @@ def test_e_pi_scalar_reduces_to_block_products():
 
 def test_e_pi_wrong_arity():
     with pytest.raises(ValueError):
-        e_pi(one_partition(3), [1, 2], lambda x: x, lambda a, b: a * b)
+        e_pi(one(3), [1, 2], lambda x: x, lambda a, b: a * b)

@@ -1,0 +1,78 @@
+"""Surface guard: every public function and method in src/groupoidlab
+has a caller elsewhere in the package (a reference to its name, outside
+__init__.py), or is listed in KEPT with one word saying why it stays.
+Names match without their owner, so the check is loose for common
+method names; it catches helpers that only the tests call."""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "groupoidlab")
+
+KEPT = {
+    "groupoid.concat": "paper",
+    "groupoid.diagram_distinct": "paper",
+    "automaton.GraphAutomaton.psi_edge": "paper",
+    "automaton.GraphAutomaton.psi_path": "paper",
+    "automaton.GraphAutomaton.act": "paper",
+    "operators.right_mult": "paper",
+    "operators.labeling_operator": "paper",
+    "operators.SparseOperator.transpose": "paper",
+    "labeling.omega_plus": "paper",
+    "moments.mu_w": "paper",
+    "moments.moment": "paper",
+    "moments.balance_moment": "paper",
+    "moments.moment_via_cumulants": "paper",
+    "_kernel.backend_name": "perfbench",
+    "graphio.dump_graph_file": "schema",
+    "fixtures.fixture": "fixtures",
+    "graphs.ShadowedGraph.signed_by_name": "lookup",
+}
+
+
+def parse(name):
+    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def surface():
+    """({qualified name: bare name} of the public functions and methods,
+    the set of names the package refers to)."""
+    defs, refs = {}, set()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        tree, module = parse(name), name[:-3]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                members = [(f"{module}.{node.name}.", fn) for fn in node.body]
+            else:
+                members = [(f"{module}.", node)]
+            for prefix, fn in members:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    defs[prefix + fn.name] = fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    return defs, refs
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    defs, refs = surface()
+    assert sorted(q for q, name in defs.items() if name not in refs and q not in KEPT) == []
+
+
+def test_kept_names_exist_and_have_no_caller():
+    defs, refs = surface()
+    assert sorted(q for q in KEPT if defs.get(q, "") in refs or q not in defs) == []
+    assert all(reason.isalpha() for reason in KEPT.values())
+
+
+def test_package_exports_only_its_version():
+    body = parse("__init__.py").body
+    assert [type(node).__name__ for node in body] == ["Expr", "Assign"]  # docstring, version
+    assert [t.id for t in body[1].targets] == ["__version__"]
