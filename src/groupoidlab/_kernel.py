@@ -22,6 +22,10 @@ The balance condition (per-label signed letter counts all zero) is a
 walk count over (start, current vertex, balance vector), taken to half
 length: inverting a walk negates its balance, so the balanced closed
 walks number the sum of the squared half-walk counts.
+
+The qualifying words themselves come from a depth-first walk over the
+same tables (closed_words), which drops a prefix as soon as the letters
+left cannot close it: in the tree, or back to a zero balance vector.
 """
 
 from __future__ import annotations
@@ -112,8 +116,9 @@ def backend_name() -> str:
 
 
 class _Budget:
-    """Running count of DP transitions (terms of the recurrence sums,
-    or edge steps out of a balance state) against an optional cap."""
+    """Running count of work against an optional cap: DP transitions
+    (terms of the recurrence sums, or edge steps out of a balance
+    state), or the letters a word walk tries and keeps."""
 
     def __init__(self, cap):
         self.cap = cap
@@ -296,3 +301,134 @@ def _balanced_loops(kg, n, spend):
             states = nxt
         counts[s] = sum(c * c for c in states.values())
     return counts, False
+
+
+def closed_words(kg: KernelGraph, n: int, mode: str, budget=None):
+    """The qualifying length-n words themselves, as tuples of signed-edge
+    indices in lexicographic order.
+
+    A depth-first walk tries the letters at each position in index
+    order and drops a prefix as soon as the letters left cannot close
+    it, so only the qualifying words and their prefixes are built.
+    mode: "reduction" keeps the closed walks of the universal-cover
+          tree; "balance" keeps the loop words with an all-zero balance
+          vector.
+    budget: cap on letters, charged one per letter tried and n per word
+            kept, so the words held never exceed it.  When it runs out
+            the flag is set and the words are those found so far, a
+            prefix of the full list.
+
+    Returns (words, truncated).
+    """
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    words: list = []
+    # closed tree walks and balanced words both have even length
+    if n % 2:
+        return words, False
+    walk = _tree_walk if mode == "reduction" else _balanced_walk
+    return words, walk(kg, n, _Budget(budget), words)
+
+
+def _tree_walk(kg, n, spend, words) -> bool:
+    """Reduction-mode words into words; True when the budget ran out.
+
+    The letters of the prefix that free reduction leaves form a linked
+    stack of nodes (inverse of the letter, node below, depth), None when
+    empty.  A letter equal to the inverse of the top pops it; any other
+    letter pushes, but only while the depth stays within the letters
+    left.  Once the depth equals the letters left, the rest of the word
+    is forced, the inverses of the stack from the top down, and is
+    written out at once.
+    """
+    dst, inv = kg.dst, kg.inv
+    out = [kg.out(v) for v in range(kg.n_vertices)]
+    word: list = []
+    tops: list = [None]  # tops[k]: the stack of word[:k]
+    pending = [iter(range(kg.n_signed))]
+    if not spend.charge(kg.n_signed):
+        return True
+    while pending:
+        e = next(pending[-1], None)
+        if e is None:
+            pending.pop()
+            if word:
+                word.pop()
+                tops.pop()
+            continue
+        top = tops[-1]
+        left = n - len(word) - 1
+        if top is not None and e == top[0]:
+            stack = top[1]
+            depth = top[2] - 1
+        else:
+            depth = top[2] + 1 if top is not None else 1
+            if depth > left:
+                continue
+            stack = (inv[e], top, depth)
+        if depth == left:
+            if not spend.charge(n):
+                return True
+            tail = []
+            while stack is not None:
+                tail.append(stack[0])
+                stack = stack[1]
+            words.append((*word, e, *tail))
+            continue
+        word.append(e)
+        tops.append(stack)
+        following = out[dst[e]]
+        if not spend.charge(len(following)):
+            return True
+        pending.append(iter(following))
+    return False
+
+
+def _balanced_walk(kg, n, spend, words) -> bool:
+    """Balance-mode words into words; True when the budget ran out.
+
+    The prefix carries its balance vector, moved in place, and the
+    vector's L1 norm.  Labels are nonzero, so each letter moves one
+    coordinate by +-1 and the norm by 1: a prefix whose norm exceeds
+    the letters left cannot come back to zero.  A full word is kept
+    when its norm is zero and it ends at its start vertex.
+    """
+    src, dst = kg.src, kg.dst
+    out = [kg.out(v) for v in range(kg.n_vertices)]
+    axis = [abs(k) - 1 for k in kg.labels]
+    sign = [1 if k > 0 else -1 for k in kg.labels]
+    balance = [0] * kg.n_labels
+    word: list = []
+    norms = [0]  # norms[k]: the norm after word[:k]
+    pending = [iter(range(kg.n_signed))]
+    if not spend.charge(kg.n_signed):
+        return True
+    while pending:
+        e = next(pending[-1], None)
+        if e is None:
+            pending.pop()
+            if word:
+                f = word.pop()
+                balance[axis[f]] -= sign[f]
+                norms.pop()
+            continue
+        before = balance[axis[e]]
+        after = before + sign[e]
+        norm = norms[-1] + (1 if abs(after) > abs(before) else -1)
+        left = n - len(word) - 1
+        if norm > left:
+            continue
+        if not left:
+            if dst[e] == src[word[0]]:
+                if not spend.charge(n):
+                    return True
+                words.append((*word, e))
+            continue
+        word.append(e)
+        balance[axis[e]] = after
+        norms.append(norm)
+        following = out[dst[e]]
+        if not spend.charge(len(following)):
+            return True
+        pending.append(iter(following))
+    return False

@@ -137,7 +137,7 @@ def _cmd_moments(args, lg, diagnostics) -> dict:
     result = {"diagonal": _diag_payload(primary.diagonal), "n": args.n, "mode": args.mode}
     if args.words:
         rep = moments.w_m_set(lg, args.n, args.mode, budget=args.budget)
-        result["words"] = [[s.name() for s in w] for w in rep.words]
+        result["words"] = _word_names(lg, rep.words)
     if args.verify:
         oracle = operators.oracle_expectation_power(
             lg, args.n, args.n, budget=args.basis_budget
@@ -146,6 +146,14 @@ def _cmd_moments(args, lg, diagnostics) -> dict:
         if DiagonalElement.of(oracle) != reduction.diagonal:
             raise VerificationMismatch("moments disagree with the oracle", result)
     return result
+
+
+def _word_names(lg, words) -> list:
+    """Each word as the names of its letters.  The words hold the signed
+    edge objects of lg.shadowed, so a table keyed by object identity
+    names every letter, each name computed once."""
+    name = {id(s): s.name() for s in lg.shadowed.signed_edges}.__getitem__
+    return [list(map(name, map(id, w))) for w in words]
 
 
 def _cmd_oracle(args, lg, diagnostics) -> dict:
@@ -384,8 +392,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     diagnostics: dict = {"truncated": False}
     report: dict = {"command": args.command, "diagnostics": diagnostics}
+    lg = None
     try:
-        lg = None
         if hasattr(args, "graph"):
             lg, report["inputs"], diagnostics["notes"] = _load_labeled(args)
         report["result"] = args.func(args, lg, diagnostics)
@@ -404,7 +412,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         report = {
             "command": args.command,
-            "result": _partial_payload(exc),
+            "result": _partial_payload(exc, lg),
             "diagnostics": {"truncated": True, "notes": [str(exc)]},
         }
     except VerificationMismatch as exc:
@@ -422,14 +430,14 @@ def main(argv=None) -> int:
     return EXIT_BUDGET if truncated else EXIT_OK
 
 
-def _partial_payload(exc: BudgetExceededError) -> dict:
+def _partial_payload(exc: BudgetExceededError, lg) -> dict:
     partial = exc.partial
     if isinstance(partial, moments.TallyResult):
         return {"diagonal": _diag_payload(partial.diagonal), "words": partial.words}
     if isinstance(partial, moments.WordSetReport):
         return {
             "diagonal": _diag_payload(partial.tallies),
-            "words": [[s.name() for s in w] for w in partial.words],
+            "words": _word_names(lg, partial.words),
         }
     if isinstance(partial, DiagonalElement):
         return {"diagonal": _diag_payload(partial)}

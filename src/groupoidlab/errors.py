@@ -26,7 +26,8 @@ class Value:
 
     * a constructor taking the fields by position or keyword;
     * equality with objects of exactly the same class, by the tuple of
-      its fields, and the hash of that tuple;
+      its fields, and the hash of that tuple (a class with one field
+      compares and hashes by that field alone);
     * the repr ``Name(field=value, ...)``;
     * ``AttributeError`` on setting or deleting any attribute.
 
@@ -45,13 +46,8 @@ class Value:
             for name in klass.__dict__.get("__slots__", ())
             if name != "__dict__"
         )
-        keyed = [f for f in cls._fields if f not in cls._unkeyed]
-        cls._keyed = tuple(keyed)
-        if len(keyed) == 1:
-            get = attrgetter(keyed[0])
-            cls._key = staticmethod(lambda obj: (get(obj),))
-        else:
-            cls._key = staticmethod(attrgetter(*keyed))
+        cls._keyed = tuple(f for f in cls._fields if f not in cls._unkeyed)
+        cls._key = staticmethod(attrgetter(*cls._keyed))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

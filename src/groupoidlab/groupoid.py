@@ -94,8 +94,9 @@ def reduce_word(word) -> GroupoidElement:
 
 
 def reduce_admissible(word) -> GroupoidElement:
-    """reduce_word without the admissibility check, for the nonempty
-    admissible words the enumerators below yield: the stack pass alone."""
+    """reduce_word without the admissibility check, for nonempty words
+    known to be admissible, such as those d_loop_words yields: the stack
+    pass alone."""
     stack = []
     for s in word:
         if stack and _cancels(s, stack[-1]):
@@ -133,36 +134,11 @@ def concat(a, b) -> GroupoidElement:
     return ReducedPath(word) if word else Vertex(x[0].src)
 
 
-def enumerate_admissible_words(g: ShadowedGraph, n: int) -> Iterator[tuple]:
-    """Stream the admissible length-n words in lexicographic signed-edge
-    order.  Nothing is materialized; the count equals the number of
-    length-n walks on the shadowed graph.
-    """
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    # depth-first with an explicit stack of candidate iterators, so the
-    # word length is not limited by the recursion depth
-    word: list = []
-    pending = [iter(g.signed_edges)]
-    while pending:
-        s = next(pending[-1], None)
-        if s is None:
-            pending.pop()
-            if word:
-                word.pop()
-            continue
-        word.append(s)
-        if len(word) == n:
-            yield tuple(word)
-            word.pop()
-        else:
-            pending.append(iter(g.out_edges(s.dst)))
-
-
 def d_loop_words(g: ShadowedGraph, n: int) -> Iterator[tuple]:
     """Admissible length-n loop words whose letters all share one base
-    edge, in the lexicographic signed-edge order of
-    enumerate_admissible_words.  Base edge i signs as signed_edges[2i]
+    edge, in lexicographic signed-edge order, the order in which
+    cumulant_via_wc charges them to its budget.  Base edge i signs as
+    signed_edges[2i]
     (forward) and [2i + 1] (shadow): every word over the two is a loop
     word when the edge is a loop; otherwise only the two alternating
     words are, at even n."""

@@ -3,7 +3,9 @@
 Values live in the diagonal algebra: finite integer maps vertex ->
 coefficient.  Moments count admissible words that freely reduce to a
 vertex (the reduction characterization) with the excursion DP of
-_kernel; word enumeration (w_m_set) stays as a cross-check.
+_kernel.  The words themselves (w_m_set) come from the word walk of
+_kernel, which builds only the qualifying words and their prefixes;
+its tallies are a cross-check on the DP.
 
 Cumulant operands are letter weights (one integer per signed edge).
 The edge operators are free over the diagonal and each pairs with its
@@ -29,7 +31,7 @@ from operator import add, mul
 from . import _kernel, groupoid, ncpartitions
 from .errors import BudgetExceededError, Value
 from .groupoid import Vertex, reduce_admissible, reduce_word
-from .labeling import LabeledGraph, theta
+from .labeling import LabeledGraph
 from .ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius, nested
 
 ENUM_BUDGET = 10_000_000
@@ -101,43 +103,32 @@ def expectation_of_word(w) -> DiagonalElement:
     return DiagonalElement.zero()
 
 
-def _qualifies(word, mode: str, lg: LabeledGraph) -> str | None:
-    """The tally vertex when the admissible word qualifies under the
-    given mode."""
-    if mode == "reduction":
-        r = reduce_admissible(word)
-        return r.v if isinstance(r, Vertex) else None
-    if mode == "balance":
-        if word[0].src != word[-1].dst:
-            return None
-        bal = theta(lg.label(s) for s in word)
-        return word[0].src if bal.is_zero else None
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def w_m_set(
     lg: LabeledGraph,
     n: int,
     mode: str = "reduction",
     budget: int | None = ENUM_BUDGET,
 ) -> WordSetReport:
-    """The qualifying length-n words themselves, with per-vertex tallies.
-    Diagnostic route: plain Python enumeration, no kernel."""
-    words = []
-    tally: dict[str, int] = {}
-    seen = 0
-    for w in groupoid.enumerate_admissible_words(lg.shadowed, n):
-        seen += 1
-        if budget is not None and seen > budget:
-            raise BudgetExceededError(
-                f"word set n={n}: enumeration budget exhausted",
-                partial=WordSetReport(n, mode, tuple(words), DiagonalElement.of(tally)),
-            )
-        v = _qualifies(w, mode, lg)
-        if v is not None:
-            words.append(w)
-            tally[v] = tally.get(v, 0) + 1
-    return WordSetReport(n, mode, tuple(words), DiagonalElement.of(tally))
+    """The qualifying length-n words themselves, in lexicographic order,
+    with per-vertex tallies: the word walk of _kernel, which builds only
+    the qualifying words and their prefixes.  budget caps its letters,
+    tried and kept; when it runs out, the words found so far are the
+    partial result."""
+    if mode not in ("reduction", "balance"):
+        raise ValueError(f"unknown mode {mode!r}")
+    kg = _kernel.kernel_graph(lg)
+    found, truncated = _kernel.closed_words(kg, n, mode, budget=budget)
+    signed = lg.shadowed.signed_edges
+    vs = lg.graph.vertices
+    report = WordSetReport(
+        n,
+        mode,
+        tuple(tuple(map(signed.__getitem__, w)) for w in found),
+        DiagonalElement.of((vs[kg.src[w[0]]], 1) for w in found),
+    )
+    if truncated:
+        raise BudgetExceededError(f"word set n={n}: letter budget exhausted", partial=report)
+    return report
 
 
 def tally(

@@ -626,12 +626,13 @@ def test_deep_fractaloid_exits_5(capsys):
 BIG = str(10**9)
 
 # Hostile sizes for every subcommand, with the exit code each must give.
-# Left out, as they run far longer than a test should: the word routes
-# (`moments --words`, `cumulants --formula wc`) at huge n, whose
-# --budget counts whole words of n letters each; `moments` at n = 10^9,
-# whose count of admissible words is not budgeted; and `moments --n
-# 20000` at the default budget, whose 10^7 DP transitions on big
-# integers run past 100 s on two-loop.
+# `moments --words` charges each letter it tries or keeps, so it stops
+# within its budget at any n.  Left out, as they run far longer than a
+# test should: `cumulants --formula wc` at n = 12, whose Moebius rows
+# over NC(12), one per sign pattern, run past 100 s on two-loop;
+# `moments` at n = 10^9, whose count of admissible words is not
+# budgeted; and `moments --n 20000` at the default budget, whose 10^7
+# DP transitions on big integers run past 100 s on two-loop.
 HOSTILE = (
     (["moments", "--graph", fx("two-loop"), "--n", "10001"], 0),
     (["moments", "--graph", fx("two-loop"), "--n", "10000", "--budget", "1000"], 5),
@@ -640,6 +641,9 @@ HOSTILE = (
     (["moments", "--graph", fx("two-loop"), "--n", "10000", "--verify",
       "--budget", "1000"], 5),
     (["moments", "--graph", fx("two-loop"), "--n", "-" + BIG], 4),
+    (["moments", "--graph", fx("two-loop"), "--n", "20000", "--words", "--budget", "1000"], 5),
+    (["moments", "--graph", fx("three-loop"), "--n", "12", "--words", "--mode", "balance",
+      "--budget", "100000"], 5),
     (["oracle", "--graph", fx("two-loop"), "--n", BIG, "--max-len", BIG], 5),
     (["oracle", "--graph", fx("two-loop"), "--n", BIG, "--max-len", "2"], 4),
     (["cumulants", "--graph", fx("two-loop"), "--n", BIG], 5),

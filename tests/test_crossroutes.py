@@ -27,14 +27,15 @@ from groupoidlab.groupoid import (
     concat,
     d_loop_words,
     diagram_distinct,
-    enumerate_admissible_words,
     reduce_word,
 )
+from groupoidlab.errors import BudgetExceededError
 from groupoidlab.labeling import (
     MODE_EXPLICIT,
     MODE_MULTIEDGE,
     MODE_VERTEX,
     assign_weights,
+    theta,
 )
 from groupoidlab.moments import (
     DiagonalElement,
@@ -51,6 +52,8 @@ from groupoidlab.moments import (
 )
 from groupoidlab.ncpartitions import enumerate_nc
 from groupoidlab.operators import oracle_expectation_power
+
+from test_groupoid import enumerate_admissible_words
 
 
 def labeled(name):
@@ -184,6 +187,45 @@ def test_property_dp_matches_enumeration_and_oracle(lg, n):
     assert m == w_m_set(lg, n).tallies
     assert m == DiagonalElement.of(oracle_expectation_power(lg, n, n))
     assert balance_moment(lg, n) == w_m_set(lg, n, "balance").tallies
+
+
+def qualifying_words_by_filter(lg, n, mode):
+    """Reference: the admissible words, kept when they freely reduce to a
+    vertex (reduction) or are loop words with a zero balance vector
+    (balance)."""
+    for w in enumerate_admissible_words(lg.shadowed, n):
+        if mode == "reduction":
+            keep = isinstance(reduce_word(w), Vertex)
+        else:
+            keep = w[0].src == w[-1].dst and theta(lg.label(s) for s in w).is_zero
+        if keep:
+            yield w
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lg=labeled_multigraphs(),
+    n=st.integers(1, 6),
+    mode=st.sampled_from(["reduction", "balance"]),
+    data=st.data(),
+)
+def test_property_word_walk_matches_filter(lg, n, mode, data):
+    full = list(qualifying_words_by_filter(lg, n, mode))
+    rep = w_m_set(lg, n, mode)
+    assert list(rep.words) == full
+    assert rep.tallies == (moment if mode == "reduction" else balance_moment)(lg, n)
+    # the walk charges every first letter and n per word kept, so any
+    # budget below that runs out wherever there is anything to walk
+    budget = data.draw(st.integers(0, len(lg.shadowed.signed_edges) + n * len(full) - 1))
+    try:
+        w_m_set(lg, n, mode, budget=budget)
+    except BudgetExceededError as exc:
+        part = exc.partial
+        assert list(part.words) == full[: len(part.words)]
+        assert n * len(part.words) <= budget
+        assert part.tallies == DiagonalElement.of((w[0].src, 1) for w in part.words)
+    else:
+        assert n % 2  # odd lengths close no word and walk nothing
 
 
 def balanced_loops_full(kg, n):

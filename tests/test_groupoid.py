@@ -13,7 +13,6 @@ from groupoidlab.groupoid import (
     d_loop_words,
     diagram,
     diagram_distinct,
-    enumerate_admissible_words,
     inverse,
     is_admissible,
     reduce_word,
@@ -24,6 +23,15 @@ from groupoidlab.groupoid import (
 
 def sh(name):
     return shadow(fixture(name).graph)
+
+
+def enumerate_admissible_words(g, n):
+    """Reference: every admissible length-n word on the shadowed graph g,
+    in lexicographic signed-edge order, built letter by letter."""
+    words = [(s,) for s in g.signed_edges]
+    for _ in range(n - 1):
+        words = [w + (s,) for w in words for s in g.out_edges(w[-1].dst)]
+    return words
 
 
 def reduce_random_order(word, rng):

@@ -117,6 +117,12 @@ def test_w_m_set_odd_reduction_empty():
         assert w_m_set(labeled(name), 3).count == 0
 
 
+def test_w_m_set_checks_the_mode_before_walking():
+    # a budget of 0 runs out at the first letter: the mode error comes first
+    with pytest.raises(ValueError, match="unknown mode"):
+        w_m_set(labeled("two-loop"), 4, "loops", budget=0)
+
+
 def test_reduction_words_subset_of_balance_words():
     for name in ["circulant-3", "two-loop", "example-6-2"]:
         lg = labeled(name)
