@@ -7,6 +7,10 @@ byte-identical output.
 
 Each subcommand returns only its result, adding its own diagnostics to
 the dict it is handed; main assembles and emits the one report.
+
+A run builds the parser of the one subcommand it names and imports
+only the layers that subcommand calls: start-up is most of the cost of
+a short command.
 """
 
 from __future__ import annotations
@@ -15,11 +19,7 @@ import argparse
 import json
 import sys
 
-from . import automaton, fixtures, graphio, labeling, moments, ncpartitions, operators
-from .errors import BudgetExceededError
-from .graphs import GraphError, shadow, validate_graph
-from .labeling import LabeledGraph, count_axis_paths
-from .moments import DiagonalElement
+from .errors import BASIS_BUDGET, ENUM_BUDGET, BudgetExceededError, GraphError, SchemaError
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -35,13 +35,31 @@ class VerificationMismatch(RuntimeError):
         self.result = result
 
 
-def _diag_payload(d: DiagonalElement) -> dict:
+def _diag_payload(d) -> dict:
     """Machine form of a diagonal element: coefficient strings keep the
     integers exact for any JSON consumer."""
     return {v: str(c) for v, c in d.coeffs}
 
 
-def _load_labeled(args) -> tuple[LabeledGraph, dict, list]:
+# The graph layer's entry points, module-level names here so that a
+# tracer can wrap them where the CLI calls them.  Each imports the graph
+# layer on its first call: lattice and nc never load it.
+def validate_graph(graph):
+    from .graphs import validate_graph
+
+    return validate_graph(graph)
+
+
+def shadow(graph):
+    from .graphs import shadow
+
+    return shadow(graph)
+
+
+def _load_labeled(args) -> tuple:
+    """(labeled graph, inputs, notes) of the file args.graph names."""
+    from . import fixtures, graphio, labeling
+
     graph, file_labels = graphio.parse_graph_file(args.graph)
     report = validate_graph(graph)
     if not report.ok:
@@ -51,7 +69,7 @@ def _load_labeled(args) -> tuple[LabeledGraph, dict, list]:
     if mode == "auto":
         mode = labeling.MODE_EXPLICIT if file_labels else labeling.MODE_VERTEX
     if mode == labeling.MODE_EXPLICIT and not file_labels:
-        raise graphio.SchemaError("explicit labeling requested but the file has no labels")
+        raise SchemaError("explicit labeling requested but the file has no labels")
     lg = labeling.assign_weights(
         sh, mode, explicit=file_labels if mode == labeling.MODE_EXPLICIT else None
     )
@@ -118,6 +136,8 @@ def _unprintable(what: str, limit: int) -> BudgetExceededError:
 
 
 def _cmd_moments(args, lg, diagnostics) -> dict:
+    from . import moments
+
     reduction = moments.tally(lg, args.n, "reduction", budget=args.budget)
     balance = moments.tally(lg, args.n, "balance", budget=args.budget)
     primary = reduction if args.mode == "reduction" else balance
@@ -139,11 +159,17 @@ def _cmd_moments(args, lg, diagnostics) -> dict:
         rep = moments.w_m_set(lg, args.n, args.mode, budget=args.budget)
         result["words"] = _word_names(lg, rep.words)
     if args.verify:
-        oracle = operators.oracle_expectation_power(
-            lg, args.n, args.n, budget=args.basis_budget
-        )
+        from . import operators
+
+        try:
+            oracle = operators.oracle_expectation_power(
+                lg, args.n, args.n, budget=args.basis_budget
+            )
+        except BudgetExceededError as exc:
+            # keep the finished moments
+            raise BudgetExceededError(str(exc), partial=primary.diagonal) from exc
         diagnostics["oracle"] = {v: str(c) for v, c in sorted(oracle.items())}
-        if DiagonalElement.of(oracle) != reduction.diagonal:
+        if moments.DiagonalElement.of(oracle) != reduction.diagonal:
             raise VerificationMismatch("moments disagree with the oracle", result)
     return result
 
@@ -157,6 +183,8 @@ def _word_names(lg, words) -> list:
 
 
 def _cmd_oracle(args, lg, diagnostics) -> dict:
+    from . import operators
+
     values = operators.oracle_expectation_power(
         lg, args.n, args.max_len, budget=args.basis_budget
     )
@@ -168,6 +196,8 @@ def _cmd_oracle(args, lg, diagnostics) -> dict:
 
 
 def _cmd_cumulants(args, lg, diagnostics) -> dict:
+    from . import moments
+
     result: dict = {"n": args.n, "formula": args.formula}
     if args.formula in ("direct", "both"):
         direct = moments.cumulant_direct(lg, args.n)
@@ -188,6 +218,8 @@ def _cmd_cumulants(args, lg, diagnostics) -> dict:
 
 
 def _cmd_joint(args, lg, diagnostics) -> dict:
+    from . import moments
+
     m = moments.joint_moment(lg, args.indices, budget=args.budget)
     k = moments.joint_cumulant(lg, args.indices)
     return {
@@ -198,6 +230,8 @@ def _cmd_joint(args, lg, diagnostics) -> dict:
 
 
 def _cmd_freeness(args, lg, diagnostics) -> dict:
+    from . import moments
+
     k1, k2 = args.families
     rep = moments.check_freeness(lg, k1, k2, max_n=args.max_n)
     return {
@@ -215,6 +249,8 @@ def _cmd_freeness(args, lg, diagnostics) -> dict:
 
 
 def _cmd_fractaloid(args, lg, diagnostics) -> dict:
+    from . import automaton
+
     sh = lg.shadowed
     # one step per signed edge, depth and root, charged up front
     steps = args.depth * len(sh.signed_edges) * len(sh.vertices)
@@ -244,6 +280,8 @@ def _cmd_fractaloid(args, lg, diagnostics) -> dict:
 
 
 def _cmd_tree(args, lg, diagnostics) -> dict | None:
+    from . import automaton
+
     aut = automaton.GraphAutomaton(lg)
     root = args.root or lg.graph.vertices[0]
     tree = automaton.build_tree(aut, root, args.depth)
@@ -255,6 +293,8 @@ def _cmd_tree(args, lg, diagnostics) -> dict | None:
 
 
 def _cmd_lattice(args, lg, diagnostics) -> dict:
+    from .labeling import count_axis_paths
+
     n, k = args.max_label, args.length
     limit = _digit_limit()
     # refuse up front a count that str() might not print: it is at most
@@ -270,6 +310,8 @@ def _cmd_lattice(args, lg, diagnostics) -> dict:
 
 
 def _cmd_nc(args, lg, diagnostics) -> dict:
+    from . import ncpartitions
+
     row = ncpartitions.moebius_row(args.n)
     return {
         "n": args.n,
@@ -303,93 +345,114 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GRAPH = (
+    ("--graph", dict(required=True, help="graph JSON file")),
+    ("--labeling", dict(
+        choices=["auto", "vertex", "multiedge", "explicit"],
+        default="auto",
+        help="labeling mode (auto: explicit when the file has labels)",
+    )),
+)
+
+
+def _formats(*formats) -> tuple:
+    return (
+        ("--format", dict(choices=["text", "json", *formats], default="text")),
+        ("--json", dict(
+            dest="format", action="store_const", const="json",
+            help="shorthand for --format json",
+        )),
+    )
+
+
+_TEXT_JSON, _WITH_CSV = _formats(), _formats("csv")
+_BUDGET = (("--budget", dict(type=_positive_int, default=ENUM_BUDGET)),)
+_BASIS_BUDGET = (("--basis-budget", dict(type=_positive_int, default=BASIS_BUDGET)),)
+_N = (("--n", dict(type=int, required=True)),)
+
+# name -> (handler, help, flags in the order of --help); each flag is
+# (option, add_argument keywords).  A subcommand declares only the
+# common flags its handler reads.
+COMMANDS = {
+    "moments": (_cmd_moments, "E(T_G^n) by the excursion DP", (
+        *_GRAPH, *_WITH_CSV, *_BUDGET, *_BASIS_BUDGET, *_N,
+        ("--mode", dict(choices=["reduction", "balance"], default="reduction")),
+        ("--verify", dict(action="store_true", help="cross-check with the oracle")),
+        ("--words", dict(
+            action="store_true",
+            help="include the qualifying words (signed edge ids, ~ marks the shadow)",
+        )),
+    )),
+    "oracle": (_cmd_oracle, "E(T_G^n) from the truncated operator model", (
+        *_GRAPH, *_WITH_CSV, *_BASIS_BUDGET, *_N,
+        ("--max-len", dict(type=int, required=True)),
+    )),
+    "cumulants": (_cmd_cumulants, "k_n(T_G, ..., T_G)", (
+        *_GRAPH, *_WITH_CSV, *_BUDGET, *_N,
+        ("--formula", dict(choices=["direct", "wc", "both"], default="direct")),
+    )),
+    "joint": (_cmd_joint, "joint moment and cumulant for an index tuple", (
+        *_GRAPH, *_WITH_CSV, *_BUDGET,
+        ("--indices", dict(
+            type=_index_list, required=True, help="comma-separated labels, e.g. 1,-1,2"
+        )),
+    )),
+    "freeness": (_cmd_freeness, "mixed cumulants between two label families", (
+        *_GRAPH, *_TEXT_JSON,
+        ("--families", dict(type=_label_pair, required=True, help="two labels, e.g. 1,2")),
+        ("--max-n", dict(type=int, default=4)),
+    )),
+    "fractaloid": (_cmd_fractaloid, "decide the fractaloid property", (
+        *_GRAPH, *_TEXT_JSON, *_BUDGET,
+        ("--depth", dict(type=int, default=4)),
+    )),
+    "tree": (_cmd_tree, "emit the depth-d action tree as DOT", (
+        *_GRAPH, *_TEXT_JSON,
+        ("--root", dict(default=None)),
+        ("--depth", dict(type=int, required=True)),
+    )),
+    "lattice": (_cmd_lattice, "count balanced label words", (
+        *_TEXT_JSON, *_BUDGET,
+        ("--max-label", dict(type=int, required=True)),
+        ("--length", dict(type=int, required=True)),
+    )),
+    "nc": (_cmd_nc, "noncrossing partition diagnostics", (*_TEXT_JSON, *_N)),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with the one subcommand named command, or with all of
+    them when command is None."""
     parser = argparse.ArgumentParser(
         prog="groupoidlab",
         description="Labeled graph groupoids: moments, cumulants, automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, func, help, graph=True, csv=False, budget=False,
-                    basis_budget=False):
-        """A subcommand with only the common flags that func reads."""
-        p = sub.add_parser(name, help=help)
+    for name in COMMANDS if command is None else (command,):
+        func, summary, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        if graph:
-            p.add_argument("--graph", required=True, help="graph JSON file")
-            p.add_argument(
-                "--labeling",
-                choices=["auto", "vertex", "multiedge", "explicit"],
-                default="auto",
-                help="labeling mode (auto: explicit when the file has labels)",
-            )
-        formats = ["text", "json", "csv"] if csv else ["text", "json"]
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument(
-            "--json",
-            dest="format",
-            action="store_const",
-            const="json",
-            help="shorthand for --format json",
-        )
-        if budget:
-            p.add_argument("--budget", type=_positive_int, default=moments.ENUM_BUDGET)
-        if basis_budget:
-            p.add_argument(
-                "--basis-budget", type=_positive_int, default=operators.BASIS_BUDGET
-            )
-        return p
-
-    p = add_command("moments", _cmd_moments, "E(T_G^n) by the excursion DP",
-                    csv=True, budget=True, basis_budget=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=["reduction", "balance"], default="reduction")
-    p.add_argument("--verify", action="store_true", help="cross-check with the oracle")
-    p.add_argument(
-        "--words",
-        action="store_true",
-        help="include the qualifying words (signed edge ids, ~ marks the shadow)",
-    )
-
-    p = add_command("oracle", _cmd_oracle, "E(T_G^n) from the truncated operator model",
-                    csv=True, basis_budget=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
-
-    p = add_command("cumulants", _cmd_cumulants, "k_n(T_G, ..., T_G)", csv=True, budget=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--formula", choices=["direct", "wc", "both"], default="direct")
-
-    p = add_command("joint", _cmd_joint, "joint moment and cumulant for an index tuple",
-                    csv=True, budget=True)
-    p.add_argument("--indices", type=_index_list, required=True,
-                   help="comma-separated labels, e.g. 1,-1,2")
-
-    p = add_command("freeness", _cmd_freeness, "mixed cumulants between two label families")
-    p.add_argument("--families", type=_label_pair, required=True, help="two labels, e.g. 1,2")
-    p.add_argument("--max-n", type=int, default=4)
-
-    p = add_command("fractaloid", _cmd_fractaloid, "decide the fractaloid property",
-                    budget=True)
-    p.add_argument("--depth", type=int, default=4)
-
-    p = add_command("tree", _cmd_tree, "emit the depth-d action tree as DOT")
-    p.add_argument("--root", default=None)
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add_command("lattice", _cmd_lattice, "count balanced label words", graph=False,
-                    budget=True)
-    p.add_argument("--max-label", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-
-    p = add_command("nc", _cmd_nc, "noncrossing partition diagnostics", graph=False)
-    p.add_argument("--n", type=int, required=True)
-
+        for option, kwargs in flags:
+            p.add_argument(option, **kwargs)
     return parser
 
 
+def _parse_args(argv):
+    """Parse with the parser of the subcommand argv names.  With no
+    subcommand named, or arguments left over, parse again with every
+    subcommand registered: that parser's usage lists them all, so
+    argparse's help and error text is the same for every argv."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     diagnostics: dict = {"truncated": False}
     report: dict = {"command": args.command, "diagnostics": diagnostics}
     lg = None
@@ -403,7 +466,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except graphio.SchemaError as exc:
+    except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GraphError as exc:
@@ -432,9 +495,14 @@ def main(argv=None) -> int:
 
 def _partial_payload(exc: BudgetExceededError, lg) -> dict:
     partial = exc.partial
-    if isinstance(partial, moments.TallyResult):
+    if partial is None:
+        return {}
+    # every partial result is a value of the moment layer
+    from .moments import DiagonalElement, TallyResult, WordSetReport
+
+    if isinstance(partial, TallyResult):
         return {"diagonal": _diag_payload(partial.diagonal), "words": partial.words}
-    if isinstance(partial, moments.WordSetReport):
+    if isinstance(partial, WordSetReport):
         return {
             "diagonal": _diag_payload(partial.tallies),
             "words": _word_names(lg, partial.words),

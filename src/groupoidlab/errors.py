@@ -1,8 +1,22 @@
-"""Shared error types, and the base of the immutable value types."""
+"""Shared error types, the default budgets, and the base of the immutable
+value types."""
 
 from operator import attrgetter
 
 _setattr = object.__setattr__
+
+# default budgets of the word and DP enumerations (moments) and of the
+# operator oracle's basis (operators); the CLI's flags default to them
+ENUM_BUDGET = 10_000_000
+BASIS_BUDGET = 100_000
+
+
+class GraphError(ValueError):
+    """Structurally invalid graph input."""
+
+
+class SchemaError(ValueError):
+    """Input parses as JSON but violates the graph schema."""
 
 
 class BudgetExceededError(RuntimeError):

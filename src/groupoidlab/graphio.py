@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import json
 
-from .graphs import DirectedGraph, Edge, GraphError
-
-
-class SchemaError(ValueError):
-    """Input parses as JSON but violates the graph schema."""
+from .errors import GraphError, SchemaError
+from .graphs import DirectedGraph, Edge
 
 
 def parse_graph_obj(obj) -> tuple[DirectedGraph, dict | None]:

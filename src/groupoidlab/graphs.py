@@ -7,11 +7,7 @@ deterministic across runs.
 
 from __future__ import annotations
 
-from .errors import Value
-
-
-class GraphError(ValueError):
-    """Structurally invalid graph input."""
+from .errors import GraphError, Value
 
 
 class Edge(Value):

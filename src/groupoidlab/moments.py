@@ -29,12 +29,11 @@ from math import prod
 from operator import add, mul
 
 from . import _kernel, groupoid, ncpartitions
-from .errors import BudgetExceededError, Value
+from .errors import ENUM_BUDGET, BudgetExceededError, Value
 from .groupoid import Vertex, reduce_admissible, reduce_word
 from .labeling import LabeledGraph
 from .ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius, nested
 
-ENUM_BUDGET = 10_000_000
 # The closed-form k_n has about 0.3 n digits: Python converts at most
 # 4300 digits of an int to a string by default, and building and
 # printing the value take time about quadratic in n.

@@ -15,12 +15,10 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import _kernel
-from .errors import BudgetExceededError
+from .errors import BASIS_BUDGET, BudgetExceededError
 from .graphs import ShadowedGraph
 from .groupoid import EMPTY, ReducedPath, Vertex
 from .labeling import LabeledGraph
-
-BASIS_BUDGET = 100_000
 
 
 class Basis:
@@ -34,7 +32,9 @@ class Basis:
     level extends the one before, parent by parent, by the out-edges of
     the parent's target in index order, skipping the inverse of its last
     letter, so every level is born in order.  Each child is recorded
-    under (parent, signed edge) as it is appended.
+    under (parent, signed edge) as it is appended.  The level sizes are
+    counted first, so a basis past its budget is refused before any
+    level is built.
     """
 
     def __init__(self, g: ShadowedGraph, max_len: int, budget: int = BASIS_BUDGET):
@@ -52,14 +52,8 @@ class Basis:
         # (element, signed edge) -> index of the element one letter longer
         self._child = {}
         level = range(nv)
-        for ell in range(1, max_len + 1):
+        for ell, size in enumerate(level_sizes(t, max_len, budget), 1):
             start = len(self.parent)
-            if ell == 1:
-                size = t.n_signed
-            else:
-                size = sum(len(t.out(self.target[j])) - 1 for j in level)
-            if start + size > budget:
-                raise BudgetExceededError(f"basis exceeds budget {budget} at length {ell}")
             if ell == 1:
                 grown = [(t.src[s], s) for s in range(t.n_signed)]
             else:
@@ -159,6 +153,34 @@ class SparseOperator:
 
     def __repr__(self) -> str:
         return f"SparseOperator(dim={self.dim}, nnz={self.nnz()})"
+
+
+def level_sizes(t, max_len: int, budget: int = BASIS_BUDGET) -> list:
+    """The number of reduced paths of each length 1..max_len over the
+    signed-edge tables t, up to the last nonempty length, counted
+    without building them.  c[s] counts the paths of the current length
+    that end in signed edge s: c[s] = 1 at length 1, and a path grows by
+    any letter s' leaving the end of s except the inverse of s, so
+    c'[s'] is the count of the paths ending at the source of s' less
+    c[inv s'].  Raises BudgetExceededError at the first length that
+    takes the vertices and the paths so far past budget."""
+    sizes = []
+    total = t.n_vertices
+    c = [1] * t.n_signed
+    for ell in range(1, max_len + 1):
+        if ell > 1:
+            ending = [0] * t.n_vertices
+            for s, k in enumerate(c):
+                ending[t.dst[s]] += k
+            c = [ending[t.src[s]] - c[t.inv[s]] for s in range(t.n_signed)]
+        size = sum(c)
+        total += size
+        if total > budget:
+            raise BudgetExceededError(f"basis exceeds budget {budget} at length {ell}")
+        if not size:  # no path extends, at this length or any longer one
+            break
+        sizes.append(size)
+    return sizes
 
 
 def build_basis(g: ShadowedGraph, max_len: int, budget: int = BASIS_BUDGET) -> Basis:

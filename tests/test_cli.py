@@ -202,13 +202,34 @@ def test_exit_verify_mismatch(monkeypatch):
     from groupoidlab import operators
 
     monkeypatch.setattr(
-        cli.operators,
+        operators,
         "oracle_expectation_power",
         lambda lg, n, L, budget=None: {"v": 999},
     )
     code, rep = run_json(["moments", "--graph", fx("one-loop"), "--n", "2", "--verify"])
     assert code == 6
     assert rep["status"] == "verification-mismatch"
+
+
+def test_verify_past_the_basis_budget_keeps_the_moments(capsys):
+    # the DP has finished when the oracle's basis runs out: its diagonal
+    # is the partial result, and the note is the oracle's
+    argv = ["moments", "--graph", fx("one-loop"), "--n", "2", "--verify", "--basis-budget", "1"]
+    assert run(argv) == (5, (
+        "command: moments\n"
+        "diagonal: {v: 2}\n"
+        "note: basis exceeds budget 1 at length 1\n"
+        "truncated: True\n"
+        "status: truncated\n"
+    ))
+    assert run(argv + ["--json"]) == (5, (
+        '{"command": "moments", "diagnostics": {"notes": ["basis exceeds budget 1 at '
+        'length 1"], "truncated": true}, "result": {"diagonal": {"v": "2"}}, '
+        '"status": "truncated"}\n'
+    ))
+    code, rep = run_json(argv[:5] + ["--mode", "balance", "--verify", "--basis-budget", "1"])
+    assert code == 5 and rep["result"] == {"diagonal": {"v": "2"}}
+    assert capsys.readouterr().err == ""
 
 
 def test_json_output_deterministic():

@@ -1,5 +1,6 @@
 import pytest
 
+from groupoidlab import _kernel
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.fixtures import FIXTURES, fixture
 from groupoidlab.graphs import shadow
@@ -9,6 +10,7 @@ from groupoidlab.operators import (
     SparseOperator,
     build_basis,
     labeling_operator,
+    level_sizes,
     oracle_expectation_power,
     right_mult,
     total_labeling_operator,
@@ -88,6 +90,47 @@ def test_basis_closed_under_inverse():
 def test_basis_budget():
     with pytest.raises(BudgetExceededError):
         build_basis(shadow(fixture("three-loop").graph), 8, budget=100)
+
+
+def built_level_sizes(basis, max_len):
+    """The number of basis elements of each length 1..max_len."""
+    lengths = [0 if isinstance(a, Vertex) else len(a.word) for a in basis.elements]
+    return [lengths.count(ell) for ell in range(1, max_len + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_counted_level_sizes_match_the_built_levels(name):
+    g = shadow(fixture(name).graph)
+    sizes = level_sizes(_kernel.signed_tables(g), 6)
+    # counting stops at the first empty length: every longer one is empty
+    assert sizes + [0] * (6 - len(sizes)) == built_level_sizes(build_basis(g, 6), 6)
+    assert all(sizes)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_basis_budget_boundary(name):
+    g = shadow(fixture(name).graph)
+    for max_len in range(1, 6):
+        basis = build_basis(g, max_len)
+        size = len(basis)
+        assert len(build_basis(g, max_len, budget=size)) == size
+        # one element fewer is refused at the last nonempty length
+        sizes = built_level_sizes(basis, max_len)
+        longest = max(ell for ell, k in enumerate(sizes, 1) if k)
+        with pytest.raises(BudgetExceededError) as exc:
+            build_basis(g, max_len, budget=size - 1)
+        assert str(exc.value) == f"basis exceeds budget {size - 1} at length {longest}"
+
+
+def test_over_budget_basis_is_refused_before_any_level_is_built(monkeypatch):
+    # the levels are built from SignedTables.out; the count never calls it
+    def out(self, v):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(_kernel.SignedTables, "out", out)
+    g = shadow(fixture("three-loop").graph)
+    with pytest.raises(BudgetExceededError, match="^basis exceeds budget 100000 at length 7$"):
+        build_basis(g, 8)
 
 
 def test_vertex_projection_idempotent_selfadjoint():

@@ -1,5 +1,6 @@
 """The immutable value types: construction, equality, hash, repr and
-immutability, and an import path free of dataclasses."""
+immutability; an import path free of dataclasses, and subcommands that
+load only the layers they run."""
 
 import importlib
 import os
@@ -225,3 +226,35 @@ def test_cli_import_loads_no_dataclasses():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == []
+
+
+def loaded_modules(argv):
+    """The groupoidlab modules a fresh process loads to run one command."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from groupoidlab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "print(' '.join(sorted(m[12:] for m in sys.modules if m.startswith('groupoidlab.'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
+GRAPH = ["--graph", "fixtures/example-6-2.json"]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["nc", "--n", "4"], {"graphs", "labeling", "moments", "automaton", "operators"}),
+    (["tree", *GRAPH, "--depth", "2"], {"moments", "ncpartitions", "operators"}),
+    (["fractaloid", *GRAPH, "--depth", "2"], {"moments", "ncpartitions", "operators"}),
+    (["moments", *GRAPH, "--n", "4", "--words"], {"operators", "automaton"}),
+    (["lattice", "--max-label", "2", "--length", "4"], {"moments"}),
+], ids=lambda a: a[0] if isinstance(a, list) else None)
+def test_each_subcommand_loads_only_the_layers_it_runs(argv, absent):
+    loaded = loaded_modules(argv)
+    assert "cli" in loaded
+    assert loaded & absent == set()
