@@ -8,16 +8,17 @@ byte-identical output.
 Each subcommand returns only its result, adding its own diagnostics to
 the dict it is handed; main assembles and emits the one report.
 
-A run builds the parser of the one subcommand it names and imports
-only the layers that subcommand calls: start-up is most of the cost of
-a short command.
+A well-formed argv is read straight from the command table, COMMANDS;
+argparse is imported, and its full parser built, only for help, usage
+and errors.  Each subcommand imports only the layers it calls:
+start-up is most of the cost of a short command.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .errors import BASIS_BUDGET, ENUM_BUDGET, BudgetExceededError, GraphError, SchemaError
 
@@ -328,12 +329,16 @@ def _index_list(raw: str) -> tuple:
     try:
         return tuple(int(part) for part in raw.split(",") if part.strip() != "")
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"bad index list {raw!r}") from None
 
 
 def _label_pair(raw: str) -> tuple:
     pair = _index_list(raw)
     if len(pair) != 2:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"need exactly two labels, got {raw!r}")
     return pair
 
@@ -341,6 +346,8 @@ def _label_pair(raw: str) -> tuple:
 def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError("budget must be positive")
     return value
 
@@ -420,16 +427,17 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with the one subcommand named command, or with all of
-    them when command is None."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand registered: it words all help,
+    usage and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="groupoidlab",
         description="Labeled graph groupoids: moments, cumulants, automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else (command,):
-        func, summary, flags = COMMANDS[name]
+    for name, (func, summary, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         for option, kwargs in flags:
@@ -437,18 +445,53 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv):
+    """The arguments argparse would parse from argv, read from COMMANDS,
+    or None unless argv is well formed: a subcommand's exact name, then
+    only its exact flags, each value-taking one followed by a value that
+    does not start with "-" and passes its type and choices, and every
+    required flag given.  The last occurrence of a flag wins."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, flags = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    declared, required = {}, set()
+    for option, kwargs in flags:
+        dest = kwargs.get("dest", option[2:].replace("-", "_"))
+        declared[option] = dest, kwargs
+        flag = kwargs.get("action") == "store_true"
+        values.setdefault(dest, kwargs.get("default", False if flag else None))
+        if kwargs.get("required"):
+            required.add(option)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in declared:
+            return None
+        dest, kwargs = declared[token]
+        if "action" in kwargs:  # store_true or store_const
+            value = kwargs.get("const", True)
+        else:
+            raw = next(tokens, "-")  # no value left reads as a flag
+            if raw.startswith("-"):
+                return None
+            try:
+                value = kwargs.get("type", str)(raw)
+            except Exception:  # argparse runs the type again and words the error
+                return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        values[dest] = value
+        required.discard(token)
+    return None if required else SimpleNamespace(**values)
+
+
 def _parse_args(argv):
-    """Parse with the parser of the subcommand argv names.  With no
-    subcommand named, or arguments left over, parse again with every
-    subcommand registered: that parser's usage lists them all, so
-    argparse's help and error text is the same for every argv."""
+    """The parsed arguments: read from COMMANDS when argv is well formed,
+    else by argparse, whose help, usage and error text and exit codes are
+    then the CLI's."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in COMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv)
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    return _read_argv(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,7 @@
 """The immutable value types: construction, equality, hash, repr and
 immutability; an import path free of dataclasses, and subcommands that
-load only the layers they run."""
+load only the layers they run and, with a well-formed argv, no
+argparse."""
 
 import importlib
 import os
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import groupoidlab
-from groupoidlab import _kernel, automaton, moments
+from groupoidlab import _kernel, automaton, cli, moments
 from groupoidlab.errors import Value
 from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import Edge, SignedEdge, shadow, validate_graph
@@ -228,14 +229,19 @@ def test_cli_import_loads_no_dataclasses():
     assert out.stdout.split() == []
 
 
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
 def loaded_modules(argv):
-    """The groupoidlab modules a fresh process loads to run one command."""
+    """The groupoidlab modules a fresh process loads to run one command,
+    and those of ARGPARSE it loads."""
     code = (
         "import contextlib, io, sys\n"
         "from groupoidlab import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
         "print(' '.join(sorted(m[12:] for m in sys.modules if m.startswith('groupoidlab.'))))\n"
+        f"print(' '.join(sorted({sorted(ARGPARSE)!r} & sys.modules.keys())))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run(
@@ -258,3 +264,18 @@ def test_each_subcommand_loads_only_the_layers_it_runs(argv, absent):
     loaded = loaded_modules(argv)
     assert "cli" in loaded
     assert loaded & absent == set()
+    assert loaded & ARGPARSE == set()
+
+
+def test_leftover_argument_exits_with_the_full_usage():
+    """A stray token is left to argparse, whose usage lists every
+    subcommand, in a fresh process as in-process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "groupoidlab.cli", "moments", *GRAPH, "--n", "1", "bogus"],
+        env=env, cwd=ROOT, capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("usage: groupoidlab [-h]")
+    assert "{" + ",".join(cli.COMMANDS) + "}" in out.stderr
+    assert out.stderr.endswith("error: unrecognized arguments: bogus\n")
