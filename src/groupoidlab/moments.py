@@ -248,10 +248,12 @@ def expectation_pi(
 
 
 def _moebius_row(n: int) -> list:
-    """(pi, mu(pi, 1_n)) for every pi in NC(n), like
-    ncpartitions.moebius_row, but through this module's enumerate_nc
-    and moebius."""
-    return [(pi, moebius(pi)) for pi in enumerate_nc(n)]
+    """(pi, mu(pi, 1_n)) for every pi in NC(n) whose blocks all have
+    even size, through this module's enumerate_nc and moebius.  The
+    other pi add nothing to a Moebius sum of E_pi: a word reduces to a
+    vertex only when each letter meets its inverse, so a block of odd
+    size closes to 0.  Empty for odd n."""
+    return [(pi, moebius(pi)) for pi in enumerate_nc(n, even=True)]
 
 
 def cumulant_of(
@@ -260,7 +262,9 @@ def cumulant_of(
     """Joint free cumulant of letter-weight operands by Moebius
     inversion: sum over pi of mu(pi, 1_n) E_pi(...).  The oracle of
     closed_form_cumulant, and the route of check_freeness.
-    row: the (pi, mu) pairs of NC(n), when the caller holds them.
+    row: the (pi, mu) pairs to sum over, when the caller holds them;
+    by default the pi in NC(n) with only even blocks, since E_pi is 0
+    for the others (see _moebius_row).
     memo: block closes shared with other calls (see expectation_pi);
     by default, one memo for this call.
     tables: lg's _kernel.signed_tables, when the caller holds them."""
@@ -361,7 +365,8 @@ def cumulant_via_wc(
     The letters of such a word are one edge and its inverse, so mu_w
     depends only on which letters equal the first one and on whether
     the edge is a loop; it is computed once per such pattern, over one
-    Moebius row, enumerated at the first vertex-reducing word.  Above
+    Moebius row of the even-block partitions (see _moebius_row),
+    enumerated at the first vertex-reducing word.  Above
     NC_BUDGET no row can be, and _wc_past_nc_budget decides the outcome
     without building words."""
     if n < 1:
@@ -457,7 +462,15 @@ def check_freeness(lg: LabeledGraph, k1: int, k2: int, max_n: int = 4) -> Freene
     {T_k2, T_-k2}, all orders 2..max_n, with letters from both families.
     A zero maximum confirms freeness over the diagonal to that order.
     Also reports the diagram-distinctness of the two edge families (the
-    sufficient condition on the graph side)."""
+    sufficient condition on the graph side).
+
+    Only terms that are exactly 0 are skipped.  A block of pi closes to
+    a nonzero value only when its letters reduce to a vertex, so each
+    letter meets its inverse, whose label is the negation: the block
+    holds as many letters of each label k as of -k.  So a tuple with
+    unbalanced label counts has every E_pi = 0 and is not summed (it
+    still counts in tuples_checked), and a balanced tuple sums only the
+    pi of the even-block row whose blocks are all balanced."""
     if k1 == k2:
         raise ValueError("families must be distinct")
     for k in (k1, k2):
@@ -474,16 +487,27 @@ def check_freeness(lg: LabeledGraph, k1: int, k2: int, max_n: int = 4) -> Freene
     checked = 0
     max_abs = 0
     nonzero = []
+    # letters hold as many k1 as -k1 and as many k2 as -k2 exactly when
+    # their codes sum to 0: fewer than max_n + 1 letters carry k1 or -k1
+    code = {k1: 1, -k1: -1, k2: max_n + 1, -k2: -(max_n + 1)}
     for n in range(2, max_n + 1):
         row = _moebius_row(n)
         for idx in itertools.product(alphabet, repeat=n):
             if {abs(i) for i in idx} != {k1, k2}:
                 continue
             checked += 1
+            codes = [code[k] for k in idx]
+            if sum(codes):  # an unbalanced tuple: every E_pi is 0
+                continue
+            balanced = [
+                (pi, mu)
+                for pi, mu in row
+                if not any(sum(codes[i - 1] for i in b) for b in pi.blocks)
+            ]
             # the Moebius route, not the closed form: this sum is the
             # evidence that the mixed cumulants vanish
             operands = [weights[k] for k in idx]
-            val = cumulant_of(lg, operands, row=row, memo=memo, tables=tables)
+            val = cumulant_of(lg, operands, row=balanced, memo=memo, tables=tables)
             if not val.is_zero:
                 if len(nonzero) < NONZERO_CAP:
                     nonzero.append((idx, val))

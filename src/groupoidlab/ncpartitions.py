@@ -52,15 +52,19 @@ class NoncrossingPartition(Value):
         return "NC(" + "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks) + ")"
 
 
-def _gen_blocks(elems):
+def _gen_blocks(elems, even=False):
     """Yield the noncrossing partitions of the sorted tuple elems, as
-    tuples of blocks."""
+    tuples of blocks; with even, only those whose blocks all have even
+    size, in the same order.  The block of the first element leaves
+    gaps that the rest fill independently, so with even the block size
+    steps by 2 and a choice that leaves an odd gap is skipped."""
     if not elems:
         yield ()
         return
     first = elems[0]
     others = elems[1:]
-    for k in range(len(others) + 1):
+    step = 2 if even else 1
+    for k in range(step - 1, len(others) + 1, step):
         for extra in itertools.combinations(others, k):
             block = (first,) + extra
             segments = []
@@ -73,7 +77,9 @@ def _gen_blocks(elems):
                 else:
                     seg.append(x)
             segments.append(tuple(seg))
-            for parts in itertools.product(*(_gen_blocks(s) for s in segments)):
+            if even and any(len(s) % 2 for s in segments):
+                continue
+            for parts in itertools.product(*(_gen_blocks(s, even) for s in segments)):
                 rest = tuple(b for p in parts for b in p)
                 yield tuple(sorted((block,) + rest, key=min))
 
@@ -85,13 +91,16 @@ def check_nc_budget(n: int) -> None:
         raise BudgetExceededError(f"n={n} exceeds the NC enumeration budget {NC_BUDGET}")
 
 
-def enumerate_nc(n: int):
-    """All noncrossing partitions of {1..n}, deterministically ordered.
-    Guarded by check_nc_budget."""
+def enumerate_nc(n: int, even: bool = False):
+    """All noncrossing partitions of {1..n}, deterministically ordered;
+    with even, only those whose blocks all have even size (none for odd
+    n, C(3m, m)/(2m+1) for n = 2m), in the same relative order.  Guarded
+    by check_nc_budget."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_nc_budget(n)
-    return [NoncrossingPartition(n, bs) for bs in _gen_blocks(tuple(range(1, n + 1)))]
+    blocks = _gen_blocks(tuple(range(1, n + 1)), even)
+    return [NoncrossingPartition(n, bs) for bs in blocks]
 
 
 def kreweras(pi: NoncrossingPartition):

@@ -1,13 +1,15 @@
 """Exact sparse operators on the truncated graph Hilbert space.
 
-The basis collects the vertices and every reduced path of length at
-most L.  Right multiplication operators map basis vectors to basis
-vectors (or to zero), so each column holds at most one unit entry;
-products, adjoints, and powers stay in exact integer arithmetic.  This
-module is the brute-force oracle the moment DP is checked against,
+A basis of length L collects the vertices and every reduced path of
+length at most L.  Right multiplication operators map basis vectors to
+basis vectors (or to zero), so each column holds at most one unit
+entry; products, adjoints, and powers stay in exact integer arithmetic.
+This module is the brute-force oracle the moment DP is checked against,
 so it deliberately stays close to the definitions: the moment at a
 vertex v is the coefficient <T_G^n xi_v, xi_v>, read off after
-applying T_G n times to the vertex basis vectors.
+applying T_G n times to the vertex basis vectors.  The oracle builds
+the basis only to length n // 2, the longest a path can grow on a walk
+of n letters that returns to its vertex.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .labeling import LabeledGraph
 
 
 class Basis:
-    """Ordered basis: vertices first (sorted), then reduced paths by
-    (length, signed-edge index sequence).  Closed under inverse.
+    """Ordered basis: vertices first (sorted), then the reduced paths
+    of length at most max_len by (length, signed-edge index sequence).
+    Closed under inverse.
 
     The paths form a trie over the signed-edge tables of
     _kernel.signed_tables: element j stores its parent (the path without
@@ -259,16 +262,24 @@ def oracle_expectation_power(
     """<T_G^n xi_v, xi_v> for every vertex v, as a plain map vertex ->
     integer: T_G is applied n times to the vertex basis vectors only.
 
-    Valid whenever max_len >= n: T_G^k xi_v only sees words of length
-    <= k, so the truncation boundary cannot reach it.  The coefficient
-    at xi_v is the coefficient of R_v, because R_w fixes xi_v exactly
-    when w = v.
+    Exact in the basis of length max_len whenever max_len >= n: T_G^k
+    xi_v only sees words of length <= k, so the truncation boundary
+    cannot reach it.  The coefficient at xi_v is the coefficient of
+    R_v, because R_w fixes xi_v exactly when w = v.  That basis decides
+    the budget, but the walk runs in the basis of length n // 2: a path
+    that returns to its vertex at step n has length at most
+    min(k, n - k) after step k, so every path the shorter basis drops
+    contributes 0.  The n products are charged against budget too, up
+    front: on a tree the basis stays small whatever n is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if max_len < n:
         raise ValueError("need max_len >= n for an exact vertex diagonal")
-    basis = build_basis(lg.shadowed, max_len, budget)
+    level_sizes(_kernel.signed_tables(lg.shadowed), max_len, budget)
+    if n > budget:
+        raise BudgetExceededError(f"n={n} products exceed the basis budget {budget}")
+    basis = build_basis(lg.shadowed, n // 2, budget)
     t = total_labeling_operator(lg, basis)
     vertices = basis.vertex_positions()
     x = SparseOperator(len(basis))

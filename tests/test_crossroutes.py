@@ -14,6 +14,7 @@ import itertools
 import random
 from math import prod
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -38,8 +39,11 @@ from groupoidlab.labeling import (
     theta,
 )
 from groupoidlab.moments import (
+    NONZERO_CAP,
     DiagonalElement,
+    FreenessReport,
     balance_moment,
+    check_freeness,
     closed_form_cumulant,
     cumulant_of,
     edge_sum,
@@ -50,7 +54,7 @@ from groupoidlab.moments import (
     mu_w,
     w_m_set,
 )
-from groupoidlab.ncpartitions import enumerate_nc
+from groupoidlab.ncpartitions import enumerate_nc, moebius_row
 from groupoidlab.operators import oracle_expectation_power
 
 from test_groupoid import enumerate_admissible_words
@@ -396,6 +400,70 @@ def test_property_weighted_e_pi_matches_word_sum(lg, data):
                 brute[pi][w[0].src] = brute[pi].get(w[0].src, 0) + c
     for pi in partitions:
         assert expectation_pi(lg, pi, operands) == DiagonalElement.of(brute[pi])
+
+
+@settings(max_examples=100, deadline=None)
+@given(lg=labeled_multigraphs(), data=st.data())
+def test_property_e_pi_vanishes_on_the_skipped_partitions(lg, data):
+    # the terms the Moebius sums leave out: a block closes to a nonzero
+    # value only when each letter meets its inverse, so E_pi is 0 when
+    # a block has odd size (any letter weights), or, for the operators
+    # T_k, when a block holds more letters labeled k than -k
+    n = data.draw(st.integers(1, 6))
+    signed = lg.shadowed.signed_edges
+    weight = st.integers(-2, 3)
+    operands = [tuple(data.draw(weight) for _ in signed) for _ in range(n)]
+    labels = [k for k in range(-lg.max_label, lg.max_label + 1) if k]
+    indices = [data.draw(st.sampled_from(labels)) for _ in range(n)]
+    letters = [edge_sum(lg, k) for k in indices]
+
+    def balanced(block):
+        held = [indices[i - 1] for i in block]
+        return all(held.count(k) == held.count(-k) for k in labels)
+
+    for pi in enumerate_nc(n):
+        if any(len(b) % 2 for b in pi.blocks):
+            assert expectation_pi(lg, pi, operands).is_zero
+        if not all(balanced(b) for b in pi.blocks):
+            assert expectation_pi(lg, pi, letters).is_zero
+
+
+def freeness_over_full_rows(lg, k1, k2, max_n):
+    """check_freeness with no term skipped: every mixed tuple's Moebius
+    sum over all of NC(n)."""
+    alphabet = (k1, -k1, k2, -k2)
+    weights = {k: edge_sum(lg, k) for k in alphabet}
+    tables = _kernel.signed_tables(lg.shadowed)
+    memo = {}
+    checked, max_abs, nonzero = 0, 0, []
+    for n in range(2, max_n + 1):
+        row = moebius_row(n)
+        for idx in itertools.product(alphabet, repeat=n):
+            if {abs(k) for k in idx} != {k1, k2}:
+                continue
+            checked += 1
+            operands = [weights[k] for k in idx]
+            val = cumulant_of(lg, operands, row=row, memo=memo, tables=tables)
+            if not val.is_zero:
+                if len(nonzero) < NONZERO_CAP:
+                    nonzero.append((idx, val))
+                max_abs = max(max_abs, val.max_abs())
+    return FreenessReport(
+        families=(k1, k2),
+        max_n=max_n,
+        tuples_checked=checked,
+        max_abs_coefficient=max_abs,
+        nonzero=tuple(nonzero),
+        families_diagram_distinct=True,
+    )
+
+
+@pytest.mark.parametrize("name", ["two-loop", "example-6-2"])
+def test_freeness_skips_match_the_full_rows(name):
+    lg = labeled(name)
+    # the top order 6 costs about 9/10 of the reference's time
+    for max_n in (3, 6):
+        assert check_freeness(lg, 1, 2, max_n) == freeness_over_full_rows(lg, 1, 2, max_n)
 
 
 @settings(max_examples=60, deadline=None)

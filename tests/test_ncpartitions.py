@@ -1,5 +1,6 @@
 import itertools
 from functools import reduce
+from math import comb
 
 import pytest
 
@@ -99,6 +100,26 @@ def test_enumerate_deterministic_and_budgeted():
         enumerate_nc(13)
     with pytest.raises(ValueError):
         enumerate_nc(0)
+
+
+def even_blocks(pi):
+    return all(len(b) % 2 == 0 for b in pi.blocks)
+
+
+def test_even_generator_is_the_filtered_enumeration():
+    for n in range(1, 13):
+        expected = [pi.blocks for pi in enumerate_nc(n) if even_blocks(pi)]
+        assert [pi.blocks for pi in enumerate_nc(n, even=True)] == expected
+
+
+def test_even_row_sizes_are_fuss_catalan():
+    # C(3m, m)/(2m+1) for n = 2m; no partition of odd n has only even blocks
+    for n in range(1, 13):
+        m = n // 2
+        expected = 0 if n % 2 else comb(3 * m, m) // (2 * m + 1)
+        assert len(enumerate_nc(n, even=True)) == expected
+    with pytest.raises(BudgetExceededError):
+        enumerate_nc(14, even=True)
 
 
 def test_kreweras_block_counts():

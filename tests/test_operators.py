@@ -253,3 +253,52 @@ def test_oracle_requires_max_len_ge_n():
     lg = labeled("one-loop")
     with pytest.raises(ValueError):
         oracle_expectation_power(lg, 3, 2)
+
+
+def full_basis_oracle(lg, n, max_len):
+    """<T_G^n xi_v, xi_v> over the whole basis of length max_len: T_G
+    applied n times to the vertex columns, no path dropped early."""
+    basis = build_basis(lg.shadowed, max_len)
+    t = total_labeling_operator(lg, basis)
+    vertices = basis.vertex_positions()
+    x = SparseOperator(len(basis))
+    for i in vertices.values():
+        x.cols[i][i] = 1
+    p = t.power(n, x)
+    return {v: p.entry(i, i) for v, i in vertices.items()}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_half_length_oracle_matches_the_full_basis(name):
+    # the oracle walks the basis of length n // 2 only; the value, and
+    # a refusal of the basis of length max_len, are the full basis's
+    lg = labeled(name)
+    for n in range(1, 9):
+        for max_len in (n, n + 2):
+            expected = outcome(full_basis_oracle, lg, n, max_len)
+            assert outcome(oracle_expectation_power, lg, n, max_len) == expected
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_oracle_refuses_the_declared_basis_one_element_over(name):
+    lg = labeled(name)
+    for n in range(1, 6):
+        size = len(build_basis(lg.shadowed, n))
+        expected = outcome(build_basis, lg.shadowed, n, size - 1)
+        assert expected.startswith(f"basis exceeds budget {size - 1} at length ")
+        assert outcome(oracle_expectation_power, lg, n, n, size - 1) == expected
+
+
+def test_oracle_charges_its_products_on_a_tree():
+    # the basis of a tree is finite, so only the n products can run long
+    lg = labeled("single-edge")
+    assert oracle_expectation_power(lg, 6, 6, budget=6) == {"v1": 1, "v2": 1}
+    with pytest.raises(BudgetExceededError, match="^n=7 products exceed the basis budget 6$"):
+        oracle_expectation_power(lg, 7, 7, budget=6)
