@@ -176,11 +176,10 @@ def _cmd_moments(args, lg, diagnostics) -> dict:
 
 
 def _word_names(lg, words) -> list:
-    """Each word as the names of its letters.  The words hold the signed
-    edge objects of lg.shadowed, so a table keyed by object identity
-    names every letter, each name computed once."""
-    name = {id(s): s.name() for s in lg.shadowed.signed_edges}.__getitem__
-    return [list(map(name, map(id, w))) for w in words]
+    """Each word, a tuple of signed-edge indices, as the names of its
+    letters: one name per signed edge of lg.shadowed, computed once."""
+    name = [s.name() for s in lg.shadowed.signed_edges].__getitem__
+    return [list(map(name, w)) for w in words]
 
 
 def _cmd_oracle(args, lg, diagnostics) -> dict:

@@ -4,15 +4,15 @@ A word is a tuple of SignedEdge.  It is admissible when consecutive
 endpoints match; reduction cancels adjacent (x, x~) pairs until none
 remain.  A fully cancelled word collapses to the vertex it started at,
 a non-admissible word to the absorbing Empty element.
+
+These objects state the paper's definitions and back its public
+checks (mu_w, the operator basis, the automaton); the word walks of the
+moment layer work on signed-edge indices instead (see _kernel).
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator
-
 from .errors import Value
-from .graphs import ShadowedGraph
 
 
 class _EmptyElement:
@@ -90,13 +90,6 @@ def reduce_word(word) -> GroupoidElement:
     """
     if not word or not is_admissible(word):
         return EMPTY
-    return reduce_admissible(word)
-
-
-def reduce_admissible(word) -> GroupoidElement:
-    """reduce_word without the admissibility check, for nonempty words
-    known to be admissible, such as those d_loop_words yields: the stack
-    pass alone."""
     stack = []
     for s in word:
         if stack and _cancels(s, stack[-1]):
@@ -132,26 +125,6 @@ def concat(a, b) -> GroupoidElement:
         k += 1
     word = x[: len(x) - k] + y[k:]
     return ReducedPath(word) if word else Vertex(x[0].src)
-
-
-def d_loop_words(g: ShadowedGraph, n: int) -> Iterator[tuple]:
-    """Admissible length-n loop words whose letters all share one base
-    edge, in lexicographic signed-edge order, the order in which
-    cumulant_via_wc charges them to its budget.  Base edge i signs as
-    signed_edges[2i]
-    (forward) and [2i + 1] (shadow): every word over the two is a loop
-    word when the edge is a loop; otherwise only the two alternating
-    words are, at even n."""
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    signed = g.signed_edges
-    for i in range(0, len(signed), 2):
-        fwd, back = signed[i], signed[i + 1]
-        if fwd.src == fwd.dst:
-            yield from itertools.product((fwd, back), repeat=n)
-        elif n % 2 == 0:
-            yield (fwd, back) * (n // 2)
-            yield (back, fwd) * (n // 2)
 
 
 def diagram(a) -> frozenset:

@@ -5,7 +5,9 @@ coefficient.  Moments count admissible words that freely reduce to a
 vertex (the reduction characterization) with the excursion DP of
 _kernel.  The words themselves (w_m_set) come from the word walk of
 _kernel, which builds only the qualifying words and their prefixes;
-its tallies are a cross-check on the DP.
+its tallies are a cross-check on the DP.  Words here are tuples of
+signed-edge indices, numbered like lg.shadowed.signed_edges; only the
+public mu_w and expectation_of_word take SignedEdge words.
 
 Cumulant operands are letter weights (one integer per signed edge).
 The edge operators are free over the diagonal and each pairs with its
@@ -28,9 +30,9 @@ from functools import partial
 from math import prod
 from operator import add, mul
 
-from . import _kernel, groupoid, ncpartitions
+from . import _kernel, ncpartitions
 from .errors import ENUM_BUDGET, BudgetExceededError, Value
-from .groupoid import Vertex, reduce_admissible, reduce_word
+from .groupoid import Vertex, reduce_word
 from .labeling import LabeledGraph
 from .ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius, nested
 
@@ -86,6 +88,8 @@ class TallyResult(Value):
 
 
 class WordSetReport(Value):
+    # words: tuples of signed-edge indices, numbered like
+    # lg.shadowed.signed_edges
     __slots__ = ("n", "mode", "words", "tallies")
 
     @property
@@ -108,21 +112,20 @@ def w_m_set(
     mode: str = "reduction",
     budget: int | None = ENUM_BUDGET,
 ) -> WordSetReport:
-    """The qualifying length-n words themselves, in lexicographic order,
-    with per-vertex tallies: the word walk of _kernel, which builds only
-    the qualifying words and their prefixes.  budget caps its letters,
-    tried and kept; when it runs out, the words found so far are the
-    partial result."""
+    """The qualifying length-n words themselves, as tuples of
+    signed-edge indices in lexicographic order, with per-vertex tallies:
+    the word walk of _kernel, which builds only the qualifying words and
+    their prefixes.  budget caps its letters, tried and kept; when it
+    runs out, the words found so far are the partial result."""
     if mode not in ("reduction", "balance"):
         raise ValueError(f"unknown mode {mode!r}")
     kg = _kernel.kernel_graph(lg)
     found, truncated = _kernel.closed_words(kg, n, mode, budget=budget)
-    signed = lg.shadowed.signed_edges
     vs = lg.graph.vertices
     report = WordSetReport(
         n,
         mode,
-        tuple(tuple(map(signed.__getitem__, w)) for w in found),
+        tuple(found),
         DiagonalElement.of((vs[kg.src[w[0]]], 1) for w in found),
     )
     if truncated:
@@ -344,14 +347,31 @@ def mu_w(lg: LabeledGraph, word) -> int:
     word = tuple(word)
     if expectation_of_word(word).is_zero:
         raise ValueError("mu_w requires a word that reduces to a vertex")
-    return _mu_w(lg, word, _moebius_row(len(word)), {})
+    index = _kernel.signed_tables(lg.shadowed).edge_index
+    return _mu_w(lg, tuple(map(index.__getitem__, word)), _moebius_row(len(word)), {})
+
+
+def _balanced_row(row, codes) -> list:
+    """The (pi, mu) of row whose blocks each sum their positions' codes
+    to 0.  A block closes to a nonzero value only when its letters
+    reduce to a vertex, so each letter meets its inverse: when a letter
+    and its inverse carry opposite codes, the other pi add exactly 0 to
+    a Moebius sum of E_pi."""
+    return [
+        (pi, mu) for pi, mu in row if not any(sum(codes[i - 1] for i in b) for b in pi.blocks)
+    ]
 
 
 def _mu_w(lg: LabeledGraph, word, row, memo) -> int:
-    signed = lg.shadowed.signed_edges
-    letters = [tuple(int(t == s) for t in signed) for s in word]
-    k = cumulant_of(lg, letters, row=row, memo=memo)
-    return k.as_dict().get(word[0].src, 0)
+    """mu_w of a word of signed-edge indices, summed over the pi of row
+    that are balanced in its first letter (coded 1) and that letter's
+    inverse (coded -1)."""
+    tables = _kernel.signed_tables(lg.shadowed)
+    first, back = word[0], tables.inv[word[0]]
+    codes = [1 if s == first else -1 if s == back else 0 for s in word]
+    letters = [tuple(int(t == s) for t in range(tables.n_signed)) for s in word]
+    k = cumulant_of(lg, letters, row=_balanced_row(row, codes), memo=memo, tables=tables)
+    return k.as_dict().get(lg.graph.vertices[tables.src[first]], 0)
 
 
 def cumulant_via_wc(
@@ -362,62 +382,49 @@ def cumulant_via_wc(
     cumulant_direct: `cumulants --formula both` reports whether the two
     agree.
 
-    The letters of such a word are one edge and its inverse, so mu_w
-    depends only on which letters equal the first one and on whether
-    the edge is a loop; it is computed once per such pattern, over one
-    Moebius row of the even-block partitions (see _moebius_row),
-    enumerated at the first vertex-reducing word.  Above
-    NC_BUDGET no row can be, and _wc_past_nc_budget decides the outcome
-    without building words."""
+    The words are tuples of signed-edge indices, walked base edge by
+    base edge in lexicographic order, one unit of budget each: base
+    edge i signs as 2i (forward) and 2i + 1 (shadow); every word over
+    the two is a loop word when the edge is a loop, otherwise only the
+    two alternating words are.  No loop word of odd length reduces, so
+    odd n is 0 at once.  At even n the Moebius row of the even-block
+    partitions (see _moebius_row) is built before any word, so past
+    NC_BUDGET the route stops there.  The letters of a word are one
+    edge and its inverse, so mu_w depends only on which letters equal
+    the first one and on whether the edge is a loop: it is computed
+    once per such pattern."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > ncpartitions.NC_BUDGET:
-        return _wc_past_nc_budget(lg, n, budget)
-    acc: dict[str, int] = {}
+    if n % 2:
+        return DiagonalElement.zero()
+    row = _moebius_row(n)
+    tables = _kernel.signed_tables(lg.shadowed)
+    acc = [0] * tables.n_vertices
     seen = 0
-    row = None
     memo: dict = {}
     weight: dict = {}
-    for w in groupoid.d_loop_words(lg.shadowed, n):
-        seen += 1
-        if budget is not None and seen > budget:
-            raise BudgetExceededError(
-                "cumulant_via_wc: enumeration budget exhausted",
-                partial=DiagonalElement.of(acc),
-            )
-        r = reduce_admissible(w)
-        if isinstance(r, Vertex):
-            key = (tuple(s == w[0] for s in w), w[0].src == w[0].dst)
-            if key not in weight:
-                if row is None:
-                    row = _moebius_row(n)
-                weight[key] = _mu_w(lg, w, row, memo)
-            acc[r.v] = acc.get(r.v, 0) + weight[key]
-    return DiagonalElement.of(acc)
-
-
-def _wc_past_nc_budget(lg: LabeledGraph, n: int, budget: int | None) -> DiagonalElement:
-    """cumulant_via_wc above NC_BUDGET, where no word reaches the sum:
-    the first vertex-reducing word asks for the Moebius row of NC(n),
-    which is over budget.  The enumeration's outcome is decided here
-    without building its words of n letters.  At odd n no word reduces,
-    and each loop edge has 2^n words.  At even n the first word reduces
-    unless the first base edge is a loop; then word 2^(n/2), the first
-    balanced one, does."""
-    signed = lg.shadowed.signed_edges
-    if n % 2:
-        factor, doubling = sum(s.src == s.dst for s in signed[::2]), n
-    else:
-        factor, doubling = 1, n // 2 if signed[0].src == signed[0].dst else 0
-    # the words up to the deciding one, factor * 2^doubling, against the
-    # budget; past its bit length the shift cannot change the answer
-    if budget is not None and factor << min(doubling, budget.bit_length()) > budget:
-        raise BudgetExceededError(
-            "cumulant_via_wc: enumeration budget exhausted", partial=DiagonalElement.zero()
+    for fwd in range(0, tables.n_signed, 2):
+        pair = (fwd, fwd + 1)
+        loop = tables.src[fwd] == tables.dst[fwd]
+        words = (
+            itertools.product(pair, repeat=n) if loop
+            else (pair * (n // 2), pair[::-1] * (n // 2))
         )
-    if not n % 2:
-        _moebius_row(n)  # raises BudgetExceededError
-    return DiagonalElement.zero()
+        for w in words:
+            seen += 1
+            if budget is not None and seen > budget:
+                raise BudgetExceededError(
+                    "cumulant_via_wc: enumeration budget exhausted",
+                    partial=_diagonal(lg, acc),
+                )
+            # over one generator the reduced word is e^(#e - #inv e), so
+            # the word reduces to a vertex exactly when the counts match
+            if 2 * w.count(fwd) == n:
+                key = (tuple(s == w[0] for s in w), loop)
+                if key not in weight:
+                    weight[key] = _mu_w(lg, w, row, memo)
+                acc[tables.src[w[0]]] += weight[key]
+    return _diagonal(lg, acc)
 
 
 def _k_pi(tables, pi: NoncrossingPartition, operands) -> list:
@@ -499,11 +506,7 @@ def check_freeness(lg: LabeledGraph, k1: int, k2: int, max_n: int = 4) -> Freene
             codes = [code[k] for k in idx]
             if sum(codes):  # an unbalanced tuple: every E_pi is 0
                 continue
-            balanced = [
-                (pi, mu)
-                for pi, mu in row
-                if not any(sum(codes[i - 1] for i in b) for b in pi.blocks)
-            ]
+            balanced = _balanced_row(row, codes)
             # the Moebius route, not the closed form: this sum is the
             # evidence that the mixed cumulants vanish
             operands = [weights[k] for k in idx]

@@ -375,6 +375,26 @@ def test_oracle_json_bytes_pinned(monkeypatch):
     assert run(argv) == (5, ORACLE_THREE_LOOP_8_JSON)
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("budget, code", [(None, 0), (50, 5)], ids=["full", "budget50"])
+def test_moments_words_bytes_pinned(monkeypatch, capsys, fmt, budget, code):
+    # the words are signed-edge indices until the printer names them
+    monkeypatch.chdir(ROOT)
+    argv = ["moments", "--graph", "fixtures/example-6-2.json", "--n", "4", "--words",
+            "--format", fmt]
+    name = "moments-example-6-2-n4-words"
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+        name += f"-budget{budget}"
+    with open(os.path.join(GOLDEN, f"{name}.{fmt}"), encoding="utf-8") as fh:
+        want = fh.read()
+    assert run(argv) == (code, want)
+    assert capsys.readouterr().err == ""
+
+
 def test_nc_budget_exhaustion_exits_5(capsys):
     # NC(13) is past NC_BUDGET = 12: a truncated report, not an error
     note = "n=13 exceeds the NC enumeration budget 12"
@@ -673,7 +693,9 @@ HOSTILE = (
     (["cumulants", "--graph", fx("two-loop"), "--n", BIG, "--formula", "both"], 5),
     (["cumulants", "--graph", fx("two-loop"), "--n", "13", "--formula", "wc"], 0),
     (["cumulants", "--graph", fx("two-loop"), "--n", BIG, "--formula", "wc"], 5),
-    (["cumulants", "--graph", fx("two-loop"), "--n", str(10**9 + 1), "--formula", "wc"], 5),
+    # no loop word of odd length reduces: 0 before any word is built
+    (["cumulants", "--graph", fx("two-loop"), "--n", str(10**9 + 1), "--formula", "wc"], 0),
+    (["cumulants", "--graph", fx("two-loop"), "--n", "14", "--formula", "wc", "--budget", "1"], 5),
     (["joint", "--graph", fx("two-loop"), "--indices", ",".join(["1,-1"] * 5000)], 5),
     (["joint", "--graph", fx("two-loop"), "--indices", f"{BIG},-{BIG}"], 4),
     (["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", BIG], 5),

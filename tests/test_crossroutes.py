@@ -26,7 +26,6 @@ from groupoidlab.groupoid import (
     ReducedPath,
     Vertex,
     concat,
-    d_loop_words,
     diagram_distinct,
     reduce_word,
 )
@@ -46,6 +45,7 @@ from groupoidlab.moments import (
     check_freeness,
     closed_form_cumulant,
     cumulant_of,
+    cumulant_via_wc,
     edge_sum,
     expectation_pi,
     joint_cumulant,
@@ -66,12 +66,20 @@ def labeled(name):
     return assign_weights(shadow(f.graph), mode, f.labels)
 
 
+def d_loop_words_by_filter(g, n):
+    """Reference: the admissible words, kept when they are loop words
+    over a single base edge."""
+    for w in enumerate_admissible_words(g, n):
+        if w[0].src == w[-1].dst and len({s.base_id for s in w}) == 1:
+            yield w
+
+
 def joint_cumulant_words(lg, indices):
     """Word-route joint cumulant: mu_w-weighted single-base-edge loop
     words whose letters carry the requested labels in order."""
     indices = tuple(indices)
     acc = {}
-    for w in d_loop_words(lg.shadowed, len(indices)):
+    for w in d_loop_words_by_filter(lg.shadowed, len(indices)):
         if tuple(lg.label(s) for s in w) != indices:
             continue
         r = reduce_word(w)
@@ -215,8 +223,13 @@ def qualifying_words_by_filter(lg, n, mode):
 )
 def test_property_word_walk_matches_filter(lg, n, mode, data):
     full = list(qualifying_words_by_filter(lg, n, mode))
+    signed = lg.shadowed.signed_edges
+
+    def letters(words):  # signed-edge indices to the letters they number
+        return [tuple(signed[e] for e in w) for w in words]
+
     rep = w_m_set(lg, n, mode)
-    assert list(rep.words) == full
+    assert letters(rep.words) == full
     assert rep.tallies == (moment if mode == "reduction" else balance_moment)(lg, n)
     # the walk charges every first letter and n per word kept, so any
     # budget below that runs out wherever there is anything to walk
@@ -225,9 +238,9 @@ def test_property_word_walk_matches_filter(lg, n, mode, data):
         w_m_set(lg, n, mode, budget=budget)
     except BudgetExceededError as exc:
         part = exc.partial
-        assert list(part.words) == full[: len(part.words)]
+        assert letters(part.words) == full[: len(part.words)]
         assert n * len(part.words) <= budget
-        assert part.tallies == DiagonalElement.of((w[0].src, 1) for w in part.words)
+        assert part.tallies == DiagonalElement.of((w[0].src, 1) for w in letters(part.words))
     else:
         assert n % 2  # odd lengths close no word and walk nothing
 
@@ -278,19 +291,27 @@ def assert_verdict_matches_trees(lg, depth):
     assert is_fractaloid(aut, depth).trees == tuple(trees)
 
 
-def d_loop_words_by_filter(g, n):
-    """Reference: the admissible words, kept when they are loop words
-    over a single base edge."""
-    for w in enumerate_admissible_words(g, n):
-        if w[0].src == w[-1].dst and len({s.base_id for s in w}) == 1:
-            yield w
-
-
-@settings(max_examples=100, deadline=None)
-@given(lg=labeled_multigraphs(), n=st.integers(1, 5))
-def test_property_d_loop_words_match_filter(lg, n):
-    # the same words in the same order: the wc budget counts them
-    assert list(d_loop_words(lg.shadowed, n)) == list(d_loop_words_by_filter(lg.shadowed, n))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_wc_charges_one_unit_per_word_in_filter_order(name):
+    # the partial sum at budget b covers exactly the first b reference
+    # words: the wc walk keeps their order and charges each word once
+    lg = labeled(name)
+    for n in (2, 4, 6):
+        words = list(d_loop_words_by_filter(lg.shadowed, n))
+        terms = []  # (vertex, mu_w) per vertex-reducing word, else None
+        for w in words:
+            r = reduce_word(w)
+            terms.append((r.v, mu_w(lg, w)) if isinstance(r, Vertex) else None)
+        for budget in [*range(1, 65), len(words)]:
+            want = DiagonalElement.of(t for t in terms[:budget] if t)
+            try:
+                got = cumulant_via_wc(lg, n, budget=budget)
+            except BudgetExceededError as exc:
+                assert budget < len(words)
+                got = exc.partial
+            else:
+                assert budget >= len(words)
+            assert got == want, (n, budget)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,6 @@ from groupoidlab.groupoid import (
     ReducedPath,
     Vertex,
     concat,
-    d_loop_words,
     diagram,
     diagram_distinct,
     inverse,
@@ -225,16 +224,6 @@ def test_enumerate_count_matches_adjacency_power(name, n):
         ]
     expected = sum(sum(row) for row in power)
     assert sum(1 for _ in enumerate_admissible_words(g, n)) == expected
-
-
-def test_d_loop_words_example_6_2_n2():
-    g = sh("example-6-2")
-    words = list(d_loop_words(g, 2))
-    # two per non-loop base edge, four for the loop edge
-    assert len(words) == 10
-    for w in words:
-        assert len({s.base_id for s in w}) == 1
-        assert w[0].src == w[-1].dst
 
 
 def test_diagram_loop_powers_share_diagram():

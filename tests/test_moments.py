@@ -5,7 +5,6 @@ import pytest
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.fixtures import FIXTURES as ALL_FIXTURES, fixture
 from groupoidlab.graphs import shadow
-from groupoidlab.groupoid import Vertex, d_loop_words, reduce_word
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.moments import (
     DiagonalElement,
@@ -27,7 +26,7 @@ from groupoidlab.moments import (
     total_sum,
     w_m_set,
 )
-from groupoidlab.ncpartitions import NoncrossingPartition, catalan
+from groupoidlab.ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius
 from groupoidlab.operators import oracle_expectation_power
 
 FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
@@ -81,10 +80,16 @@ def test_expectation_of_word():
 # --- word sets
 
 
+def letter_names(lg, words):
+    """Words of signed-edge indices as tuples of letter names."""
+    signed = lg.shadowed.signed_edges
+    return [tuple(signed[e].name() for e in w) for w in words]
+
+
 def test_w_m_set_example_6_2_noloop_matches_published_list():
     lg = labeled("example-6-2-noloop")
     rep = w_m_set(lg, 2)
-    names = {tuple(s.name() for s in w) for w in rep.words}
+    names = set(letter_names(lg, rep.words))
     assert names == {
         ("e12:1", "~e12:1"),
         ("~e12:1", "e12:1"),
@@ -99,7 +104,7 @@ def test_w_m_set_example_6_2_noloop_matches_published_list():
 def test_w_m_set_example_6_2_full_includes_loop_words():
     lg = labeled("example-6-2")
     rep = w_m_set(lg, 2)
-    names = {tuple(s.name() for s in w) for w in rep.words}
+    names = set(letter_names(lg, rep.words))
     assert ("e22:1", "~e22:1") in names
     assert ("~e22:1", "e22:1") in names
     assert rep.count == 8
@@ -356,34 +361,37 @@ def test_cumulant_routes_agree_on_fixtures(name):
         assert cumulant_via_wc(lg, n) == cumulant_direct(lg, n), n
 
 
-def wc_outcome_by_enumeration(lg, n, budget):
-    """Reference: how the word enumeration of cumulant_via_wc ends above
-    the NC budget, where the first vertex-reducing word needs NC(n)."""
-    for seen, w in enumerate(d_loop_words(lg.shadowed, n), start=1):
-        if budget is not None and seen > budget:
-            return "words"
-        if isinstance(reduce_word(w), Vertex):
-            return "nc"
-    return "zero"
-
-
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
-def test_wc_above_nc_budget_ends_as_its_enumeration(name):
+def test_wc_past_the_nc_budget_decides_before_any_word(name):
+    # odd n: no loop word reduces, so 0 whatever the budget; even n:
+    # the Moebius row of NC(n) comes first and is over budget
     lg = labeled(name)
-    for n in (13, 14, 15, 16):
-        # 2^(n/2) and loops * 2^n sit on or next to a boundary
-        for budget in (1, 2, 64, 127, 128, 255, 256, 8192, 16384, 32768, 65536, None):
-            want = wc_outcome_by_enumeration(lg, n, budget)
-            try:
-                k = cumulant_via_wc(lg, n, budget=budget)
-            except BudgetExceededError as exc:
-                got = "nc" if exc.partial is None else "words"
-                if got == "words":
-                    assert exc.partial.is_zero
-            else:
-                assert k.is_zero
-                got = "zero"
-            assert got == want, (n, budget)
+    for budget in (1, None):
+        for n in (13, 15, 10**9 + 1):
+            assert cumulant_via_wc(lg, n, budget=budget).is_zero
+        for n in (14, 16):
+            with pytest.raises(BudgetExceededError) as exc:
+                cumulant_via_wc(lg, n, budget=budget)
+            assert exc.value.partial is None
+            assert str(exc.value) == f"n={n} exceeds the NC enumeration budget 12"
+
+
+def test_mu_w_balanced_row_matches_the_full_even_row():
+    # the balanced-block filter skips only terms that are exactly 0: on a
+    # loop edge every balanced sign pattern, on a non-loop edge the two
+    # alternating words
+    for name, edge in (("one-loop", "e1"), ("single-edge", "e1")):
+        lg = labeled(name)
+        signed = lg.shadowed.signed_edges
+        e = lg.shadowed.signed_by_name(edge)
+        for n in (2, 4, 6, 8):
+            full = [(pi, moebius(pi)) for pi in enumerate_nc(n, even=True)]
+            for word in itertools.product((e, e.inverted()), repeat=n):
+                if expectation_of_word(word).is_zero:
+                    continue
+                letters = [tuple(int(t == s) for t in signed) for s in word]
+                want = cumulant_of(lg, letters, row=full).as_dict().get(word[0].src, 0)
+                assert mu_w(lg, word) == want, word
 
 
 @pytest.mark.parametrize("name", FIXTURES)
