@@ -26,6 +26,10 @@ walks number the sum of the squared half-walk counts.
 The qualifying words themselves come from a depth-first walk over the
 same tables (closed_words), which drops a prefix as soon as the letters
 left cannot close it: in the tree, or back to a zero balance vector.
+
+Every layer reads a labeled graph's flat view as LabeledGraph.kernel,
+which calls kernel_graph once per graph; only operators.Basis flattens
+a (label-free) shadowed graph itself, numbered the same way.
 """
 
 from __future__ import annotations
@@ -95,17 +99,11 @@ def signed_tables(sh) -> SignedTables:
 
 
 def kernel_graph(lg) -> KernelGraph:
-    """Flatten a LabeledGraph for the moment engine."""
+    """Flatten a LabeledGraph: its signed tables plus the signed labels.
+    Read it as lg.kernel, which builds it once per graph."""
     tables = signed_tables(lg.shadowed)
     return KernelGraph(
-        tables.n_vertices,
-        tables.n_signed,
-        tables.src,
-        tables.dst,
-        tables.inv,
-        tables.out_start,
-        tables.out_list,
-        tables.edge_index,
+        *(getattr(tables, name) for name in SignedTables._fields),
         labels=tuple(lg.label(s) for s in lg.shadowed.signed_edges),
         n_labels=lg.max_label,
     )

@@ -120,16 +120,16 @@ class AutomatonTree(Value):
         return out
 
 
-def _walk_counts(tables, root: int, depth: int):
+def _walk_counts(kg, root: int, depth: int):
     """For d = 0..depth, the number of length-d walks from root ending
     at each vertex.  Every phi output on a single edge is nonempty, so
     these are also the depth-d nodes of the action tree by terminal
     vertex."""
-    ends = [0] * tables.n_vertices
+    ends = [0] * kg.n_vertices
     ends[root] = 1
     yield ends
     for _ in range(depth):
-        ends = _kernel.walk_step(tables, ends)
+        ends = _kernel.walk_step(kg, ends)
         yield ends
 
 
@@ -142,10 +142,9 @@ def build_tree(aut: GraphAutomaton, root_vertex: str, depth: int) -> AutomatonTr
         raise ValueError("depth must be >= 0")
     if root_vertex not in aut.shadowed.vertices:
         raise GraphError(f"unknown root vertex {root_vertex!r}")
-    tables = _kernel.signed_tables(aut.shadowed)
     root = aut.shadowed.vertices.index(root_vertex)
     size = 0
-    for d, ends in enumerate(_walk_counts(tables, root, depth)):
+    for d, ends in enumerate(_walk_counts(aut.lg.kernel, root, depth)):
         size += sum(ends)
         if size > NODE_BUDGET:  # counting stops at the first level past it
             more = "" if d == depth else "more than "
@@ -180,16 +179,6 @@ class FractaloidVerdict(Value):
     __slots__ = ("fractaloid", "depth", "max_label", "witness", "trees")
 
 
-def _local_label_sets(aut: GraphAutomaton):
-    """Per vertex, the multiset of signed labels on outgoing signed
-    edges of the shadowed graph."""
-    lg = aut.lg
-    return {
-        v: sorted(lg.label(s) for s in aut.shadowed.out_edges(v))
-        for v in aut.shadowed.vertices
-    }
-
-
 def is_fractaloid(
     aut: GraphAutomaton, depth: int = 4, max_nodes: int | None = None
 ) -> FractaloidVerdict:
@@ -209,21 +198,22 @@ def is_fractaloid(
         raise ValueError("depth must be >= 1")
     n = aut.lg.max_label
     full = sorted(list(range(-n, 0)) + list(range(1, n + 1)))
-    label_sets = _local_label_sets(aut)
+    kg = aut.lg.kernel
+    vertices = aut.shadowed.vertices  # sorted, numbered like kg
+    # per vertex, the multiset of signed labels on its outgoing signed edges
+    label_sets = [sorted(kg.labels[e] for e in kg.out(v)) for v in range(kg.n_vertices)]
+    irregular = [labels != full for labels in label_sets]
     witness = None
-    for v, labels in sorted(label_sets.items()):
-        if labels != full:
-            witness = {
-                "vertex": v,
-                "reason": f"outgoing labels {labels} != full set {full}",
-            }
-            break
-    irregular = [label_sets[v] != full for v in aut.shadowed.vertices]
-    tables = _kernel.signed_tables(aut.shadowed)
+    if True in irregular:
+        v = irregular.index(True)
+        witness = {
+            "vertex": vertices[v],
+            "reason": f"outgoing labels {label_sets[v]} != full set {full}",
+        }
     trees = []
-    for root, v in enumerate(aut.shadowed.vertices):
+    for root, v in enumerate(vertices):
         regular, nodes = True, 0
-        for d, ends in enumerate(_walk_counts(tables, root, depth)):
+        for d, ends in enumerate(_walk_counts(kg, root, depth)):
             nodes += sum(ends)
             if max_nodes is not None and nodes > max_nodes:
                 raise BudgetExceededError(
@@ -232,9 +222,8 @@ def is_fractaloid(
             if d < depth and any(c and bad for c, bad in zip(ends, irregular)):
                 regular = False
         trees.append((v, regular, nodes))
-    fractaloid = witness is None
     return FractaloidVerdict(
-        fractaloid=fractaloid,
+        fractaloid=witness is None,
         depth=depth,
         max_label=n,
         witness=witness,
@@ -247,6 +236,9 @@ def tree_dot(aut: GraphAutomaton, tree: AutomatonTree) -> str:
     lines = ["digraph automaton_tree {", "  rankdir=LR;"]
     counter = 0
 
+    def quoted(text: str) -> str:  # a DOT string: backslash and quote escaped
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     def fmt(state: WeightedElement) -> str:
         if state.is_empty:
             return "empty"
@@ -254,7 +246,7 @@ def tree_dot(aut: GraphAutomaton, tree: AutomatonTree) -> str:
         return f"({a},{b})|{','.join(map(str, labels))}"
 
     def node_line(node: TreeNode, name: str) -> str:
-        return f'  {name} [label="{fmt(node.state)}"];'
+        return f"  {name} [label={quoted(fmt(node.state))}];"
 
     # Names are given in pre-order; a node's edge line follows the
     # subtree below it.
@@ -266,7 +258,8 @@ def tree_dot(aut: GraphAutomaton, tree: AutomatonTree) -> str:
         if child is None:
             stack.pop()
             if stack:
-                lines.append(f'  {stack[-1][1]} -> {name} [label="{node.edge.name()}"];')
+                edge = quoted(node.edge.name())
+                lines.append(f"  {stack[-1][1]} -> {name} [label={edge}];")
             continue
         counter += 1
         cname = f"n{counter}"

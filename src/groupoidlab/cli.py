@@ -90,11 +90,12 @@ def _emit(args, report: dict) -> None:
         print(json.dumps(report, sort_keys=True, separators=(", ", ": ")))
         return
     if fmt == "csv":
-        payload = report.get("result", {})
-        table = payload.get("diagonal") or {}
-        print("vertex,coefficient")
-        for v in sorted(table):
-            print(f"{v},{table[v]}")
+        import csv  # quotes a name holding a comma, a quote or a line break
+
+        table = report.get("result", {}).get("diagonal") or {}
+        rows = csv.writer(sys.stdout, lineterminator="\n")
+        rows.writerow(("vertex", "coefficient"))
+        rows.writerows((v, table[v]) for v in sorted(table))
         return
     _emit_text(report)
 

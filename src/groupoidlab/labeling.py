@@ -6,10 +6,14 @@ Labels are signed integers: a forward base edge carries a label in
 heights are never evaluated numerically; the per-index balance vector
 carries exactly the information the axis property uses, because
 distinct heights are linearly independent.
+
+LabeledGraph.kernel is the one flat integer view of a labeled graph
+that the moment, automaton and operator layers read.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 
 from .errors import BudgetExceededError, Value
@@ -97,10 +101,13 @@ class LabeledGraph:
         base = self.base_labels[s.base_id]
         return -base if s.inverse else base
 
-    def signed_with_label(self, k: int) -> tuple[SignedEdge, ...]:
-        if k == 0 or abs(k) > self.max_label:
-            raise GraphError(f"label {k} out of range 1..{self.max_label} (signed)")
-        return tuple(s for s in self.shadowed.signed_edges if self.label(s) == k)
+    @cached_property
+    def kernel(self):
+        """The _kernel.KernelGraph of this graph, built on first use; its
+        signed edges are numbered like shadowed.signed_edges."""
+        from . import _kernel  # lattice loads this module, never the kernel
+
+        return _kernel.kernel_graph(self)
 
     def __repr__(self) -> str:
         return f"LabeledGraph(N={self.max_label}, mode={self.mode})"

@@ -1,13 +1,15 @@
 """Diagonal-valued moments and free cumulants of labeling operators.
 
 Values live in the diagonal algebra: finite integer maps vertex ->
-coefficient.  Moments count admissible words that freely reduce to a
-vertex (the reduction characterization) with the excursion DP of
-_kernel.  The words themselves (w_m_set) come from the word walk of
-_kernel, which builds only the qualifying words and their prefixes;
-its tallies are a cross-check on the DP.  Words here are tuples of
-signed-edge indices, numbered like lg.shadowed.signed_edges; only the
-public mu_w and expectation_of_word take SignedEdge words.
+coefficient.  Every route here reads one flat view of the graph,
+lg.kernel (see LabeledGraph.kernel).  Moments count admissible words
+that freely reduce to a vertex (the reduction characterization) with
+the excursion DP of _kernel.  The words themselves (w_m_set) come from
+the word walk of _kernel, which builds only the qualifying words and
+their prefixes; its tallies are a cross-check on the DP.  Words here
+are tuples of signed-edge indices, numbered like lg.kernel (and
+lg.shadowed.signed_edges); only the public mu_w and
+expectation_of_word take SignedEdge words.
 
 Cumulant operands are letter weights (one integer per signed edge).
 The edge operators are free over the diagonal and each pairs with its
@@ -119,7 +121,7 @@ def w_m_set(
     runs out, the words found so far are the partial result."""
     if mode not in ("reduction", "balance"):
         raise ValueError(f"unknown mode {mode!r}")
-    kg = _kernel.kernel_graph(lg)
+    kg = lg.kernel
     found, truncated = _kernel.closed_words(kg, n, mode, budget=budget)
     vs = lg.graph.vertices
     report = WordSetReport(
@@ -142,9 +144,8 @@ def tally(
 ) -> TallyResult:
     """Tally of qualifying length-n words by vertex, from the moment
     engine in _kernel; budget caps its DP transitions."""
-    kg = _kernel.kernel_graph(lg)
     counts, words, truncated = _kernel.tally_words(
-        kg, n, mode, pattern=pattern, budget=budget
+        lg.kernel, n, mode, pattern=pattern, budget=budget
     )
     vs = lg.graph.vertices
     diag = DiagonalElement.of((vs[i], c) for i, c in enumerate(counts))
@@ -195,14 +196,14 @@ def _check_indices(lg: LabeledGraph, indices) -> None:
 
 
 def edge_sum(lg: LabeledGraph, k: int) -> tuple:
-    """T_k as letter weights, indexed like lg.shadowed.signed_edges: 1 on
-    each signed edge labeled k, 0 elsewhere."""
-    return tuple(int(lg.label(s) == k) for s in lg.shadowed.signed_edges)
+    """T_k as letter weights, indexed like lg.kernel: 1 on each signed
+    edge labeled k, 0 elsewhere."""
+    return tuple(int(label == k) for label in lg.kernel.labels)
 
 
 def total_sum(lg: LabeledGraph) -> tuple:
     """T_G as letter weights: 1 on every signed edge."""
-    return (1,) * len(lg.shadowed.signed_edges)
+    return (1,) * lg.kernel.n_signed
 
 
 def _right_mult(tables):
@@ -225,29 +226,27 @@ def _diagonal(lg: LabeledGraph, counts) -> DiagonalElement:
 
 
 def expectation_pi(
-    lg: LabeledGraph, pi: NoncrossingPartition, operands, tables=None, memo=None
+    lg: LabeledGraph, pi: NoncrossingPartition, operands, memo=None
 ) -> DiagonalElement:
     """Partition-dependent expectation E_pi of letter-weight operands:
     each block, with the values of the blocks nested in it multiplied
     in, closes with the weighted excursion DP (the closed walks from
     each vertex, weighted by the product of their letters' weights).
-    tables: lg's _kernel.signed_tables, when the caller holds them.
     memo: a dict of block closes keyed by the block's weights, shared
     between calls on the same lg."""
-    if tables is None:
-        tables = _kernel.signed_tables(lg.shadowed)
+    kg = lg.kernel
     unlimited = _kernel._Budget(None)
 
     def close(weights):
         if memo is None:
-            return _kernel._closed_by_interval(tables, weights, unlimited)[0]
+            return _kernel._closed_by_interval(kg, weights, unlimited)[0]
         key = tuple(weights)
         if key not in memo:
-            memo[key] = _kernel._closed_by_interval(tables, weights, unlimited)[0]
+            memo[key] = _kernel._closed_by_interval(kg, weights, unlimited)[0]
         return memo[key]
 
     operands = [tuple(x) for x in operands]
-    return _diagonal(lg, nested(pi, operands, close, _right_mult(tables)))
+    return _diagonal(lg, nested(pi, operands, close, _right_mult(kg)))
 
 
 def _moebius_row(n: int) -> list:
@@ -259,9 +258,7 @@ def _moebius_row(n: int) -> list:
     return [(pi, moebius(pi)) for pi in enumerate_nc(n, even=True)]
 
 
-def cumulant_of(
-    lg: LabeledGraph, operands, row=None, memo=None, tables=None
-) -> DiagonalElement:
+def cumulant_of(lg: LabeledGraph, operands, row=None, memo=None) -> DiagonalElement:
     """Joint free cumulant of letter-weight operands by Moebius
     inversion: sum over pi of mu(pi, 1_n) E_pi(...).  The oracle of
     closed_form_cumulant, and the route of check_freeness.
@@ -269,11 +266,8 @@ def cumulant_of(
     by default the pi in NC(n) with only even blocks, since E_pi is 0
     for the others (see _moebius_row).
     memo: block closes shared with other calls (see expectation_pi);
-    by default, one memo for this call.
-    tables: lg's _kernel.signed_tables, when the caller holds them."""
+    by default, one memo for this call."""
     operands = list(operands)
-    if tables is None:
-        tables = _kernel.signed_tables(lg.shadowed)
     if row is None:
         row = _moebius_row(len(operands))
     if memo is None:
@@ -281,7 +275,7 @@ def cumulant_of(
     index = {v: i for i, v in enumerate(lg.graph.vertices)}
     acc = [0] * len(index)
     for pi, mu in row:
-        for v, c in expectation_pi(lg, pi, operands, tables, memo).coeffs:
+        for v, c in expectation_pi(lg, pi, operands, memo).coeffs:
             acc[index[v]] += mu * c
     return _diagonal(lg, acc)
 
@@ -313,8 +307,7 @@ def closed_form_cumulant(lg: LabeledGraph, operands) -> DiagonalElement:
     """Joint free cumulant of letter-weight operands in closed form:
     O(n |E|) work, no noncrossing partition enumerated.  The primary
     route of cumulant_direct and joint_cumulant."""
-    tables = _kernel.signed_tables(lg.shadowed)
-    return _diagonal(lg, _closed_form(tables, list(operands)))
+    return _diagonal(lg, _closed_form(lg.kernel, list(operands)))
 
 
 def cumulant_direct(lg: LabeledGraph, n: int) -> DiagonalElement:
@@ -347,7 +340,7 @@ def mu_w(lg: LabeledGraph, word) -> int:
     word = tuple(word)
     if expectation_of_word(word).is_zero:
         raise ValueError("mu_w requires a word that reduces to a vertex")
-    index = _kernel.signed_tables(lg.shadowed).edge_index
+    index = lg.kernel.edge_index
     return _mu_w(lg, tuple(map(index.__getitem__, word)), _moebius_row(len(word)), {})
 
 
@@ -366,12 +359,12 @@ def _mu_w(lg: LabeledGraph, word, row, memo) -> int:
     """mu_w of a word of signed-edge indices, summed over the pi of row
     that are balanced in its first letter (coded 1) and that letter's
     inverse (coded -1)."""
-    tables = _kernel.signed_tables(lg.shadowed)
-    first, back = word[0], tables.inv[word[0]]
+    kg = lg.kernel
+    first, back = word[0], kg.inv[word[0]]
     codes = [1 if s == first else -1 if s == back else 0 for s in word]
-    letters = [tuple(int(t == s) for t in range(tables.n_signed)) for s in word]
-    k = cumulant_of(lg, letters, row=_balanced_row(row, codes), memo=memo, tables=tables)
-    return k.as_dict().get(lg.graph.vertices[tables.src[first]], 0)
+    letters = [tuple(int(t == s) for t in range(kg.n_signed)) for s in word]
+    k = cumulant_of(lg, letters, row=_balanced_row(row, codes), memo=memo)
+    return k.as_dict().get(lg.graph.vertices[kg.src[first]], 0)
 
 
 def cumulant_via_wc(
@@ -398,14 +391,14 @@ def cumulant_via_wc(
     if n % 2:
         return DiagonalElement.zero()
     row = _moebius_row(n)
-    tables = _kernel.signed_tables(lg.shadowed)
-    acc = [0] * tables.n_vertices
+    kg = lg.kernel
+    acc = [0] * kg.n_vertices
     seen = 0
     memo: dict = {}
     weight: dict = {}
-    for fwd in range(0, tables.n_signed, 2):
+    for fwd in range(0, kg.n_signed, 2):
         pair = (fwd, fwd + 1)
-        loop = tables.src[fwd] == tables.dst[fwd]
+        loop = kg.src[fwd] == kg.dst[fwd]
         words = (
             itertools.product(pair, repeat=n) if loop
             else (pair * (n // 2), pair[::-1] * (n // 2))
@@ -423,7 +416,7 @@ def cumulant_via_wc(
                 key = (tuple(s == w[0] for s in w), loop)
                 if key not in weight:
                     weight[key] = _mu_w(lg, w, row, memo)
-                acc[tables.src[w[0]]] += weight[key]
+                acc[kg.src[w[0]]] += weight[key]
     return _diagonal(lg, acc)
 
 
@@ -437,11 +430,11 @@ def _k_pi(tables, pi: NoncrossingPartition, operands) -> list:
 def moment_via_cumulants(lg: LabeledGraph, n: int) -> DiagonalElement:
     """Reconstruct E(T_G^n) as the sum over NC(n) of the
     partition-dependent cumulants (the inversion identity)."""
-    tables = _kernel.signed_tables(lg.shadowed)
+    kg = lg.kernel
     x = total_sum(lg)
-    acc = [0] * tables.n_vertices
+    acc = [0] * kg.n_vertices
     for pi in enumerate_nc(n):
-        acc = list(map(add, acc, _k_pi(tables, pi, [x] * n)))
+        acc = list(map(add, acc, _k_pi(kg, pi, [x] * n)))
     return _diagonal(lg, acc)
 
 
@@ -489,7 +482,6 @@ def check_freeness(lg: LabeledGraph, k1: int, k2: int, max_n: int = 4) -> Freene
     ncpartitions.check_nc_budget(max_n)
     alphabet = (k1, -k1, k2, -k2)
     weights = {k: edge_sum(lg, k) for k in alphabet}
-    tables = _kernel.signed_tables(lg.shadowed)
     memo: dict = {}
     checked = 0
     max_abs = 0
@@ -510,7 +502,7 @@ def check_freeness(lg: LabeledGraph, k1: int, k2: int, max_n: int = 4) -> Freene
             # the Moebius route, not the closed form: this sum is the
             # evidence that the mixed cumulants vanish
             operands = [weights[k] for k in idx]
-            val = cumulant_of(lg, operands, row=balanced, memo=memo, tables=tables)
+            val = cumulant_of(lg, operands, row=balanced, memo=memo)
             if not val.is_zero:
                 if len(nonzero) < NONZERO_CAP:
                     nonzero.append((idx, val))

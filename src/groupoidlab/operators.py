@@ -10,6 +10,9 @@ vertex v is the coefficient <T_G^n xi_v, xi_v>, read off after
 applying T_G n times to the vertex basis vectors.  The oracle builds
 the basis only to length n // 2, the longest a path can grow on a walk
 of n letters that returns to its vertex.
+
+A Basis flattens its shadowed graph with _kernel.signed_tables; labels
+come from the one flat view LabeledGraph.kernel, numbered the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 
 from . import _kernel
 from .errors import BASIS_BUDGET, BudgetExceededError
-from .graphs import ShadowedGraph
+from .graphs import GraphError, ShadowedGraph
 from .groupoid import EMPTY, ReducedPath, Vertex
 from .labeling import LabeledGraph
 
@@ -233,7 +236,7 @@ def _label_sum(lg: LabeledGraph, labels, basis: Basis) -> SparseOperator:
     that product is in the basis.  Distinct letters give distinct
     products, so no entry is hit twice."""
     t = basis.tables
-    wanted = {t.edge_index[s] for k in labels for s in lg.signed_with_label(k)}
+    wanted = {e for e, k in enumerate(lg.kernel.labels) if k in labels}
     op = SparseOperator(len(basis))
     for j, tgt in enumerate(basis.target):
         for s in t.out(tgt):
@@ -246,7 +249,9 @@ def _label_sum(lg: LabeledGraph, labels, basis: Basis) -> SparseOperator:
 
 def labeling_operator(lg: LabeledGraph, k: int, basis: Basis) -> SparseOperator:
     """T_k: the sum of right multiplications by the signed edges whose
-    label is k."""
+    label is k, for k in -N..-1, 1..N."""
+    if k == 0 or abs(k) > lg.max_label:
+        raise GraphError(f"label {k} out of range 1..{lg.max_label} (signed)")
     return _label_sum(lg, (k,), basis)
 
 
@@ -276,7 +281,7 @@ def oracle_expectation_power(
         raise ValueError("n must be >= 1")
     if max_len < n:
         raise ValueError("need max_len >= n for an exact vertex diagonal")
-    level_sizes(_kernel.signed_tables(lg.shadowed), max_len, budget)
+    level_sizes(lg.kernel, max_len, budget)
     if n > budget:
         raise BudgetExceededError(f"n={n} products exceed the basis budget {budget}")
     basis = build_basis(lg.shadowed, n // 2, budget)

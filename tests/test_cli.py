@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -750,3 +751,127 @@ def test_rerun_gives_identical_bytes(argv, fmt):
     first = run_contract(argv + fmt)
     assert first[1]
     assert run_contract(argv + fmt) == first
+
+
+# A graph whose ids hold a comma, a quote, a backslash, a space and a
+# non-ASCII letter; every vertex has out-degree 2, so N = 2.
+# (id, src, dst, label)
+V1, V2 = 'a,b "c"', "x\\y é"
+SPECIAL_EDGES = (
+    ("e,1", V1, V2, 2),
+    ('e"2', V1, V1, 1),
+    ("e\\3", V2, V1, 1),
+    ("ê 4", V2, V2, 2),
+)
+SPECIAL_RUNS = (
+    (["moments", "--n", "4", "--verify", "--words"], ("text", "json", "csv")),
+    (["oracle", "--n", "4", "--max-len", "4"], ("text", "json", "csv")),
+    (["cumulants", "--n", "4", "--formula", "both"], ("text", "json", "csv")),
+    (["joint", "--indices", "1,-1"], ("text", "json", "csv")),
+    (["freeness", "--families", "1,2"], ("text", "json")),
+    (["fractaloid"], ("text", "json")),
+    (["tree", "--depth", "1"], ("text", "json")),
+)
+DOT_LABEL = re.compile(r'label=("(?:[^"\\]|\\.)*")\];')
+
+
+@pytest.fixture(scope="module")
+def special_graph(tmp_path_factory):
+    path = tmp_path_factory.mktemp("names") / "special.json"
+    path.write_text(json.dumps({
+        "vertices": [V1, V2],
+        "edges": [
+            {"id": e, "src": s, "dst": d, "label": k} for e, s, d, k in SPECIAL_EDGES
+        ],
+    }), encoding="utf-8")
+    return str(path)
+
+
+def dot_labels(dot):
+    """The node and edge labels of a DOT text, unescaped, each sorted."""
+    nodes, edges = [], []
+    for line in dot.splitlines()[2:-1]:
+        m = DOT_LABEL.search(line)
+        assert m and m.end() == len(line), line
+        text = re.sub(r"\\(.)", r"\1", m.group(1)[1:-1])
+        (edges if "->" in line else nodes).append(text)
+    return sorted(nodes), sorted(edges)
+
+
+@pytest.mark.parametrize("argv, formats", SPECIAL_RUNS, ids=[a[0] for a, _ in SPECIAL_RUNS])
+def test_special_names_survive_every_format(special_graph, argv, formats):
+    argv = argv[:1] + ["--graph", special_graph] + argv[1:]
+    outputs = {}
+    for fmt in formats:
+        code, out, err = run_contract(argv + ["--format", fmt])
+        assert (code, err) == (0, ""), fmt
+        outputs[fmt] = out
+    rep = json.loads(outputs["json"])
+    assert rep["inputs"]["graph"] == special_graph
+    result = rep["result"]
+    if "diagonal" in result:
+        assert result["diagonal"] and set(result["diagonal"]) <= {V1, V2}
+    if "csv" in outputs:
+        rows = list(csv.reader(io.StringIO(outputs["csv"])))
+        assert rows[0] == ["vertex", "coefficient"]
+        assert dict(rows[1:]) == result["diagonal"]
+    signed = [e for e, *_ in SPECIAL_EDGES] + ["~" + e for e, *_ in SPECIAL_EDGES]
+    for word in result.get("words", ()):
+        assert set(word) <= set(signed)
+    if argv[0] == "fractaloid":
+        assert [t["root"] for t in result["trees"]] == [V1, V2]
+        assert result["witness"]["vertex"] == V1
+    if argv[0] == "tree":
+        assert result["root"] == V1
+        # the depth-1 tree at V1: the root, then one child per signed
+        # edge out of V1, labeled with that edge's (src,dst)|label
+        steps = [(e, s, d, k) for e, s, d, k in SPECIAL_EDGES if s == V1]
+        steps += [("~" + e, d, s, -k) for e, s, d, k in SPECIAL_EDGES if d == V1]
+        expected = (
+            sorted([f"({V1},{V1})|0"] + [f"({s},{d})|{k}" for _, s, d, k in steps]),
+            sorted(name for name, *_ in steps),
+        )
+        assert dot_labels(result["dot"]) == expected
+        assert dot_labels(outputs["text"]) == expected
+
+
+E62 = ["--graph", fx("example-6-2")]
+# every layer reads lg.kernel: one kernel_graph, whose signed_tables is
+# the only other flatten but for an oracle basis's; nc and lattice
+# flatten nothing
+ONE = {"kernel_graph": 1, "signed_tables": 1}
+WITH_BASIS = {"kernel_graph": 1, "signed_tables": 2}
+FLATTEN_RUNS = (
+    (["moments", *E62, "--n", "6", "--verify", "--words"], WITH_BASIS),
+    (["moments", *E62, "--n", "1"], ONE),
+    (["moments", *E62, "--n", "4", "--mode", "balance", "--format", "csv"], ONE),
+    (["oracle", *E62, "--n", "4", "--max-len", "4"], WITH_BASIS),
+    (["cumulants", *E62, "--n", "6", "--formula", "both"], ONE),
+    (["joint", *E62, "--indices", "1,-1,2,-2"], ONE),
+    (["freeness", *E62, "--families", "1,2"], ONE),
+    (["fractaloid", *E62], ONE),
+    (["tree", *E62, "--depth", "2"], ONE),
+    (["nc", "--n", "6"], {}),
+    (["lattice", "--max-label", "2", "--length", "6"], {}),
+)
+
+
+@pytest.fixture
+def flatten_counts(monkeypatch):
+    from groupoidlab import _kernel
+
+    counts = {}
+    for name in ("kernel_graph", "signed_tables"):
+        def counted(*args, _fn=getattr(_kernel, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(_kernel, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv, calls", FLATTEN_RUNS, ids=[argv_id(a) for a, _ in FLATTEN_RUNS])
+def test_one_flatten_per_command(flatten_counts, argv, calls):
+    code, out, err = run_contract(argv)
+    assert (code, err) == (0, "")
+    assert flatten_counts == calls

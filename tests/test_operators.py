@@ -3,7 +3,7 @@ import pytest
 from groupoidlab import _kernel
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.fixtures import FIXTURES, fixture
-from groupoidlab.graphs import shadow
+from groupoidlab.graphs import GraphError, shadow
 from groupoidlab.groupoid import EMPTY, ReducedPath, Vertex, concat, inverse
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.operators import (
@@ -210,6 +210,14 @@ def test_labeling_operator_example_6_2():
     t2 = labeling_operator(lg, 2, b)
     assert t2 == right_mult(ReducedPath((sh.signed_by_name("e12:2"),)), b)
     assert total_labeling_operator(lg, b) == right_mult_sum(sh.signed_edges, b)
+
+
+def test_labeling_operator_refuses_a_label_out_of_range():
+    lg = labeled("example-6-2")
+    b = build_basis(lg.shadowed, 2)
+    for k in (0, lg.max_label + 1, -lg.max_label - 1):
+        with pytest.raises(GraphError, match="out of range"):
+            labeling_operator(lg, k, b)
 
 
 @pytest.mark.parametrize(
