@@ -28,8 +28,8 @@ same tables (closed_words), which drops a prefix as soon as the letters
 left cannot close it: in the tree, or back to a zero balance vector.
 
 Every layer reads a labeled graph's flat view as LabeledGraph.kernel,
-which calls kernel_graph once per graph; only operators.Basis flattens
-a (label-free) shadowed graph itself, numbered the same way.
+which calls kernel_graph once per graph; operators.Basis reads the same
+view, or the label-free signed_tables of a shadowed graph.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ class SignedTables(Value):
 
     Signed edge i has endpoints src[i] -> dst[i] (vertex indices) and
     inverse partner inv[i].  out_start and out_list form a CSR
-    adjacency over signed edges, index-sorted.  edge_index maps each
-    SignedEdge to its index; it is left out of equality, hash and repr.
+    adjacency over signed edges, index-sorted.  vertices names each
+    vertex index, and edge_index maps each SignedEdge to its index; both
+    are left out of equality, hash and repr.
     """
 
     __slots__ = (
@@ -56,10 +57,11 @@ class SignedTables(Value):
         "inv",
         "out_start",
         "out_list",
+        "vertices",
         "edge_index",
     )
 
-    _unkeyed = ("edge_index",)
+    _unkeyed = ("vertices", "edge_index")
 
     def out(self, v: int) -> tuple:
         return self.out_list[self.out_start[v] : self.out_start[v + 1]]
@@ -94,6 +96,7 @@ def signed_tables(sh) -> SignedTables:
         inv=tuple(eidx[s.inverted()] for s in signed),
         out_start=tuple(out_start),
         out_list=tuple(out_list),
+        vertices=sh.vertices,
         edge_index=eidx,
     )
 

@@ -12,11 +12,17 @@ A well-formed argv is read straight from the command table, COMMANDS;
 argparse is imported, and its full parser built, only for help, usage
 and errors.  Each subcommand imports only the layers it calls:
 start-up is most of the cost of a short command.
+
+A process ends through run: main, then the atexit handlers, then a
+flush of stdout and stderr, then os._exit, which skips the
+interpreter's teardown (it cost more than all of the imports).
 """
 
 from __future__ import annotations
 
+import atexit
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -495,7 +501,22 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
+    """Run one command and emit its report; the exit code.  A failed
+    read or write, the report's included, is exit 2."""
     args = _parse_args(argv)
+    try:
+        code, report = _execute(args)
+        if report is not None:
+            _emit(args, report)
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return code
+
+
+def _execute(args) -> tuple:
+    """(exit code, report to emit or None) of one parsed command; an
+    OSError propagates."""
     diagnostics: dict = {"truncated": False}
     report: dict = {"command": args.command, "diagnostics": diagnostics}
     lg = None
@@ -503,18 +524,15 @@ def main(argv=None) -> int:
         if hasattr(args, "graph"):
             lg, report["inputs"], diagnostics["notes"] = _load_labeled(args)
         report["result"] = args.func(args, lg, diagnostics)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except json.JSONDecodeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_PARSE, None
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_PARSE, None
     except GraphError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, None
     except BudgetExceededError as exc:
         report = {
             "command": args.command,
@@ -523,17 +541,15 @@ def main(argv=None) -> int:
         }
     except VerificationMismatch as exc:
         report.update(result=exc.result, status="verification-mismatch")
-        _emit(args, report)
-        return EXIT_VERIFY
+        return EXIT_VERIFY, report
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION, None
     if report["result"] is None:  # tree has printed its DOT
-        return EXIT_OK
+        return EXIT_OK, None
     truncated = report["diagnostics"]["truncated"]
     report["status"] = "truncated" if truncated else "ok"
-    _emit(args, report)
-    return EXIT_BUDGET if truncated else EXIT_OK
+    return EXIT_BUDGET if truncated else EXIT_OK, report
 
 
 def _partial_payload(exc: BudgetExceededError, lg) -> dict:
@@ -555,5 +571,26 @@ def _partial_payload(exc: BudgetExceededError, lg) -> dict:
     return {}
 
 
+def run(argv=None):
+    """The process's one exit path: main, then the atexit handlers (a
+    coverage tool saves its data there), then a flush of stdout and
+    stderr, which carries what a handler printed too, then os._exit with
+    main's code, which skips the interpreter's teardown.  Output that
+    fails only at this flush is exit 2, as a failed write in main is.
+    A SystemExit (argparse's help, usage and errors) or any other
+    exception from main passes through to the interpreter's normal
+    exit."""
+    code = main(argv)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_IO:  # else main has reported this failure
+            print(f"io error: {exc}", file=sys.stderr)
+            code = EXIT_IO
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -11,8 +11,9 @@ applying T_G n times to the vertex basis vectors.  The oracle builds
 the basis only to length n // 2, the longest a path can grow on a walk
 of n letters that returns to its vertex.
 
-A Basis flattens its shadowed graph with _kernel.signed_tables; labels
-come from the one flat view LabeledGraph.kernel, numbered the same way.
+A Basis is built over the signed-edge tables of _kernel.signed_tables,
+which the oracle reads, with the labels, from the one flat view
+LabeledGraph.kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 from . import _kernel
 from .errors import BASIS_BUDGET, BudgetExceededError
-from .graphs import GraphError, ShadowedGraph
+from .graphs import GraphError
 from .groupoid import EMPTY, ReducedPath, Vertex
 from .labeling import LabeledGraph
 
@@ -43,12 +44,10 @@ class Basis:
     level is built.
     """
 
-    def __init__(self, g: ShadowedGraph, max_len: int, budget: int = BASIS_BUDGET):
+    def __init__(self, t: _kernel.SignedTables, max_len: int, budget: int = BASIS_BUDGET):
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
-        t = _kernel.signed_tables(g)
         nv = t.n_vertices
-        self.graph = g
         self.max_len = max_len
         self.n_vertices = nv
         self.tables = t
@@ -80,11 +79,11 @@ class Basis:
     @cached_property
     def elements(self) -> tuple:
         """The Vertex and ReducedPath objects, in basis order."""
-        signed = self.graph.signed_edges
+        signed = tuple(self.tables.edge_index)  # in index order
         words = [()] * self.n_vertices
         for j in range(self.n_vertices, len(self)):
             words.append(words[self.parent[j]] + (signed[self.last[j]],))
-        return tuple(Vertex(v) for v in self.graph.vertices) + tuple(
+        return tuple(Vertex(v) for v in self.tables.vertices) + tuple(
             ReducedPath(w) for w in words[self.n_vertices :]
         )
 
@@ -93,7 +92,7 @@ class Basis:
         return {a: i for i, a in enumerate(self.elements)}
 
     def vertex_positions(self):
-        return {v: i for i, v in enumerate(self.graph.vertices)}
+        return {v: i for i, v in enumerate(self.tables.vertices)}
 
     def step(self, j: int, s: int) -> int:
         """Index of element j times signed edge s (s must leave the
@@ -189,8 +188,8 @@ def level_sizes(t, max_len: int, budget: int = BASIS_BUDGET) -> list:
     return sizes
 
 
-def build_basis(g: ShadowedGraph, max_len: int, budget: int = BASIS_BUDGET) -> Basis:
-    return Basis(g, max_len, budget)
+def build_basis(t: _kernel.SignedTables, max_len: int, budget: int = BASIS_BUDGET) -> Basis:
+    return Basis(t, max_len, budget)
 
 
 def right_mult(w, basis: Basis) -> SparseOperator:
@@ -206,9 +205,8 @@ def right_mult(w, basis: Basis) -> SparseOperator:
     """
     if w is EMPTY:
         raise ValueError("right multiplication by Empty is undefined")
-    g = basis.graph
     if isinstance(w, Vertex):
-        src = g.graph.vertex_index(w.v)
+        src = basis.vertex_positions()[w.v]
         letters = ()
     else:
         index = basis.tables.edge_index
@@ -284,7 +282,7 @@ def oracle_expectation_power(
     level_sizes(lg.kernel, max_len, budget)
     if n > budget:
         raise BudgetExceededError(f"n={n} products exceed the basis budget {budget}")
-    basis = build_basis(lg.shadowed, n // 2, budget)
+    basis = build_basis(lg.kernel, n // 2, budget)
     t = total_labeling_operator(lg, basis)
     vertices = basis.vertex_positions()
     x = SparseOperator(len(basis))

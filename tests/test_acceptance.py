@@ -200,7 +200,7 @@ def test_acceptance_8_operator_identities():
     for name in ALL_FIXTURES:
         lg = labeled(name)
         L = 4
-        basis = build_basis(lg.shadowed, L)
+        basis = build_basis(lg.kernel, L)
         for k in range(1, lg.max_label + 1):
             tk = labeling_operator(lg, k, basis)
             assert tk.transpose() == labeling_operator(lg, -k, basis), (name, k)

@@ -1,8 +1,10 @@
+import ast
 import csv
 import io
 import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -836,16 +838,15 @@ def test_special_names_survive_every_format(special_graph, argv, formats):
 
 
 E62 = ["--graph", fx("example-6-2")]
-# every layer reads lg.kernel: one kernel_graph, whose signed_tables is
-# the only other flatten but for an oracle basis's; nc and lattice
-# flatten nothing
+# every layer reads lg.kernel, the oracle's basis too: one kernel_graph,
+# whose signed_tables is the only other flatten; nc and lattice flatten
+# nothing
 ONE = {"kernel_graph": 1, "signed_tables": 1}
-WITH_BASIS = {"kernel_graph": 1, "signed_tables": 2}
 FLATTEN_RUNS = (
-    (["moments", *E62, "--n", "6", "--verify", "--words"], WITH_BASIS),
+    (["moments", *E62, "--n", "6", "--verify", "--words"], ONE),
     (["moments", *E62, "--n", "1"], ONE),
     (["moments", *E62, "--n", "4", "--mode", "balance", "--format", "csv"], ONE),
-    (["oracle", *E62, "--n", "4", "--max-len", "4"], WITH_BASIS),
+    (["oracle", *E62, "--n", "4", "--max-len", "4"], ONE),
     (["cumulants", *E62, "--n", "6", "--formula", "both"], ONE),
     (["joint", *E62, "--indices", "1,-1,2,-2"], ONE),
     (["freeness", *E62, "--families", "1,2"], ONE),
@@ -875,3 +876,160 @@ def test_one_flatten_per_command(flatten_counts, argv, calls):
     code, out, err = run_contract(argv)
     assert (code, err) == (0, "")
     assert flatten_counts == calls
+
+
+# The process's exit path, cli.run, in fresh `python -m groupoidlab.cli`
+# processes: main's bytes and exit code survive os._exit, and a failed
+# write to stdout is exit 2 wherever the output first fails.
+
+
+def spawn(argv, stdout=subprocess.PIPE, unbuffered=False, program=("-m", "groupoidlab.cli")):
+    """(exit code, stdout bytes or None, stderr bytes) of one process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, *program, *argv], stdout=stdout, stderr=subprocess.PIPE,
+        env=env, cwd=ROOT, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def broken_graphs(tmp_path_factory):
+    """Paths of a file that is not JSON and of a disconnected graph."""
+    d = tmp_path_factory.mktemp("broken")
+    (d / "bad.json").write_text("{not json")
+    (d / "disconnected.json").write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
+    return str(d / "bad.json"), str(d / "disconnected.json")
+
+
+# one command per exit code the CLI can reach with every format
+EXIT_CASES = {
+    0: lambda bad, cut: ["moments", "--graph", fx("example-6-2"), "--n", "2"],
+    2: lambda bad, cut: ["moments", "--graph", os.path.join(FIX, "missing.json"), "--n", "2"],
+    3: lambda bad, cut: ["moments", "--graph", bad, "--n", "2"],
+    4: lambda bad, cut: ["moments", "--graph", cut, "--n", "2"],
+    5: lambda bad, cut: ["oracle", "--graph", fx("three-loop"), "--n", "8", "--max-len", "8"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("code", sorted(EXIT_CASES))
+def test_fresh_process_matches_main(broken_graphs, tmp_path, code, fmt):
+    argv = EXIT_CASES[code](*broken_graphs) + ["--format", fmt]
+    want, out, err = run_contract(argv)
+    assert want == code
+    expected = (code, out.encode(), err.encode())
+    for unbuffered in (False, True):
+        assert spawn(argv, unbuffered=unbuffered) == expected, unbuffered
+        with open(tmp_path / "out", "wb") as fh:
+            got = spawn(argv, stdout=fh, unbuffered=unbuffered)
+        assert got[::2] == expected[::2], unbuffered
+        assert (tmp_path / "out").read_bytes() == expected[1], unbuffered
+
+
+def test_output_past_a_pipe_buffer_arrives_whole():
+    argv = ["nc", "--n", "10", "--json"]
+    code, out, err = run_contract(argv)
+    assert (code, err) == (0, "") and len(out) > 1 << 20
+    assert spawn(argv) == (0, out.encode(), b"")
+
+
+def test_atexit_handlers_still_run():
+    # registered before run, as a coverage tool registers its own;
+    # what a handler writes is flushed with the report
+    program = (
+        "-c",
+        "import atexit, sys\n"
+        "from groupoidlab import cli\n"
+        "atexit.register(print, 'atexit handler ran')\n"
+        "atexit.register(sys.stderr.write, 'no line end')\n"
+        "cli.run(sys.argv[1:])\n",
+    )
+    argv = ["nc", "--n", "3"]
+    _, out, _ = run_contract(argv)
+    assert spawn(argv, program=program) == (
+        0, (out + "atexit handler ran\n").encode(), b"no line end"
+    )
+
+
+def formats_of(command):
+    """The --format choices a subcommand declares in COMMANDS."""
+    (kwargs,) = [kw for option, kw in cli.COMMANDS[command][2] if option == "--format"]
+    return kwargs["choices"]
+
+
+TWO_LOOP = ["--graph", fx("two-loop")]
+WRITE_RUNS = (
+    ["moments", *TWO_LOOP, "--n", "2"],
+    ["oracle", *TWO_LOOP, "--n", "2", "--max-len", "2"],
+    ["cumulants", *TWO_LOOP, "--n", "2"],
+    ["joint", *TWO_LOOP, "--indices", "1,-1"],
+    ["freeness", *TWO_LOOP, "--families", "1,2", "--max-n", "2"],
+    ["fractaloid", *TWO_LOOP, "--depth", "2"],
+    ["tree", *TWO_LOOP, "--depth", "2"],
+    ["lattice", "--max-label", "1", "--length", "2"],
+    ["nc", "--n", "3"],
+)
+WRITE_CASES = [(argv, fmt) for argv in WRITE_RUNS for fmt in formats_of(argv[0])]
+
+
+def assert_io_error(result):
+    code, _, err = result
+    assert code == 2, err
+    assert err.startswith(b"io error: ") and b"Traceback" not in err, err
+
+
+def spawn_to_closed_pipe(argv, unbuffered=False):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return spawn(argv, stdout=write, unbuffered=unbuffered)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize(
+    "argv, fmt", WRITE_CASES, ids=[f"{a[0]}-{fmt}" for a, fmt in WRITE_CASES]
+)
+def test_failed_stdout_is_an_io_error(argv, fmt):
+    argv = argv + ["--format", fmt]
+    with open("/dev/full", "wb") as full:
+        assert_io_error(spawn(argv, stdout=full))
+    assert_io_error(spawn_to_closed_pipe(argv))
+
+
+def test_failed_stdout_is_an_io_error_wherever_the_write_fails():
+    # unbuffered, or past the buffer, the report's own write fails in
+    # main; it is reported once, also where the lines buffered before it
+    # fail again at the last flush (nc in text)
+    for argv, unbuffered in (
+        (["nc", "--n", "3"], True),
+        (["nc", "--n", "10", "--json"], False),
+        (["nc", "--n", "10"], False),
+    ):
+        with open("/dev/full", "wb") as full:
+            result = spawn(argv, stdout=full, unbuffered=unbuffered)
+        assert_io_error(result)
+        assert result[2].count(b"\n") == 1
+        result = spawn_to_closed_pipe(argv, unbuffered)
+        assert_io_error(result)
+        assert result[2].count(b"\n") == 1
+
+
+def test_console_script_takes_the_main_block_path():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["groupoidlab"]
+    with open(cli.__file__, encoding="utf-8") as fh:
+        module = ast.parse(fh.read())
+    (block,) = [
+        node for node in module.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    (statement,) = block.body
+    call = statement.value
+    assert isinstance(call, ast.Call) and not call.args and not call.keywords
+    assert entry == f"groupoidlab.cli:{call.func.id}"

@@ -23,8 +23,12 @@ def labeled(name):
     return assign_weights(shadow(f.graph), mode, f.labels)
 
 
+def tables(name):
+    return _kernel.signed_tables(shadow(fixture(name).graph))
+
+
 def test_basis_one_loop_l3():
-    b = build_basis(shadow(fixture("one-loop").graph), 3)
+    b = build_basis(tables("one-loop"), 3)
     assert len(b) == 7
     lengths = sorted(
         0 if isinstance(a, Vertex) else len(a.word) for a in b.elements
@@ -33,20 +37,20 @@ def test_basis_one_loop_l3():
 
 
 def test_basis_l0_vertices_only():
-    b = build_basis(shadow(fixture("example-6-2").graph), 0)
+    b = build_basis(tables("example-6-2"), 0)
     assert len(b) == 3
     assert all(isinstance(a, Vertex) for a in b.elements)
 
 
 def test_basis_two_loop_l2():
-    b = build_basis(shadow(fixture("two-loop").graph), 2)
+    b = build_basis(tables("two-loop"), 2)
     assert len(b) == 17  # 1 + 4 + 12
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_basis_order_by_length_and_index_sequence(name):
     sh = shadow(fixture(name).graph)
-    b = build_basis(sh, 4)
+    b = build_basis(_kernel.signed_tables(sh), 4)
     rank = {s: i for i, s in enumerate(sh.signed_edges)}
 
     def key(a):
@@ -74,7 +78,7 @@ def right_mult_by_concat(w, basis):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_right_mult_trie_walk_matches_concat(name):
     sh = shadow(fixture(name).graph)
-    b = build_basis(sh, 4)
+    b = build_basis(_kernel.signed_tables(sh), 4)
     factors = [a for a in b.elements if isinstance(a, Vertex) or len(a.word) <= 3]
     assert len(factors) >= len(sh.vertices) + len(sh.signed_edges)
     for w in factors:
@@ -82,14 +86,14 @@ def test_right_mult_trie_walk_matches_concat(name):
 
 
 def test_basis_closed_under_inverse():
-    b = build_basis(shadow(fixture("example-6-2").graph), 3)
+    b = build_basis(tables("example-6-2"), 3)
     for a in b.elements:
         assert inverse(a) in b.index
 
 
 def test_basis_budget():
     with pytest.raises(BudgetExceededError):
-        build_basis(shadow(fixture("three-loop").graph), 8, budget=100)
+        build_basis(tables("three-loop"), 8, budget=100)
 
 
 def built_level_sizes(basis, max_len):
@@ -100,25 +104,25 @@ def built_level_sizes(basis, max_len):
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_counted_level_sizes_match_the_built_levels(name):
-    g = shadow(fixture(name).graph)
-    sizes = level_sizes(_kernel.signed_tables(g), 6)
+    t = tables(name)
+    sizes = level_sizes(t, 6)
     # counting stops at the first empty length: every longer one is empty
-    assert sizes + [0] * (6 - len(sizes)) == built_level_sizes(build_basis(g, 6), 6)
+    assert sizes + [0] * (6 - len(sizes)) == built_level_sizes(build_basis(t, 6), 6)
     assert all(sizes)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_basis_budget_boundary(name):
-    g = shadow(fixture(name).graph)
+    t = tables(name)
     for max_len in range(1, 6):
-        basis = build_basis(g, max_len)
+        basis = build_basis(t, max_len)
         size = len(basis)
-        assert len(build_basis(g, max_len, budget=size)) == size
+        assert len(build_basis(t, max_len, budget=size)) == size
         # one element fewer is refused at the last nonempty length
         sizes = built_level_sizes(basis, max_len)
         longest = max(ell for ell, k in enumerate(sizes, 1) if k)
         with pytest.raises(BudgetExceededError) as exc:
-            build_basis(g, max_len, budget=size - 1)
+            build_basis(t, max_len, budget=size - 1)
         assert str(exc.value) == f"basis exceeds budget {size - 1} at length {longest}"
 
 
@@ -128,14 +132,14 @@ def test_over_budget_basis_is_refused_before_any_level_is_built(monkeypatch):
         raise AssertionError("a level was built")
 
     monkeypatch.setattr(_kernel.SignedTables, "out", out)
-    g = shadow(fixture("three-loop").graph)
+    t = tables("three-loop")
     with pytest.raises(BudgetExceededError, match="^basis exceeds budget 100000 at length 7$"):
-        build_basis(g, 8)
+        build_basis(t, 8)
 
 
 def test_vertex_projection_idempotent_selfadjoint():
     lg = labeled("example-6-2")
-    b = build_basis(lg.shadowed, 3)
+    b = build_basis(lg.kernel, 3)
     for v in lg.graph.vertices:
         p = right_mult(Vertex(v), b)
         assert p @ p == p
@@ -145,7 +149,7 @@ def test_vertex_projection_idempotent_selfadjoint():
 def test_partial_isometry_identity_on_safe_columns():
     lg = labeled("example-6-2")
     L = 4
-    b = build_basis(lg.shadowed, L)
+    b = build_basis(lg.kernel, L)
     for s in lg.shadowed.signed_edges:
         w = ReducedPath((s,))
         r = right_mult(w, b)
@@ -161,7 +165,7 @@ def test_partial_isometry_identity_on_safe_columns():
 def test_product_rule_matches_concat():
     lg = labeled("circulant-3")
     L = 5
-    b = build_basis(lg.shadowed, L)
+    b = build_basis(lg.kernel, L)
     sh = lg.shadowed
     e1 = ReducedPath((sh.signed_by_name("e1"),))  # v1 -> v2
     e2 = ReducedPath((sh.signed_by_name("e2"),))  # v2 -> v3
@@ -182,7 +186,7 @@ def test_product_rule_matches_concat():
 
 def test_column_sparsity():
     lg = labeled("example-6-2")
-    b = build_basis(lg.shadowed, 3)
+    b = build_basis(lg.kernel, 3)
     for s in lg.shadowed.signed_edges:
         r = right_mult(ReducedPath((s,)), b)
         assert all(len(col) <= 1 for col in r.cols)
@@ -203,7 +207,7 @@ def right_mult_sum(signed, basis):
 
 def test_labeling_operator_example_6_2():
     lg = labeled("example-6-2")
-    b = build_basis(lg.shadowed, 3)
+    b = build_basis(lg.kernel, 3)
     sh = lg.shadowed
     t1 = labeling_operator(lg, 1, b)
     assert t1 == right_mult_sum([sh.signed_by_name(e) for e in ("e12:1", "e13:1", "e22:1")], b)
@@ -214,7 +218,7 @@ def test_labeling_operator_example_6_2():
 
 def test_labeling_operator_refuses_a_label_out_of_range():
     lg = labeled("example-6-2")
-    b = build_basis(lg.shadowed, 2)
+    b = build_basis(lg.kernel, 2)
     for k in (0, lg.max_label + 1, -lg.max_label - 1):
         with pytest.raises(GraphError, match="out of range"):
             labeling_operator(lg, k, b)
@@ -225,7 +229,7 @@ def test_labeling_operator_refuses_a_label_out_of_range():
 )
 def test_adjoint_and_selfadjointness(name):
     lg = labeled(name)
-    b = build_basis(lg.shadowed, 4)
+    b = build_basis(lg.kernel, 4)
     for k in range(1, lg.max_label + 1):
         assert labeling_operator(lg, k, b).transpose() == labeling_operator(lg, -k, b)
     t = total_labeling_operator(lg, b)
@@ -266,7 +270,7 @@ def test_oracle_requires_max_len_ge_n():
 def full_basis_oracle(lg, n, max_len):
     """<T_G^n xi_v, xi_v> over the whole basis of length max_len: T_G
     applied n times to the vertex columns, no path dropped early."""
-    basis = build_basis(lg.shadowed, max_len)
+    basis = build_basis(lg.kernel, max_len)
     t = total_labeling_operator(lg, basis)
     vertices = basis.vertex_positions()
     x = SparseOperator(len(basis))
@@ -298,8 +302,8 @@ def test_half_length_oracle_matches_the_full_basis(name):
 def test_oracle_refuses_the_declared_basis_one_element_over(name):
     lg = labeled(name)
     for n in range(1, 6):
-        size = len(build_basis(lg.shadowed, n))
-        expected = outcome(build_basis, lg.shadowed, n, size - 1)
+        size = len(build_basis(lg.kernel, n))
+        expected = outcome(build_basis, lg.kernel, n, size - 1)
         assert expected.startswith(f"basis exceeds budget {size - 1} at length ")
         assert outcome(oracle_expectation_power, lg, n, n, size - 1) == expected
 
