@@ -12,11 +12,13 @@ walks of length m below a node entered by e,
                           H_f(k-2) * H_e(m-k),
 
 and the moment M_v(n) is the same sum at the root, over every f in
-out(v).  Per-position letter weights (a label pattern is the 0/1 case;
-the nested expectations E_pi of moments weigh letters by integers)
-enter at the opening and closing letter of each excursion, so the
-tables are then keyed by the interval of positions an excursion fills
-instead of its length.
+out(v).  Per-position letter weights enter at the opening and closing
+letter of each excursion, so the tables are then keyed by the interval
+of positions an excursion fills instead of its length
+(closed_by_interval).  Letter weights are the only way to pick letters:
+a joint moment weighs 1 on the letters of each position's label and 0
+elsewhere, and the nested expectations E_pi of moments weigh letters by
+integers.
 
 The balance condition (per-label signed letter counts all zero) is a
 walk count over (start, current vertex, balance vector), taken to half
@@ -27,9 +29,9 @@ The qualifying words themselves come from a depth-first walk over the
 same tables (closed_words), which drops a prefix as soon as the letters
 left cannot close it: in the tree, or back to a zero balance vector.
 
-Every layer reads a labeled graph's flat view as LabeledGraph.kernel,
-which calls kernel_graph once per graph; operators.Basis reads the same
-view, or the label-free signed_tables of a shadowed graph.
+Every layer reads a labeled graph's one flat view, KernelGraph, as
+LabeledGraph.kernel, which calls kernel_graph once per graph;
+operators.Basis reads the same view.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from operator import mul
 from .errors import Value
 
 
-class SignedTables(Value):
-    """Flat integer view of a shadowed graph, labels left out.
+class KernelGraph(Value):
+    """Flat integer view of a labeled shadowed graph.
 
-    Signed edge i has endpoints src[i] -> dst[i] (vertex indices) and
-    inverse partner inv[i].  out_start and out_list form a CSR
+    Signed edge i has endpoints src[i] -> dst[i] (vertex indices),
+    inverse partner inv[i] and signed label labels[i] (the inverse
+    carries the negated label).  out_start and out_list form a CSR
     adjacency over signed edges, index-sorted.  vertices names each
     vertex index, and edge_index maps each SignedEdge to its index; both
     are left out of equality, hash and repr.
@@ -59,6 +62,8 @@ class SignedTables(Value):
         "out_list",
         "vertices",
         "edge_index",
+        "labels",
+        "n_labels",
     )
 
     _unkeyed = ("vertices", "edge_index")
@@ -67,16 +72,11 @@ class SignedTables(Value):
         return self.out_list[self.out_start[v] : self.out_start[v + 1]]
 
 
-class KernelGraph(SignedTables):
-    """SignedTables plus the signed label labels[i] of each signed edge
-    (the inverse carries the negated label)."""
-
-    __slots__ = ("labels", "n_labels")
-
-
-def signed_tables(sh) -> SignedTables:
-    """Flatten a ShadowedGraph: vertices and signed edges are numbered
-    in their sorted order."""
+def kernel_graph(lg) -> KernelGraph:
+    """Flatten a LabeledGraph: vertices and signed edges are numbered in
+    their sorted order.  Read it as lg.kernel, which builds it once per
+    graph."""
+    sh = lg.shadowed
     vidx = {v: i for i, v in enumerate(sh.vertices)}
     signed = sh.signed_edges
     eidx = {s: i for i, s in enumerate(signed)}
@@ -88,7 +88,7 @@ def signed_tables(sh) -> SignedTables:
     for lst in out:
         out_list.extend(lst)
         out_start.append(len(out_list))
-    return SignedTables(
+    return KernelGraph(
         n_vertices=len(sh.vertices),
         n_signed=len(signed),
         src=tuple(vidx[s.src] for s in signed),
@@ -98,16 +98,7 @@ def signed_tables(sh) -> SignedTables:
         out_list=tuple(out_list),
         vertices=sh.vertices,
         edge_index=eidx,
-    )
-
-
-def kernel_graph(lg) -> KernelGraph:
-    """Flatten a LabeledGraph: its signed tables plus the signed labels.
-    Read it as lg.kernel, which builds it once per graph."""
-    tables = signed_tables(lg.shadowed)
-    return KernelGraph(
-        *(getattr(tables, name) for name in SignedTables._fields),
-        labels=tuple(lg.label(s) for s in lg.shadowed.signed_edges),
+        labels=tuple(lg.label(s) for s in signed),
         n_labels=lg.max_label,
     )
 
@@ -131,56 +122,46 @@ class _Budget:
         return self.cap is None or self.spent <= self.cap
 
 
-def tally_words(kg: KernelGraph, n: int, mode: str, pattern=None, budget=None):
+def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
     """Count qualifying admissible length-n words by start vertex.
 
     mode: "reduction" counts words whose free reduction is a vertex;
           "balance" counts loop words with an all-zero balance vector.
-    pattern: optional per-position signed label filter (length n),
-             reduction mode only.
     budget: cap on DP transitions.  When it runs out the flag is set
             and only the vertices finished so far carry their (exact)
             counts; the others read 0.
 
-    Returns (counts per vertex index, admissible length-n words matching
-    the pattern, truncated).
+    Returns (counts per vertex index, admissible length-n words,
+    truncated).
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if pattern is not None and len(pattern) != n:
-        raise ValueError("pattern length must equal n")
     if mode not in ("reduction", "balance"):
         raise ValueError(f"unknown tally mode {mode!r}")
-    if mode == "balance" and pattern is not None:
-        raise ValueError("the balance mode takes no pattern")
     spend = _Budget(budget)
     if mode == "balance":
         counts, truncated = _balanced_loops(kg, n, spend)
-    elif pattern is None:
-        counts, truncated = _closed_by_length(kg, n, spend)
     else:
-        weights = [tuple(int(k == want) for k in kg.labels) for want in pattern]
-        counts, truncated = _closed_by_interval(kg, weights, spend)
-    return counts, _walk_count(kg, n, pattern), truncated
+        counts, truncated = _closed_by_length(kg, n, spend)
+    return counts, _walk_count(kg, n), truncated
 
 
-def _walk_count(kg, n, pattern) -> int:
-    """Admissible length-n words that match the pattern, if any."""
+def _walk_count(kg, n) -> int:
+    """Admissible length-n words.  No result of the program reads this
+    count; the benchmark's tracer does (its kernel.words metrics), and
+    the walk goes once those metrics are replaced."""
     ends = [1] * kg.n_vertices
-    for pos in range(n):
-        ends = walk_step(kg, ends, None if pattern is None else pattern[pos])
+    for _ in range(n):
+        ends = walk_step(kg, ends)
     return sum(ends)
 
 
-def walk_step(t, ends, label=None) -> list:
+def walk_step(kg, ends) -> list:
     """Walks one letter longer: ends[v] counts walks ending at vertex v,
-    and each signed edge e of the tables t carries those at src(e) on to
-    dst(e).  With a label, only the edges of that signed label step (t
-    must then be a KernelGraph)."""
-    nxt = [0] * t.n_vertices
-    for e in range(t.n_signed):
-        if label is None or t.labels[e] == label:
-            nxt[t.dst[e]] += ends[t.src[e]]
+    and each signed edge e carries those at src(e) on to dst(e)."""
+    nxt = [0] * kg.n_vertices
+    for e in range(kg.n_signed):
+        nxt[kg.dst[e]] += ends[kg.src[e]]
     return nxt
 
 
@@ -218,17 +199,20 @@ def _closed_by_length(kg, n, spend):
     return counts, False
 
 
-def _closed_by_interval(t, weights, spend):
-    """Weighted reduction counts: the excursion recurrence over
-    intervals [a, b) of word positions.  A closed walk weighs the
-    product of weights[p][e] over its letters e at positions p; only
-    the signed tables t (dst, inv, out) are read.
+def closed_by_interval(t: KernelGraph, weights, budget=None):
+    """Weighted reduction counts by start vertex: the excursion
+    recurrence over intervals [a, b) of word positions.  A closed walk
+    weighs the product of weights[p][e] over its letters e at positions
+    p.  budget caps the DP transitions, as in tally_words.
 
     H[e][a, b] sums the closed walks below a node entered by e that
     fill positions a..b-1.  Y[f][a, c] sums the single excursions
     through f that open at position a and close at c-1 with inv(f),
     and X[u][a, c] sums Y over the out-edges f of u.
+
+    Returns (counts per vertex index, truncated).
     """
+    spend = _Budget(budget)
     n = len(weights)
     counts = [0] * t.n_vertices
     if n % 2:

@@ -58,9 +58,11 @@ def validate_graph(graph):
 
 
 def shadow(graph):
-    from .graphs import shadow
+    """The shadowed graph of a graph that validate_graph has passed:
+    graphs.shadow would validate it again."""
+    from .graphs import ShadowedGraph
 
-    return shadow(graph)
+    return ShadowedGraph(graph)
 
 
 def _load_labeled(args) -> tuple:
@@ -557,10 +559,8 @@ def _partial_payload(exc: BudgetExceededError, lg) -> dict:
     if partial is None:
         return {}
     # every partial result is a value of the moment layer
-    from .moments import DiagonalElement, TallyResult, WordSetReport
+    from .moments import DiagonalElement, WordSetReport
 
-    if isinstance(partial, TallyResult):
-        return {"diagonal": _diag_payload(partial.diagonal), "words": partial.words}
     if isinstance(partial, WordSetReport):
         return {
             "diagonal": _diag_payload(partial.tallies),
@@ -572,15 +572,18 @@ def _partial_payload(exc: BudgetExceededError, lg) -> dict:
 
 
 def run(argv=None):
-    """The process's one exit path: main, then the atexit handlers (a
-    coverage tool saves its data there), then a flush of stdout and
-    stderr, which carries what a handler printed too, then os._exit with
-    main's code, which skips the interpreter's teardown.  Output that
-    fails only at this flush is exit 2, as a failed write in main is.
-    A SystemExit (argparse's help, usage and errors) or any other
-    exception from main passes through to the interpreter's normal
-    exit."""
-    code = main(argv)
+    """The process's one exit path: main, or the code of the SystemExit
+    that argparse raises for help, usage and errors, then the atexit
+    handlers (a coverage tool saves its data there), then a flush of
+    stdout and stderr, which carries what a handler printed too, then
+    os._exit with that code, which skips the interpreter's teardown.
+    Output that fails only at this flush is exit 2, as a failed write in
+    main is.  Any other exception from main passes through to the
+    interpreter's normal exit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits with an integer status
+        code = exc.code or 0
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()

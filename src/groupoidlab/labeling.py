@@ -103,8 +103,10 @@ class LabeledGraph:
 
     @cached_property
     def kernel(self):
-        """The _kernel.KernelGraph of this graph, built on first use; its
-        signed edges are numbered like shadowed.signed_edges."""
+        """The _kernel.KernelGraph of this graph, built on first use: the
+        one flat view that the moment engine, the automaton and the
+        operator oracle's Basis read.  Its signed edges are numbered like
+        shadowed.signed_edges."""
         from . import _kernel  # lattice loads this module, never the kernel
 
         return _kernel.kernel_graph(self)

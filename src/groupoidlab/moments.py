@@ -86,7 +86,7 @@ class DiagonalElement(Value):
 
 
 class TallyResult(Value):
-    __slots__ = ("diagonal", "words", "truncated")
+    __slots__ = ("diagonal", "truncated")
 
 
 class WordSetReport(Value):
@@ -139,17 +139,12 @@ def tally(
     lg: LabeledGraph,
     n: int,
     mode: str = "reduction",
-    pattern=None,
     budget: int | None = ENUM_BUDGET,
 ) -> TallyResult:
     """Tally of qualifying length-n words by vertex, from the moment
     engine in _kernel; budget caps its DP transitions."""
-    counts, words, truncated = _kernel.tally_words(
-        lg.kernel, n, mode, pattern=pattern, budget=budget
-    )
-    vs = lg.graph.vertices
-    diag = DiagonalElement.of((vs[i], c) for i, c in enumerate(counts))
-    return TallyResult(diag, words, truncated)
+    counts, _, truncated = _kernel.tally_words(lg.kernel, n, mode, budget=budget)
+    return TallyResult(_diagonal(lg, counts), truncated)
 
 
 def _unwrap(result: TallyResult, what: str) -> DiagonalElement:
@@ -173,14 +168,19 @@ def balance_moment(lg: LabeledGraph, n: int, budget: int | None = ENUM_BUDGET) -
 def joint_moment(
     lg: LabeledGraph, indices, budget: int | None = ENUM_BUDGET
 ) -> DiagonalElement:
-    """Joint moment for an index tuple: tally admissible words whose
-    j-th letter carries label indices[j] and which reduce to a vertex."""
+    """Joint moment for an index tuple: the admissible words whose j-th
+    letter carries label indices[j] and which reduce to a vertex,
+    counted by the weighted excursion DP on the letter weights of
+    T_indices[j] (edge_sum); budget caps its transitions."""
     indices = tuple(indices)
     _check_indices(lg, indices)
-    return _unwrap(
-        tally(lg, len(indices), "reduction", pattern=indices, budget=budget),
-        f"joint moment {indices}",
+    counts, truncated = _kernel.closed_by_interval(
+        lg.kernel, [edge_sum(lg, k) for k in indices], budget
     )
+    diag = _diagonal(lg, counts)
+    if truncated:
+        raise BudgetExceededError(f"joint moment {indices}: DP budget exhausted", partial=diag)
+    return diag
 
 
 def _check_indices(lg: LabeledGraph, indices) -> None:
@@ -235,14 +235,13 @@ def expectation_pi(
     memo: a dict of block closes keyed by the block's weights, shared
     between calls on the same lg."""
     kg = lg.kernel
-    unlimited = _kernel._Budget(None)
 
     def close(weights):
         if memo is None:
-            return _kernel._closed_by_interval(kg, weights, unlimited)[0]
+            return _kernel.closed_by_interval(kg, weights)[0]
         key = tuple(weights)
         if key not in memo:
-            memo[key] = _kernel._closed_by_interval(kg, weights, unlimited)[0]
+            memo[key] = _kernel.closed_by_interval(kg, weights)[0]
         return memo[key]
 
     operands = [tuple(x) for x in operands]

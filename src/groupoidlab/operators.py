@@ -11,9 +11,9 @@ applying T_G n times to the vertex basis vectors.  The oracle builds
 the basis only to length n // 2, the longest a path can grow on a walk
 of n letters that returns to its vertex.
 
-A Basis is built over the signed-edge tables of _kernel.signed_tables,
-which the oracle reads, with the labels, from the one flat view
-LabeledGraph.kernel.
+A Basis is built over the signed-edge tables of the one flat view of a
+labeled graph, the _kernel.KernelGraph LabeledGraph.kernel, which the
+oracle reads for the labels too.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class Basis:
     of length at most max_len by (length, signed-edge index sequence).
     Closed under inverse.
 
-    The paths form a trie over the signed-edge tables of
-    _kernel.signed_tables: element j stores its parent (the path without
+    The paths form a trie over the signed-edge tables of a
+    _kernel.KernelGraph: element j stores its parent (the path without
     its last letter; a vertex for a single letter, -1 for a vertex), its
     last signed edge (-1 for a vertex) and its target vertex.  Each
     level extends the one before, parent by parent, by the out-edges of
@@ -44,7 +44,7 @@ class Basis:
     level is built.
     """
 
-    def __init__(self, t: _kernel.SignedTables, max_len: int, budget: int = BASIS_BUDGET):
+    def __init__(self, t: _kernel.KernelGraph, max_len: int, budget: int = BASIS_BUDGET):
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
         nv = t.n_vertices
@@ -188,7 +188,7 @@ def level_sizes(t, max_len: int, budget: int = BASIS_BUDGET) -> list:
     return sizes
 
 
-def build_basis(t: _kernel.SignedTables, max_len: int, budget: int = BASIS_BUDGET) -> Basis:
+def build_basis(t: _kernel.KernelGraph, max_len: int, budget: int = BASIS_BUDGET) -> Basis:
     return Basis(t, max_len, budget)
 
 

@@ -398,6 +398,31 @@ def test_moments_words_bytes_pinned(monkeypatch, capsys, fmt, budget, code):
     assert capsys.readouterr().err == ""
 
 
+JOINT_TRUNCATED_NOTE = "joint moment (1, -1, 1, -1, 1, -1, 1, -1): DP budget exhausted"
+JOINT_TRUNCATED_TEXT = f"""command: joint
+diagonal: {{v1: 34}}
+note: {JOINT_TRUNCATED_NOTE}
+truncated: True
+status: truncated
+"""
+JOINT_TRUNCATED_JSON = (
+    '{"command": "joint", "diagnostics": {"notes": ["' + JOINT_TRUNCATED_NOTE + '"], '
+    '"truncated": true}, "result": {"diagonal": {"v1": "34"}}, "status": "truncated"}\n'
+)
+
+
+@pytest.mark.parametrize("fmt, want", [([], JOINT_TRUNCATED_TEXT), (["--json"], JOINT_TRUNCATED_JSON)],
+                         ids=["text", "json"])
+def test_truncated_joint_bytes_pinned(monkeypatch, capsys, fmt, want):
+    # the interval DP finishes v1 at budget 122 (see test_moments); the
+    # partial result is the diagonal alone
+    monkeypatch.chdir(ROOT)
+    argv = ["joint", "--graph", "fixtures/example-6-2.json", "--indices",
+            "1,-1,1,-1,1,-1,1,-1", "--budget", "122", *fmt]
+    assert run(argv) == (5, want)
+    assert capsys.readouterr().err == ""
+
+
 def test_nc_budget_exhaustion_exits_5(capsys):
     # NC(13) is past NC_BUDGET = 12: a truncated report, not an error
     note = "n=13 exceeds the NC enumeration budget 12"
@@ -838,10 +863,9 @@ def test_special_names_survive_every_format(special_graph, argv, formats):
 
 
 E62 = ["--graph", fx("example-6-2")]
-# every layer reads lg.kernel, the oracle's basis too: one kernel_graph,
-# whose signed_tables is the only other flatten; nc and lattice flatten
-# nothing
-ONE = {"kernel_graph": 1, "signed_tables": 1}
+# every layer reads lg.kernel, the oracle's basis too: one kernel_graph;
+# nc and lattice flatten nothing
+ONE = {"kernel_graph": 1}
 FLATTEN_RUNS = (
     (["moments", *E62, "--n", "6", "--verify", "--words"], ONE),
     (["moments", *E62, "--n", "1"], ONE),
@@ -859,15 +883,15 @@ FLATTEN_RUNS = (
 
 @pytest.fixture
 def flatten_counts(monkeypatch):
-    from groupoidlab import _kernel
+    from groupoidlab import _kernel, graphs
 
     counts = {}
-    for name in ("kernel_graph", "signed_tables"):
-        def counted(*args, _fn=getattr(_kernel, name), _name=name):
+    for owner, name in ((_kernel, "kernel_graph"), (graphs, "validate_graph")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*args)
 
-        monkeypatch.setattr(_kernel, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
 
 
@@ -875,6 +899,9 @@ def flatten_counts(monkeypatch):
 def test_one_flatten_per_command(flatten_counts, argv, calls):
     code, out, err = run_contract(argv)
     assert (code, err) == (0, "")
+    # each graph is validated once, by cli.validate_graph
+    validations = flatten_counts.pop("validate_graph", 0)
+    assert validations == (1 if "--graph" in argv else 0)
     assert flatten_counts == calls
 
 
@@ -1017,6 +1044,20 @@ def test_failed_stdout_is_an_io_error_wherever_the_write_fails():
         result = spawn_to_closed_pipe(argv, unbuffered)
         assert_io_error(result)
         assert result[2].count(b"\n") == 1
+
+
+def test_help_and_usage_take_the_one_exit_path():
+    # argparse's help (exit 0) and usage error (exit 2) keep their bytes
+    # on a pipe, and help that cannot be written is exit 2 with an io
+    # error, not the interpreter's last-flush message.  Unbuffered,
+    # argparse swallows the failed write itself, so that case is left
+    # out.
+    for argv, code in ((["moments", "--help"], 0), (["moments"], 2)):
+        _, out, err = run_contract(argv)
+        assert spawn(argv) == (code, out.encode(), err.encode())
+    with open("/dev/full", "wb") as full:
+        assert_io_error(spawn(["moments", "--help"], stdout=full))
+    assert_io_error(spawn_to_closed_pipe(["moments", "--help"]))
 
 
 def test_console_script_takes_the_main_block_path():

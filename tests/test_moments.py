@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from groupoidlab import _kernel
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.fixtures import FIXTURES as ALL_FIXTURES, fixture
 from groupoidlab.graphs import shadow
@@ -198,18 +199,20 @@ def test_moment_agrees_with_enumeration(name):
 
 def test_moment_budget_truncation():
     # the budget caps DP transitions; a truncated tally reports only
-    # exact per-vertex counts, and some budgets leave a nonempty part
+    # exact per-vertex counts, and some budgets leave a nonempty part;
+    # the walk count the kernel returns beside them takes no budget
     lg = labeled("example-6-2")
     for mode in ("reduction", "balance"):
         full = tally(lg, 6, mode, budget=None)
         exact = full.diagonal.as_dict()
+        words = _kernel.tally_words(lg.kernel, 6, mode)[1]
         partial_seen = False
         budget = 1
         while True:
             result = tally(lg, 6, mode, budget=budget)
             got = result.diagonal.as_dict()
             assert all(exact[v] == c for v, c in got.items()), (mode, budget, got)
-            assert result.words == full.words
+            assert _kernel.tally_words(lg.kernel, 6, mode, budget=budget)[1] == words
             if not result.truncated:
                 assert got == exact
                 break
@@ -229,8 +232,11 @@ def test_joint_moment_budget_truncation_points():
     idx = (1, -1) * 4
     seen = {}
     for budget in (111, 112, 121, 122, 141, 142):
-        result = tally(lg, 8, "reduction", pattern=idx, budget=budget)
-        seen[budget] = (result.diagonal.as_dict(), result.truncated)
+        try:
+            seen[budget] = (joint_moment(lg, idx, budget=budget).as_dict(), False)
+        except BudgetExceededError as exc:
+            assert str(exc) == f"joint moment {idx}: DP budget exhausted"
+            seen[budget] = (exc.partial.as_dict(), True)
     assert seen == {
         111: ({}, True),
         112: ({}, True),

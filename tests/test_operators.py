@@ -24,7 +24,7 @@ def labeled(name):
 
 
 def tables(name):
-    return _kernel.signed_tables(shadow(fixture(name).graph))
+    return labeled(name).kernel
 
 
 def test_basis_one_loop_l3():
@@ -49,8 +49,9 @@ def test_basis_two_loop_l2():
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_basis_order_by_length_and_index_sequence(name):
-    sh = shadow(fixture(name).graph)
-    b = build_basis(_kernel.signed_tables(sh), 4)
+    lg = labeled(name)
+    sh = lg.shadowed
+    b = build_basis(lg.kernel, 4)
     rank = {s: i for i, s in enumerate(sh.signed_edges)}
 
     def key(a):
@@ -77,8 +78,9 @@ def right_mult_by_concat(w, basis):
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_right_mult_trie_walk_matches_concat(name):
-    sh = shadow(fixture(name).graph)
-    b = build_basis(_kernel.signed_tables(sh), 4)
+    lg = labeled(name)
+    sh = lg.shadowed
+    b = build_basis(lg.kernel, 4)
     factors = [a for a in b.elements if isinstance(a, Vertex) or len(a.word) <= 3]
     assert len(factors) >= len(sh.vertices) + len(sh.signed_edges)
     for w in factors:
@@ -127,11 +129,11 @@ def test_basis_budget_boundary(name):
 
 
 def test_over_budget_basis_is_refused_before_any_level_is_built(monkeypatch):
-    # the levels are built from SignedTables.out; the count never calls it
+    # the levels are built from KernelGraph.out; the count never calls it
     def out(self, v):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(_kernel.SignedTables, "out", out)
+    monkeypatch.setattr(_kernel.KernelGraph, "out", out)
     t = tables("three-loop")
     with pytest.raises(BudgetExceededError, match="^basis exceeds budget 100000 at length 7$"):
         build_basis(t, 8)

@@ -2,7 +2,9 @@
 has a caller elsewhere in the package (a reference to its name, outside
 __init__.py), or is listed in KEPT with one word saying why it stays.
 Names match without their owner, so the check is loose for common
-method names; it catches helpers that only the tests call."""
+method names; it catches helpers that only the tests call.  And no
+module reads another package module's _-prefixed names: a module's
+interface is what its callers use."""
 
 import ast
 import os
@@ -76,3 +78,40 @@ def test_package_exports_only_its_version():
     body = parse("__init__.py").body
     assert [type(node).__name__ for node in body] == ["Expr", "Assign"]  # docstring, version
     assert [t.id for t in body[1].targets] == ["__version__"]
+
+
+def private_reads():
+    """(module, name) for each _-prefixed, non-dunder name that a module
+    reads from another package module: as module._name, through a
+    module imported with `from . import module`, or by
+    `from .module import _name`."""
+    modules = {name[:-3] for name in os.listdir(SRC) if name.endswith(".py")}
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        tree, module, aliases = parse(name), name[:-3], set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    aliases |= {a.asname or a.name for a in node.names if a.name in modules}
+                else:
+                    found += [(module, f"{node.module}.{a.name}") for a in node.names
+                              if private(a.name)]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and private(node.attr)
+            ):
+                found.append((module, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads() == []

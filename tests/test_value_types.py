@@ -48,7 +48,6 @@ CASES = {
     "ReducedPath": lambda: reduce_word(word_6_2()),
     "BalanceVector": lambda: theta(labeled("example-6-2").label(s) for s in word_6_2()),
     "WeightedElement": lambda: weight(labeled("example-6-2"), word_6_2()),
-    "SignedTables": lambda: _kernel.signed_tables(shadow(fixture("example-6-2").graph)),
     "KernelGraph": lambda: _kernel.kernel_graph(labeled("example-6-2")),
     "TreeNode": lambda: automaton.build_tree(
         automaton.GraphAutomaton(labeled("two-loop")), "v", 2
@@ -169,16 +168,19 @@ def test_value_types_derive_from_value():
     assert derived == {name.split("-")[0] for name in CASES}
 
 
-def test_signed_tables_ignore_edge_index():
-    tables = CASES["SignedTables"]()
-    names = field_names(type(tables))
+def test_kernel_graph_ignores_names():
+    kg = CASES["KernelGraph"]()
+    names = field_names(type(kg))
     # the names of the vertices and signed edges take no part
     unnamed = {"vertices": (), "edge_index": {}}
-    other = _kernel.SignedTables(*(unnamed.get(n, getattr(tables, n)) for n in names))
-    assert other == tables and hash(other) == hash(tables)
-    assert "edge_index" not in repr(tables) and "'v1'" not in repr(tables)
-    kg = CASES["KernelGraph"]()
-    assert kg != tables and tables != kg  # a subclass is another class
+    other = _kernel.KernelGraph(*(unnamed.get(n, getattr(kg, n)) for n in names))
+    assert other == kg and hash(other) == hash(kg)
+    assert "edge_index" not in repr(kg) and "'v1'" not in repr(kg)
+    # the labels do take part
+    relabeled = _kernel.KernelGraph(*(
+        tuple(-k for k in kg.labels) if n == "labels" else getattr(kg, n) for n in names
+    ))
+    assert relabeled != kg
 
 
 def test_default_reprs_are_unchanged():
@@ -186,10 +188,10 @@ def test_default_reprs_are_unchanged():
     assert repr(Edge("e1", "v", "v")) == "Edge(id='e1', src='v', dst='v')"
     lg = labeled("example-6-2")
     assert repr(moments.tally(lg, 2)) == (
-        "TallyResult(diagonal=Diagonal(v1: 3, v2: 4, v3: 1), words=26, truncated=False)"
+        "TallyResult(diagonal=Diagonal(v1: 3, v2: 4, v3: 1), truncated=False)"
     )
     assert repr(moments.tally(lg, 4, budget=3)) == (
-        "TallyResult(diagonal=Diagonal(0), words=286, truncated=True)"
+        "TallyResult(diagonal=Diagonal(0), truncated=True)"
     )
     assert repr(CASES["FractaloidVerdict"]()) == (
         "FractaloidVerdict(fractaloid=True, depth=2, max_label=2, witness=None, "
