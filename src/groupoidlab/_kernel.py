@@ -31,7 +31,8 @@ left cannot close it: in the tree, or back to a zero balance vector.
 
 Every layer reads a labeled graph's one flat view, KernelGraph, as
 LabeledGraph.kernel, which calls kernel_graph once per graph;
-operators.Basis reads the same view.
+operators.Basis and the automaton read the same view.  Its signed edges
+are numbered like lg.shadowed.signed_edges, which names them.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ class KernelGraph(Value):
     inverse partner inv[i] and signed label labels[i] (the inverse
     carries the negated label).  out_start and out_list form a CSR
     adjacency over signed edges, index-sorted.  vertices names each
-    vertex index, and edge_index maps each SignedEdge to its index; both
-    are left out of equality, hash and repr.
+    vertex index and is left out of equality, hash and repr.
     """
 
     __slots__ = (
@@ -61,12 +61,11 @@ class KernelGraph(Value):
         "out_start",
         "out_list",
         "vertices",
-        "edge_index",
         "labels",
         "n_labels",
     )
 
-    _unkeyed = ("vertices", "edge_index")
+    _unkeyed = ("vertices",)
 
     def out(self, v: int) -> tuple:
         return self.out_list[self.out_start[v] : self.out_start[v + 1]]
@@ -80,13 +79,10 @@ def kernel_graph(lg) -> KernelGraph:
     vidx = {v: i for i, v in enumerate(sh.vertices)}
     signed = sh.signed_edges
     eidx = {s: i for i, s in enumerate(signed)}
-    out: list[list[int]] = [[] for _ in sh.vertices]
-    for i, s in enumerate(signed):
-        out[vidx[s.src]].append(i)
     out_start = [0]
     out_list: list[int] = []
-    for lst in out:
-        out_list.extend(lst)
+    for v in sh.vertices:
+        out_list.extend(map(eidx.__getitem__, sh.out_edges(v)))
         out_start.append(len(out_list))
     return KernelGraph(
         n_vertices=len(sh.vertices),
@@ -97,7 +93,6 @@ def kernel_graph(lg) -> KernelGraph:
         out_start=tuple(out_start),
         out_list=tuple(out_list),
         vertices=sh.vertices,
-        edge_index=eidx,
         labels=tuple(lg.label(s) for s in signed),
         n_labels=lg.max_label,
     )
@@ -176,13 +171,15 @@ def _closed_by_length(kg, n, spend):
     if n % 2:
         return counts, False
     half = n // 2
+    # No vertex finishes before the tables are built, so their
+    # transitions are charged up front, as in closed_by_interval.
+    if not spend.charge(kg.n_signed * half * (half - 1) // 2):
+        return counts, True
     H = [[1] for _ in range(kg.n_signed)]
     S = [[len(kg.out(v))] for v in range(kg.n_vertices)]
     # G[e][i]: one excursion of length 2i + 2 from a node entered by e
     G = [[] for _ in range(kg.n_signed)]
     for j in range(1, half):
-        if not spend.charge(kg.n_signed * j):
-            return counts, True
         for e in range(kg.n_signed):
             G[e].append(S[kg.dst[e]][j - 1] - H[kg.inv[e]][j - 1])
         for e in range(kg.n_signed):

@@ -260,9 +260,9 @@ def _cmd_freeness(args, lg, diagnostics) -> dict:
 def _cmd_fractaloid(args, lg, diagnostics) -> dict:
     from . import automaton
 
-    sh = lg.shadowed
+    kg = lg.kernel
     # one step per signed edge, depth and root, charged up front
-    steps = args.depth * len(sh.signed_edges) * len(sh.vertices)
+    steps = args.depth * kg.n_signed * kg.n_vertices
     if steps > args.budget:
         raise BudgetExceededError(
             f"fractaloid depth={args.depth}: {steps} walk steps exceed the "
@@ -271,7 +271,7 @@ def _cmd_fractaloid(args, lg, diagnostics) -> dict:
     limit = _digit_limit()
     try:
         verdict = automaton.is_fractaloid(
-            automaton.GraphAutomaton(lg),
+            lg,
             depth=args.depth,
             max_nodes=10**limit - 1 if limit else None,
         )
@@ -291,14 +291,12 @@ def _cmd_fractaloid(args, lg, diagnostics) -> dict:
 def _cmd_tree(args, lg, diagnostics) -> dict | None:
     from . import automaton
 
-    aut = automaton.GraphAutomaton(lg)
     root = args.root or lg.graph.vertices[0]
-    tree = automaton.build_tree(aut, root, args.depth)
-    dot = automaton.tree_dot(aut, tree)
+    tree = automaton.build_tree(lg, root, args.depth)
     if args.format == "text":
-        print(dot)
+        print(tree.dot)
         return None  # DOT already emitted
-    return {"root": root, "depth": args.depth, "dot": dot, "nodes": len(tree.nodes())}
+    return {"root": root, "depth": args.depth, "dot": tree.dot, "nodes": len(tree.nodes())}
 
 
 def _cmd_lattice(args, lg, diagnostics) -> dict:
@@ -440,7 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     usage and error text."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse drops a failed write; here it is an io error
+            if message:
+                (file or sys.stderr).write(message)
+
+    parser = Parser(
         prog="groupoidlab",
         description="Labeled graph groupoids: moments, cumulants, automata.",
     )
@@ -504,9 +508,9 @@ def _parse_args(argv):
 
 def main(argv=None) -> int:
     """Run one command and emit its report; the exit code.  A failed
-    read or write, the report's included, is exit 2."""
-    args = _parse_args(argv)
+    read or write, the report's and argparse's help included, is exit 2."""
     try:
+        args = _parse_args(argv)
         code, report = _execute(args)
         if report is not None:
             _emit(args, report)

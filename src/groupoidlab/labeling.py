@@ -1,11 +1,11 @@
-"""Edge labelings, weighting of words, balance vectors, and lattice-path
-counts.
+"""Edge labelings and lattice-path counts.
 
 Labels are signed integers: a forward base edge carries a label in
 1..N and its shadow the negation; 0 is reserved for vertices.  Lattice
-heights are never evaluated numerically; the per-index balance vector
-carries exactly the information the axis property uses, because
-distinct heights are linearly independent.
+heights are never evaluated numerically; a label word's per-index
+balance (its letters +k less its letters -k, for each k) carries
+exactly the information the axis property uses, because distinct
+heights are linearly independent.
 
 LabeledGraph.kernel is the one flat integer view of a labeled graph
 that the moment, automaton and operator layers read.
@@ -16,62 +16,12 @@ from __future__ import annotations
 from functools import cached_property
 from math import comb
 
-from .errors import BudgetExceededError, Value
+from .errors import BudgetExceededError
 from .graphs import DirectedGraph, GraphError, ShadowedGraph, SignedEdge
-from . import groupoid
-from .groupoid import EMPTY, ReducedPath, Vertex
-
-VERTEX_LABEL = 0
 
 MODE_VERTEX = "vertex"  # per-vertex-bijective (default)
 MODE_MULTIEDGE = "multiedge"  # parallel-edge index
 MODE_EXPLICIT = "explicit"  # labels from the input file
-
-
-class BalanceVector(Value):
-    """Per-index signed letter counts: index k maps to (#+k) - (#-k).
-
-    Zero entries are dropped, so the zero vector is the empty map.
-    """
-
-    __slots__ = ("counts",)  # ((index, count), ...) sorted by index
-
-    @staticmethod
-    def of(pairs) -> "BalanceVector":
-        acc: dict[int, int] = {}
-        for k, c in pairs:
-            acc[k] = acc.get(k, 0) + c
-        return BalanceVector(tuple(sorted((k, c) for k, c in acc.items() if c)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.counts
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    def __add__(self, other: "BalanceVector") -> "BalanceVector":
-        return BalanceVector.of(list(self.counts) + list(other.counts))
-
-
-class WeightedElement(Value):
-    """Endpoint pair plus label word; the weight of a word or element.
-
-    Vertices weigh ((v, v), (0,)).  The empty weight has endpoints None.
-    """
-
-    __slots__ = ("endpoints", "labels")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.endpoints is None
-
-    @property
-    def terminal(self) -> str | None:
-        return None if self.endpoints is None else self.endpoints[1]
-
-
-EMPTY_WEIGHT = WeightedElement(None, (VERTEX_LABEL,))
 
 
 class LabeledGraph:
@@ -161,39 +111,6 @@ def assign_weights(
     else:
         raise GraphError(f"unknown labeling mode {mode!r}")
     return LabeledGraph(shadowed, labels, mode)
-
-
-def weight(lg: LabeledGraph, a) -> WeightedElement:
-    """The weight of a word, path, or vertex: endpoints plus per-letter
-    labels.  Empty or non-admissible input weighs the empty weight.
-    """
-    if a is EMPTY:
-        return EMPTY_WEIGHT
-    if isinstance(a, Vertex):
-        return WeightedElement((a.v, a.v), (VERTEX_LABEL,))
-    if isinstance(a, ReducedPath):
-        word = a.word
-    else:
-        word = tuple(a)
-        if not groupoid.is_admissible(word):
-            return EMPTY_WEIGHT
-    return WeightedElement(
-        (word[0].src, word[-1].dst),
-        tuple(lg.label(s) for s in word),
-    )
-
-
-def theta(label_word) -> BalanceVector:
-    """Aggregate a label word into its balance vector (vertex labels are
-    neutral)."""
-    return BalanceVector.of(
-        (abs(k), 1 if k > 0 else -1) for k in label_word if k != VERTEX_LABEL
-    )
-
-
-def omega_plus(we: WeightedElement) -> tuple:
-    """Endpoints together with the aggregated balance of the label word."""
-    return (we.endpoints, theta(we.labels))
 
 
 def count_axis_paths(max_label: int, length: int, budget: int | None = None) -> int:

@@ -8,8 +8,7 @@ the excursion DP of _kernel.  The words themselves (w_m_set) come from
 the word walk of _kernel, which builds only the qualifying words and
 their prefixes; its tallies are a cross-check on the DP.  Words here
 are tuples of signed-edge indices, numbered like lg.kernel (and
-lg.shadowed.signed_edges); only the public mu_w and
-expectation_of_word take SignedEdge words.
+lg.shadowed.signed_edges).
 
 Cumulant operands are letter weights (one integer per signed edge).
 The edge operators are free over the diagonal and each pairs with its
@@ -34,7 +33,6 @@ from operator import add, mul
 
 from . import _kernel, ncpartitions
 from .errors import ENUM_BUDGET, BudgetExceededError, Value
-from .groupoid import Vertex, reduce_word
 from .labeling import LabeledGraph
 from .ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius, nested
 
@@ -65,10 +63,6 @@ class DiagonalElement(Value):
     def zero() -> "DiagonalElement":
         return DiagonalElement(())
 
-    @staticmethod
-    def unit(v: str) -> "DiagonalElement":
-        return DiagonalElement(((v, 1),))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -97,15 +91,6 @@ class WordSetReport(Value):
     @property
     def count(self) -> int:
         return len(self.words)
-
-
-def expectation_of_word(w) -> DiagonalElement:
-    """E on a single word: unit mass at the vertex it reduces to, zero
-    otherwise."""
-    r = reduce_word(tuple(w))
-    if isinstance(r, Vertex):
-        return DiagonalElement.unit(r.v)
-    return DiagonalElement.zero()
 
 
 def w_m_set(
@@ -327,20 +312,6 @@ def joint_cumulant(lg: LabeledGraph, indices) -> DiagonalElement:
     indices = tuple(indices)
     _check_indices(lg, indices)
     return closed_form_cumulant(lg, [edge_sum(lg, k) for k in indices])
-
-
-def mu_w(lg: LabeledGraph, word) -> int:
-    """The cumulant weight of a vertex-reducing word: the Moebius sum
-    over the noncrossing partitions each of whose blocks, its letters
-    read in order, reduces to a vertex.  For exactly these partitions
-    the nested expectation of the letters reproduces E of the whole
-    word, the unit mass at its source, and for the others it is 0; so
-    mu_w is the joint cumulant of the letters at the source."""
-    word = tuple(word)
-    if expectation_of_word(word).is_zero:
-        raise ValueError("mu_w requires a word that reduces to a vertex")
-    index = lg.kernel.edge_index
-    return _mu_w(lg, tuple(map(index.__getitem__, word)), _moebius_row(len(word)), {})
 
 
 def _balanced_row(row, codes) -> list:

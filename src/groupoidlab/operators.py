@@ -13,17 +13,16 @@ of n letters that returns to its vertex.
 
 A Basis is built over the signed-edge tables of the one flat view of a
 labeled graph, the _kernel.KernelGraph LabeledGraph.kernel, which the
-oracle reads for the labels too.
+oracle reads for the labels too.  Its elements are positions in a trie
+of signed-edge indices, and right multiplication by a signed edge is
+one step in that trie (Basis.step).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from . import _kernel
 from .errors import BASIS_BUDGET, BudgetExceededError
 from .graphs import GraphError
-from .groupoid import EMPTY, ReducedPath, Vertex
 from .labeling import LabeledGraph
 
 
@@ -75,21 +74,6 @@ class Basis:
 
     def __len__(self) -> int:
         return len(self.parent)
-
-    @cached_property
-    def elements(self) -> tuple:
-        """The Vertex and ReducedPath objects, in basis order."""
-        signed = tuple(self.tables.edge_index)  # in index order
-        words = [()] * self.n_vertices
-        for j in range(self.n_vertices, len(self)):
-            words.append(words[self.parent[j]] + (signed[self.last[j]],))
-        return tuple(Vertex(v) for v in self.tables.vertices) + tuple(
-            ReducedPath(w) for w in words[self.n_vertices :]
-        )
-
-    @cached_property
-    def index(self) -> dict:
-        return {a: i for i, a in enumerate(self.elements)}
 
     def vertex_positions(self):
         return {v: i for i, v in enumerate(self.tables.vertices)}
@@ -190,41 +174,6 @@ def level_sizes(t, max_len: int, budget: int = BASIS_BUDGET) -> list:
 
 def build_basis(t: _kernel.KernelGraph, max_len: int, budget: int = BASIS_BUDGET) -> Basis:
     return Basis(t, max_len, budget)
-
-
-def right_mult(w, basis: Basis) -> SparseOperator:
-    """Matrix of the right multiplication by a groupoid element: column
-    w' holds a unit at the basis position of w'w when that product is a
-    basis element, nothing when it is Empty or longer than the
-    truncation length.
-
-    Each column whose target is the source of w walks the basis trie
-    along the letters of w.  Both factors are reduced, so letters cancel
-    only at the junction: the walk first climbs towards the root, then
-    only descends, and once it leaves the truncation it cannot return.
-    """
-    if w is EMPTY:
-        raise ValueError("right multiplication by Empty is undefined")
-    if isinstance(w, Vertex):
-        src = basis.vertex_positions()[w.v]
-        letters = ()
-    else:
-        index = basis.tables.edge_index
-        letters = tuple(index[s] for s in w.word)
-        src = basis.tables.src[letters[0]]
-    op = SparseOperator(len(basis))
-    step = basis.step
-    for j, tgt in enumerate(basis.target):
-        if tgt != src:
-            continue
-        i = j
-        for s in letters:
-            i = step(i, s)
-            if i < 0:
-                break
-        else:
-            op.cols[j][i] = 1
-    return op
 
 
 def _label_sum(lg: LabeledGraph, labels, basis: Basis) -> SparseOperator:

@@ -15,19 +15,10 @@ import sys
 import pytest
 
 from groupoidlab import cli
-from groupoidlab.automaton import GraphAutomaton, is_fractaloid
+from groupoidlab.automaton import is_fractaloid
 from groupoidlab.fixtures import FIXTURES, fixture
 from groupoidlab.graphio import dump_graph_file
 from groupoidlab.graphs import shadow
-from groupoidlab.groupoid import (
-    EMPTY,
-    ReducedPath,
-    Vertex,
-    concat,
-    inverse,
-    is_admissible,
-    reduce_word,
-)
 from groupoidlab.labeling import (
     MODE_EXPLICIT,
     MODE_VERTEX,
@@ -46,11 +37,21 @@ from groupoidlab.ncpartitions import NoncrossingPartition, catalan, enumerate_nc
 from groupoidlab.operators import (
     build_basis,
     labeling_operator,
-    right_mult,
     oracle_expectation_power,
     total_labeling_operator,
 )
 
+from paper import (
+    EMPTY,
+    ReducedPath,
+    Vertex,
+    basis_elements,
+    concat,
+    inverse,
+    is_admissible,
+    reduce_word,
+    right_mult,
+)
 from test_labeling import count_axis_paths_brute
 
 ORACLE_FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
@@ -187,7 +188,7 @@ def test_acceptance_7_fractaloid_verdicts():
         "single-edge": False,
     }
     for name, want in expected.items():
-        verdict = is_fractaloid(GraphAutomaton(labeled(name)), depth=4)
+        verdict = is_fractaloid(labeled(name), depth=4)
         assert verdict.fractaloid is want, name
         assert verdict.depth == 4
         assert all(reg is want for _, reg, _ in verdict.trees), name
@@ -201,6 +202,7 @@ def test_acceptance_8_operator_identities():
         lg = labeled(name)
         L = 4
         basis = build_basis(lg.kernel, L)
+        elements = basis_elements(lg, basis)
         for k in range(1, lg.max_label + 1):
             tk = labeling_operator(lg, k, basis)
             assert tk.transpose() == labeling_operator(lg, -k, basis), (name, k)
@@ -208,9 +210,9 @@ def test_acceptance_8_operator_identities():
         assert tg.transpose() == tg, name
         for s in lg.shadowed.signed_edges:
             w = ReducedPath((s,))
-            r = right_mult(w, basis)
-            prod = r @ right_mult(inverse(w), basis) @ r
-            for j, a in enumerate(basis.elements):
+            r = right_mult(lg, w, basis)
+            prod = r @ right_mult(lg, inverse(w), basis) @ r
+            for j, a in enumerate(elements):
                 length = 0 if isinstance(a, Vertex) else len(a.word)
                 if length <= L - 3:
                     assert prod.cols[j] == r.cols[j], (name, s.name(), a)

@@ -3,23 +3,24 @@ import itertools
 import pytest
 
 from groupoidlab import automaton
-from groupoidlab.automaton import (
-    GraphAutomaton,
-    build_tree,
-    is_fractaloid,
-    tree_dot,
-)
+from groupoidlab.automaton import build_tree, is_fractaloid
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.fixtures import FIXTURES, fixture
 from groupoidlab.graphs import GraphError, shadow
-from groupoidlab.groupoid import EMPTY, concat, reduce_word
-from groupoidlab.labeling import EMPTY_WEIGHT, MODE_EXPLICIT, MODE_VERTEX, assign_weights
+from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
+
+import paper
+from paper import EMPTY, EMPTY_WEIGHT, GraphAutomaton, concat, reduce_word
+
+
+def labeled(name):
+    f = fixture(name)
+    mode = MODE_EXPLICIT if f.labels else MODE_VERTEX
+    return assign_weights(shadow(f.graph), mode, f.labels)
 
 
 def automaton_for(name):
-    f = fixture(name)
-    mode = MODE_EXPLICIT if f.labels else MODE_VERTEX
-    return GraphAutomaton(assign_weights(shadow(f.graph), mode, f.labels))
+    return GraphAutomaton(labeled(name))
 
 
 def test_phi_circulant_edge():
@@ -122,7 +123,7 @@ def test_actions_realize_groupoid_composition():
 
 def test_build_tree_one_loop_depth2():
     aut = automaton_for("one-loop")
-    tree = build_tree(aut, "v", 2)
+    tree = paper.build_tree(aut, "v", 2)
     nodes = tree.nodes()
     assert len(nodes) == 7  # 1 + 2 + 4
     for node in nodes:
@@ -131,7 +132,7 @@ def test_build_tree_one_loop_depth2():
 
 def test_build_tree_single_edge_depth1():
     aut = automaton_for("single-edge")
-    tree = build_tree(aut, "v1", 1)
+    tree = paper.build_tree(aut, "v1", 1)
     assert len(tree.root.children) == 1
     (child,) = tree.root.children
     assert child.edge.name() == "e1"
@@ -140,7 +141,7 @@ def test_build_tree_single_edge_depth1():
 
 def test_build_tree_circulant_two_children_everywhere():
     aut = automaton_for("circulant-3")
-    tree = build_tree(aut, "v1", 3)
+    tree = paper.build_tree(aut, "v1", 3)
     for node in tree.nodes():
         if node.depth < 3:
             assert len(node.children) == 2
@@ -148,7 +149,7 @@ def test_build_tree_circulant_two_children_everywhere():
 
 def test_build_tree_deterministic_child_order():
     aut = automaton_for("two-loop")
-    tree = build_tree(aut, "v", 1)
+    tree = paper.build_tree(aut, "v", 1)
     assert [c.edge.name() for c in tree.root.children] == ["e1", "~e1", "e2", "~e2"]
 
 
@@ -167,8 +168,8 @@ def test_tree_depth_monotone_prefix():
         walk(tree.root, ())
         return sorted(out)
 
-    t3 = build_tree(aut, "v1", 3)
-    t4 = build_tree(aut, "v1", 4)
+    t3 = paper.build_tree(aut, "v1", 3)
+    t4 = paper.build_tree(aut, "v1", 4)
     assert signature(t3, 3) == signature(t4, 3)
 
 
@@ -176,7 +177,7 @@ def test_deep_tree_root_hashes_and_prints():
     # nodes hash by identity and print without their subtrees, so depth
     # is not limited by the recursion limit
     aut = automaton_for("single-edge")
-    tree = build_tree(aut, "v1", 1500)
+    tree = paper.build_tree(aut, "v1", 1500)
     root = tree.root
     assert hash(root) == hash(root)
     assert root == root and root != tree.nodes()[1]
@@ -186,9 +187,8 @@ def test_deep_tree_root_hashes_and_prints():
 
 
 def test_build_tree_unknown_root():
-    aut = automaton_for("one-loop")
     with pytest.raises(GraphError):
-        build_tree(aut, "nope", 2)
+        build_tree(labeled("one-loop"), "nope", 2)
 
 
 @pytest.mark.parametrize(
@@ -203,7 +203,7 @@ def test_build_tree_unknown_root():
     ],
 )
 def test_fractaloid_verdicts(name, expected):
-    verdict = is_fractaloid(automaton_for(name), depth=4)
+    verdict = is_fractaloid(labeled(name), depth=4)
     assert verdict.fractaloid is expected
     assert verdict.depth == 4
     trees_regular = all(reg for _, reg, _ in verdict.trees)
@@ -219,37 +219,56 @@ def test_fractaloid_verdicts(name, expected):
 
 
 def test_fractaloid_witness_is_genuine():
-    verdict = is_fractaloid(automaton_for("example-6-2"), depth=2)
-    aut = automaton_for("example-6-2")
+    lg = labeled("example-6-2")
+    verdict = is_fractaloid(lg, depth=2)
     v = verdict.witness["vertex"]
-    labels = sorted(aut.lg.label(s) for s in aut.shadowed.out_edges(v))
-    n = aut.lg.max_label
+    labels = sorted(lg.label(s) for s in lg.shadowed.out_edges(v))
+    n = lg.max_label
     assert labels != sorted(list(range(-n, 0)) + list(range(1, n + 1)))
 
 
 def test_fractaloid_depth_guard():
     with pytest.raises(ValueError):
-        is_fractaloid(automaton_for("one-loop"), depth=0)
+        is_fractaloid(labeled("one-loop"), depth=0)
 
 
 def test_tree_dot_output():
-    aut = automaton_for("single-edge")
-    dot = tree_dot(aut, build_tree(aut, "v1", 1))
-    assert dot.startswith("digraph")
-    assert '"e1"' in dot and "(v1,v2)|1" in dot
+    tree = build_tree(labeled("single-edge"), "v1", 1)
+    assert (tree.root, tree.depth, len(tree.nodes())) == ("v1", 1, 2)
+    assert tree.dot.startswith("digraph")
+    assert '"e1"' in tree.dot and "(v1,v2)|1" in tree.dot
+
+
+def assert_same_tree(lg, root, depth):
+    """The DOT and node count from the tables equal those rendered from
+    the automaton's node objects.  A mismatch names the first line that
+    differs: pytest's diff of two long DOT texts would take minutes."""
+    tree = build_tree(lg, root, depth)
+    objects = paper.build_tree(GraphAutomaton(lg), root, depth)
+    got, want = tree.dot.splitlines(), paper.tree_dot(objects).splitlines()
+    same = got == want
+    if not same:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(want))
+        assert same, (root, depth, i, got[i : i + 1], want[i : i + 1])
+    assert len(tree.nodes()) == len(objects.nodes()), (root, depth)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_table_tree_matches_the_object_tree(name):
+    lg = labeled(name)
+    for root in lg.shadowed.vertices:
+        for depth in range(6):
+            assert_same_tree(lg, root, depth)
 
 
 def test_build_tree_node_budget(monkeypatch):
     # two-loop at depth 3: 1 + 4 + 16 + 64 nodes
-    from groupoidlab import automaton
-    from groupoidlab.errors import BudgetExceededError
-
-    aut = automaton_for("two-loop")
+    lg = labeled("two-loop")
     monkeypatch.setattr(automaton, "NODE_BUDGET", 85)
-    assert len(build_tree(aut, "v", 3).nodes()) == 85
+    assert len(build_tree(lg, "v", 3).nodes()) == 85
     monkeypatch.setattr(automaton, "NODE_BUDGET", 84)
     with pytest.raises(BudgetExceededError, match="tree of 85 nodes exceeds the node budget 84"):
-        build_tree(aut, "v", 3)
+        build_tree(lg, "v", 3)
 
 
 def test_build_tree_stops_counting_past_the_node_budget(monkeypatch):
@@ -258,17 +277,17 @@ def test_build_tree_stops_counting_past_the_node_budget(monkeypatch):
     with pytest.raises(
         BudgetExceededError, match="tree of more than 21 nodes exceeds the node budget 20"
     ):
-        build_tree(automaton_for("two-loop"), "v", 10**9)
+        build_tree(labeled("two-loop"), "v", 10**9)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fractaloid_node_bound(name):
-    aut = automaton_for(name)
-    verdict = is_fractaloid(aut, depth=5)
+    lg = labeled(name)
+    verdict = is_fractaloid(lg, depth=5)
     largest = max(cnt for _, _, cnt in verdict.trees)
-    assert is_fractaloid(aut, depth=5, max_nodes=largest) == verdict
+    assert is_fractaloid(lg, depth=5, max_nodes=largest) == verdict
     with pytest.raises(BudgetExceededError):
-        is_fractaloid(aut, depth=5, max_nodes=largest - 1)
+        is_fractaloid(lg, depth=5, max_nodes=largest - 1)
     # counting stops at the first level past the bound
     with pytest.raises(BudgetExceededError, match="at depth 6$"):
-        is_fractaloid(aut, depth=10**9, max_nodes=largest)
+        is_fractaloid(lg, depth=10**9, max_nodes=largest)

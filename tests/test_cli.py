@@ -398,6 +398,24 @@ def test_moments_words_bytes_pinned(monkeypatch, capsys, fmt, budget, code):
     assert capsys.readouterr().err == ""
 
 
+TREE_GOLDENS = (
+    ("tree-two-loop-depth3", ["tree", "--graph", "fixtures/two-loop.json", "--depth", "3"]),
+    ("tree-example-6-2-root-v2-depth2",
+     ["tree", "--graph", "fixtures/example-6-2.json", "--root", "v2", "--depth", "2"]),
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, argv", TREE_GOLDENS, ids=[name for name, _ in TREE_GOLDENS])
+def test_tree_bytes_pinned(monkeypatch, capsys, name, argv, fmt):
+    # the goldens were written by the object-built tree and its renderer
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join(GOLDEN, f"{name}.{fmt}"), encoding="utf-8") as fh:
+        want = fh.read()
+    assert run(argv + ["--format", fmt]) == (0, want)
+    assert capsys.readouterr().err == ""
+
+
 JOINT_TRUNCATED_NOTE = "joint moment (1, -1, 1, -1, 1, -1, 1, -1): DP budget exhausted"
 JOINT_TRUNCATED_TEXT = f"""command: joint
 diagonal: {{v1: 34}}
@@ -697,11 +715,11 @@ BIG = str(10**9)
 # Hostile sizes for every subcommand, with the exit code each must give.
 # `moments --words` charges each letter it tries or keeps, so it stops
 # within its budget at any n.  Left out, as they run far longer than a
-# test should: `cumulants --formula wc` at n = 12, whose Moebius rows
-# over NC(12), one per sign pattern, run past 100 s on two-loop;
-# `moments` at n = 10^9, whose count of admissible words is not
-# budgeted; and `moments --n 20000` at the default budget, whose 10^7
-# DP transitions on big integers run past 100 s on two-loop.
+# test should: `moments` at n = 10^9, whose count of admissible words is
+# not budgeted; and `moments --n 20000` at the default budget on
+# two-loop.  There the reduction count stops at once, as it charges its
+# tables before it builds them (test_kernel), but the balance count
+# spends its 10^7 transitions on big integers for several seconds.
 HOSTILE = (
     (["moments", "--graph", fx("two-loop"), "--n", "10001"], 0),
     (["moments", "--graph", fx("two-loop"), "--n", "10000", "--budget", "1000"], 5),
@@ -860,6 +878,16 @@ def test_special_names_survive_every_format(special_graph, argv, formats):
         )
         assert dot_labels(result["dot"]) == expected
         assert dot_labels(outputs["text"]) == expected
+
+
+def test_special_names_tree_dot_pinned(special_graph):
+    # the DOT alone: the JSON report carries the graph's temporary path
+    with open(os.path.join(GOLDEN, "tree-special-depth2.dot"), encoding="utf-8") as fh:
+        want = fh.read()
+    argv = ["tree", "--graph", special_graph, "--depth", "2"]
+    assert run_contract(argv) == (0, want, "")
+    code, rep = run_json(argv)
+    assert (code, rep["result"]["dot"] + "\n") == (0, want)
 
 
 E62 = ["--graph", fx("example-6-2")]
@@ -1049,15 +1077,15 @@ def test_failed_stdout_is_an_io_error_wherever_the_write_fails():
 def test_help_and_usage_take_the_one_exit_path():
     # argparse's help (exit 0) and usage error (exit 2) keep their bytes
     # on a pipe, and help that cannot be written is exit 2 with an io
-    # error, not the interpreter's last-flush message.  Unbuffered,
-    # argparse swallows the failed write itself, so that case is left
-    # out.
-    for argv, code in ((["moments", "--help"], 0), (["moments"], 2)):
-        _, out, err = run_contract(argv)
-        assert spawn(argv) == (code, out.encode(), err.encode())
-    with open("/dev/full", "wb") as full:
-        assert_io_error(spawn(["moments", "--help"], stdout=full))
-    assert_io_error(spawn_to_closed_pipe(["moments", "--help"]))
+    # error, buffered (the last flush fails) or unbuffered (the write
+    # itself fails, which argparse alone would swallow).
+    for unbuffered in (False, True):
+        for argv, code in ((["moments", "--help"], 0), (["moments"], 2)):
+            _, out, err = run_contract(argv)
+            assert spawn(argv, unbuffered=unbuffered) == (code, out.encode(), err.encode())
+        with open("/dev/full", "wb") as full:
+            assert_io_error(spawn(["moments", "--help"], stdout=full, unbuffered=unbuffered))
+        assert_io_error(spawn_to_closed_pipe(["moments", "--help"], unbuffered))
 
 
 def test_console_script_takes_the_main_block_path():

@@ -18,24 +18,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from groupoidlab import _kernel
-from groupoidlab.automaton import GraphAutomaton, build_tree, is_fractaloid
+from groupoidlab import _kernel, automaton
 from groupoidlab.fixtures import FIXTURES, fixture
 from groupoidlab.graphs import DirectedGraph, Edge, shadow, validate_graph
-from groupoidlab.groupoid import (
-    ReducedPath,
-    Vertex,
-    concat,
-    diagram_distinct,
-    reduce_word,
-)
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.labeling import (
     MODE_EXPLICIT,
     MODE_MULTIEDGE,
     MODE_VERTEX,
     assign_weights,
-    theta,
 )
 from groupoidlab.moments import (
     NONZERO_CAP,
@@ -51,12 +42,14 @@ from groupoidlab.moments import (
     joint_cumulant,
     joint_moment,
     moment,
-    mu_w,
     w_m_set,
 )
 from groupoidlab.ncpartitions import enumerate_nc, moebius_row
 from groupoidlab.operators import oracle_expectation_power
 
+import paper
+from paper import ReducedPath, Vertex, concat, diagram_distinct, mu_w, reduce_word, theta
+from test_automaton import assert_same_tree
 from test_groupoid import enumerate_admissible_words
 
 
@@ -140,10 +133,8 @@ def test_glued_graph_three_routes():
 
 
 def test_glued_graph_not_fractaloid():
-    from groupoidlab.automaton import GraphAutomaton, is_fractaloid
-
     lg = assign_weights(shadow(glued_loops_graph()))
-    verdict = is_fractaloid(GraphAutomaton(lg), depth=3)
+    verdict = automaton.is_fractaloid(lg, depth=3)
     assert not verdict.fractaloid
     assert verdict.witness is not None
 
@@ -268,27 +259,27 @@ def balanced_loops_full(kg, n):
 
 
 
-def regular_to_depth(aut, tree, full):
-    """Reference regularity: every node above the last level has one
-    child per label of the full set."""
+def regular_to_depth(lg, tree, full):
+    """Reference regularity: every node of the automaton's object tree
+    above the last level has one child per label of the full set."""
     for node in tree.nodes():
         if node.depth == tree.depth:
             continue
-        labels = sorted(aut.lg.label(k.edge) for k in node.children)
+        labels = sorted(lg.label(k.edge) for k in node.children)
         if labels != full:
             return False
     return True
 
 
 def assert_verdict_matches_trees(lg, depth):
-    aut = GraphAutomaton(lg)
+    aut = paper.GraphAutomaton(lg)
     n = lg.max_label
     full = sorted(list(range(-n, 0)) + list(range(1, n + 1)))
     trees = []
     for v in lg.shadowed.vertices:
-        tree = build_tree(aut, v, depth)
-        trees.append((v, regular_to_depth(aut, tree, full), len(tree.nodes())))
-    assert is_fractaloid(aut, depth).trees == tuple(trees)
+        tree = paper.build_tree(aut, v, depth)
+        trees.append((v, regular_to_depth(lg, tree, full), len(tree.nodes())))
+    assert automaton.is_fractaloid(lg, depth).trees == tuple(trees)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -320,6 +311,12 @@ def test_property_fractaloid_verdict_matches_built_trees(lg, depth):
     assert_verdict_matches_trees(lg, depth)
 
 
+@settings(max_examples=60, deadline=None)
+@given(lg=labeled_multigraphs(), depth=st.integers(0, 5), data=st.data())
+def test_property_table_tree_matches_the_object_tree(lg, depth, data):
+    assert_same_tree(lg, data.draw(st.sampled_from(lg.shadowed.vertices)), depth)
+
+
 def test_fractaloid_regular_ignores_the_last_level():
     # v1 carries all of +-1, +-2 and v2 does not: the depth-1 tree from
     # v1 is regular, the depth-2 tree is not
@@ -330,9 +327,8 @@ def test_fractaloid_regular_ignores_the_last_level():
     lg = assign_weights(shadow(g), MODE_EXPLICIT, {"a": 1, "b": 2, "c": 2})
     for depth in (1, 2, 3):
         assert_verdict_matches_trees(lg, depth)
-    aut = GraphAutomaton(lg)
-    assert is_fractaloid(aut, 1).trees[0] == ("v1", True, 5)
-    assert is_fractaloid(aut, 2).trees[0] == ("v1", False, 17)
+    assert automaton.is_fractaloid(lg, 1).trees[0] == ("v1", True, 5)
+    assert automaton.is_fractaloid(lg, 2).trees[0] == ("v1", False, 17)
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,6 +391,30 @@ def test_property_joint_moment_matches_pattern_filter(lg, data):
     assert joint_moment(lg, indices) == DiagonalElement.of(brute)
 
 
+def index_words(kg, n):
+    """Reference: every admissible length-n word of signed-edge indices
+    on the tables kg, in lexicographic order, built letter by letter."""
+    words = [(e,) for e in range(kg.n_signed)]
+    for _ in range(n - 1):
+        words = [w + (f,) for w in words for f in kg.out(kg.dst[w[-1]])]
+    return words
+
+
+def reduces_to_a_vertex(kg, letters) -> bool:
+    """Whether a word of signed-edge indices is admissible and cancels
+    to nothing in a stack pass: a letter that is the inverse of the top
+    pops it."""
+    if any(kg.dst[e] != kg.src[f] for e, f in zip(letters, letters[1:])):
+        return False
+    stack = []
+    for e in letters:
+        if stack and stack[-1] == kg.inv[e]:
+            stack.pop()
+        else:
+            stack.append(e)
+    return not stack
+
+
 @settings(max_examples=100, deadline=None)
 @given(lg=labeled_multigraphs(), data=st.data())
 def test_property_weighted_e_pi_matches_word_sum(lg, data):
@@ -402,25 +422,35 @@ def test_property_weighted_e_pi_matches_word_sum(lg, data):
     # words from each vertex whose blocks each reduce to a vertex, of
     # the product of the letters' weights at their positions
     n = data.draw(st.integers(1, 5))
-    signed = lg.shadowed.signed_edges
-    index = {s: i for i, s in enumerate(signed)}
+    kg = lg.kernel
     weight = st.integers(-2, 3)
-    operands = [tuple(data.draw(weight) for _ in signed) for _ in range(n)]
+    operands = [tuple(data.draw(weight) for _ in range(kg.n_signed)) for _ in range(n)]
     partitions = enumerate_nc(n)
-    brute = {pi: {} for pi in partitions}
-    for w in enumerate_admissible_words(lg.shadowed, n):
-        c = prod(operands[p][index[s]] for p, s in enumerate(w))
+    # every block of NC(n), with its positions 0-based and its bit
+    blocks = sorted({b for pi in partitions for b in pi.blocks})
+    positions = [tuple(x - 1 for x in b) for b in blocks]
+    closed = {}  # the letters of a block -> whether they reduce to a vertex
+    sums = {}  # (start vertex, bits of the blocks that reduce) -> weight sum
+    for w in index_words(kg, n):
+        c = prod(operands[p][e] for p, e in enumerate(w))
         if not c:
             continue
-        closed = {}
-        for pi in partitions:
-            for b in pi.blocks:
-                if b not in closed:
-                    closed[b] = isinstance(reduce_word(tuple(w[x - 1] for x in b)), Vertex)
-            if all(closed[b] for b in pi.blocks):
-                brute[pi][w[0].src] = brute[pi].get(w[0].src, 0) + c
+        mask = 0
+        for i, at in enumerate(positions):
+            letters = tuple(map(w.__getitem__, at))
+            if letters not in closed:
+                closed[letters] = reduces_to_a_vertex(kg, letters)
+            mask |= closed[letters] << i
+        key = (kg.src[w[0]], mask)
+        sums[key] = sums.get(key, 0) + c
     for pi in partitions:
-        assert expectation_pi(lg, pi, operands) == DiagonalElement.of(brute[pi])
+        need = sum(1 << blocks.index(b) for b in pi.blocks)
+        brute = [0] * kg.n_vertices
+        for (v, mask), c in sums.items():
+            if mask & need == need:
+                brute[v] += c
+        want = DiagonalElement.of(zip(kg.vertices, brute))
+        assert expectation_pi(lg, pi, operands) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 
 from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import Edge, SignedEdge, shadow
-from groupoidlab.groupoid import (
+from paper import (
     EMPTY,
     ReducedPath,
     Vertex,

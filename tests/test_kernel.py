@@ -62,3 +62,21 @@ def test_balance_budget_charges_half_walks_only():
     # each state
     assert _kernel.tally_words(kg, 8, "balance", budget=120)[::2] == ([4900], False)
     assert _kernel.tally_words(kg, 8, "balance", budget=119)[2]
+
+
+def test_length_dp_charges_its_tables_before_building_them():
+    # no vertex finishes before the tables are built, so a budget that
+    # cannot pay for them stops the count at once, whatever n is: at
+    # n = 20000 the tables would take 4 * 10^4 * 9999 / 2 transitions
+    import time
+
+    kg, _ = kgraph("two-loop")
+    start = time.perf_counter()
+    counts, _, truncated = _kernel.tally_words(kg, 20000, "reduction", budget=10**7)
+    assert (counts, truncated) == ([0], True)
+    assert time.perf_counter() - start < 2
+    # n = 8: 4 * 4 * 3 / 2 = 24 table transitions, then 4 * 5 / 2 = 10
+    # to finish v
+    assert _kernel.tally_words(kg, 8, "reduction", budget=23)[::2] == ([0], True)
+    assert _kernel.tally_words(kg, 8, "reduction", budget=33)[::2] == ([0], True)
+    assert _kernel.tally_words(kg, 8, "reduction", budget=34)[::2] == ([2092], False)

@@ -7,15 +7,21 @@ import pytest
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import GraphError, shadow
-from groupoidlab.groupoid import ReducedPath, Vertex, inverse, reduce_word
 from groupoidlab.labeling import (
-    EMPTY_WEIGHT,
     MODE_EXPLICIT,
     MODE_MULTIEDGE,
     MODE_VERTEX,
     assign_weights,
     count_axis_paths,
+)
+
+from paper import (
+    EMPTY_WEIGHT,
+    ReducedPath,
+    Vertex,
+    inverse,
     omega_plus,
+    reduce_word,
     theta,
     weight,
 )

@@ -16,19 +16,19 @@ from groupoidlab.moments import (
     cumulant_of,
     cumulant_via_wc,
     edge_sum,
-    expectation_of_word,
     expectation_pi,
     joint_cumulant,
     joint_moment,
     moment,
     moment_via_cumulants,
-    mu_w,
     tally,
     total_sum,
     w_m_set,
 )
 from groupoidlab.ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius
 from groupoidlab.operators import oracle_expectation_power
+
+from paper import expectation_of_word, mu_w
 
 FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
 

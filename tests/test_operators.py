@@ -4,7 +4,6 @@ from groupoidlab import _kernel
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.fixtures import FIXTURES, fixture
 from groupoidlab.graphs import GraphError, shadow
-from groupoidlab.groupoid import EMPTY, ReducedPath, Vertex, concat, inverse
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.operators import (
     SparseOperator,
@@ -12,8 +11,18 @@ from groupoidlab.operators import (
     labeling_operator,
     level_sizes,
     oracle_expectation_power,
-    right_mult,
     total_labeling_operator,
+)
+
+from paper import (
+    EMPTY,
+    ReducedPath,
+    Vertex,
+    basis_elements,
+    basis_index,
+    concat,
+    inverse,
+    right_mult,
 )
 
 
@@ -28,18 +37,20 @@ def tables(name):
 
 
 def test_basis_one_loop_l3():
-    b = build_basis(tables("one-loop"), 3)
+    lg = labeled("one-loop")
+    b = build_basis(lg.kernel, 3)
     assert len(b) == 7
     lengths = sorted(
-        0 if isinstance(a, Vertex) else len(a.word) for a in b.elements
+        0 if isinstance(a, Vertex) else len(a.word) for a in basis_elements(lg, b)
     )
     assert lengths == [0, 1, 1, 2, 2, 3, 3]
 
 
 def test_basis_l0_vertices_only():
-    b = build_basis(tables("example-6-2"), 0)
+    lg = labeled("example-6-2")
+    b = build_basis(lg.kernel, 0)
     assert len(b) == 3
-    assert all(isinstance(a, Vertex) for a in b.elements)
+    assert all(isinstance(a, Vertex) for a in basis_elements(lg, b))
 
 
 def test_basis_two_loop_l2():
@@ -59,20 +70,20 @@ def test_basis_order_by_length_and_index_sequence(name):
             return (0, (sh.vertices.index(a.v),))
         return (len(a.word), tuple(rank[s] for s in a.word))
 
-    keys = [key(a) for a in b.elements]
+    keys = [key(a) for a in basis_elements(lg, b)]
     assert keys == sorted(keys)
-    assert len(set(keys)) == len(b) == len(b.index)
+    assert len(set(keys)) == len(b) == len(basis_index(lg, b))
     assert b.n_vertices == len(sh.vertices)
 
 
-def right_mult_by_concat(w, basis):
+def right_mult_by_concat(lg, w, basis, elements, index):
     """Reference right multiplication: each basis element times w by
     concat, located through the basis index."""
     op = SparseOperator(len(basis))
-    for j, a in enumerate(basis.elements):
+    for j, a in enumerate(elements):
         t = concat(a, w)
-        if t is not EMPTY and t in basis.index:
-            op.cols[j][basis.index[t]] = 1
+        if t is not EMPTY and t in index:
+            op.cols[j][index[t]] = 1
     return op
 
 
@@ -81,16 +92,19 @@ def test_right_mult_trie_walk_matches_concat(name):
     lg = labeled(name)
     sh = lg.shadowed
     b = build_basis(lg.kernel, 4)
-    factors = [a for a in b.elements if isinstance(a, Vertex) or len(a.word) <= 3]
+    elements, index = basis_elements(lg, b), basis_index(lg, b)
+    factors = [a for a in elements if isinstance(a, Vertex) or len(a.word) <= 3]
     assert len(factors) >= len(sh.vertices) + len(sh.signed_edges)
     for w in factors:
-        assert right_mult(w, b) == right_mult_by_concat(w, b), w
+        assert right_mult(lg, w, b) == right_mult_by_concat(lg, w, b, elements, index), w
 
 
 def test_basis_closed_under_inverse():
-    b = build_basis(tables("example-6-2"), 3)
-    for a in b.elements:
-        assert inverse(a) in b.index
+    lg = labeled("example-6-2")
+    b = build_basis(lg.kernel, 3)
+    index = basis_index(lg, b)
+    for a in index:
+        assert inverse(a) in index
 
 
 def test_basis_budget():
@@ -98,30 +112,31 @@ def test_basis_budget():
         build_basis(tables("three-loop"), 8, budget=100)
 
 
-def built_level_sizes(basis, max_len):
+def built_level_sizes(lg, basis, max_len):
     """The number of basis elements of each length 1..max_len."""
-    lengths = [0 if isinstance(a, Vertex) else len(a.word) for a in basis.elements]
+    lengths = [0 if isinstance(a, Vertex) else len(a.word) for a in basis_elements(lg, basis)]
     return [lengths.count(ell) for ell in range(1, max_len + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_counted_level_sizes_match_the_built_levels(name):
-    t = tables(name)
-    sizes = level_sizes(t, 6)
+    lg = labeled(name)
+    sizes = level_sizes(lg.kernel, 6)
     # counting stops at the first empty length: every longer one is empty
-    assert sizes + [0] * (6 - len(sizes)) == built_level_sizes(build_basis(t, 6), 6)
+    assert sizes + [0] * (6 - len(sizes)) == built_level_sizes(lg, build_basis(lg.kernel, 6), 6)
     assert all(sizes)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_basis_budget_boundary(name):
-    t = tables(name)
+    lg = labeled(name)
+    t = lg.kernel
     for max_len in range(1, 6):
         basis = build_basis(t, max_len)
         size = len(basis)
         assert len(build_basis(t, max_len, budget=size)) == size
         # one element fewer is refused at the last nonempty length
-        sizes = built_level_sizes(basis, max_len)
+        sizes = built_level_sizes(lg, basis, max_len)
         longest = max(ell for ell, k in enumerate(sizes, 1) if k)
         with pytest.raises(BudgetExceededError) as exc:
             build_basis(t, max_len, budget=size - 1)
@@ -143,7 +158,7 @@ def test_vertex_projection_idempotent_selfadjoint():
     lg = labeled("example-6-2")
     b = build_basis(lg.kernel, 3)
     for v in lg.graph.vertices:
-        p = right_mult(Vertex(v), b)
+        p = right_mult(lg, Vertex(v), b)
         assert p @ p == p
         assert p.transpose() == p
 
@@ -154,11 +169,11 @@ def test_partial_isometry_identity_on_safe_columns():
     b = build_basis(lg.kernel, L)
     for s in lg.shadowed.signed_edges:
         w = ReducedPath((s,))
-        r = right_mult(w, b)
-        rs = right_mult(inverse(w), b)  # adjoint
+        r = right_mult(lg, w, b)
+        rs = right_mult(lg, inverse(w), b)  # adjoint
         assert r.transpose() == rs
         prod = r @ rs @ r
-        for j, a in enumerate(b.elements):
+        for j, a in enumerate(basis_elements(lg, b)):
             length = 0 if isinstance(a, Vertex) else len(a.word)
             if length <= L - 3:
                 assert prod.cols[j] == r.cols[j], f"column {a}"
@@ -171,18 +186,16 @@ def test_product_rule_matches_concat():
     sh = lg.shadowed
     e1 = ReducedPath((sh.signed_by_name("e1"),))  # v1 -> v2
     e2 = ReducedPath((sh.signed_by_name("e2"),))  # v2 -> v3
-    from groupoidlab.groupoid import EMPTY, concat
-
     # R_{w1} R_{w2} = R_{w2 w1} away from the truncation boundary
-    lhs = right_mult(e2, b) @ right_mult(e1, b)
-    rhs = right_mult(concat(e1, e2), b)
-    for j, a in enumerate(b.elements):
+    lhs = right_mult(lg, e2, b) @ right_mult(lg, e1, b)
+    rhs = right_mult(lg, concat(e1, e2), b)
+    for j, a in enumerate(basis_elements(lg, b)):
         length = 0 if isinstance(a, Vertex) else len(a.word)
         if length <= L - 2:
             assert lhs.cols[j] == rhs.cols[j]
     # non-composable symbols multiply to zero
     assert concat(e2, e1) is EMPTY
-    zero = right_mult(e1, b) @ right_mult(e2, b)
+    zero = right_mult(lg, e1, b) @ right_mult(lg, e2, b)
     assert all(not col for col in zero.cols)
 
 
@@ -190,17 +203,17 @@ def test_column_sparsity():
     lg = labeled("example-6-2")
     b = build_basis(lg.kernel, 3)
     for s in lg.shadowed.signed_edges:
-        r = right_mult(ReducedPath((s,)), b)
+        r = right_mult(lg, ReducedPath((s,)), b)
         assert all(len(col) <= 1 for col in r.cols)
         assert all(v == 1 for col in r.cols for v in col.values())
 
 
-def right_mult_sum(signed, basis):
+def right_mult_sum(lg, signed, basis):
     """The entry-wise sum of the right multiplications by the given
     signed edges."""
     total = SparseOperator(len(basis))
     for s in signed:
-        op = right_mult(ReducedPath((s,)), basis)
+        op = right_mult(lg, ReducedPath((s,)), basis)
         for col, add in zip(total.cols, op.cols):
             for r, v in add.items():
                 col[r] = col.get(r, 0) + v
@@ -212,10 +225,10 @@ def test_labeling_operator_example_6_2():
     b = build_basis(lg.kernel, 3)
     sh = lg.shadowed
     t1 = labeling_operator(lg, 1, b)
-    assert t1 == right_mult_sum([sh.signed_by_name(e) for e in ("e12:1", "e13:1", "e22:1")], b)
+    assert t1 == right_mult_sum(lg, [sh.signed_by_name(e) for e in ("e12:1", "e13:1", "e22:1")], b)
     t2 = labeling_operator(lg, 2, b)
-    assert t2 == right_mult(ReducedPath((sh.signed_by_name("e12:2"),)), b)
-    assert total_labeling_operator(lg, b) == right_mult_sum(sh.signed_edges, b)
+    assert t2 == right_mult(lg, ReducedPath((sh.signed_by_name("e12:2"),)), b)
+    assert total_labeling_operator(lg, b) == right_mult_sum(lg, sh.signed_edges, b)
 
 
 def test_labeling_operator_refuses_a_label_out_of_range():

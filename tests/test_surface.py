@@ -12,16 +12,8 @@ import os
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "groupoidlab")
 
 KEPT = {
-    "groupoid.concat": "paper",
-    "groupoid.diagram_distinct": "paper",
-    "automaton.GraphAutomaton.psi_edge": "paper",
-    "automaton.GraphAutomaton.psi_path": "paper",
-    "automaton.GraphAutomaton.act": "paper",
-    "operators.right_mult": "paper",
     "operators.labeling_operator": "paper",
     "operators.SparseOperator.transpose": "paper",
-    "labeling.omega_plus": "paper",
-    "moments.mu_w": "paper",
     "moments.moment": "paper",
     "moments.balance_moment": "paper",
     "moments.moment_via_cumulants": "paper",
