@@ -31,12 +31,14 @@ left cannot close it: in the tree, or back to a zero balance vector.
 
 Every layer reads a labeled graph's one flat view, KernelGraph, as
 LabeledGraph.kernel, which calls kernel_graph once per graph;
-operators.Basis and the automaton read the same view.  Its signed edges
-are numbered like lg.shadowed.signed_edges, which names them.
+operators.Basis and the automaton read the same view.  KernelGraph owns
+the numbering of signed edges and their names: no other module numbers
+them.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from operator import mul
 
 from .errors import Value
@@ -45,11 +47,15 @@ from .errors import Value
 class KernelGraph(Value):
     """Flat integer view of a labeled shadowed graph.
 
-    Signed edge i has endpoints src[i] -> dst[i] (vertex indices),
-    inverse partner inv[i] and signed label labels[i] (the inverse
-    carries the negated label).  out_start and out_list form a CSR
-    adjacency over signed edges, index-sorted.  vertices names each
-    vertex index and is left out of equality, hash and repr.
+    Vertex i is the i-th of the sorted vertex ids.  Base edge i, in id
+    order, is signed edge 2i forward and 2i + 1 shadow, so the inverse
+    partner of signed edge e is inv[e] = e ^ 1.  Signed edge e has
+    endpoints src[e] -> dst[e] (vertex indices) and signed label
+    labels[e] (the shadow carries the negated label).  out_start and
+    out_list form a CSR adjacency over signed edges, index-sorted.
+    vertices[v] is the id of vertex v and names[e] the name of signed
+    edge e: its base edge's id, with a leading ~ on the shadow.  Both
+    are left out of equality, hash and repr.
     """
 
     __slots__ = (
@@ -61,39 +67,45 @@ class KernelGraph(Value):
         "out_start",
         "out_list",
         "vertices",
+        "names",
         "labels",
         "n_labels",
     )
 
-    _unkeyed = ("vertices",)
+    _unkeyed = ("vertices", "names")
 
     def out(self, v: int) -> tuple:
         return self.out_list[self.out_start[v] : self.out_start[v + 1]]
 
 
 def kernel_graph(lg) -> KernelGraph:
-    """Flatten a LabeledGraph: vertices and signed edges are numbered in
-    their sorted order.  Read it as lg.kernel, which builds it once per
-    graph."""
-    sh = lg.shadowed
-    vidx = {v: i for i, v in enumerate(sh.vertices)}
-    signed = sh.signed_edges
-    eidx = {s: i for i, s in enumerate(signed)}
-    out_start = [0]
-    out_list: list[int] = []
-    for v in sh.vertices:
-        out_list.extend(map(eidx.__getitem__, sh.out_edges(v)))
-        out_start.append(len(out_list))
+    """Flatten a LabeledGraph in one pass over its base edges, in the
+    layout KernelGraph states.  Read it as lg.kernel, which builds it
+    once per graph."""
+    g = lg.graph
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    src, dst, labels, names = [], [], [], []
+    leaving = [[] for _ in g.vertices]  # per vertex, its out-edges
+    for e in g.edges:
+        a, b, k = vidx[e.src], vidx[e.dst], lg.base_labels[e.id]
+        fwd = len(src)
+        leaving[a].append(fwd)
+        leaving[b].append(fwd + 1)
+        src += (a, b)
+        dst += (b, a)
+        labels += (k, -k)
+        names += (e.id, "~" + e.id)
     return KernelGraph(
-        n_vertices=len(sh.vertices),
-        n_signed=len(signed),
-        src=tuple(vidx[s.src] for s in signed),
-        dst=tuple(vidx[s.dst] for s in signed),
-        inv=tuple(eidx[s.inverted()] for s in signed),
-        out_start=tuple(out_start),
-        out_list=tuple(out_list),
-        vertices=sh.vertices,
-        labels=tuple(lg.label(s) for s in signed),
+        n_vertices=len(g.vertices),
+        n_signed=len(src),
+        src=tuple(src),
+        dst=tuple(dst),
+        inv=tuple(e ^ 1 for e in range(len(src))),
+        out_start=tuple(accumulate(map(len, leaving), initial=0)),
+        out_list=tuple(chain.from_iterable(leaving)),
+        vertices=g.vertices,
+        names=tuple(names),
+        labels=tuple(labels),
         n_labels=lg.max_label,
     )
 

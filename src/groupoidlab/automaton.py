@@ -55,7 +55,7 @@ def build_tree(lg: LabeledGraph, root_vertex: str, depth: int) -> ActionTree:
     and writes each edge line after the subtree below it.  A tree of
     more than NODE_BUDGET nodes is refused before any line is written;
     the node count is the walk counts' sum.  Signed-edge names come from
-    lg.shadowed, numbered like the tables."""
+    the tables too, as kg.names."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     kg = lg.kernel
@@ -77,7 +77,7 @@ def build_tree(lg: LabeledGraph, root_vertex: str, depth: int) -> ActionTree:
     node = [
         _label(f"({vs[kg.src[e]]},{vs[kg.dst[e]]})|{kg.labels[e]}") for e in range(kg.n_signed)
     ]
-    edge = [_label(s.name()) for s in lg.shadowed.signed_edges]
+    edge = [_label(name) for name in kg.names]
     out = [kg.out(v) for v in range(kg.n_vertices)]
     lines = [
         "digraph automaton_tree {",

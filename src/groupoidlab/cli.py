@@ -26,7 +26,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import BASIS_BUDGET, ENUM_BUDGET, BudgetExceededError, GraphError, SchemaError
+from .errors import BASIS_BUDGET, ENUM_BUDGET, BudgetExceededError, GraphError
+from .errors import ParseError, SchemaError
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -186,8 +187,8 @@ def _cmd_moments(args, lg, diagnostics) -> dict:
 
 def _word_names(lg, words) -> list:
     """Each word, a tuple of signed-edge indices, as the names of its
-    letters: one name per signed edge of lg.shadowed, computed once."""
-    name = [s.name() for s in lg.shadowed.signed_edges].__getitem__
+    letters, from lg.kernel.names."""
+    name = lg.kernel.names.__getitem__
     return [list(map(name, w)) for w in words]
 
 
@@ -530,7 +531,7 @@ def _execute(args) -> tuple:
         if hasattr(args, "graph"):
             lg, report["inputs"], diagnostics["notes"] = _load_labeled(args)
         report["result"] = args.func(args, lg, diagnostics)
-    except json.JSONDecodeError as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE, None
     except SchemaError as exc:

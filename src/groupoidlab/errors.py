@@ -15,6 +15,11 @@ class GraphError(ValueError):
     """Structurally invalid graph input."""
 
 
+class ParseError(ValueError):
+    """Input that json cannot decode: not UTF-8, not JSON, nested too
+    deep, or holding an integer too long to convert."""
+
+
 class SchemaError(ValueError):
     """Input parses as JSON but violates the graph schema."""
 

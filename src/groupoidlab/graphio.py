@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import GraphError, SchemaError
+from .errors import GraphError, ParseError, SchemaError
 from .graphs import DirectedGraph, Edge
 
 
@@ -63,11 +63,17 @@ def parse_graph_obj(obj) -> tuple[DirectedGraph, dict | None]:
 
 
 def parse_graph_file(path) -> tuple[DirectedGraph, dict | None]:
-    """Load a graph file.  IO errors and JSON errors propagate as-is;
+    """Load a graph file.  IO errors propagate as-is; a file that json
+    cannot decode raises ParseError with the decoder's message, and
     schema violations raise SchemaError with the offending field path.
     Validation (connectivity etc.) is the caller's concern."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        # ValueError: a JSON syntax error, bytes that are not UTF-8, or
+        # an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(str(exc)) from None
     return parse_graph_obj(obj)
 
 

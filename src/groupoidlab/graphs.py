@@ -18,7 +18,7 @@ class SignedEdge(Value):
     """A base edge together with an orientation.
 
     The forward orientation is the edge as given; the inverse is its
-    shadow (source and target swapped).  ``inverted()`` is an involution.
+    shadow (source and target swapped).
     """
 
     __slots__ = ("edge", "inverse")
@@ -34,13 +34,6 @@ class SignedEdge(Value):
     @property
     def dst(self) -> str:
         return self.edge.src if self.inverse else self.edge.dst
-
-    @property
-    def base_id(self) -> str:
-        return self.edge.id
-
-    def inverted(self) -> "SignedEdge":
-        return SignedEdge(self.edge, not self.inverse)
 
     def name(self) -> str:
         """Serialized form: ``e`` for forward, ``~e`` for the shadow."""
@@ -83,13 +76,6 @@ class DirectedGraph:
                 raise GraphError(f"edge {e.id!r} has endpoint outside the vertex set")
             es.append(e)
         self.edges: tuple[Edge, ...] = tuple(sorted(es, key=lambda e: e.id))
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-
-    def vertex_index(self, v: str) -> int:
-        try:
-            return self._vindex[v]
-        except KeyError:
-            raise GraphError(f"unknown vertex {v!r}") from None
 
     def __eq__(self, other) -> bool:
         return (
@@ -117,24 +103,12 @@ class ShadowedGraph:
             signed.append(SignedEdge(e, True))
         self.signed_edges: tuple[SignedEdge, ...] = tuple(signed)
         self._by_name = {s.name(): s for s in signed}
-        out: dict[str, list[SignedEdge]] = {v: [] for v in graph.vertices}
-        for s in signed:
-            out[s.src].append(s)
-        self._out = {v: tuple(lst) for v, lst in out.items()}
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self.graph.vertices
 
     def signed_by_name(self, name: str) -> SignedEdge:
         try:
             return self._by_name[name]
         except KeyError:
             raise GraphError(f"unknown signed edge {name!r}") from None
-
-    def out_edges(self, v: str) -> tuple[SignedEdge, ...]:
-        self.graph.vertex_index(v)
-        return self._out[v]
 
     def __repr__(self) -> str:
         return f"ShadowedGraph({self.graph!r})"

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import comb
 
 from .errors import BudgetExceededError
-from .graphs import DirectedGraph, GraphError, ShadowedGraph, SignedEdge
+from .graphs import DirectedGraph, GraphError, ShadowedGraph
 
 MODE_VERTEX = "vertex"  # per-vertex-bijective (default)
 MODE_MULTIEDGE = "multiedge"  # parallel-edge index
@@ -47,16 +47,12 @@ class LabeledGraph:
     def graph(self) -> DirectedGraph:
         return self.shadowed.graph
 
-    def label(self, s: SignedEdge) -> int:
-        base = self.base_labels[s.base_id]
-        return -base if s.inverse else base
-
     @cached_property
     def kernel(self):
         """The _kernel.KernelGraph of this graph, built on first use: the
         one flat view that the moment engine, the automaton and the
-        operator oracle's Basis read.  Its signed edges are numbered like
-        shadowed.signed_edges."""
+        operator oracle's Basis read, and the one owner of the numbering
+        and the names of signed edges."""
         from . import _kernel  # lattice loads this module, never the kernel
 
         return _kernel.kernel_graph(self)
@@ -74,10 +70,12 @@ def assign_weights(
 
     vertex mode: forward edges out of each vertex get 1..deg_out(v) in
     sorted-id order.  multiedge mode: the label is the 1-based index
-    among parallel edges with the same endpoints.  explicit mode: labels
-    are taken from the given map and checked for presence and range;
-    only this mode takes a map.  Shadow edges always carry the negated
-    label of their base edge.
+    among parallel edges with the same endpoints, in sorted-id order.
+    Both number the id-sorted edges in one pass, with a running count
+    per source or per endpoint pair.  explicit mode: labels are taken
+    from the given map and checked for presence and range; only this
+    mode takes a map.  Shadow edges always carry the negated label of
+    their base edge.
     """
     g = shadowed.graph
     if not g.edges:
@@ -85,18 +83,11 @@ def assign_weights(
     if explicit is not None and mode != MODE_EXPLICIT:
         raise GraphError(f"labeling mode {mode!r} takes no label map")
     labels: dict[str, int] = {}
-    if mode == MODE_VERTEX:
-        for v in g.vertices:
-            out = sorted((e for e in g.edges if e.src == v), key=lambda e: e.id)
-            for j, e in enumerate(out, start=1):
-                labels[e.id] = j
-    elif mode == MODE_MULTIEDGE:
-        groups: dict[tuple, list] = {}
+    if mode in (MODE_VERTEX, MODE_MULTIEDGE):
+        counts: dict = {}
         for e in g.edges:
-            groups.setdefault((e.src, e.dst), []).append(e)
-        for es in groups.values():
-            for j, e in enumerate(sorted(es, key=lambda e: e.id), start=1):
-                labels[e.id] = j
+            key = e.src if mode == MODE_VERTEX else (e.src, e.dst)
+            labels[e.id] = counts[key] = counts.get(key, 0) + 1
     elif mode == MODE_EXPLICIT:
         if explicit is None:
             raise GraphError("explicit mode requires a label map")

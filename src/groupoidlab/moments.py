@@ -7,8 +7,8 @@ that freely reduce to a vertex (the reduction characterization) with
 the excursion DP of _kernel.  The words themselves (w_m_set) come from
 the word walk of _kernel, which builds only the qualifying words and
 their prefixes; its tallies are a cross-check on the DP.  Words here
-are tuples of signed-edge indices, numbered like lg.kernel (and
-lg.shadowed.signed_edges).
+are tuples of signed-edge indices in the layout that _kernel.KernelGraph
+states, which also names the letters.
 
 Cumulant operands are letter weights (one integer per signed edge).
 The edge operators are free over the diagonal and each pairs with its
@@ -84,8 +84,7 @@ class TallyResult(Value):
 
 
 class WordSetReport(Value):
-    # words: tuples of signed-edge indices, numbered like
-    # lg.shadowed.signed_edges
+    # words: tuples of signed-edge indices of lg.kernel
     __slots__ = ("n", "mode", "words", "tallies")
 
     @property
@@ -346,10 +345,11 @@ def cumulant_via_wc(
     agree.
 
     The words are tuples of signed-edge indices, walked base edge by
-    base edge in lexicographic order, one unit of budget each: base
-    edge i signs as 2i (forward) and 2i + 1 (shadow); every word over
-    the two is a loop word when the edge is a loop, otherwise only the
-    two alternating words are.  No loop word of odd length reduces, so
+    base edge in lexicographic order, one unit of budget each: in the
+    layout of _kernel.KernelGraph, base edge i signs as 2i (forward)
+    and 2i + 1 (shadow, its inverse); every word over the two is a
+    loop word when the edge is a loop, otherwise only the two
+    alternating words are.  No loop word of odd length reduces, so
     odd n is 0 at once.  At even n the Moebius row of the even-block
     partitions (see _moebius_row) is built before any word, so past
     NC_BUDGET the route stops there.  The letters of a word are one

@@ -57,7 +57,9 @@ def _gen_blocks(elems, even=False):
     tuples of blocks; with even, only those whose blocks all have even
     size, in the same order.  The block of the first element leaves
     gaps that the rest fill independently, so with even the block size
-    steps by 2 and a choice that leaves an odd gap is skipped."""
+    steps by 2 and a choice that leaves an odd gap is skipped.  The
+    gaps come in increasing order and each yields its blocks by
+    minimum, so the block list is canonical as it is joined."""
     if not elems:
         yield ()
         return
@@ -80,8 +82,7 @@ def _gen_blocks(elems, even=False):
             if even and any(len(s) % 2 for s in segments):
                 continue
             for parts in itertools.product(*(_gen_blocks(s, even) for s in segments)):
-                rest = tuple(b for p in parts for b in p)
-                yield tuple(sorted((block,) + rest, key=min))
+                yield (block, *(b for p in parts for b in p))
 
 
 def check_nc_budget(n: int) -> None:

@@ -22,7 +22,7 @@ lg.shadowed.signed_edges; the oracles build that numbering themselves.
 from __future__ import annotations
 
 from groupoidlab import moments
-from groupoidlab.errors import Value
+from groupoidlab.errors import GraphError, Value
 from groupoidlab.graphs import SignedEdge
 from groupoidlab.operators import SparseOperator
 
@@ -30,6 +30,38 @@ from groupoidlab.operators import SparseOperator
 def edge_index(lg) -> dict:
     """SignedEdge -> its index in lg.kernel."""
     return {s: i for i, s in enumerate(lg.shadowed.signed_edges)}
+
+
+# ---------------------------------------------------------------------------
+# Signed edges one at a time: their inverses, the edges leaving a
+# vertex, and their labels.
+
+
+def inverted(s: SignedEdge) -> SignedEdge:
+    """The same base edge in the other orientation: an involution."""
+    return SignedEdge(s.edge, not s.inverse)
+
+
+def vertex_index(g, v: str) -> int:
+    """The position of v among the sorted vertices of g."""
+    try:
+        return g.vertices.index(v)
+    except ValueError:
+        raise GraphError(f"unknown vertex {v!r}") from None
+
+
+def out_edges(sh, v: str) -> tuple:
+    """The signed edges of a shadowed graph that leave v, in signed-edge
+    order."""
+    vertex_index(sh.graph, v)
+    return tuple(s for s in sh.signed_edges if s.src == v)
+
+
+def label(lg, s: SignedEdge) -> int:
+    """The signed label of s: its base edge's label, negated on the
+    shadow."""
+    base = lg.base_labels[s.edge.id]
+    return -base if s.inverse else base
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +158,7 @@ def inverse(a):
     """Groupoid inverse: reverse the word and flip every orientation."""
     if a is EMPTY or isinstance(a, Vertex):
         return a
-    return ReducedPath(tuple(s.inverted() for s in reversed(a.word)))
+    return ReducedPath(tuple(inverted(s) for s in reversed(a.word)))
 
 
 def concat(a, b):
@@ -155,7 +187,7 @@ def diagram(a) -> frozenset:
         raise ValueError("Empty element has no diagram")
     if isinstance(a, Vertex):
         return frozenset()
-    return frozenset(s.base_id for s in a.word)
+    return frozenset(s.edge.id for s in a.word)
 
 
 def diagram_distinct(a, b) -> bool:
@@ -234,7 +266,7 @@ def weight(lg, a) -> WeightedElement:
             return EMPTY_WEIGHT
     return WeightedElement(
         (word[0].src, word[-1].dst),
-        tuple(lg.label(s) for s in word),
+        tuple(label(lg, s) for s in word),
     )
 
 
@@ -369,7 +401,7 @@ def build_tree(aut: GraphAutomaton, root_vertex: str, depth: int) -> AutomatonTr
     # children, edges still to grow]; a node is built once all its
     # children are.
     def frame(state: WeightedElement, edge, d: int) -> list:
-        edges = aut.shadowed.out_edges(state.terminal) if d < depth else ()
+        edges = out_edges(aut.shadowed, state.terminal) if d < depth else ()
         return [state, edge, d, [], iter(edges)]
 
     stack = [frame(aut.vertex_state(root_vertex), None, 0)]

@@ -48,7 +48,9 @@ from paper import (
     basis_elements,
     concat,
     inverse,
+    inverted,
     is_admissible,
+    out_edges,
     reduce_word,
     right_mult,
 )
@@ -240,7 +242,7 @@ def _random_words(g, count, max_len, rng):
         word = []
         cur = None
         for _ in range(n):
-            options = g.out_edges(cur) if cur else g.signed_edges
+            options = out_edges(g, cur) if cur else g.signed_edges
             if not options:
                 break
             s = rng.choice(options)
@@ -256,7 +258,7 @@ def _reduce_random_order(word, rng):
     letters = list(word)
     while True:
         pairs = [
-            i for i in range(len(letters) - 1) if letters[i] == letters[i + 1].inverted()
+            i for i in range(len(letters) - 1) if letters[i] == inverted(letters[i + 1])
         ]
         if not pairs:
             break

@@ -10,7 +10,16 @@ from groupoidlab.graphs import GraphError, shadow
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 
 import paper
-from paper import EMPTY, EMPTY_WEIGHT, GraphAutomaton, concat, reduce_word
+from paper import (
+    EMPTY,
+    EMPTY_WEIGHT,
+    GraphAutomaton,
+    concat,
+    inverted,
+    label,
+    out_edges,
+    reduce_word,
+)
 
 
 def labeled(name):
@@ -72,7 +81,7 @@ def test_action_composition_law_circulant():
     # single-edge states and all vertex states
     aut = automaton_for("circulant-3")
     sh = aut.shadowed
-    states = [aut.vertex_state(v) for v in sh.vertices]
+    states = [aut.vertex_state(v) for v in sh.graph.vertices]
     states += [aut.phi(aut.vertex_state(s.src), (s,)) for s in sh.signed_edges]
     for e1, e2 in itertools.product(sh.signed_edges, repeat=2):
         composed = lambda x: aut.act((e1,))(aut.act((e2,))(x))
@@ -93,8 +102,8 @@ def test_vertex_action_via_edge_and_inverse():
     aut = automaton_for("circulant-3")
     sh = aut.shadowed
     e = sh.signed_by_name("e1")  # v1 -> v2
-    action = aut.act((e, e.inverted()))
-    for v in sh.vertices:
+    action = aut.act((e, inverted(e)))
+    for v in sh.graph.vertices:
         out = action(aut.vertex_state(v))
         if v == "v1":
             assert not out.is_empty
@@ -222,7 +231,7 @@ def test_fractaloid_witness_is_genuine():
     lg = labeled("example-6-2")
     verdict = is_fractaloid(lg, depth=2)
     v = verdict.witness["vertex"]
-    labels = sorted(lg.label(s) for s in lg.shadowed.out_edges(v))
+    labels = sorted(label(lg, s) for s in out_edges(lg.shadowed, v))
     n = lg.max_label
     assert labels != sorted(list(range(-n, 0)) + list(range(1, n + 1)))
 
@@ -256,7 +265,7 @@ def assert_same_tree(lg, root, depth):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_table_tree_matches_the_object_tree(name):
     lg = labeled(name)
-    for root in lg.shadowed.vertices:
+    for root in lg.graph.vertices:
         for depth in range(6):
             assert_same_tree(lg, root, depth)
 

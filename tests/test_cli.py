@@ -3,9 +3,11 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -165,6 +167,25 @@ def test_exit_parse_malformed_json(tmp_path):
     p.write_text("{not json")
     code, _ = run(["moments", "--graph", str(p), "--n", "2"])
     assert code == 3
+
+
+UNDECODABLE = {
+    "deep.json": b"[" * 100_000,
+    "latin-1.json": '{"vertices": ["\xe9"], "edges": []}'.encode("latin-1"),
+    "long-int.json": b"[" + b"7" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_undecodable_files_are_parse_errors(tmp_path, fmt):
+    # nested past the recursion limit, not UTF-8, or an integer past the
+    # digit limit: json cannot decode any of them
+    for name, data in UNDECODABLE.items():
+        p = tmp_path / name
+        p.write_bytes(data)
+        code, out, err = run_contract(["moments", "--graph", str(p), "--n", "2", *fmt])
+        assert (code, out) == (3, ""), name
+        assert err.startswith("parse error: ") and err.count("\n") == 1, (name, err)
 
 
 def test_exit_parse_missing_src(tmp_path):
@@ -1102,3 +1123,33 @@ def test_console_script_takes_the_main_block_path():
     call = statement.value
     assert isinstance(call, ast.Call) and not call.args and not call.keywords
     assert entry == f"groupoidlab.cli:{call.func.id}"
+
+
+def test_large_graph_set_up_is_linear(tmp_path):
+    # a connected graph of 20,000 vertices and 40,000 edges: labeling
+    # and flattening take one pass over the edges, so each fresh process
+    # ends within seconds (a scan of every edge per vertex took tens)
+    rng = random.Random(3)
+    nv, ne = 20_000, 40_000
+    ends = [(rng.randrange(i), i) for i in range(1, nv)]
+    ends += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(ne - len(ends))]
+    rng.shuffle(ends)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({
+        "vertices": [f"v{i}" for i in range(nv)],
+        "edges": [
+            {"id": f"e{j}", "src": f"v{a}", "dst": f"v{b}"} for j, (a, b) in enumerate(ends)
+        ],
+    }))
+    reports = []
+    for argv in (["moments", "--n", "2"], ["tree", "--depth", "1"]):
+        start = time.perf_counter()
+        code, out, err = spawn([*argv, "--graph", str(path), "--json"])
+        assert (code, err) == (0, b""), argv
+        assert time.perf_counter() - start < 5, argv
+        reports.append(json.loads(out))
+    moments, tree = reports
+    # each length-2 reducing word is e inv(e), one per signed edge
+    assert sum(map(int, moments["result"]["diagonal"].values())) == 2 * ne
+    root_degree = sum((a == 0) + (b == 0) for a, b in ends)
+    assert tree["result"]["nodes"] == 1 + root_degree

@@ -48,7 +48,18 @@ from groupoidlab.ncpartitions import enumerate_nc, moebius_row
 from groupoidlab.operators import oracle_expectation_power
 
 import paper
-from paper import ReducedPath, Vertex, concat, diagram_distinct, mu_w, reduce_word, theta
+from paper import (
+    ReducedPath,
+    Vertex,
+    concat,
+    diagram_distinct,
+    inverted,
+    label,
+    mu_w,
+    out_edges,
+    reduce_word,
+    theta,
+)
 from test_automaton import assert_same_tree
 from test_groupoid import enumerate_admissible_words
 
@@ -63,7 +74,7 @@ def d_loop_words_by_filter(g, n):
     """Reference: the admissible words, kept when they are loop words
     over a single base edge."""
     for w in enumerate_admissible_words(g, n):
-        if w[0].src == w[-1].dst and len({s.base_id for s in w}) == 1:
+        if w[0].src == w[-1].dst and len({s.edge.id for s in w}) == 1:
             yield w
 
 
@@ -73,7 +84,7 @@ def joint_cumulant_words(lg, indices):
     indices = tuple(indices)
     acc = {}
     for w in d_loop_words_by_filter(lg.shadowed, len(indices)):
-        if tuple(lg.label(s) for s in w) != indices:
+        if tuple(label(lg, s) for s in w) != indices:
             continue
         r = reduce_word(w)
         if isinstance(r, Vertex):
@@ -200,7 +211,7 @@ def qualifying_words_by_filter(lg, n, mode):
         if mode == "reduction":
             keep = isinstance(reduce_word(w), Vertex)
         else:
-            keep = w[0].src == w[-1].dst and theta(lg.label(s) for s in w).is_zero
+            keep = w[0].src == w[-1].dst and theta(label(lg, s) for s in w).is_zero
         if keep:
             yield w
 
@@ -265,7 +276,7 @@ def regular_to_depth(lg, tree, full):
     for node in tree.nodes():
         if node.depth == tree.depth:
             continue
-        labels = sorted(lg.label(k.edge) for k in node.children)
+        labels = sorted(label(lg, k.edge) for k in node.children)
         if labels != full:
             return False
     return True
@@ -276,7 +287,7 @@ def assert_verdict_matches_trees(lg, depth):
     n = lg.max_label
     full = sorted(list(range(-n, 0)) + list(range(1, n + 1)))
     trees = []
-    for v in lg.shadowed.vertices:
+    for v in lg.graph.vertices:
         tree = paper.build_tree(aut, v, depth)
         trees.append((v, regular_to_depth(lg, tree, full), len(tree.nodes())))
     assert automaton.is_fractaloid(lg, depth).trees == tuple(trees)
@@ -314,7 +325,7 @@ def test_property_fractaloid_verdict_matches_built_trees(lg, depth):
 @settings(max_examples=60, deadline=None)
 @given(lg=labeled_multigraphs(), depth=st.integers(0, 5), data=st.data())
 def test_property_table_tree_matches_the_object_tree(lg, depth, data):
-    assert_same_tree(lg, data.draw(st.sampled_from(lg.shadowed.vertices)), depth)
+    assert_same_tree(lg, data.draw(st.sampled_from(lg.graph.vertices)), depth)
 
 
 def test_fractaloid_regular_ignores_the_last_level():
@@ -355,19 +366,19 @@ def test_property_concat_matches_full_reduction(lg, data):
     sh = lg.shadowed
     walk = [data.draw(st.sampled_from(sh.signed_edges))]
     for _ in range(data.draw(st.integers(0, 5))):
-        walk.append(data.draw(st.sampled_from(sh.out_edges(walk[-1].dst))))
+        walk.append(data.draw(st.sampled_from(out_edges(sh, walk[-1].dst))))
     a = reduce_word(tuple(walk))
     if data.draw(st.booleans()):
         k = data.draw(st.integers(0, len(walk)))
-        back = [s.inverted() for s in reversed(walk[len(walk) - k :])]
+        back = [inverted(s) for s in reversed(walk[len(walk) - k :])]
         start = walk[-1].dst
     else:
         back = []
-        start = data.draw(st.sampled_from(sh.vertices))
+        start = data.draw(st.sampled_from(sh.graph.vertices))
     tail = []
     for _ in range(data.draw(st.integers(0 if back else 1, 4))):
         at = tail[-1].dst if tail else (back[-1].dst if back else start)
-        tail.append(data.draw(st.sampled_from(sh.out_edges(at))))
+        tail.append(data.draw(st.sampled_from(out_edges(sh, at))))
     b = reduce_word(tuple(back + tail))
     if isinstance(a, ReducedPath) and isinstance(b, ReducedPath):
         assert concat(a, b) == reduce_word(a.word + b.word)
@@ -381,12 +392,12 @@ def test_property_joint_moment_matches_pattern_filter(lg, data):
     sh = lg.shadowed
     walk = [data.draw(st.sampled_from(sh.signed_edges))]
     while len(walk) < n:
-        walk.append(data.draw(st.sampled_from(sh.out_edges(walk[-1].dst))))
-    indices = tuple(lg.label(s) for s in walk)
+        walk.append(data.draw(st.sampled_from(out_edges(sh, walk[-1].dst))))
+    indices = tuple(label(lg, s) for s in walk)
     brute: dict = {}
     for w in enumerate_admissible_words(lg.shadowed, n):
         r = reduce_word(w)
-        if tuple(lg.label(s) for s in w) == indices and isinstance(r, Vertex):
+        if tuple(label(lg, s) for s in w) == indices and isinstance(r, Vertex):
             brute[r.v] = brute.get(r.v, 0) + 1
     assert joint_moment(lg, indices) == DiagonalElement.of(brute)
 
@@ -548,6 +559,6 @@ def test_property_label_families_are_diagram_distinct(lg, data):
         st.lists(st.integers(1, lg.max_label), min_size=2, max_size=2, unique=True)
     )
     signed = lg.shadowed.signed_edges
-    fam1 = [ReducedPath((s,)) for s in signed if abs(lg.label(s)) == k1]
-    fam2 = [ReducedPath((s,)) for s in signed if abs(lg.label(s)) == k2]
+    fam1 = [ReducedPath((s,)) for s in signed if abs(label(lg, s)) == k1]
+    fam2 = [ReducedPath((s,)) for s in signed if abs(label(lg, s)) == k2]
     assert all(diagram_distinct(a, b) for a in fam1 for b in fam2)

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from groupoidlab import _kernel
-from groupoidlab.fixtures import fixture
+from groupoidlab.fixtures import FIXTURES, fixture
 from groupoidlab.graphs import DirectedGraph, Edge, shadow
 from groupoidlab.labeling import (
     MODE_EXPLICIT,
@@ -14,12 +14,32 @@ from groupoidlab.labeling import (
     count_axis_paths,
 )
 
+from paper import edge_index, inverted, label, out_edges
+
 
 def kgraph(name):
     f = fixture(name)
     mode = MODE_EXPLICIT if f.labels else MODE_VERTEX
     lg = assign_weights(shadow(f.graph), mode, f.labels)
     return _kernel.kernel_graph(lg), lg
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_kernel_layout_is_the_signed_edge_order(name):
+    # the tables, built by index, agree with the SignedEdge objects of
+    # the paper model, numbered in the order of shadowed.signed_edges
+    kg, lg = kgraph(name)
+    sh = lg.shadowed
+    index, vertices = edge_index(lg), lg.graph.vertices
+    assert kg.n_signed == len(sh.signed_edges) == 2 * len(lg.graph.edges)
+    for e, s in enumerate(sh.signed_edges):
+        assert (e % 2 == 1) == s.inverse
+        assert kg.inv[e] == e ^ 1 == index[inverted(s)]
+        assert (vertices[kg.src[e]], vertices[kg.dst[e]]) == (s.src, s.dst)
+        assert kg.labels[e] == label(lg, s)
+        assert kg.names[e] == s.name()
+    for v, name in enumerate(vertices):
+        assert kg.out(v) == tuple(index[s] for s in out_edges(sh, name))
 
 
 def test_kernel_rejects_bad_args():

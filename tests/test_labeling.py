@@ -6,7 +6,7 @@ import pytest
 
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.fixtures import fixture
-from groupoidlab.graphs import GraphError, shadow
+from groupoidlab.graphs import DirectedGraph, Edge, GraphError, ShadowedGraph, shadow
 from groupoidlab.labeling import (
     MODE_EXPLICIT,
     MODE_MULTIEDGE,
@@ -20,7 +20,10 @@ from paper import (
     ReducedPath,
     Vertex,
     inverse,
+    inverted,
+    label,
     omega_plus,
+    out_edges,
     reduce_word,
     theta,
     weight,
@@ -77,10 +80,10 @@ def test_only_explicit_mode_takes_a_label_map(mode):
 def test_inverse_edges_negated():
     lg = labeled("two-loop")
     sh = lg.shadowed
-    assert lg.label(sh.signed_by_name("e1")) == 1
-    assert lg.label(sh.signed_by_name("~e1")) == -1
-    assert lg.label(sh.signed_by_name("e2")) == 2
-    assert lg.label(sh.signed_by_name("~e2")) == -2
+    assert label(lg, sh.signed_by_name("e1")) == 1
+    assert label(lg, sh.signed_by_name("~e1")) == -1
+    assert label(lg, sh.signed_by_name("e2")) == 2
+    assert label(lg, sh.signed_by_name("~e2")) == -2
 
 
 def test_vertex_mode_bijective_per_vertex():
@@ -91,6 +94,23 @@ def test_vertex_mode_bijective_per_vertex():
         assert len(set(out)) == len(out)
 
 
+@pytest.mark.parametrize("mode", [MODE_VERTEX, MODE_MULTIEDGE])
+def test_labels_number_each_group_by_sorted_id(mode):
+    # the definition: the edges sharing a source (vertex mode) or both
+    # endpoints (multiedge mode), sorted by id, get 1, 2, ... in turn
+    rng = random.Random(5)
+    for _ in range(300):
+        vs = [f"v{i}" for i in range(rng.randint(1, 4))]
+        ids = rng.sample(range(100), rng.randint(1, 12))
+        g = DirectedGraph(vs, [Edge(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in ids])
+        key = (lambda e: e.src) if mode == MODE_VERTEX else (lambda e: (e.src, e.dst))
+        want = {}
+        for k in {key(e) for e in g.edges}:
+            group = sorted((e for e in g.edges if key(e) == k), key=lambda e: e.id)
+            want.update((e.id, j) for j, e in enumerate(group, start=1))
+        assert assign_weights(ShadowedGraph(g), mode).base_labels == want
+
+
 def test_weight_circulant_paths():
     lg = labeled("circulant-3")
     sh = lg.shadowed
@@ -98,7 +118,7 @@ def test_weight_circulant_paths():
     w = (e2, e3, e1)
     assert weight(lg, w).endpoints == ("v2", "v2")
     assert weight(lg, w).labels == (1, 1, 1)
-    y = (e1.inverted(), e3.inverted())
+    y = (inverted(e1), inverted(e3))
     assert weight(lg, y).endpoints == ("v2", "v3")
     assert weight(lg, y).labels == (-1, -1)
 
@@ -125,7 +145,7 @@ def test_weight_inverse_reversed_negated():
         cur = None
         word = []
         for _ in range(rng.randint(1, 6)):
-            options = sh.out_edges(cur) if cur else sh.signed_edges
+            options = out_edges(sh, cur) if cur else sh.signed_edges
             s = rng.choice(options)
             word.append(s)
             cur = s.dst
@@ -183,7 +203,7 @@ def test_balance_necessary_for_vertex_reduction():
         cur = None
         word = []
         for _ in range(rng.randint(2, 6)):
-            options = sh.out_edges(cur) if cur else sh.signed_edges
+            options = out_edges(sh, cur) if cur else sh.signed_edges
             s = rng.choice(options)
             word.append(s)
             cur = s.dst
@@ -198,7 +218,7 @@ def test_balance_not_sufficient_witness():
     lg = labeled("two-loop")
     sh = lg.shadowed
     e1, e2 = sh.signed_by_name("e1"), sh.signed_by_name("e2")
-    word = (e1, e2, e1.inverted(), e2.inverted())
+    word = (e1, e2, inverted(e1), inverted(e2))
     assert theta(weight(lg, word).labels).is_zero
     assert not isinstance(reduce_word(word), Vertex)
 

@@ -28,7 +28,7 @@ from groupoidlab.moments import (
 from groupoidlab.ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius
 from groupoidlab.operators import oracle_expectation_power
 
-from paper import expectation_of_word, mu_w
+from paper import expectation_of_word, inverted, mu_w, out_edges
 
 FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
 
@@ -47,7 +47,7 @@ def brute_reduce_leftmost(word):
     letters = list(word)
     while True:
         for i in range(len(letters) - 1):
-            if letters[i] == letters[i + 1].inverted():
+            if letters[i] == inverted(letters[i + 1]):
                 del letters[i : i + 2]
                 break
         else:
@@ -72,7 +72,7 @@ def brute_moment(lg, n):
 def test_expectation_of_word():
     sh = labeled("single-edge").shadowed
     e = sh.signed_by_name("e1")
-    assert expectation_of_word((e, e.inverted())).as_dict() == {"v1": 1}
+    assert expectation_of_word((e, inverted(e))).as_dict() == {"v1": 1}
     assert expectation_of_word((e, e)).is_zero  # not even admissible
     loop = labeled("one-loop").shadowed.signed_by_name("e1")
     assert expectation_of_word((loop, loop)).is_zero  # reduces to a path
@@ -282,7 +282,7 @@ def test_joint_moment_bad_index():
 def test_mu_w_pair():
     lg = labeled("single-edge")
     e = lg.shadowed.signed_by_name("e1")
-    assert mu_w(lg, (e, e.inverted())) == 1
+    assert mu_w(lg, (e, inverted(e))) == 1
 
 
 def test_mu_w_requires_vertex_reduction():
@@ -296,7 +296,7 @@ def test_mu_w_one_loop_length_4_values():
     # hand-checked: alternating words weigh -1, the rest 0
     lg = labeled("one-loop")
     e = lg.shadowed.signed_by_name("e1")
-    f = e.inverted()
+    f = inverted(e)
     values = {
         (e, f, e, f): -1,
         (f, e, f, e): -1,
@@ -319,7 +319,7 @@ def test_cumulant_direct_one_loop():
 def test_cumulant_direct_closed_form_values():
     # k_2m(T_G)_v = outdeg(v) (-1)^(m-1) C_(m-1), past the NC budget too
     lg = labeled("example-6-2")
-    outdeg = {v: len(lg.shadowed.out_edges(v)) for v in lg.graph.vertices}
+    outdeg = {v: len(out_edges(lg.shadowed, v)) for v in lg.graph.vertices}
     for m in (1, 2, 5, 6, 7, 20):
         expected = {v: d * (-1) ** (m - 1) * catalan(m - 1) for v, d in outdeg.items()}
         assert cumulant_direct(lg, 2 * m).as_dict() == expected
@@ -340,7 +340,7 @@ def test_closed_form_cumulant_alternates_an_edge_with_its_inverse():
     e = lg.shadowed.signed_by_name("e1")
     signed = lg.shadowed.signed_edges
     unit = {s: tuple(int(t == s) for t in signed) for s in signed}
-    f = e.inverted()
+    f = inverted(e)
     assert closed_form_cumulant(lg, [unit[e], unit[f]] * 3).as_dict() == {"v1": 2}
     assert closed_form_cumulant(lg, [unit[f], unit[e]] * 3).as_dict() == {"v2": 2}
     assert closed_form_cumulant(lg, [unit[e], unit[f], unit[f], unit[e]]).is_zero
@@ -392,7 +392,7 @@ def test_mu_w_balanced_row_matches_the_full_even_row():
         e = lg.shadowed.signed_by_name(edge)
         for n in (2, 4, 6, 8):
             full = [(pi, moebius(pi)) for pi in enumerate_nc(n, even=True)]
-            for word in itertools.product((e, e.inverted()), repeat=n):
+            for word in itertools.product((e, inverted(e)), repeat=n):
                 if expectation_of_word(word).is_zero:
                     continue
                 letters = [tuple(int(t == s) for t in signed) for s in word]

@@ -67,13 +67,13 @@ def test_basis_order_by_length_and_index_sequence(name):
 
     def key(a):
         if isinstance(a, Vertex):
-            return (0, (sh.vertices.index(a.v),))
+            return (0, (sh.graph.vertices.index(a.v),))
         return (len(a.word), tuple(rank[s] for s in a.word))
 
     keys = [key(a) for a in basis_elements(lg, b)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(b) == len(basis_index(lg, b))
-    assert b.n_vertices == len(sh.vertices)
+    assert b.n_vertices == len(sh.graph.vertices)
 
 
 def right_mult_by_concat(lg, w, basis, elements, index):
@@ -94,7 +94,7 @@ def test_right_mult_trie_walk_matches_concat(name):
     b = build_basis(lg.kernel, 4)
     elements, index = basis_elements(lg, b), basis_index(lg, b)
     factors = [a for a in elements if isinstance(a, Vertex) or len(a.word) <= 3]
-    assert len(factors) >= len(sh.vertices) + len(sh.signed_edges)
+    assert len(factors) >= len(sh.graph.vertices) + len(sh.signed_edges)
     for w in factors:
         assert right_mult(lg, w, b) == right_mult_by_concat(lg, w, b, elements, index), w
 

@@ -4,7 +4,9 @@ __init__.py), or is listed in KEPT with one word saying why it stays.
 Names match without their owner, so the check is loose for common
 method names; it catches helpers that only the tests call.  And no
 module reads another package module's _-prefixed names: a module's
-interface is what its callers use."""
+interface is what its callers use.  And only the graph and labeling
+layers hold SignedEdge objects: every other module reads signed edges
+from the tables of _kernel.KernelGraph."""
 
 import ast
 import os
@@ -107,3 +109,25 @@ def private_reads():
 
 def test_no_module_reads_another_modules_private_names():
     assert private_reads() == []
+
+
+def signed_edge_readers():
+    """Modules other than graphs and labeling that refer to the
+    attribute shadowed or signed_edges, or to the name SignedEdge:
+    signed edges are numbered and named by _kernel.KernelGraph alone."""
+    found = set()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name in ("graphs.py", "labeling.py"):
+            continue
+        for node in ast.walk(parse(name)):
+            if (
+                isinstance(node, ast.Attribute) and node.attr in ("shadowed", "signed_edges")
+                or isinstance(node, ast.Name) and node.id == "SignedEdge"
+                or isinstance(node, ast.alias) and node.name == "SignedEdge"
+            ):
+                found.add(name[:-3])
+    return sorted(found)
+
+
+def test_only_the_kernel_numbers_signed_edges():
+    assert signed_edge_readers() == []

@@ -47,7 +47,9 @@ CASES = {
     "ValidationReport": lambda: validate_graph(fixture("circulant-3").graph),
     "Vertex": lambda: paper.Vertex(fixture("circulant-3").graph.vertices[0]),
     "ReducedPath": lambda: paper.reduce_word(word_6_2()),
-    "BalanceVector": lambda: paper.theta(labeled("example-6-2").label(s) for s in word_6_2()),
+    "BalanceVector": lambda: paper.theta(
+        paper.label(labeled("example-6-2"), s) for s in word_6_2()
+    ),
     "WeightedElement": lambda: paper.weight(labeled("example-6-2"), word_6_2()),
     "KernelGraph": lambda: _kernel.kernel_graph(labeled("example-6-2")),
     "TreeNode": lambda: paper.build_tree(
@@ -174,9 +176,10 @@ def test_kernel_graph_ignores_names():
     kg = CASES["KernelGraph"]()
     names = field_names(type(kg))
     # the names of the vertices and signed edges take no part
-    other = _kernel.KernelGraph(*(() if n == "vertices" else getattr(kg, n) for n in names))
+    unnamed = ("vertices", "names")
+    other = _kernel.KernelGraph(*(() if n in unnamed else getattr(kg, n) for n in names))
     assert other == kg and hash(other) == hash(kg)
-    assert "'v1'" not in repr(kg)
+    assert "'v1'" not in repr(kg) and "e12:1" not in repr(kg)
     # the labels do take part
     relabeled = _kernel.KernelGraph(*(
         tuple(-k for k in kg.labels) if n == "labels" else getattr(kg, n) for n in names
