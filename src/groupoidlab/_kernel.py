@@ -55,7 +55,8 @@ class KernelGraph(Value):
     out_list form a CSR adjacency over signed edges, index-sorted.
     vertices[v] is the id of vertex v and names[e] the name of signed
     edge e: its base edge's id, with a leading ~ on the shadow.  Both
-    are left out of equality, hash and repr.
+    are left out of equality, hash and repr.  n_labels counts the
+    distinct labels |labels[e]|: the coordinates of a balance vector.
     """
 
     __slots__ = (
@@ -106,7 +107,7 @@ def kernel_graph(lg) -> KernelGraph:
         vertices=g.vertices,
         names=tuple(names),
         labels=tuple(labels),
-        n_labels=lg.max_label,
+        n_labels=len(set(lg.base_labels.values())),
     )
 
 
@@ -267,19 +268,30 @@ def closed_by_interval(t: KernelGraph, weights, budget=None):
     return counts, False
 
 
+def _axes(kg) -> list:
+    """Per signed edge, the coordinate of its label in a balance vector:
+    the distinct |labels| numbered 0, 1, ... in order of first use, so
+    there are kg.n_labels coordinates, at most one per base edge,
+    whatever N is.  A word is balanced when it has as many letters +k
+    as -k for each k, so any one-to-one numbering of the |labels| keeps
+    the counts and the words."""
+    rank: dict = {}
+    return [rank.setdefault(abs(k), len(rank)) for k in kg.labels]
+
+
 def _balanced_loops(kg, n, spend):
     """Balance counts by half-walk squares: per start vertex s, F counts
     the length-n/2 walks from s by (end vertex, balance code), and the
     count is the sum of F^2; odd n gives zeros.  The balance vector is
     packed into one integer in balanced base n + 1, whose digits (one
-    per label index, each in -n/2..n/2) never carry, so equal codes are
+    per coordinate, each in -n/2..n/2) never carry, so equal codes are
     equal vectors."""
     counts = [0] * kg.n_vertices
     if n % 2:
         return counts, False
     radix = n + 1
     step = [
-        (1 if k > 0 else -1) * radix ** (abs(k) - 1) for k in kg.labels
+        (1 if k > 0 else -1) * radix**axis for k, axis in zip(kg.labels, _axes(kg))
     ]
     for s in range(kg.n_vertices):
         states = {(s, 0): 1}
@@ -389,7 +401,7 @@ def _balanced_walk(kg, n, spend, words) -> bool:
     """
     src, dst = kg.src, kg.dst
     out = [kg.out(v) for v in range(kg.n_vertices)]
-    axis = [abs(k) - 1 for k in kg.labels]
+    axis = _axes(kg)
     sign = [1 if k > 0 else -1 for k in kg.labels]
     balance = [0] * kg.n_labels
     word: list = []

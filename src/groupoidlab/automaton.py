@@ -122,20 +122,23 @@ def is_fractaloid(
     local criterion at each vertex reached in fewer than depth steps)
     come from walk counts.  The verdict is labeled with the depth checked.
     A tree of more than max_nodes nodes raises BudgetExceededError at the
-    first level where its count passes the bound.
+    first level where its count passes the bound.  A witness's reason
+    lists the full set, 2N labels.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = lg.max_label
-    full = sorted(list(range(-n, 0)) + list(range(1, n + 1)))
     kg = lg.kernel
     vertices = kg.vertices
-    # per vertex, the multiset of signed labels on its outgoing signed edges
+    # per vertex, the multiset of signed labels on its outgoing signed
+    # edges; every label lies in {-N..-1, 1..N}, so 2N distinct ones are
+    # all of them
     label_sets = [sorted(kg.labels[e] for e in kg.out(v)) for v in range(kg.n_vertices)]
-    irregular = [labels != full for labels in label_sets]
+    irregular = [len(labels) != 2 * n or len(set(labels)) != 2 * n for labels in label_sets]
     witness = None
     if True in irregular:
         v = irregular.index(True)
+        full = [*range(-n, 0), *range(1, n + 1)]
         witness = {
             "vertex": vertices[v],
             "reason": f"outgoing labels {label_sets[v]} != full set {full}",

@@ -51,7 +51,10 @@ def _diag_payload(d) -> dict:
 
 # The graph layer's entry points, module-level names here so that a
 # tracer can wrap them where the CLI calls them.  Each imports the graph
-# layer on its first call: lattice and nc never load it.
+# layer on its first call: lattice and nc never load it.  shadow
+# validates each graph, once.  validate_graph is no longer called: it
+# stays only as the hook that the benchmark's tracer wraps by name, and
+# goes when the benchmark reads a run ledger instead (ROADMAP item 5).
 def validate_graph(graph):
     from .graphs import validate_graph
 
@@ -59,11 +62,9 @@ def validate_graph(graph):
 
 
 def shadow(graph):
-    """The shadowed graph of a graph that validate_graph has passed:
-    graphs.shadow would validate it again."""
-    from .graphs import ShadowedGraph
+    from .graphs import shadow
 
-    return ShadowedGraph(graph)
+    return shadow(graph)
 
 
 def _load_labeled(args) -> tuple:
@@ -71,17 +72,14 @@ def _load_labeled(args) -> tuple:
     from . import fixtures, graphio, labeling
 
     graph, file_labels = graphio.parse_graph_file(args.graph)
-    report = validate_graph(graph)
-    if not report.ok:
-        raise GraphError("; ".join(report.violations))
-    sh = shadow(graph)
+    graph = shadow(graph)
     mode = args.labeling
     if mode == "auto":
         mode = labeling.MODE_EXPLICIT if file_labels else labeling.MODE_VERTEX
     if mode == labeling.MODE_EXPLICIT and not file_labels:
         raise SchemaError("explicit labeling requested but the file has no labels")
     lg = labeling.assign_weights(
-        sh, mode, explicit=file_labels if mode == labeling.MODE_EXPLICIT else None
+        graph, mode, explicit=file_labels if mode == labeling.MODE_EXPLICIT else None
     )
     inputs = {
         "graph": args.graph,
@@ -268,6 +266,12 @@ def _cmd_fractaloid(args, lg, diagnostics) -> dict:
         raise BudgetExceededError(
             f"fractaloid depth={args.depth}: {steps} walk steps exceed the "
             f"budget {args.budget}"
+        )
+    # a witness note prints the full label set, 2N labels
+    if 2 * lg.max_label > args.budget:
+        raise BudgetExceededError(
+            f"fractaloid: the full label set of {2 * lg.max_label} labels exceeds "
+            f"the budget {args.budget}"
         )
     limit = _digit_limit()
     try:

@@ -4,7 +4,8 @@ Schema (UTF-8, no comments):
   {"vertices": ["v1", ...],
    "edges": [{"id": "e1", "src": "v1", "dst": "v2", "label": 1}, ...]}
 "label" is optional per edge; when present anywhere it must be present
-everywhere (explicit labelings are all-or-nothing).
+everywhere (explicit labelings are all-or-nothing).  An edge id must
+not start with "~", which marks the name of a shadow edge.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ def parse_graph_obj(obj) -> tuple[DirectedGraph, dict | None]:
                 raise SchemaError(f"{where}.{key}: missing")
             if not isinstance(rec[key], str):
                 raise SchemaError(f"{where}.{key}: must be a string")
+        # "~" + id names the shadow: a forward name must not be one
+        if rec["id"].startswith("~"):
+            raise SchemaError(f'{where}.id: must not start with "~"')
         unknown = set(rec) - {"id", "src", "dst", "label"}
         if unknown:
             raise SchemaError(f"{where}: unknown keys " + ", ".join(sorted(unknown)))

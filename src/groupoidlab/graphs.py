@@ -1,8 +1,12 @@
-"""Directed multigraphs, shadowed graphs, and structural validation.
+"""Directed multigraphs and their structural validation.
 
 Vertices and edges are identified by opaque strings.  All derived
 orderings are sorted by id, so every enumeration downstream is
 deterministic across runs.
+
+The shadowed graph of the paper (every edge plus its reversal) has no
+object here: a validated DirectedGraph stands for it, and
+_kernel.KernelGraph numbers and names its signed edges.
 """
 
 from __future__ import annotations
@@ -12,35 +16,6 @@ from .errors import GraphError, Value
 
 class Edge(Value):
     __slots__ = ("id", "src", "dst")
-
-
-class SignedEdge(Value):
-    """A base edge together with an orientation.
-
-    The forward orientation is the edge as given; the inverse is its
-    shadow (source and target swapped).
-    """
-
-    __slots__ = ("edge", "inverse")
-
-    def __init__(self, edge: Edge, inverse: bool = False):
-        object.__setattr__(self, "edge", edge)
-        object.__setattr__(self, "inverse", inverse)
-
-    @property
-    def src(self) -> str:
-        return self.edge.dst if self.inverse else self.edge.src
-
-    @property
-    def dst(self) -> str:
-        return self.edge.src if self.inverse else self.edge.dst
-
-    def name(self) -> str:
-        """Serialized form: ``e`` for forward, ``~e`` for the shadow."""
-        return ("~" + self.edge.id) if self.inverse else self.edge.id
-
-    def __repr__(self) -> str:
-        return f"SignedEdge({self.name()!r})"
 
 
 class ValidationReport(Value):
@@ -88,32 +63,6 @@ class DirectedGraph:
         return f"DirectedGraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
 
 
-class ShadowedGraph:
-    """A directed graph together with the shadow of every edge.
-
-    The signed edge set has one forward and one inverse entry per base
-    edge, ordered by (base id, orientation) with forward first.
-    """
-
-    def __init__(self, graph: DirectedGraph):
-        self.graph = graph
-        signed = []
-        for e in graph.edges:
-            signed.append(SignedEdge(e, False))
-            signed.append(SignedEdge(e, True))
-        self.signed_edges: tuple[SignedEdge, ...] = tuple(signed)
-        self._by_name = {s.name(): s for s in signed}
-
-    def signed_by_name(self, name: str) -> SignedEdge:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise GraphError(f"unknown signed edge {name!r}") from None
-
-    def __repr__(self) -> str:
-        return f"ShadowedGraph({self.graph!r})"
-
-
 def validate_graph(g: DirectedGraph) -> ValidationReport:
     """Check the structural requirements: nonempty, no dangling edges,
     connected.
@@ -151,9 +100,12 @@ def validate_graph(g: DirectedGraph) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def shadow(g: DirectedGraph) -> ShadowedGraph:
-    """Construct the shadowed graph; rejects invalid input."""
+def shadow(g: DirectedGraph) -> DirectedGraph:
+    """g itself, once validate_graph has passed it: the graph every
+    labeling and flat view is built from.  Rejects invalid input with a
+    GraphError that joins every violation; this is the one place that
+    does."""
     report = validate_graph(g)
     if not report.ok:
         raise GraphError("; ".join(report.violations))
-    return ShadowedGraph(g)
+    return g

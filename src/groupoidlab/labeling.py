@@ -17,7 +17,7 @@ from functools import cached_property
 from math import comb
 
 from .errors import BudgetExceededError
-from .graphs import DirectedGraph, GraphError, ShadowedGraph
+from .graphs import DirectedGraph, GraphError
 
 MODE_VERTEX = "vertex"  # per-vertex-bijective (default)
 MODE_MULTIEDGE = "multiedge"  # parallel-edge index
@@ -25,27 +25,25 @@ MODE_EXPLICIT = "explicit"  # labels from the input file
 
 
 class LabeledGraph:
-    """A shadowed graph with one positive label per base edge.
+    """A validated graph with one positive label per base edge: the
+    labeled shadowed graph, whose signed edges lg.kernel numbers and
+    names.  Each shadow carries the negated label of its base edge.
 
     In per-vertex-bijective mode the forward edges out of each vertex
     carry distinct labels 1..out_degree(v).  ``max_label`` plays the
     role of N everywhere downstream.
     """
 
-    def __init__(self, shadowed: ShadowedGraph, base_labels: dict[str, int], mode: str):
-        self.shadowed = shadowed
+    def __init__(self, graph: DirectedGraph, base_labels: dict[str, int], mode: str):
+        self.graph = graph
         self.mode = mode
-        for e in shadowed.graph.edges:
+        for e in graph.edges:
             if e.id not in base_labels:
                 raise GraphError(f"edge {e.id!r} has no label")
             if base_labels[e.id] < 1:
                 raise GraphError(f"edge {e.id!r} label must be positive")
         self.base_labels = dict(base_labels)
         self.max_label = max(base_labels.values())
-
-    @property
-    def graph(self) -> DirectedGraph:
-        return self.shadowed.graph
 
     @cached_property
     def kernel(self):
@@ -62,11 +60,11 @@ class LabeledGraph:
 
 
 def assign_weights(
-    shadowed: ShadowedGraph,
+    g: DirectedGraph,
     mode: str = MODE_VERTEX,
     explicit: dict[str, int] | None = None,
 ) -> LabeledGraph:
-    """Label the base edges of a shadowed graph.
+    """Label the base edges of a graph that graphs.shadow has passed.
 
     vertex mode: forward edges out of each vertex get 1..deg_out(v) in
     sorted-id order.  multiedge mode: the label is the 1-based index
@@ -77,7 +75,6 @@ def assign_weights(
     mode takes a map.  Shadow edges always carry the negated label of
     their base edge.
     """
-    g = shadowed.graph
     if not g.edges:
         raise GraphError("cannot label a graph with no edges")
     if explicit is not None and mode != MODE_EXPLICIT:
@@ -101,7 +98,7 @@ def assign_weights(
             labels[e.id] = k
     else:
         raise GraphError(f"unknown labeling mode {mode!r}")
-    return LabeledGraph(shadowed, labels, mode)
+    return LabeledGraph(g, labels, mode)
 
 
 def count_axis_paths(max_label: int, length: int, budget: int | None = None) -> int:

@@ -176,18 +176,17 @@ def build_basis(t: _kernel.KernelGraph, max_len: int, budget: int = BASIS_BUDGET
     return Basis(t, max_len, budget)
 
 
-def _label_sum(lg: LabeledGraph, labels, basis: Basis) -> SparseOperator:
-    """The sum of the right multiplications by the signed edges whose
-    label is in labels, filled column by column in place: column j holds
-    a unit at j times s for each such s leaving the target of j, when
-    that product is in the basis.  Distinct letters give distinct
-    products, so no entry is hit twice."""
+def _edge_sum(basis: Basis, edges) -> SparseOperator:
+    """The sum of the right multiplications by the signed edges in
+    edges, filled column by column in place: column j holds a unit at j
+    times s for each such s leaving the target of j, when that product
+    is in the basis.  Distinct letters give distinct products, so no
+    entry is hit twice."""
     t = basis.tables
-    wanted = {e for e, k in enumerate(lg.kernel.labels) if k in labels}
     op = SparseOperator(len(basis))
     for j, tgt in enumerate(basis.target):
         for s in t.out(tgt):
-            if s in wanted:
+            if s in edges:
                 i = basis.step(j, s)
                 if i >= 0:
                     op.cols[j][i] = 1
@@ -199,13 +198,14 @@ def labeling_operator(lg: LabeledGraph, k: int, basis: Basis) -> SparseOperator:
     label is k, for k in -N..-1, 1..N."""
     if k == 0 or abs(k) > lg.max_label:
         raise GraphError(f"label {k} out of range 1..{lg.max_label} (signed)")
-    return _label_sum(lg, (k,), basis)
+    return _edge_sum(basis, {e for e, j in enumerate(lg.kernel.labels) if j == k})
 
 
 def total_labeling_operator(lg: LabeledGraph, basis: Basis) -> SparseOperator:
-    """T_G: the sum of T_k over all signed labels -N..-1, 1..N."""
-    labels = [k for k in range(-lg.max_label, lg.max_label + 1) if k]
-    return _label_sum(lg, labels, basis)
+    """T_G: the sum of T_k over all signed labels -N..-1, 1..N, which
+    is the sum over every signed edge, as each label lies in that
+    range."""
+    return _edge_sum(basis, range(lg.kernel.n_signed))
 
 
 def oracle_expectation_power(

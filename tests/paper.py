@@ -1,10 +1,13 @@
 """The paper's definitions as objects: the oracles that the integer
 routes of groupoidlab are tested against.
 
-The program works on the signed-edge tables of LabeledGraph.kernel.
-This module states the same notions as the paper does, over SignedEdge
+The program works on the signed-edge tables of LabeledGraph.kernel,
+and a validated DirectedGraph stands for the shadowed graph.  This
+module states the same notions as the paper does, over SignedEdge
 words:
 
+* the signed edges of the shadowed graph as objects: a base edge with
+  an orientation, the signed edges of a graph, and a lookup by name;
 * the groupoid of the shadowed graph: words, admissibility, free
   reduction, the partial product, inverses and diagrams;
 * the weight of a word (endpoints plus label word) and its balance
@@ -15,26 +18,90 @@ words:
 * the operator basis as groupoid elements, and right multiplication by
   one.
 
-Signed edges are numbered like lg.kernel, that is in the order of
-lg.shadowed.signed_edges; the oracles build that numbering themselves.
+Signed edges are numbered and named like lg.kernel, that is in the
+order of signed_edges(lg.graph); the oracles build that numbering
+themselves.
 """
 
 from __future__ import annotations
 
 from groupoidlab import moments
 from groupoidlab.errors import GraphError, Value
-from groupoidlab.graphs import SignedEdge
 from groupoidlab.operators import SparseOperator
+
+# ---------------------------------------------------------------------------
+# Signed edges: a base edge with an orientation, the signed edges of a
+# graph, their inverses, the edges leaving a vertex, and their labels.
+
+
+class SignedEdge(Value):
+    """A base edge together with an orientation.
+
+    The forward orientation is the edge as given; the inverse is its
+    shadow (source and target swapped).
+    """
+
+    __slots__ = ("edge", "inverse")
+
+    def __init__(self, edge, inverse: bool = False):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "inverse", inverse)
+
+    @property
+    def src(self) -> str:
+        return self.edge.dst if self.inverse else self.edge.src
+
+    @property
+    def dst(self) -> str:
+        return self.edge.src if self.inverse else self.edge.dst
+
+    def name(self) -> str:
+        """Serialized form: ``e`` for forward, ``~e`` for the shadow."""
+        return ("~" + self.edge.id) if self.inverse else self.edge.id
+
+    def __repr__(self) -> str:
+        return f"SignedEdge({self.name()!r})"
+
+
+# id(graph) -> (graph, its signed edges, name -> signed edge, vertex ->
+# signed edges leaving it); holding the graph keeps its id from reuse,
+# so an id names one graph
+_VIEWS: dict = {}
+
+
+def _view(g) -> tuple:
+    """The signed edges of a DirectedGraph, built once per graph object:
+    the oracles ask for them at every letter."""
+    view = _VIEWS.get(id(g))
+    if view is None:
+        signed = tuple(SignedEdge(e, inv) for e in g.edges for inv in (False, True))
+        leaving = {v: [] for v in g.vertices}
+        for s in signed:
+            leaving[s.src].append(s)
+        by_name = {s.name(): s for s in signed}
+        view = _VIEWS[id(g)] = (g, signed, by_name, {v: tuple(o) for v, o in leaving.items()})
+    return view
+
+
+def signed_edges(g) -> tuple:
+    """The signed edges of the shadowed graph of g, numbered like
+    lg.kernel: base edge i, in id order, is signed edge 2i forward and
+    2i + 1 shadow."""
+    return _view(g)[1]
+
+
+def signed_by_name(g, name: str) -> SignedEdge:
+    """The signed edge of g named name: its base edge's id, with a
+    leading ~ on the shadow."""
+    try:
+        return _view(g)[2][name]
+    except KeyError:
+        raise GraphError(f"unknown signed edge {name!r}") from None
 
 
 def edge_index(lg) -> dict:
     """SignedEdge -> its index in lg.kernel."""
-    return {s: i for i, s in enumerate(lg.shadowed.signed_edges)}
-
-
-# ---------------------------------------------------------------------------
-# Signed edges one at a time: their inverses, the edges leaving a
-# vertex, and their labels.
+    return {s: i for i, s in enumerate(signed_edges(lg.graph))}
 
 
 def inverted(s: SignedEdge) -> SignedEdge:
@@ -50,11 +117,11 @@ def vertex_index(g, v: str) -> int:
         raise GraphError(f"unknown vertex {v!r}") from None
 
 
-def out_edges(sh, v: str) -> tuple:
-    """The signed edges of a shadowed graph that leave v, in signed-edge
-    order."""
-    vertex_index(sh.graph, v)
-    return tuple(s for s in sh.signed_edges if s.src == v)
+def out_edges(g, v: str) -> tuple:
+    """The signed edges of the shadowed graph of g that leave v, in
+    signed-edge order."""
+    vertex_index(g, v)
+    return _view(g)[3][v]
 
 
 def label(lg, s: SignedEdge) -> int:
@@ -295,7 +362,6 @@ class GraphAutomaton:
 
     def __init__(self, lg):
         self.lg = lg
-        self.shadowed = lg.shadowed
 
     def vertex_state(self, v: str) -> WeightedElement:
         return weight(self.lg, Vertex(v))
@@ -401,7 +467,7 @@ def build_tree(aut: GraphAutomaton, root_vertex: str, depth: int) -> AutomatonTr
     # children, edges still to grow]; a node is built once all its
     # children are.
     def frame(state: WeightedElement, edge, d: int) -> list:
-        edges = out_edges(aut.shadowed, state.terminal) if d < depth else ()
+        edges = out_edges(aut.lg.graph, state.terminal) if d < depth else ()
         return [state, edge, d, [], iter(edges)]
 
     stack = [frame(aut.vertex_state(root_vertex), None, 0)]
@@ -491,7 +557,7 @@ def mu_w(lg, word) -> int:
 def basis_elements(lg, basis) -> tuple:
     """The Vertex and ReducedPath objects of an operators.Basis over
     lg.kernel, in basis order."""
-    signed = lg.shadowed.signed_edges
+    signed = signed_edges(lg.graph)
     words = [()] * basis.n_vertices
     for j in range(basis.n_vertices, len(basis)):
         words.append(words[basis.parent[j]] + (signed[basis.last[j]],))

@@ -53,6 +53,7 @@ from paper import (
     out_edges,
     reduce_word,
     right_mult,
+    signed_edges,
 )
 from test_labeling import count_axis_paths_brute
 
@@ -210,7 +211,7 @@ def test_acceptance_8_operator_identities():
             assert tk.transpose() == labeling_operator(lg, -k, basis), (name, k)
         tg = total_labeling_operator(lg, basis)
         assert tg.transpose() == tg, name
-        for s in lg.shadowed.signed_edges:
+        for s in signed_edges(lg.graph):
             w = ReducedPath((s,))
             r = right_mult(lg, w, basis)
             prod = r @ right_mult(lg, inverse(w), basis) @ r
@@ -242,7 +243,7 @@ def _random_words(g, count, max_len, rng):
         word = []
         cur = None
         for _ in range(n):
-            options = out_edges(g, cur) if cur else g.signed_edges
+            options = out_edges(g, cur) if cur else signed_edges(g)
             if not options:
                 break
             s = rng.choice(options)

@@ -19,6 +19,8 @@ from paper import (
     label,
     out_edges,
     reduce_word,
+    signed_by_name,
+    signed_edges,
 )
 
 
@@ -34,7 +36,7 @@ def automaton_for(name):
 
 def test_phi_circulant_edge():
     aut = automaton_for("circulant-3")
-    e2 = aut.shadowed.signed_by_name("e2")  # v2 -> v3
+    e2 = signed_by_name(aut.lg.graph, "e2")  # v2 -> v3
     out = aut.phi(aut.vertex_state("v2"), (e2,))
     assert out.endpoints == ("v2", "v3")
     assert out.labels == (1,)
@@ -42,32 +44,32 @@ def test_phi_circulant_edge():
 
 def test_phi_empty_absorbing():
     aut = automaton_for("circulant-3")
-    e1 = aut.shadowed.signed_by_name("e1")
+    e1 = signed_by_name(aut.lg.graph, "e1")
     assert aut.phi(EMPTY_WEIGHT, (e1,)) == EMPTY_WEIGHT
 
 
 def test_phi_non_admissible():
     aut = automaton_for("circulant-3")
-    e2 = aut.shadowed.signed_by_name("e2")
+    e2 = signed_by_name(aut.lg.graph, "e2")
     assert aut.phi(aut.vertex_state("v1"), (e2,)) == EMPTY_WEIGHT
 
 
 def test_phi_path_returns_last_edge_weight():
     aut = automaton_for("circulant-3")
-    sh = aut.shadowed
-    path = (sh.signed_by_name("e1"), sh.signed_by_name("e2"))
+    g = aut.lg.graph
+    path = (signed_by_name(g, "e1"), signed_by_name(g, "e2"))
     out = aut.phi(aut.vertex_state("v1"), path)
     assert out.endpoints == ("v2", "v3")
     assert out.labels == (1,)
     # inadmissible internal step
-    bad = (sh.signed_by_name("e1"), sh.signed_by_name("e1"))
+    bad = (signed_by_name(g, "e1"), signed_by_name(g, "e1"))
     assert aut.phi(aut.vertex_state("v1"), bad) == EMPTY_WEIGHT
 
 
 def test_psi_edge_and_path_forms():
     aut = automaton_for("circulant-3")
-    sh = aut.shadowed
-    e1, e2 = sh.signed_by_name("e1"), sh.signed_by_name("e2")
+    g = aut.lg.graph
+    e1, e2 = signed_by_name(g, "e1"), signed_by_name(g, "e2")
     state = aut.vertex_state("v1")
     assert aut.psi_edge(state, (e1,)) == e1
     assert aut.psi_edge(state, (e1, e2)) == e1
@@ -80,10 +82,10 @@ def test_action_composition_law_circulant():
     # act(e1) o act(e2) agrees with act of the word (e2, e1) on all
     # single-edge states and all vertex states
     aut = automaton_for("circulant-3")
-    sh = aut.shadowed
-    states = [aut.vertex_state(v) for v in sh.graph.vertices]
-    states += [aut.phi(aut.vertex_state(s.src), (s,)) for s in sh.signed_edges]
-    for e1, e2 in itertools.product(sh.signed_edges, repeat=2):
+    g = aut.lg.graph
+    states = [aut.vertex_state(v) for v in g.vertices]
+    states += [aut.phi(aut.vertex_state(s.src), (s,)) for s in signed_edges(g)]
+    for e1, e2 in itertools.product(signed_edges(g), repeat=2):
         composed = lambda x: aut.act((e1,))(aut.act((e2,))(x))
         word_act = aut.act((e2, e1))
         for x in states:
@@ -92,7 +94,7 @@ def test_action_composition_law_circulant():
 
 def test_action_on_empty_state():
     aut = automaton_for("circulant-3")
-    e1 = aut.shadowed.signed_by_name("e1")
+    e1 = signed_by_name(aut.lg.graph, "e1")
     assert aut.act((e1,))(EMPTY_WEIGHT) == EMPTY_WEIGHT
 
 
@@ -100,10 +102,10 @@ def test_vertex_action_via_edge_and_inverse():
     # the word (e, ~e) acts only on states terminating at s(e), and
     # preserves that terminal vertex
     aut = automaton_for("circulant-3")
-    sh = aut.shadowed
-    e = sh.signed_by_name("e1")  # v1 -> v2
+    g = aut.lg.graph
+    e = signed_by_name(g, "e1")  # v1 -> v2
     action = aut.act((e, inverted(e)))
-    for v in sh.graph.vertices:
+    for v in g.vertices:
         out = action(aut.vertex_state(v))
         if v == "v1":
             assert not out.is_empty
@@ -116,8 +118,8 @@ def test_actions_realize_groupoid_composition():
     # nonempty action composites match nonempty groupoid products on
     # sampled words of the circulant graph
     aut = automaton_for("circulant-3")
-    sh = aut.shadowed
-    words = list(itertools.product(sh.signed_edges, repeat=2))
+    g = aut.lg.graph
+    words = list(itertools.product(signed_edges(g), repeat=2))
     for w1 in words:
         for w2 in words:
             a1, a2 = reduce_word(w1), reduce_word(w2)
@@ -231,7 +233,7 @@ def test_fractaloid_witness_is_genuine():
     lg = labeled("example-6-2")
     verdict = is_fractaloid(lg, depth=2)
     v = verdict.witness["vertex"]
-    labels = sorted(label(lg, s) for s in out_edges(lg.shadowed, v))
+    labels = sorted(label(lg, s) for s in out_edges(lg.graph, v))
     n = lg.max_label
     assert labels != sorted(list(range(-n, 0)) + list(range(1, n + 1)))
 

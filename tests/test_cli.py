@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -193,6 +194,26 @@ def test_exit_parse_missing_src(tmp_path):
     p.write_text(json.dumps({"vertices": ["a"], "edges": [{"id": "e", "dst": "a"}]}))
     code, _ = run(["moments", "--graph", str(p), "--n", "2"])
     assert code == 3
+
+
+# An edge id names its forward signed edge and "~" + id its shadow, so
+# an id "~a" next to an id "a" would give two letters one name.
+TILDE_RUNS = (
+    ["moments", "--n", "2", "--words"],
+    ["tree", "--depth", "1"],
+)
+
+
+@pytest.mark.parametrize("argv", TILDE_RUNS, ids=[a[0] for a in TILDE_RUNS])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_edge_ids_must_not_start_with_a_tilde(tmp_path, argv, fmt):
+    p = tmp_path / "tilde.json"
+    p.write_text(json.dumps({"vertices": ["v"], "edges": [
+        {"id": "a", "src": "v", "dst": "v"},
+        {"id": "~a", "src": "v", "dst": "v"},
+    ]}))
+    got = run_contract(argv[:1] + ["--graph", str(p)] + argv[1:] + fmt)
+    assert got == (3, "", 'schema error: edges[1].id: must not start with "~"\n')
 
 
 def test_exit_validation_disconnected(tmp_path):
@@ -795,6 +816,70 @@ def test_hostile_sizes_keep_the_exit_code_contract(argv, expected, fmt):
     if code == 5:
         assert err == ""
         assert out.rstrip().endswith("truncated" if not fmt else '"status": "truncated"}')
+
+
+# A label as large as 10^8 costs neither time nor memory in proportion
+# to it: the balance count gives a coordinate only to each label
+# present, T_G sums every signed edge, and fractaloid refuses up front
+# a full label set that its witness note could not print within
+# --budget.  Each command runs in a fresh process under a wall-clock
+# ceiling and an address-space cap, so a route that grows with N fails
+# the test instead of the test run.
+HUGE_LABEL = 10**8
+HUGE_LABEL_RUNS = (
+    (["moments", "--n", "2"], 0),
+    (["moments", "--n", "2", "--verify"], 0),
+    (["oracle", "--n", "2", "--max-len", "2"], 0),
+    (["fractaloid", "--depth", "2"], 5),
+)
+
+
+@pytest.fixture(scope="module")
+def loop_graphs(tmp_path_factory):
+    """{label: path} of a one-loop graph whose loop carries that label."""
+    d = tmp_path_factory.mktemp("loops")
+    paths = {}
+    for k in (1, HUGE_LABEL):
+        paths[k] = str(d / f"loop-{k}.json")
+        with open(paths[k], "w", encoding="utf-8") as fh:
+            json.dump({"vertices": ["v"], "edges": [
+                {"id": "a", "src": "v", "dst": "v", "label": k},
+            ]}, fh)
+    return paths
+
+
+def address_space_cap(limit=256 * 2**20):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv, code", HUGE_LABEL_RUNS, ids=[" ".join(a) for a, _ in HUGE_LABEL_RUNS]
+)
+def test_a_huge_label_costs_no_time_or_memory(loop_graphs, argv, code):
+    def with_graph(k):
+        return argv[:1] + ["--graph", loop_graphs[k]] + argv[1:]
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupoidlab.cli", *with_graph(HUGE_LABEL)],
+        capture_output=True, text=True, cwd=ROOT, timeout=5, preexec_fn=address_space_cap,
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+    )
+    assert (proc.returncode, proc.stderr) == (code, "")
+    lines = proc.stdout.splitlines()
+    if code == 5:
+        assert lines == [
+            f"command: {argv[0]}",
+            f"note: fractaloid: the full label set of {2 * HUGE_LABEL} labels exceeds "
+            "the budget 10000000",
+            "truncated: True",
+            "status: truncated",
+        ]
+        return
+    # the same counts as the loop labeled 1
+    assert f"N={HUGE_LABEL} " in lines[1]
+    small = run_contract(with_graph(1))
+    assert small[0] == 0
+    assert lines[2:] == small[1].splitlines()[2:]
 
 
 RERUN = (

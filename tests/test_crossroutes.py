@@ -58,6 +58,7 @@ from paper import (
     mu_w,
     out_edges,
     reduce_word,
+    signed_edges,
     theta,
 )
 from test_automaton import assert_same_tree
@@ -83,7 +84,7 @@ def joint_cumulant_words(lg, indices):
     words whose letters carry the requested labels in order."""
     indices = tuple(indices)
     acc = {}
-    for w in d_loop_words_by_filter(lg.shadowed, len(indices)):
+    for w in d_loop_words_by_filter(lg.graph, len(indices)):
         if tuple(label(lg, s) for s in w) != indices:
             continue
         r = reduce_word(w)
@@ -207,7 +208,7 @@ def qualifying_words_by_filter(lg, n, mode):
     """Reference: the admissible words, kept when they freely reduce to a
     vertex (reduction) or are loop words with a zero balance vector
     (balance)."""
-    for w in enumerate_admissible_words(lg.shadowed, n):
+    for w in enumerate_admissible_words(lg.graph, n):
         if mode == "reduction":
             keep = isinstance(reduce_word(w), Vertex)
         else:
@@ -225,7 +226,7 @@ def qualifying_words_by_filter(lg, n, mode):
 )
 def test_property_word_walk_matches_filter(lg, n, mode, data):
     full = list(qualifying_words_by_filter(lg, n, mode))
-    signed = lg.shadowed.signed_edges
+    signed = signed_edges(lg.graph)
 
     def letters(words):  # signed-edge indices to the letters they number
         return [tuple(signed[e] for e in w) for w in words]
@@ -235,7 +236,7 @@ def test_property_word_walk_matches_filter(lg, n, mode, data):
     assert rep.tallies == (moment if mode == "reduction" else balance_moment)(lg, n)
     # the walk charges every first letter and n per word kept, so any
     # budget below that runs out wherever there is anything to walk
-    budget = data.draw(st.integers(0, len(lg.shadowed.signed_edges) + n * len(full) - 1))
+    budget = data.draw(st.integers(0, len(signed_edges(lg.graph)) + n * len(full) - 1))
     try:
         w_m_set(lg, n, mode, budget=budget)
     except BudgetExceededError as exc:
@@ -245,6 +246,24 @@ def test_property_word_walk_matches_filter(lg, n, mode, data):
         assert part.tallies == DiagonalElement.of((w[0].src, 1) for w in letters(part.words))
     else:
         assert n % 2  # odd lengths close no word and walk nothing
+
+
+@settings(max_examples=60, deadline=None)
+@given(lg=labeled_multigraphs(), n=st.integers(1, 6), data=st.data())
+def test_property_balance_ignores_the_label_values(lg, n, data):
+    # the balance condition pairs letters +k with letters -k, whatever k
+    # is: a one-to-one relabeling of the labels, to values up to 10^9,
+    # keeps the counts and the words
+    old = sorted(set(lg.base_labels.values()))
+    new = data.draw(
+        st.lists(st.integers(1, 10**9), min_size=len(old), max_size=len(old), unique=True)
+    )
+    relabel = dict(zip(old, new))
+    big = assign_weights(
+        lg.graph, MODE_EXPLICIT, {e: relabel[k] for e, k in lg.base_labels.items()}
+    )
+    assert balance_moment(big, n) == balance_moment(lg, n)
+    assert w_m_set(big, n, "balance").words == w_m_set(lg, n, "balance").words
 
 
 def balanced_loops_full(kg, n):
@@ -299,7 +318,7 @@ def test_wc_charges_one_unit_per_word_in_filter_order(name):
     # words: the wc walk keeps their order and charges each word once
     lg = labeled(name)
     for n in (2, 4, 6):
-        words = list(d_loop_words_by_filter(lg.shadowed, n))
+        words = list(d_loop_words_by_filter(lg.graph, n))
         terms = []  # (vertex, mu_w) per vertex-reducing word, else None
         for w in words:
             r = reduce_word(w)
@@ -363,10 +382,10 @@ def test_fixture_balance_counts_match_full_length_walks():
 def test_property_concat_matches_full_reduction(lg, data):
     # a from a random walk; b's walk retraces a random number of a's
     # last letters before going on, so long junction cancellations occur
-    sh = lg.shadowed
-    walk = [data.draw(st.sampled_from(sh.signed_edges))]
+    g = lg.graph
+    walk = [data.draw(st.sampled_from(signed_edges(g)))]
     for _ in range(data.draw(st.integers(0, 5))):
-        walk.append(data.draw(st.sampled_from(out_edges(sh, walk[-1].dst))))
+        walk.append(data.draw(st.sampled_from(out_edges(g, walk[-1].dst))))
     a = reduce_word(tuple(walk))
     if data.draw(st.booleans()):
         k = data.draw(st.integers(0, len(walk)))
@@ -374,11 +393,11 @@ def test_property_concat_matches_full_reduction(lg, data):
         start = walk[-1].dst
     else:
         back = []
-        start = data.draw(st.sampled_from(sh.graph.vertices))
+        start = data.draw(st.sampled_from(g.vertices))
     tail = []
     for _ in range(data.draw(st.integers(0 if back else 1, 4))):
         at = tail[-1].dst if tail else (back[-1].dst if back else start)
-        tail.append(data.draw(st.sampled_from(out_edges(sh, at))))
+        tail.append(data.draw(st.sampled_from(out_edges(g, at))))
     b = reduce_word(tuple(back + tail))
     if isinstance(a, ReducedPath) and isinstance(b, ReducedPath):
         assert concat(a, b) == reduce_word(a.word + b.word)
@@ -389,13 +408,13 @@ def test_property_concat_matches_full_reduction(lg, data):
 def test_property_joint_moment_matches_pattern_filter(lg, data):
     # the pattern is read off a random walk, so that it is never empty
     n = data.draw(st.integers(1, 4))
-    sh = lg.shadowed
-    walk = [data.draw(st.sampled_from(sh.signed_edges))]
+    g = lg.graph
+    walk = [data.draw(st.sampled_from(signed_edges(g)))]
     while len(walk) < n:
-        walk.append(data.draw(st.sampled_from(out_edges(sh, walk[-1].dst))))
+        walk.append(data.draw(st.sampled_from(out_edges(g, walk[-1].dst))))
     indices = tuple(label(lg, s) for s in walk)
     brute: dict = {}
-    for w in enumerate_admissible_words(lg.shadowed, n):
+    for w in enumerate_admissible_words(lg.graph, n):
         r = reduce_word(w)
         if tuple(label(lg, s) for s in w) == indices and isinstance(r, Vertex):
             brute[r.v] = brute.get(r.v, 0) + 1
@@ -472,7 +491,7 @@ def test_property_e_pi_vanishes_on_the_skipped_partitions(lg, data):
     # a block has odd size (any letter weights), or, for the operators
     # T_k, when a block holds more letters labeled k than -k
     n = data.draw(st.integers(1, 6))
-    signed = lg.shadowed.signed_edges
+    signed = signed_edges(lg.graph)
     weight = st.integers(-2, 3)
     operands = [tuple(data.draw(weight) for _ in signed) for _ in range(n)]
     labels = [k for k in range(-lg.max_label, lg.max_label + 1) if k]
@@ -533,7 +552,7 @@ def test_property_closed_form_matches_moebius(lg, data):
     # integer letter weights, not only the 0/1 weights of T_k
     n = data.draw(st.integers(1, 6))
     weight = st.integers(-2, 3)
-    signed = lg.shadowed.signed_edges
+    signed = signed_edges(lg.graph)
     operands = [tuple(data.draw(weight) for _ in signed) for _ in range(n)]
     assert closed_form_cumulant(lg, operands) == cumulant_of(lg, operands)
 
@@ -558,7 +577,7 @@ def test_property_label_families_are_diagram_distinct(lg, data):
     k1, k2 = data.draw(
         st.lists(st.integers(1, lg.max_label), min_size=2, max_size=2, unique=True)
     )
-    signed = lg.shadowed.signed_edges
+    signed = signed_edges(lg.graph)
     fam1 = [ReducedPath((s,)) for s in signed if abs(label(lg, s)) == k1]
     fam2 = [ReducedPath((s,)) for s in signed if abs(label(lg, s)) == k2]
     assert all(diagram_distinct(a, b) for a in fam1 for b in fam2)

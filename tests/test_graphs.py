@@ -9,7 +9,7 @@ from groupoidlab.graphs import (
     validate_graph,
 )
 
-from paper import inverted, out_edges, vertex_index
+from paper import inverted, out_edges, signed_by_name, signed_edges, vertex_index
 
 
 def test_single_vertex_valid():
@@ -47,33 +47,34 @@ def test_dangling_edge_rejected():
 
 def test_shadow_single_edge():
     g = DirectedGraph(["v1", "v2"], [Edge("e", "v1", "v2")])
-    sh = shadow(g)
-    assert len(sh.signed_edges) == 2
-    fwd, inv = sh.signed_edges
+    assert shadow(g) is g
+    assert len(signed_edges(g)) == 2
+    fwd, inv = signed_edges(g)
     assert (fwd.src, fwd.dst) == ("v1", "v2")
     assert (inv.src, inv.dst) == ("v2", "v1")
     assert inverted(fwd) == inv and inverted(inv) == fwd
 
 
 def test_shadow_example_6_2_has_8_signed_edges():
-    sh = shadow(fixture("example-6-2").graph)
-    assert len(sh.signed_edges) == 8
+    assert len(signed_edges(shadow(fixture("example-6-2").graph))) == 8
 
 
 def test_shadow_involution():
-    sh = shadow(fixture("example-6-2").graph)
-    for s in sh.signed_edges:
+    for s in signed_edges(shadow(fixture("example-6-2").graph)):
         assert inverted(inverted(s)) == s
 
 
 def test_shadow_empty_edge_set():
-    sh = shadow(DirectedGraph(["v"], []))
-    assert sh.signed_edges == ()
+    assert signed_edges(shadow(DirectedGraph(["v"], []))) == ()
 
 
 def test_shadow_rejects_invalid():
-    with pytest.raises(GraphError):
-        shadow(DirectedGraph(["a", "b"], []))
+    # every violation, joined into one error
+    g = DirectedGraph(["a", "b", "c"], [])
+    with pytest.raises(GraphError) as err:
+        shadow(g)
+    assert str(err.value) == "; ".join(validate_graph(g).violations)
+    assert str(err.value) == "disconnected: unreachable vertices b, c"
 
 
 def test_unknown_vertex_errors():
@@ -83,11 +84,10 @@ def test_unknown_vertex_errors():
 
 
 def test_shadowed_out_degree_is_out_plus_in():
-    g = fixture("example-6-2").graph
-    sh = shadow(g)
+    g = shadow(fixture("example-6-2").graph)
     for v in g.vertices:
         degree = sum((e.src == v) + (e.dst == v) for e in g.edges)
-        assert len(out_edges(sh, v)) == degree
+        assert len(out_edges(g, v)) == degree
 
 
 def test_deterministic_ordering():
@@ -99,6 +99,8 @@ def test_deterministic_ordering():
 
 
 def test_signed_edge_names():
-    sh = shadow(fixture("single-edge").graph)
-    assert [s.name() for s in sh.signed_edges] == ["e1", "~e1"]
-    assert sh.signed_by_name("~e1").inverse
+    g = shadow(fixture("single-edge").graph)
+    assert [s.name() for s in signed_edges(g)] == ["e1", "~e1"]
+    assert signed_by_name(g, "~e1").inverse
+    with pytest.raises(GraphError):
+        signed_by_name(g, "~~e1")

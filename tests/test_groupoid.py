@@ -4,10 +4,11 @@ import random
 import pytest
 
 from groupoidlab.fixtures import fixture
-from groupoidlab.graphs import Edge, SignedEdge, shadow
+from groupoidlab.graphs import Edge, shadow
 from paper import (
     EMPTY,
     ReducedPath,
+    SignedEdge,
     Vertex,
     concat,
     diagram,
@@ -17,6 +18,8 @@ from paper import (
     is_admissible,
     out_edges,
     reduce_word,
+    signed_by_name,
+    signed_edges,
     source,
     target,
 )
@@ -29,7 +32,7 @@ def sh(name):
 def enumerate_admissible_words(g, n):
     """Reference: every admissible length-n word on the shadowed graph g,
     in lexicographic signed-edge order, built letter by letter."""
-    words = [(s,) for s in g.signed_edges]
+    words = [(s,) for s in signed_edges(g)]
     for _ in range(n - 1):
         words = [w + (s,) for w in words for s in out_edges(g, w[-1].dst)]
     return words
@@ -62,7 +65,7 @@ def random_words(g, count, max_len, rng):
         word = []
         cur = None
         for _ in range(n):
-            options = out_edges(g, cur) if cur else g.signed_edges
+            options = out_edges(g, cur) if cur else signed_edges(g)
             if not options:
                 break
             s = rng.choice(options)
@@ -74,7 +77,7 @@ def random_words(g, count, max_len, rng):
 
 def test_cancel_pair_gives_source_vertex():
     g = sh("single-edge")
-    e = g.signed_by_name("e1")
+    e = signed_by_name(g, "e1")
     assert reduce_word((e, inverted(e))) == Vertex("v1")
     assert reduce_word((inverted(e), e)) == Vertex("v2")
 
@@ -95,8 +98,8 @@ def test_cancellation_compares_equal_but_distinct_edges():
 
 def test_non_admissible_is_empty():
     g = sh("circulant-3")
-    e1 = g.signed_by_name("e1")  # v1 -> v2
-    e3 = g.signed_by_name("e3")  # v3 -> v1
+    e1 = signed_by_name(g, "e1")  # v1 -> v2
+    e3 = signed_by_name(g, "e3")  # v3 -> v1
     assert reduce_word((e1, e3)) is EMPTY
     # its letters cancel in pairs, yet the word is no walk
     assert reduce_word((e1, e3, inverted(e3), inverted(e1))) is EMPTY
@@ -105,9 +108,9 @@ def test_non_admissible_is_empty():
 
 def test_nested_cancellation():
     g = sh("example-6-2")
-    e1 = g.signed_by_name("e12:1")
-    e2 = g.signed_by_name("e22:1")
-    e3 = g.signed_by_name("e12:2")
+    e1 = signed_by_name(g, "e12:1")
+    e2 = signed_by_name(g, "e22:1")
+    e3 = signed_by_name(g, "e12:2")
     word = (e1, e2, inverted(e2), inverted(e1), e3)
     assert reduce_word(word) == reduce_word((e3,))
 
@@ -132,7 +135,7 @@ def test_reduce_idempotent(name):
 
 def test_concat_vertex_identity():
     g = sh("circulant-3")
-    e1 = g.signed_by_name("e1")
+    e1 = signed_by_name(g, "e1")
     w = ReducedPath((e1,))
     assert concat(Vertex("v1"), w) == w
     assert concat(w, Vertex("v2")) == w
@@ -154,8 +157,8 @@ def test_concat_with_inverse_gives_source():
 
 def test_concat_mismatched_endpoints_empty():
     g = sh("example-6-2")
-    a = ReducedPath((g.signed_by_name("e12:1"),))  # v1 -> v2
-    b = ReducedPath((g.signed_by_name("e13:1"),))  # v1 -> v3
+    a = ReducedPath((signed_by_name(g, "e12:1"),))  # v1 -> v2
+    b = ReducedPath((signed_by_name(g, "e13:1"),))  # v1 -> v3
     assert concat(a, b) is EMPTY
     assert concat(a, EMPTY) is EMPTY
     assert concat(EMPTY, a) is EMPTY
@@ -188,14 +191,14 @@ def test_inverse_involution_and_fixed_points():
 
 def test_inverse_reverses_and_flips():
     g = sh("circulant-3")
-    e1, e2 = g.signed_by_name("e1"), g.signed_by_name("e2")
+    e1, e2 = signed_by_name(g, "e1"), signed_by_name(g, "e2")
     a = ReducedPath((e1, e2))
     assert inverse(a) == ReducedPath((inverted(e2), inverted(e1)))
 
 
 def test_enumerate_one_loop_n2():
     g = sh("one-loop")
-    e = g.signed_by_name("e1")
+    e = signed_by_name(g, "e1")
     words = list(enumerate_admissible_words(g, 2))
     assert words == [
         (e, e),
@@ -212,11 +215,11 @@ def test_enumerate_example_6_2_n1():
 @pytest.mark.parametrize("name,n", [("circulant-3", 3), ("example-6-2", 3), ("two-loop", 4)])
 def test_enumerate_count_matches_adjacency_power(name, n):
     g = sh(name)
-    verts = list(g.graph.vertices)
+    verts = list(g.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     dim = len(verts)
     adj = [[0] * dim for _ in range(dim)]
-    for s in g.signed_edges:
+    for s in signed_edges(g):
         adj[idx[s.src]][idx[s.dst]] += 1
     power = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     for _ in range(n):
@@ -230,7 +233,7 @@ def test_enumerate_count_matches_adjacency_power(name, n):
 
 def test_diagram_loop_powers_share_diagram():
     g = sh("one-loop")
-    e = g.signed_by_name("e1")
+    e = signed_by_name(g, "e1")
     l1 = reduce_word((e,))
     l2 = reduce_word((e, e))
     assert diagram(l1) == diagram(l2)
@@ -239,15 +242,15 @@ def test_diagram_loop_powers_share_diagram():
 
 def test_diagram_distinct_base_edges():
     g = sh("two-loop")
-    a = ReducedPath((g.signed_by_name("e1"),))
-    b = ReducedPath((g.signed_by_name("e2"),))
+    a = ReducedPath((signed_by_name(g, "e1"),))
+    b = ReducedPath((signed_by_name(g, "e2"),))
     assert diagram_distinct(a, b)
-    assert diagram_distinct(a, ReducedPath((g.signed_by_name("~e2"),)))
+    assert diagram_distinct(a, ReducedPath((signed_by_name(g, "~e2"),)))
 
 
 def test_diagram_not_distinct_from_inverse():
     g = sh("circulant-3")
-    a = ReducedPath((g.signed_by_name("e1"), g.signed_by_name("e2")))
+    a = ReducedPath((signed_by_name(g, "e1"), signed_by_name(g, "e2")))
     assert not diagram_distinct(a, inverse(a))
 
 

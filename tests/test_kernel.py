@@ -14,7 +14,7 @@ from groupoidlab.labeling import (
     count_axis_paths,
 )
 
-from paper import edge_index, inverted, label, out_edges
+from paper import edge_index, inverted, label, out_edges, signed_edges
 
 
 def kgraph(name):
@@ -27,19 +27,21 @@ def kgraph(name):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_kernel_layout_is_the_signed_edge_order(name):
     # the tables, built by index, agree with the SignedEdge objects of
-    # the paper model, numbered in the order of shadowed.signed_edges
+    # the paper model, numbered in the order of signed_edges(lg.graph)
     kg, lg = kgraph(name)
-    sh = lg.shadowed
-    index, vertices = edge_index(lg), lg.graph.vertices
-    assert kg.n_signed == len(sh.signed_edges) == 2 * len(lg.graph.edges)
-    for e, s in enumerate(sh.signed_edges):
+    g = lg.graph
+    index, vertices = edge_index(lg), g.vertices
+    assert kg.n_signed == len(signed_edges(g)) == 2 * len(g.edges)
+    for e, s in enumerate(signed_edges(g)):
         assert (e % 2 == 1) == s.inverse
         assert kg.inv[e] == e ^ 1 == index[inverted(s)]
         assert (vertices[kg.src[e]], vertices[kg.dst[e]]) == (s.src, s.dst)
         assert kg.labels[e] == label(lg, s)
         assert kg.names[e] == s.name()
+    # one balance coordinate per distinct label
+    assert kg.n_labels == len(set(lg.base_labels.values()))
     for v, name in enumerate(vertices):
-        assert kg.out(v) == tuple(index[s] for s in out_edges(sh, name))
+        assert kg.out(v) == tuple(index[s] for s in out_edges(g, name))
 
 
 def test_kernel_rejects_bad_args():

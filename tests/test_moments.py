@@ -28,7 +28,7 @@ from groupoidlab.moments import (
 from groupoidlab.ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius
 from groupoidlab.operators import oracle_expectation_power
 
-from paper import expectation_of_word, inverted, mu_w, out_edges
+from paper import expectation_of_word, inverted, mu_w, out_edges, signed_by_name, signed_edges
 
 FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
 
@@ -55,9 +55,9 @@ def brute_reduce_leftmost(word):
 
 
 def brute_moment(lg, n):
-    sh = lg.shadowed
+    g = lg.graph
     acc = {}
-    for word in itertools.product(sh.signed_edges, repeat=n):
+    for word in itertools.product(signed_edges(g), repeat=n):
         if any(word[i].dst != word[i + 1].src for i in range(n - 1)):
             continue
         if not brute_reduce_leftmost(word):
@@ -70,11 +70,11 @@ def brute_moment(lg, n):
 
 
 def test_expectation_of_word():
-    sh = labeled("single-edge").shadowed
-    e = sh.signed_by_name("e1")
+    g = labeled("single-edge").graph
+    e = signed_by_name(g, "e1")
     assert expectation_of_word((e, inverted(e))).as_dict() == {"v1": 1}
     assert expectation_of_word((e, e)).is_zero  # not even admissible
-    loop = labeled("one-loop").shadowed.signed_by_name("e1")
+    loop = signed_by_name(labeled("one-loop").graph, "e1")
     assert expectation_of_word((loop, loop)).is_zero  # reduces to a path
 
 
@@ -83,7 +83,7 @@ def test_expectation_of_word():
 
 def letter_names(lg, words):
     """Words of signed-edge indices as tuples of letter names."""
-    signed = lg.shadowed.signed_edges
+    signed = signed_edges(lg.graph)
     return [tuple(signed[e].name() for e in w) for w in words]
 
 
@@ -281,13 +281,13 @@ def test_joint_moment_bad_index():
 
 def test_mu_w_pair():
     lg = labeled("single-edge")
-    e = lg.shadowed.signed_by_name("e1")
+    e = signed_by_name(lg.graph, "e1")
     assert mu_w(lg, (e, inverted(e))) == 1
 
 
 def test_mu_w_requires_vertex_reduction():
     lg = labeled("one-loop")
-    e = lg.shadowed.signed_by_name("e1")
+    e = signed_by_name(lg.graph, "e1")
     with pytest.raises(ValueError):
         mu_w(lg, (e, e))
 
@@ -295,7 +295,7 @@ def test_mu_w_requires_vertex_reduction():
 def test_mu_w_one_loop_length_4_values():
     # hand-checked: alternating words weigh -1, the rest 0
     lg = labeled("one-loop")
-    e = lg.shadowed.signed_by_name("e1")
+    e = signed_by_name(lg.graph, "e1")
     f = inverted(e)
     values = {
         (e, f, e, f): -1,
@@ -319,7 +319,7 @@ def test_cumulant_direct_one_loop():
 def test_cumulant_direct_closed_form_values():
     # k_2m(T_G)_v = outdeg(v) (-1)^(m-1) C_(m-1), past the NC budget too
     lg = labeled("example-6-2")
-    outdeg = {v: len(out_edges(lg.shadowed, v)) for v in lg.graph.vertices}
+    outdeg = {v: len(out_edges(lg.graph, v)) for v in lg.graph.vertices}
     for m in (1, 2, 5, 6, 7, 20):
         expected = {v: d * (-1) ** (m - 1) * catalan(m - 1) for v, d in outdeg.items()}
         assert cumulant_direct(lg, 2 * m).as_dict() == expected
@@ -337,8 +337,8 @@ def test_cumulant_direct_order_budget():
 def test_closed_form_cumulant_alternates_an_edge_with_its_inverse():
     # one letter weight per signed edge: only e, inv(e), e, ... survives
     lg = labeled("single-edge")
-    e = lg.shadowed.signed_by_name("e1")
-    signed = lg.shadowed.signed_edges
+    e = signed_by_name(lg.graph, "e1")
+    signed = signed_edges(lg.graph)
     unit = {s: tuple(int(t == s) for t in signed) for s in signed}
     f = inverted(e)
     assert closed_form_cumulant(lg, [unit[e], unit[f]] * 3).as_dict() == {"v1": 2}
@@ -388,8 +388,8 @@ def test_mu_w_balanced_row_matches_the_full_even_row():
     # alternating words
     for name, edge in (("one-loop", "e1"), ("single-edge", "e1")):
         lg = labeled(name)
-        signed = lg.shadowed.signed_edges
-        e = lg.shadowed.signed_by_name(edge)
+        signed = signed_edges(lg.graph)
+        e = signed_by_name(lg.graph, edge)
         for n in (2, 4, 6, 8):
             full = [(pi, moebius(pi)) for pi in enumerate_nc(n, even=True)]
             for word in itertools.product((e, inverted(e)), repeat=n):

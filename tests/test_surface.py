@@ -4,8 +4,8 @@ __init__.py), or is listed in KEPT with one word saying why it stays.
 Names match without their owner, so the check is loose for common
 method names; it catches helpers that only the tests call.  And no
 module reads another package module's _-prefixed names: a module's
-interface is what its callers use.  And only the graph and labeling
-layers hold SignedEdge objects: every other module reads signed edges
+interface is what its callers use.  And no module holds signed-edge
+objects or a shadowed-graph object: every module reads signed edges
 from the tables of _kernel.KernelGraph."""
 
 import ast
@@ -22,7 +22,6 @@ KEPT = {
     "_kernel.backend_name": "perfbench",
     "graphio.dump_graph_file": "schema",
     "fixtures.fixture": "fixtures",
-    "graphs.ShadowedGraph.signed_by_name": "lookup",
 }
 
 
@@ -111,20 +110,30 @@ def test_no_module_reads_another_modules_private_names():
     assert private_reads() == []
 
 
+SIGNED_EDGE_NAMES = ("SignedEdge", "ShadowedGraph", "shadowed", "signed_edges")
+
+
 def signed_edge_readers():
-    """Modules other than graphs and labeling that refer to the
-    attribute shadowed or signed_edges, or to the name SignedEdge:
-    signed edges are numbered and named by _kernel.KernelGraph alone."""
+    """Modules that define or refer to SignedEdge, ShadowedGraph,
+    shadowed or signed_edges, as a class, function, argument, attribute,
+    name or import: signed edges are numbered and named by
+    _kernel.KernelGraph alone."""
     found = set()
     for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py") or name in ("graphs.py", "labeling.py"):
+        if not name.endswith(".py"):
             continue
         for node in ast.walk(parse(name)):
-            if (
-                isinstance(node, ast.Attribute) and node.attr in ("shadowed", "signed_edges")
-                or isinstance(node, ast.Name) and node.id == "SignedEdge"
-                or isinstance(node, ast.alias) and node.name == "SignedEdge"
-            ):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.alias)):
+                used = node.name
+            elif isinstance(node, ast.arg):
+                used = node.arg
+            elif isinstance(node, ast.Attribute):
+                used = node.attr
+            elif isinstance(node, ast.Name):
+                used = node.id
+            else:
+                continue
+            if used in SIGNED_EDGE_NAMES:
                 found.add(name[:-3])
     return sorted(found)
 
