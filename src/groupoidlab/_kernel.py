@@ -41,7 +41,7 @@ from __future__ import annotations
 from itertools import accumulate, chain
 from operator import mul
 
-from .errors import Value
+from .errors import ENUM_BUDGET, Value
 
 
 class KernelGraph(Value):
@@ -139,8 +139,8 @@ def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
             and only the vertices finished so far carry their (exact)
             counts; the others read 0.
 
-    Returns (counts per vertex index, admissible length-n words,
-    truncated).
+    Returns (counts per vertex index, admissible length-n words or 0
+    past the walk's own cap (see _walk_count), truncated).
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -155,11 +155,17 @@ def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
 
 
 def _walk_count(kg, n) -> int:
-    """Admissible length-n words.  No result of the program reads this
-    count; the benchmark's tracer does (its kernel.words metrics), and
-    the walk goes once those metrics are replaced."""
+    """Admissible length-n words, or 0 once the walk has added more than
+    ENUM_BUDGET 64-bit limbs: each step adds n_signed counts of at most
+    the largest one's limbs, so a huge n stops instead of taking n
+    big-integer steps.  No result of the program reads this count; the
+    benchmark's tracer does (its kernel.words metrics), and the walk
+    goes once those metrics are replaced."""
+    spend = _Budget(ENUM_BUDGET)
     ends = [1] * kg.n_vertices
     for _ in range(n):
+        if not spend.charge(kg.n_signed * (max(ends).bit_length() // 64 + 1)):
+            return 0
         ends = walk_step(kg, ends)
     return sum(ends)
 

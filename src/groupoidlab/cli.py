@@ -329,9 +329,7 @@ def _cmd_nc(args, lg, diagnostics) -> dict:
         "n": args.n,
         "count": len(row),
         "catalan": ncpartitions.catalan(args.n),
-        "moebius_row": [
-            {"blocks": [list(b) for b in pi.blocks], "mu": mu} for pi, mu in row
-        ],
+        "moebius_row": [{"blocks": pi.blocks, "mu": mu} for pi, mu in row],
         "moebius_sum": sum(mu for _, mu in row),
     }
 

@@ -64,8 +64,9 @@ class DirectedGraph:
 
 
 def validate_graph(g: DirectedGraph) -> ValidationReport:
-    """Check the structural requirements: nonempty, no dangling edges,
-    connected.
+    """Check the structural requirements: nonempty and connected.  The
+    constructor has already rejected an edge whose endpoint is not a
+    vertex.
 
     Connectivity is tested on the shadowed graph: between any two
     distinct vertices there must be a path ignoring edge direction.
@@ -75,12 +76,6 @@ def validate_graph(g: DirectedGraph) -> ValidationReport:
     if not g.vertices:
         violations.append("empty vertex set")
         return ValidationReport(tuple(violations))
-    # Endpoint membership is enforced at construction; re-check anyway so
-    # reports from hand-built graphs stay meaningful.
-    vset = set(g.vertices)
-    for e in g.edges:
-        if e.src not in vset or e.dst not in vset:
-            violations.append(f"dangling edge {e.id}")
     # Undirected reachability from the first vertex.
     adj: dict[str, set[str]] = {v: set() for v in g.vertices}
     for e in g.edges:

@@ -37,11 +37,6 @@ class LabeledGraph:
     def __init__(self, graph: DirectedGraph, base_labels: dict[str, int], mode: str):
         self.graph = graph
         self.mode = mode
-        for e in graph.edges:
-            if e.id not in base_labels:
-                raise GraphError(f"edge {e.id!r} has no label")
-            if base_labels[e.id] < 1:
-                raise GraphError(f"edge {e.id!r} label must be positive")
         self.base_labels = dict(base_labels)
         self.max_label = max(base_labels.values())
 

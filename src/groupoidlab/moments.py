@@ -34,7 +34,7 @@ from operator import add, mul
 from . import _kernel, ncpartitions
 from .errors import ENUM_BUDGET, BudgetExceededError, Value
 from .labeling import LabeledGraph
-from .ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius, nested
+from .ncpartitions import NoncrossingPartition, enumerate_nc, haar, moebius, nested
 
 # The closed-form k_n has about 0.3 n digits: Python converts at most
 # 4300 digits of an int to a string by default, and building and
@@ -278,12 +278,11 @@ def _closed_form(tables, operands) -> list:
     counts = [0] * tables.n_vertices
     if n % 2:
         return counts
-    m = n // 2
-    haar = (-1) ** (m - 1) * catalan(m - 1)
     odd, even = operands[0::2], operands[1::2]
     for e, f in enumerate(tables.inv):
         counts[tables.src[e]] += prod(x[e] for x in odd) * prod(x[f] for x in even)
-    return [haar * c for c in counts]
+    weight = haar(n // 2)
+    return [weight * c for c in counts]
 
 
 def closed_form_cumulant(lg: LabeledGraph, operands) -> DiagonalElement:

@@ -1,14 +1,16 @@
 """Noncrossing partitions of {1..n}: enumeration, Moebius functional,
 Catalan counts, and nested partition-dependent evaluation.
 
-The Moebius value against the top element is computed through the
-standard interval factorization: [pi, 1_n] is a product of smaller
+The Moebius value against the top element comes from the walk that
+makes each partition.  The interval [pi, 1_n] is a product of smaller
 noncrossing lattices indexed by the blocks of the Kreweras complement
-of pi, so mu multiplies over those blocks.  The complement's block
-sizes are the cycle type of the permutation pi^-1 gamma, with gamma the
-long cycle i -> i+1 (mod n) and pi cycling each block in increasing
-order.  The two anchor identities mu(0_n, 1_n) = (-1)^(n-1) c_(n-1) and
-sum_pi mu(pi, 1_n) = 0 are held by the test suite.
+of pi, so mu multiplies haar(|K|) = (-1)^(|K|-1) c_(|K|-1) over those
+blocks K (Nica-Speicher, Lectures 9-10).  The walk meets every such
+block: the gap between two neighbours of a block closes one, of size
+1 + the gap's top-level blocks, and one more collects the top-level
+blocks of pi.  The two anchor identities mu(0_n, 1_n) =
+(-1)^(n-1) c_(n-1) and sum_pi mu(pi, 1_n) = 0 are held by the test
+suite, with the cycle type of pi^-1 gamma as the oracle.
 
 Nested quantities (E_pi and the partition-dependent cumulants of
 groupoidlab.moments) share one left-to-right evaluator, nested(); the
@@ -32,14 +34,21 @@ def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
+@lru_cache(maxsize=None)
+def haar(s: int) -> int:
+    """(-1)^(s-1) c_(s-1): the Moebius value mu(0_s, 1_s), which is also
+    the free cumulant of order 2s of a Haar unitary and its adjoint."""
+    return (-1) ** (s - 1) * catalan(s - 1)
+
+
 class NoncrossingPartition(Value):
     """A noncrossing partition in canonical form: blocks sorted by their
-    minimum, elements sorted inside each block.  The constructor trusts
-    its blocks to be canonical and noncrossing, as enumerate_nc makes
-    them."""
+    minimum, elements sorted inside each block, with its Moebius value
+    mu(pi, 1_n).  The constructor trusts its blocks to be canonical and
+    noncrossing, and mu to be their value, as enumerate_nc makes them."""
 
     # __dict__ holds the cached ``ends``
-    __slots__ = ("n", "blocks", "__dict__")
+    __slots__ = ("n", "blocks", "mu", "__dict__")
 
     @cached_property
     def ends(self) -> tuple:
@@ -53,15 +62,21 @@ class NoncrossingPartition(Value):
 
 
 def _gen_blocks(elems, even=False):
-    """Yield the noncrossing partitions of the sorted tuple elems, as
-    tuples of blocks; with even, only those whose blocks all have even
-    size, in the same order.  The block of the first element leaves
-    gaps that the rest fill independently, so with even the block size
-    steps by 2 and a choice that leaves an odd gap is skipped.  The
-    gaps come in increasing order and each yields its blocks by
+    """Yield (blocks, top, inner) for each noncrossing partition of the
+    sorted tuple elems; with even, only those whose blocks all have
+    even size, in the same order.  top counts the blocks nested in no
+    other, and inner is the product of haar over the Kreweras blocks
+    that lie inside a block, so mu = inner * haar(top).
+
+    The block of the first element leaves gaps that the rest fill
+    independently, so with even the block size steps by 2 and a choice
+    that leaves an odd gap is skipped.  Each gap before the block's
+    last element closes a Kreweras block of its top-level blocks plus
+    one; the blocks after it stay top-level, beside the first block.
+    The gaps come in increasing order and each yields its blocks by
     minimum, so the block list is canonical as it is joined."""
     if not elems:
-        yield ()
+        yield (), 0, 1
         return
     first = elems[0]
     others = elems[1:]
@@ -82,7 +97,10 @@ def _gen_blocks(elems, even=False):
             if even and any(len(s) % 2 for s in segments):
                 continue
             for parts in itertools.product(*(_gen_blocks(s, even) for s in segments)):
-                yield (block, *(b for p in parts for b in p))
+                _, top, inner = parts[-1]
+                for _, gap_top, gap_inner in parts[:-1]:
+                    inner *= gap_inner * haar(gap_top + 1)
+                yield (block, *(b for p in parts for b in p[0])), top + 1, inner
 
 
 def check_nc_budget(n: int) -> None:
@@ -93,51 +111,21 @@ def check_nc_budget(n: int) -> None:
 
 
 def enumerate_nc(n: int, even: bool = False):
-    """All noncrossing partitions of {1..n}, deterministically ordered;
-    with even, only those whose blocks all have even size (none for odd
-    n, C(3m, m)/(2m+1) for n = 2m), in the same relative order.  Guarded
-    by check_nc_budget."""
+    """All noncrossing partitions of {1..n}, deterministically ordered,
+    each with its mu(pi, 1_n) from the walk; with even, only those whose
+    blocks all have even size (none for odd n, C(3m, m)/(2m+1) for
+    n = 2m), in the same relative order.  Guarded by check_nc_budget."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_nc_budget(n)
-    blocks = _gen_blocks(tuple(range(1, n + 1)), even)
-    return [NoncrossingPartition(n, bs) for bs in blocks]
-
-
-def kreweras(pi: NoncrossingPartition):
-    """Block sizes of the Kreweras complement of pi, sorted: the cycle
-    type of pi^-1 gamma, where gamma is i -> i+1 (mod n) and pi sends
-    each element to the next one of its block, cyclically."""
-    n = pi.n
-    pi_inv = [0] * (n + 1)
-    for b in pi.blocks:
-        for prev, x in zip(b[-1:] + b[:-1], b):
-            pi_inv[x] = prev
-    seen = [False] * (n + 1)
-    sizes = []
-    for start in range(1, n + 1):
-        size = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            size += 1
-            x = pi_inv[x % n + 1]
-        if size:
-            sizes.append(size)
-    return sorted(sizes)
-
-
-@lru_cache(maxsize=None)
-def _moebius_sizes(sizes: tuple) -> int:
-    value = 1
-    for s in sizes:
-        value *= (-1) ** (s - 1) * catalan(s - 1)
-    return value
+    walk = _gen_blocks(tuple(range(1, n + 1)), even)
+    return [NoncrossingPartition(n, bs, inner * haar(top)) for bs, top, inner in walk]
 
 
 def moebius(pi: NoncrossingPartition) -> int:
-    """mu(pi, 1_n) in the noncrossing incidence algebra."""
-    return _moebius_sizes(tuple(kreweras(pi)))
+    """mu(pi, 1_n) in the noncrossing incidence algebra, as the walk
+    that made pi carried it."""
+    return pi.mu
 
 
 def moebius_row(n: int):

@@ -14,6 +14,8 @@ words:
   vector;
 * the graph automaton (labeling map phi, shifting maps psi, actions),
   its action trees as node objects, and their DOT rendering;
+* the Moebius value of a noncrossing partition, from the cycle type of
+  pi^-1 gamma;
 * E on a single word and the cumulant weight mu_w;
 * the operator basis as groupoid elements, and right multiplication by
   one.
@@ -25,8 +27,11 @@ themselves.
 
 from __future__ import annotations
 
+from math import comb, prod
+
 from groupoidlab import moments
 from groupoidlab.errors import GraphError, Value
+from groupoidlab.ncpartitions import NoncrossingPartition
 from groupoidlab.operators import SparseOperator
 
 # ---------------------------------------------------------------------------
@@ -520,6 +525,43 @@ def tree_dot(tree: AutomatonTree) -> str:
         stack.append((child, cname, iter(child.children)))
     lines.append("}")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Noncrossing partitions
+
+
+def kreweras(n: int, blocks) -> list:
+    """Block sizes of the Kreweras complement of the noncrossing
+    partition of 1..n with the given blocks, sorted: the cycle type of
+    pi^-1 gamma, where gamma is i -> i+1 (mod n) and pi sends each
+    element to the next one of its block, cyclically."""
+    pi_inv = [0] * (n + 1)
+    for b in blocks:
+        for prev, x in zip(b[-1:] + b[:-1], b):
+            pi_inv[x] = prev
+    seen = [False] * (n + 1)
+    sizes = []
+    for start in range(1, n + 1):
+        size = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            size += 1
+            x = pi_inv[x % n + 1]
+        if size:
+            sizes.append(size)
+    return sorted(sizes)
+
+
+def partition(n: int, blocks) -> NoncrossingPartition:
+    """The noncrossing partition of 1..n with the given canonical
+    blocks, with mu(pi, 1_n) as the product over its Kreweras blocks K
+    of (-1)^(|K|-1) c_(|K|-1): the interval [pi, 1_n] is the product of
+    the lattices NC(|K|) (Nica-Speicher, Lecture 10)."""
+    blocks = tuple(tuple(b) for b in blocks)
+    mu = prod((-1) ** (s - 1) * comb(2 * s - 2, s - 1) // s for s in kreweras(n, blocks))
+    return NoncrossingPartition(n, blocks, mu)
 
 
 # ---------------------------------------------------------------------------

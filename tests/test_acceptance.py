@@ -33,7 +33,7 @@ from groupoidlab.moments import (
     moment,
     moment_via_cumulants,
 )
-from groupoidlab.ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius, nested
+from groupoidlab.ncpartitions import catalan, enumerate_nc, moebius, nested
 from groupoidlab.operators import (
     build_basis,
     labeling_operator,
@@ -51,6 +51,7 @@ from paper import (
     inverted,
     is_admissible,
     out_edges,
+    partition,
     reduce_word,
     right_mult,
     signed_edges,
@@ -153,13 +154,13 @@ def test_acceptance_4_cumulants():
 def test_acceptance_5_nc_machinery():
     for n in range(1, 9):
         assert len(enumerate_nc(n)) == catalan(n)
-        singletons = NoncrossingPartition(n, tuple((i,) for i in range(1, n + 1)))
+        singletons = next(pi for pi in enumerate_nc(n) if len(pi.blocks) == n)
         assert moebius(singletons) == (-1) ** (n - 1) * catalan(n - 1)
     # at n = 1 the lattice is a point and the row sums to 1, not 0
     assert sum(moebius(pi) for pi in enumerate_nc(1)) == 1
     for n in range(2, 9):
         assert sum(moebius(pi) for pi in enumerate_nc(n)) == 0
-    pi = NoncrossingPartition(5, ((1, 4), (2, 3), (5,)))
+    pi = partition(5, ((1, 4), (2, 3), (5,)))
     out = nested(
         pi,
         [f"a{i}" for i in range(1, 6)],

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import io
 import json
 import os
@@ -374,6 +375,29 @@ CUMULANTS_TWO_LOOP_6_JSON = (
 
 def test_nc_json_bytes_pinned():
     assert run(["nc", "--n", "4", "--json"]) == (0, NC_4_JSON)
+
+
+# sha256 of nc's stdout, recorded while mu still came from a second
+# pass over each partition: the walk that carries mu prints the same
+NC_SHA256 = {
+    (1, "text"): "8388f38536093b8f1067b8438880a476749fc60892f7045231d1bf0ff5936eaa",
+    (1, "json"): "873a4fe0820107af36fe48f61dff48b146f96cfa4515ac94ac6d2db6f1918c33",
+    (2, "text"): "ac7bfda17c4dd3bb81e6cf4674d9eefff5831d2dc133cd54da6ddcd283feb284",
+    (2, "json"): "8db944b269a0f1922c1484d34be5ba24376a7c32b3329c2c711c0766ee0af1a3",
+    (3, "text"): "c4e86bafa3017038c7bab30a071e0e0ec5af990a98b1b9fa46018d54173eb2a8",
+    (3, "json"): "3706050eeec70038d102d48557b658d3d78cf63d5e2740a3979f61a1d7ff6e8f",
+    (7, "text"): "1f1b136938d0631de6fa4c42cfb15d6d04dc5e50a5cb1a624a7e3e6d10fa7026",
+    (7, "json"): "cd6c51b9def563e98d6f9ae38e4aa7e667d76b36b32583f1d57a72ea9bc26f39",
+    (10, "text"): "9b121e92dbba50497ddf52c71430e6c38ce974b4eeebe5ee0cdce1f9de78ef57",
+    (10, "json"): "307ce045b1b6634eba35673cfe41dd19cf71aa7b3d12b009ea9d5543594f2dd7",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(NC_SHA256), ids=[f"{n}-{f}" for n, f in sorted(NC_SHA256)])
+def test_nc_bytes_pinned_by_hash(n, fmt):
+    code, out = run(["nc", "--n", str(n)] + (["--json"] if fmt == "json" else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NC_SHA256[n, fmt]
 
 
 def test_cumulants_json_bytes_pinned(monkeypatch):
@@ -757,12 +781,13 @@ BIG = str(10**9)
 # Hostile sizes for every subcommand, with the exit code each must give.
 # `moments --words` charges each letter it tries or keeps, so it stops
 # within its budget at any n.  Left out, as they run far longer than a
-# test should: `moments` at n = 10^9, whose count of admissible words is
-# not budgeted; and `moments --n 20000` at the default budget on
-# two-loop.  There the reduction count stops at once, as it charges its
-# tables before it builds them (test_kernel), but the balance count
-# spends its 10^7 transitions on big integers for several seconds.
+# test should: `moments` at n = 10^6 or 10^9, or `--n 20000` on
+# two-loop, at the default budget.  There the reduction count stops at
+# once, as it charges its tables before it builds them (test_kernel),
+# but the balance count spends its 10^7 transitions on big integers for
+# several seconds.
 HOSTILE = (
+    (["moments", "--graph", fx("one-loop"), "--n", BIG, "--budget", "100000"], 5),
     (["moments", "--graph", fx("two-loop"), "--n", "10001"], 0),
     (["moments", "--graph", fx("two-loop"), "--n", "10000", "--budget", "1000"], 5),
     (["moments", "--graph", fx("two-loop"), "--n", "10000", "--mode", "balance",
@@ -880,6 +905,18 @@ def test_a_huge_label_costs_no_time_or_memory(loop_graphs, argv, code):
     small = run_contract(with_graph(1))
     assert small[0] == 0
     assert lines[2:] == small[1].splitlines()[2:]
+
+
+def test_huge_n_moments_end_within_seconds():
+    # the count of admissible words, which no result reads, stops at its
+    # own cap instead of taking n big-integer steps
+    argv = ["moments", "--graph", fx("one-loop"), "--n", BIG, "--budget", "100000", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupoidlab.cli", *argv], capture_output=True, text=True,
+        cwd=ROOT, timeout=5, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+    )
+    assert (proc.returncode, proc.stderr) == (5, "")
+    assert json.loads(proc.stdout)["status"] == "truncated"
 
 
 RERUN = (

@@ -1,5 +1,6 @@
 """The moment engine's contract: argument checks and closed forms."""
 
+import time
 from math import comb
 
 import pytest
@@ -84,6 +85,15 @@ def test_balance_budget_charges_half_walks_only():
     # each state
     assert _kernel.tally_words(kg, 8, "balance", budget=120)[::2] == ([4900], False)
     assert _kernel.tally_words(kg, 8, "balance", budget=119)[2]
+
+
+def test_walk_count_stops_at_its_own_cap():
+    # the count of admissible words feeds no result: at n = 10^9 it reads
+    # 0 once its steps have added ENUM_BUDGET limbs, whatever --budget is
+    kg, _ = kgraph("one-loop")
+    t0 = time.perf_counter()
+    assert _kernel.tally_words(kg, 10**9, "reduction", budget=10**5) == ([0], 0, True)
+    assert time.perf_counter() - t0 < 2
 
 
 def test_length_dp_charges_its_tables_before_building_them():

@@ -25,10 +25,18 @@ from groupoidlab.moments import (
     total_sum,
     w_m_set,
 )
-from groupoidlab.ncpartitions import NoncrossingPartition, catalan, enumerate_nc, moebius
+from groupoidlab.ncpartitions import catalan, enumerate_nc, moebius
 from groupoidlab.operators import oracle_expectation_power
 
-from paper import expectation_of_word, inverted, mu_w, out_edges, signed_by_name, signed_edges
+from paper import (
+    expectation_of_word,
+    inverted,
+    mu_w,
+    out_edges,
+    partition,
+    signed_by_name,
+    signed_edges,
+)
 
 FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
 
@@ -490,6 +498,6 @@ def test_diagonal_element_algebra():
 
 def test_total_sum_expectation_is_zero():
     lg = labeled("example-6-2")
-    assert expectation_pi(lg, NoncrossingPartition(1, ((1,),)), [total_sum(lg)]).is_zero
-    sq = expectation_pi(lg, NoncrossingPartition(2, ((1, 2),)), [total_sum(lg)] * 2)
+    assert expectation_pi(lg, partition(1, ((1,),)), [total_sum(lg)]).is_zero
+    sq = expectation_pi(lg, partition(2, ((1, 2),)), [total_sum(lg)] * 2)
     assert sq == moment(lg, 2)

@@ -4,16 +4,9 @@ from math import comb
 
 import pytest
 
+import paper
 from groupoidlab.errors import BudgetExceededError
-from groupoidlab.ncpartitions import (
-    NoncrossingPartition,
-    catalan,
-    enumerate_nc,
-    kreweras,
-    moebius,
-    moebius_row,
-    nested,
-)
+from groupoidlab.ncpartitions import catalan, enumerate_nc, moebius, moebius_row, nested
 
 
 def all_set_partitions(n):
@@ -39,19 +32,26 @@ def crossing_free(blocks):
 
 def partition(n, blocks):
     """The noncrossing partition of 1..n with the given blocks, in any
-    order, in canonical form."""
+    order, in canonical form, with its mu from the Kreweras oracle."""
     canon = tuple(tuple(sorted(b)) for b in sorted(blocks, key=min))
     assert sorted(x for b in canon for x in b) == list(range(1, n + 1))
     assert crossing_free(canon)
-    return NoncrossingPartition(n, canon)
+    return paper.partition(n, canon)
+
+
+def walked(n, blocks):
+    """The partition with the given blocks as enumerate_nc makes it, mu
+    included."""
+    canon = partition(n, blocks).blocks
+    return next(pi for pi in enumerate_nc(n) if pi.blocks == canon)
 
 
 def zero(n):
-    return partition(n, [(i,) for i in range(1, n + 1)])
+    return walked(n, [(i,) for i in range(1, n + 1)])
 
 
 def one(n):
-    return partition(n, [range(1, n + 1)])
+    return walked(n, [range(1, n + 1)])
 
 
 def leq(pi, theta):
@@ -125,12 +125,21 @@ def test_even_row_sizes_are_fuss_catalan():
 def test_kreweras_block_counts():
     for n in range(1, 9):
         for pi in enumerate_nc(n):
-            sizes = kreweras(pi)
+            sizes = paper.kreweras(n, pi.blocks)
             assert sum(sizes) == n
             assert len(sizes) == n + 1 - len(pi.blocks)
             assert sizes == sorted(sizes)
-        assert kreweras(zero(n)) == [n]
-        assert kreweras(one(n)) == [1] * n
+        assert paper.kreweras(n, zero(n).blocks) == [n]
+        assert paper.kreweras(n, one(n).blocks) == [1] * n
+
+
+def test_walk_carries_the_kreweras_moebius_value():
+    # the walk's gaps and top-level blocks give every partition the mu
+    # of the cycle type of pi^-1 gamma
+    for n in range(1, 11):
+        for even in (False, True):
+            for pi in enumerate_nc(n, even):
+                assert pi == paper.partition(n, pi.blocks), (n, even, pi)
 
 
 def test_moebius_zero_to_one():

@@ -6,12 +6,15 @@ method names; it catches helpers that only the tests call.  And no
 module reads another package module's _-prefixed names: a module's
 interface is what its callers use.  And no module holds signed-edge
 objects or a shadowed-graph object: every module reads signed edges
-from the tables of _kernel.KernelGraph."""
+from the tables of _kernel.KernelGraph.  And every entry point that the
+benchmark's tracer wraps is still where it looks for it."""
 
 import ast
+import importlib
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "groupoidlab")
+TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
 
 KEPT = {
     "operators.labeling_operator": "paper",
@@ -140,3 +143,33 @@ def signed_edge_readers():
 
 def test_only_the_kernel_numbers_signed_edges():
     assert signed_edge_readers() == []
+
+
+def tracer_hooks():
+    """(module, attribute) of each entry point perfbench/tracer.py wraps:
+    its WRAPPED table, read without importing perfbench, and cli._emit."""
+    with open(TRACER, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WRAPPED"
+    )
+    hooks = [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+    return hooks + [("groupoidlab.cli", "_emit")]
+
+
+def test_benchmark_tracer_hooks_exist():
+    # the tracer replaces owner.__dict__[name], so each name must be an
+    # attribute of its own module or class, not one reached by lookup
+    missing = []
+    for module, attr in tracer_hooks():
+        owner = importlib.import_module(module)
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if name not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module}.{attr}")
+    assert missing == [], (
+        f"the benchmark's tracer wraps {missing}: keep these names until the run "
+        "ledger replaces the tracer's wrappers (ROADMAP item 5)"
+    )
