@@ -29,11 +29,10 @@ The qualifying words themselves come from a depth-first walk over the
 same tables (closed_words), which drops a prefix as soon as the letters
 left cannot close it: in the tree, or back to a zero balance vector.
 
-Every layer reads a labeled graph's one flat view, KernelGraph, as
-LabeledGraph.kernel, which calls kernel_graph once per graph;
-operators.Basis and the automaton read the same view.  KernelGraph owns
-the numbering of signed edges and their names: no other module numbers
-them.
+A labeled graph is its one flat view, KernelGraph: labeling.assign_weights
+calls kernel_graph once per graph and returns the view, which every layer
+reads, operators.Basis and the automaton too.  KernelGraph owns the
+numbering of signed edges and their names: no other module numbers them.
 """
 
 from __future__ import annotations
@@ -54,9 +53,12 @@ class KernelGraph(Value):
     labels[e] (the shadow carries the negated label).  out_start and
     out_list form a CSR adjacency over signed edges, index-sorted.
     vertices[v] is the id of vertex v and names[e] the name of signed
-    edge e: its base edge's id, with a leading ~ on the shadow.  Both
-    are left out of equality, hash and repr.  n_labels counts the
-    distinct labels |labels[e]|: the coordinates of a balance vector.
+    edge e: its base edge's id, with a leading ~ on the shadow.
+    max_label, the largest label, plays the role of N everywhere
+    downstream, and graph is the validated DirectedGraph the view
+    flattens.  These four are left out of equality, hash and repr.
+    n_labels counts the distinct labels |labels[e]|: the coordinates of
+    a balance vector.
     """
 
     __slots__ = (
@@ -71,24 +73,25 @@ class KernelGraph(Value):
         "names",
         "labels",
         "n_labels",
+        "max_label",
+        "graph",
     )
 
-    _unkeyed = ("vertices", "names")
+    _unkeyed = ("vertices", "names", "max_label", "graph")
 
     def out(self, v: int) -> tuple:
         return self.out_list[self.out_start[v] : self.out_start[v + 1]]
 
 
-def kernel_graph(lg) -> KernelGraph:
-    """Flatten a LabeledGraph in one pass over its base edges, in the
-    layout KernelGraph states.  Read it as lg.kernel, which builds it
-    once per graph."""
-    g = lg.graph
-    vidx = {v: i for i, v in enumerate(g.vertices)}
+def kernel_graph(graph, base_labels) -> KernelGraph:
+    """Flatten a validated graph whose base edges, in id order, carry
+    base_labels, in one pass, in the layout KernelGraph states.
+    labeling.assign_weights calls it once per graph."""
+    vidx = {v: i for i, v in enumerate(graph.vertices)}
     src, dst, labels, names = [], [], [], []
-    leaving = [[] for _ in g.vertices]  # per vertex, its out-edges
-    for e in g.edges:
-        a, b, k = vidx[e.src], vidx[e.dst], lg.base_labels[e.id]
+    leaving = [[] for _ in graph.vertices]  # per vertex, its out-edges
+    for e, k in zip(graph.edges, base_labels):
+        a, b = vidx[e.src], vidx[e.dst]
         fwd = len(src)
         leaving[a].append(fwd)
         leaving[b].append(fwd + 1)
@@ -97,17 +100,19 @@ def kernel_graph(lg) -> KernelGraph:
         labels += (k, -k)
         names += (e.id, "~" + e.id)
     return KernelGraph(
-        n_vertices=len(g.vertices),
+        n_vertices=len(graph.vertices),
         n_signed=len(src),
         src=tuple(src),
         dst=tuple(dst),
         inv=tuple(e ^ 1 for e in range(len(src))),
         out_start=tuple(accumulate(map(len, leaving), initial=0)),
         out_list=tuple(chain.from_iterable(leaving)),
-        vertices=g.vertices,
+        vertices=graph.vertices,
         names=tuple(names),
         labels=tuple(labels),
-        n_labels=len(set(lg.base_labels.values())),
+        n_labels=len(set(base_labels)),
+        max_label=max(base_labels),
+        graph=graph,
     )
 
 
@@ -140,7 +145,7 @@ def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
             counts; the others read 0.
 
     Returns (counts per vertex index, admissible length-n words or 0
-    past the walk's own cap (see _walk_count), truncated).
+    past the walk's own cap or budget (see _walk_count), truncated).
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -151,17 +156,18 @@ def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
         counts, truncated = _balanced_loops(kg, n, spend)
     else:
         counts, truncated = _closed_by_length(kg, n, spend)
-    return counts, _walk_count(kg, n), truncated
+    return counts, _walk_count(kg, n, budget), truncated
 
 
-def _walk_count(kg, n) -> int:
-    """Admissible length-n words, or 0 once the walk has added more than
-    ENUM_BUDGET 64-bit limbs: each step adds n_signed counts of at most
-    the largest one's limbs, so a huge n stops instead of taking n
-    big-integer steps.  No result of the program reads this count; the
-    benchmark's tracer does (its kernel.words metrics), and the walk
-    goes once those metrics are replaced."""
-    spend = _Budget(ENUM_BUDGET)
+def _walk_count(kg, n, budget) -> int:
+    """Admissible length-n words, or 0 once the walk has added more
+    64-bit limbs than ENUM_BUDGET or budget, whichever is smaller: each
+    step adds n_signed counts of at most the largest one's limbs, so a
+    huge n stops instead of taking n big-integer steps.  No result of
+    the program reads this count; the benchmark's tracer does (its
+    kernel.words metrics), and the walk goes once those metrics are
+    replaced."""
+    spend = _Budget(ENUM_BUDGET if budget is None else min(budget, ENUM_BUDGET))
     ends = [1] * kg.n_vertices
     for _ in range(n):
         if not spend.charge(kg.n_signed * (max(ends).bit_length() // 64 + 1)):

@@ -1,5 +1,5 @@
 """Action trees of the graph automaton and the fractaloid test, on the
-signed-edge tables of LabeledGraph.kernel.
+signed-edge tables of a labeled graph's flat view, _kernel.KernelGraph.
 
 The automaton A_G acts on the shadowed graph by its labeling map phi.
 Every phi output on a single edge is nonempty, so each node of an
@@ -14,7 +14,6 @@ from __future__ import annotations
 from . import _kernel
 from .errors import BudgetExceededError, Value
 from .graphs import GraphError
-from .labeling import LabeledGraph
 
 # Nodes of the largest action tree build_tree writes: its DOT text is
 # held whole, about 60 bytes a node.
@@ -48,7 +47,7 @@ def _label(text: str) -> str:
     return ' [label="' + text.replace("\\", "\\\\").replace('"', '\\"') + '"];'
 
 
-def build_tree(lg: LabeledGraph, root_vertex: str, depth: int) -> ActionTree:
+def build_tree(kg: _kernel.KernelGraph, root_vertex: str, depth: int) -> ActionTree:
     """The action tree at root_vertex to the given depth, as DOT.  A
     node's children follow the signed edges leaving its terminal vertex,
     in index order.  One depth-first walk names the nodes in pre-order
@@ -58,7 +57,6 @@ def build_tree(lg: LabeledGraph, root_vertex: str, depth: int) -> ActionTree:
     the tables too, as kg.names."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    kg = lg.kernel
     if root_vertex not in kg.vertices:
         raise GraphError(f"unknown root vertex {root_vertex!r}")
     root = kg.vertices.index(root_vertex)
@@ -110,7 +108,7 @@ class FractaloidVerdict(Value):
 
 
 def is_fractaloid(
-    lg: LabeledGraph, depth: int = 4, max_nodes: int | None = None
+    kg: _kernel.KernelGraph, depth: int = 4, max_nodes: int | None = None
 ) -> FractaloidVerdict:
     """Decide the fractaloid property.
 
@@ -127,8 +125,7 @@ def is_fractaloid(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    n = lg.max_label
-    kg = lg.kernel
+    n = kg.max_label
     vertices = kg.vertices
     # per vertex, the multiset of signed labels on its outgoing signed
     # edges; every label lies in {-N..-1, 1..N}, so 2N distinct ones are

@@ -68,7 +68,7 @@ def shadow(graph):
 
 
 def _load_labeled(args) -> tuple:
-    """(labeled graph, inputs, notes) of the file args.graph names."""
+    """(labeled flat view, inputs, notes) of the file args.graph names."""
     from . import fixtures, graphio, labeling
 
     graph, file_labels = graphio.parse_graph_file(args.graph)
@@ -78,17 +78,17 @@ def _load_labeled(args) -> tuple:
         mode = labeling.MODE_EXPLICIT if file_labels else labeling.MODE_VERTEX
     if mode == labeling.MODE_EXPLICIT and not file_labels:
         raise SchemaError("explicit labeling requested but the file has no labels")
-    lg = labeling.assign_weights(
+    kg = labeling.assign_weights(
         graph, mode, explicit=file_labels if mode == labeling.MODE_EXPLICIT else None
     )
     inputs = {
         "graph": args.graph,
         "vertices": len(graph.vertices),
         "edges": len(graph.edges),
-        "max_label": lg.max_label,
+        "max_label": kg.max_label,
         "labeling": mode,
     }
-    return lg, inputs, list(fixtures.notes_for(graph, file_labels))
+    return kg, inputs, list(fixtures.notes_for(graph, file_labels))
 
 
 def _emit(args, report: dict) -> None:
@@ -144,11 +144,11 @@ def _unprintable(what: str, limit: int) -> BudgetExceededError:
     return BudgetExceededError(f"{what} the {limit}-digit limit for printing an integer")
 
 
-def _cmd_moments(args, lg, diagnostics) -> dict:
+def _cmd_moments(args, kg, diagnostics) -> dict:
     from . import moments
 
-    reduction = moments.tally(lg, args.n, "reduction", budget=args.budget)
-    balance = moments.tally(lg, args.n, "balance", budget=args.budget)
+    reduction = moments.tally(kg, args.n, "reduction", budget=args.budget)
+    balance = moments.tally(kg, args.n, "balance", budget=args.budget)
     primary = reduction if args.mode == "reduction" else balance
     if reduction.truncated or balance.truncated:
         diagnostics["truncated"] = True
@@ -165,14 +165,14 @@ def _cmd_moments(args, lg, diagnostics) -> dict:
         )
     result = {"diagonal": _diag_payload(primary.diagonal), "n": args.n, "mode": args.mode}
     if args.words:
-        rep = moments.w_m_set(lg, args.n, args.mode, budget=args.budget)
-        result["words"] = _word_names(lg, rep.words)
+        rep = moments.w_m_set(kg, args.n, args.mode, budget=args.budget)
+        result["words"] = _word_names(kg, rep.words)
     if args.verify:
         from . import operators
 
         try:
             oracle = operators.oracle_expectation_power(
-                lg, args.n, args.n, budget=args.basis_budget
+                kg, args.n, args.n, budget=args.basis_budget
             )
         except BudgetExceededError as exc:
             # keep the finished moments
@@ -183,18 +183,18 @@ def _cmd_moments(args, lg, diagnostics) -> dict:
     return result
 
 
-def _word_names(lg, words) -> list:
+def _word_names(kg, words) -> list:
     """Each word, a tuple of signed-edge indices, as the names of its
-    letters, from lg.kernel.names."""
-    name = lg.kernel.names.__getitem__
+    letters, from the view's names."""
+    name = kg.names.__getitem__
     return [list(map(name, w)) for w in words]
 
 
-def _cmd_oracle(args, lg, diagnostics) -> dict:
+def _cmd_oracle(args, kg, diagnostics) -> dict:
     from . import operators
 
     values = operators.oracle_expectation_power(
-        lg, args.n, args.max_len, budget=args.basis_budget
+        kg, args.n, args.max_len, budget=args.basis_budget
     )
     return {
         "diagonal": {v: str(c) for v, c in sorted(values.items())},
@@ -203,16 +203,16 @@ def _cmd_oracle(args, lg, diagnostics) -> dict:
     }
 
 
-def _cmd_cumulants(args, lg, diagnostics) -> dict:
+def _cmd_cumulants(args, kg, diagnostics) -> dict:
     from . import moments
 
     result: dict = {"n": args.n, "formula": args.formula}
     if args.formula in ("direct", "both"):
-        direct = moments.cumulant_direct(lg, args.n)
+        direct = moments.cumulant_direct(kg, args.n)
         result["diagonal"] = _diag_payload(direct)
     if args.formula in ("wc", "both"):
         try:
-            wc = moments.cumulant_via_wc(lg, args.n, budget=args.budget)
+            wc = moments.cumulant_via_wc(kg, args.n, budget=args.budget)
         except BudgetExceededError as exc:
             # keep the finished direct value
             if args.formula == "wc":
@@ -225,11 +225,11 @@ def _cmd_cumulants(args, lg, diagnostics) -> dict:
     return result
 
 
-def _cmd_joint(args, lg, diagnostics) -> dict:
+def _cmd_joint(args, kg, diagnostics) -> dict:
     from . import moments
 
-    m = moments.joint_moment(lg, args.indices, budget=args.budget)
-    k = moments.joint_cumulant(lg, args.indices)
+    m = moments.joint_moment(kg, args.indices, budget=args.budget)
+    k = moments.joint_cumulant(kg, args.indices)
     return {
         "indices": list(args.indices),
         "diagonal": _diag_payload(m),
@@ -237,11 +237,11 @@ def _cmd_joint(args, lg, diagnostics) -> dict:
     }
 
 
-def _cmd_freeness(args, lg, diagnostics) -> dict:
+def _cmd_freeness(args, kg, diagnostics) -> dict:
     from . import moments
 
     k1, k2 = args.families
-    rep = moments.check_freeness(lg, k1, k2, max_n=args.max_n)
+    rep = moments.check_freeness(kg, k1, k2, max_n=args.max_n)
     return {
         "families": [k1, k2],
         "max_n": rep.max_n,
@@ -256,10 +256,9 @@ def _cmd_freeness(args, lg, diagnostics) -> dict:
     }
 
 
-def _cmd_fractaloid(args, lg, diagnostics) -> dict:
+def _cmd_fractaloid(args, kg, diagnostics) -> dict:
     from . import automaton
 
-    kg = lg.kernel
     # one step per signed edge, depth and root, charged up front
     steps = args.depth * kg.n_signed * kg.n_vertices
     if steps > args.budget:
@@ -268,15 +267,15 @@ def _cmd_fractaloid(args, lg, diagnostics) -> dict:
             f"budget {args.budget}"
         )
     # a witness note prints the full label set, 2N labels
-    if 2 * lg.max_label > args.budget:
+    if 2 * kg.max_label > args.budget:
         raise BudgetExceededError(
-            f"fractaloid: the full label set of {2 * lg.max_label} labels exceeds "
+            f"fractaloid: the full label set of {2 * kg.max_label} labels exceeds "
             f"the budget {args.budget}"
         )
     limit = _digit_limit()
     try:
         verdict = automaton.is_fractaloid(
-            lg,
+            kg,
             depth=args.depth,
             max_nodes=10**limit - 1 if limit else None,
         )
@@ -293,18 +292,18 @@ def _cmd_fractaloid(args, lg, diagnostics) -> dict:
     }
 
 
-def _cmd_tree(args, lg, diagnostics) -> dict | None:
+def _cmd_tree(args, kg, diagnostics) -> dict | None:
     from . import automaton
 
-    root = args.root or lg.graph.vertices[0]
-    tree = automaton.build_tree(lg, root, args.depth)
+    root = kg.vertices[0] if args.root is None else args.root
+    tree = automaton.build_tree(kg, root, args.depth)
     if args.format == "text":
         print(tree.dot)
         return None  # DOT already emitted
     return {"root": root, "depth": args.depth, "dot": tree.dot, "nodes": len(tree.nodes())}
 
 
-def _cmd_lattice(args, lg, diagnostics) -> dict:
+def _cmd_lattice(args, kg, diagnostics) -> dict:
     from .labeling import count_axis_paths
 
     n, k = args.max_label, args.length
@@ -321,7 +320,7 @@ def _cmd_lattice(args, lg, diagnostics) -> dict:
     return {"max_label": n, "length": k, "count": str(count)}
 
 
-def _cmd_nc(args, lg, diagnostics) -> dict:
+def _cmd_nc(args, kg, diagnostics) -> dict:
     from . import ncpartitions
 
     row = ncpartitions.moebius_row(args.n)
@@ -528,11 +527,11 @@ def _execute(args) -> tuple:
     OSError propagates."""
     diagnostics: dict = {"truncated": False}
     report: dict = {"command": args.command, "diagnostics": diagnostics}
-    lg = None
+    kg = None
     try:
         if hasattr(args, "graph"):
-            lg, report["inputs"], diagnostics["notes"] = _load_labeled(args)
-        report["result"] = args.func(args, lg, diagnostics)
+            kg, report["inputs"], diagnostics["notes"] = _load_labeled(args)
+        report["result"] = args.func(args, kg, diagnostics)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE, None
@@ -545,7 +544,7 @@ def _execute(args) -> tuple:
     except BudgetExceededError as exc:
         report = {
             "command": args.command,
-            "result": _partial_payload(exc, lg),
+            "result": _partial_payload(exc, kg),
             "diagnostics": {"truncated": True, "notes": [str(exc)]},
         }
     except VerificationMismatch as exc:
@@ -561,7 +560,7 @@ def _execute(args) -> tuple:
     return EXIT_BUDGET if truncated else EXIT_OK, report
 
 
-def _partial_payload(exc: BudgetExceededError, lg) -> dict:
+def _partial_payload(exc: BudgetExceededError, kg) -> dict:
     partial = exc.partial
     if partial is None:
         return {}
@@ -571,7 +570,7 @@ def _partial_payload(exc: BudgetExceededError, lg) -> dict:
     if isinstance(partial, WordSetReport):
         return {
             "diagonal": _diag_payload(partial.tallies),
-            "words": _word_names(lg, partial.words),
+            "words": _word_names(kg, partial.words),
         }
     if isinstance(partial, DiagonalElement):
         return {"diagonal": _diag_payload(partial)}

@@ -18,14 +18,6 @@ class Edge(Value):
     __slots__ = ("id", "src", "dst")
 
 
-class ValidationReport(Value):
-    __slots__ = ("violations",)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class DirectedGraph:
     """Finite directed multigraph with deterministic vertex/edge order.
 
@@ -63,8 +55,9 @@ class DirectedGraph:
         return f"DirectedGraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
 
 
-def validate_graph(g: DirectedGraph) -> ValidationReport:
-    """Check the structural requirements: nonempty and connected.  The
+def validate_graph(g: DirectedGraph) -> tuple:
+    """The violations of the structural requirements, nonempty and
+    connected, as a tuple of messages: empty when g is valid.  The
     constructor has already rejected an edge whose endpoint is not a
     vertex.
 
@@ -72,10 +65,8 @@ def validate_graph(g: DirectedGraph) -> ValidationReport:
     distinct vertices there must be a path ignoring edge direction.
     A single vertex with no edges is vacuously connected.
     """
-    violations = []
     if not g.vertices:
-        violations.append("empty vertex set")
-        return ValidationReport(tuple(violations))
+        return ("empty vertex set",)
     # Undirected reachability from the first vertex.
     adj: dict[str, set[str]] = {v: set() for v in g.vertices}
     for e in g.edges:
@@ -91,8 +82,8 @@ def validate_graph(g: DirectedGraph) -> ValidationReport:
                 stack.append(w)
     missing = [v for v in g.vertices if v not in seen]
     if missing:
-        violations.append("disconnected: unreachable vertices " + ", ".join(missing))
-    return ValidationReport(tuple(violations))
+        return ("disconnected: unreachable vertices " + ", ".join(missing),)
+    return ()
 
 
 def shadow(g: DirectedGraph) -> DirectedGraph:
@@ -100,7 +91,7 @@ def shadow(g: DirectedGraph) -> DirectedGraph:
     labeling and flat view is built from.  Rejects invalid input with a
     GraphError that joins every violation; this is the one place that
     does."""
-    report = validate_graph(g)
-    if not report.ok:
-        raise GraphError("; ".join(report.violations))
+    violations = validate_graph(g)
+    if violations:
+        raise GraphError("; ".join(violations))
     return g

@@ -7,13 +7,13 @@ balance (its letters +k less its letters -k, for each k) carries
 exactly the information the axis property uses, because distinct
 heights are linearly independent.
 
-LabeledGraph.kernel is the one flat integer view of a labeled graph
-that the moment, automaton and operator layers read.
+A labeled graph is its one flat view: assign_weights returns the
+_kernel.KernelGraph that the moment, automaton and operator layers
+read.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import comb
 
 from .errors import BudgetExceededError
@@ -24,42 +24,15 @@ MODE_MULTIEDGE = "multiedge"  # parallel-edge index
 MODE_EXPLICIT = "explicit"  # labels from the input file
 
 
-class LabeledGraph:
-    """A validated graph with one positive label per base edge: the
-    labeled shadowed graph, whose signed edges lg.kernel numbers and
-    names.  Each shadow carries the negated label of its base edge.
-
-    In per-vertex-bijective mode the forward edges out of each vertex
-    carry distinct labels 1..out_degree(v).  ``max_label`` plays the
-    role of N everywhere downstream.
-    """
-
-    def __init__(self, graph: DirectedGraph, base_labels: dict[str, int], mode: str):
-        self.graph = graph
-        self.mode = mode
-        self.base_labels = dict(base_labels)
-        self.max_label = max(base_labels.values())
-
-    @cached_property
-    def kernel(self):
-        """The _kernel.KernelGraph of this graph, built on first use: the
-        one flat view that the moment engine, the automaton and the
-        operator oracle's Basis read, and the one owner of the numbering
-        and the names of signed edges."""
-        from . import _kernel  # lattice loads this module, never the kernel
-
-        return _kernel.kernel_graph(self)
-
-    def __repr__(self) -> str:
-        return f"LabeledGraph(N={self.max_label}, mode={self.mode})"
-
-
 def assign_weights(
     g: DirectedGraph,
     mode: str = MODE_VERTEX,
     explicit: dict[str, int] | None = None,
-) -> LabeledGraph:
-    """Label the base edges of a graph that graphs.shadow has passed.
+):
+    """Label the base edges of a graph that graphs.shadow has passed,
+    and return the labeled shadowed graph as its flat view, a
+    _kernel.KernelGraph: each shadow carries the negated label of its
+    base edge, and max_label plays the role of N everywhere downstream.
 
     vertex mode: forward edges out of each vertex get 1..deg_out(v) in
     sorted-id order.  multiedge mode: the label is the 1-based index
@@ -67,19 +40,19 @@ def assign_weights(
     Both number the id-sorted edges in one pass, with a running count
     per source or per endpoint pair.  explicit mode: labels are taken
     from the given map and checked for presence and range; only this
-    mode takes a map.  Shadow edges always carry the negated label of
-    their base edge.
+    mode takes a map.
     """
     if not g.edges:
         raise GraphError("cannot label a graph with no edges")
     if explicit is not None and mode != MODE_EXPLICIT:
         raise GraphError(f"labeling mode {mode!r} takes no label map")
-    labels: dict[str, int] = {}
+    labels = []  # per base edge, in id order
     if mode in (MODE_VERTEX, MODE_MULTIEDGE):
         counts: dict = {}
         for e in g.edges:
             key = e.src if mode == MODE_VERTEX else (e.src, e.dst)
-            labels[e.id] = counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + 1
+            labels.append(counts[key])
     elif mode == MODE_EXPLICIT:
         if explicit is None:
             raise GraphError("explicit mode requires a label map")
@@ -90,10 +63,12 @@ def assign_weights(
             k = explicit[e.id]
             if not isinstance(k, int) or k < 1:
                 raise GraphError(f"explicit label for {e.id!r} must be a positive integer")
-            labels[e.id] = k
+            labels.append(k)
     else:
         raise GraphError(f"unknown labeling mode {mode!r}")
-    return LabeledGraph(g, labels, mode)
+    from . import _kernel  # lattice loads this module, never the kernel
+
+    return _kernel.kernel_graph(g, labels)
 
 
 def count_axis_paths(max_label: int, length: int, budget: int | None = None) -> int:

@@ -1,8 +1,9 @@
 """Diagonal-valued moments and free cumulants of labeling operators.
 
 Values live in the diagonal algebra: finite integer maps vertex ->
-coefficient.  Every route here reads one flat view of the graph,
-lg.kernel (see LabeledGraph.kernel).  Moments count admissible words
+coefficient.  Every route here takes the labeled graph as its one flat
+view, the _kernel.KernelGraph that labeling.assign_weights returns.
+Moments count admissible words
 that freely reduce to a vertex (the reduction characterization) with
 the excursion DP of _kernel.  The words themselves (w_m_set) come from
 the word walk of _kernel, which builds only the qualifying words and
@@ -32,8 +33,8 @@ from math import prod
 from operator import add, mul
 
 from . import _kernel, ncpartitions
+from ._kernel import KernelGraph
 from .errors import ENUM_BUDGET, BudgetExceededError, Value
-from .labeling import LabeledGraph
 from .ncpartitions import NoncrossingPartition, enumerate_nc, haar, moebius, nested
 
 # The closed-form k_n has about 0.3 n digits: Python converts at most
@@ -84,7 +85,7 @@ class TallyResult(Value):
 
 
 class WordSetReport(Value):
-    # words: tuples of signed-edge indices of lg.kernel
+    # words: tuples of signed-edge indices of the flat view
     __slots__ = ("n", "mode", "words", "tallies")
 
     @property
@@ -93,7 +94,7 @@ class WordSetReport(Value):
 
 
 def w_m_set(
-    lg: LabeledGraph,
+    kg: KernelGraph,
     n: int,
     mode: str = "reduction",
     budget: int | None = ENUM_BUDGET,
@@ -105,9 +106,8 @@ def w_m_set(
     runs out, the words found so far are the partial result."""
     if mode not in ("reduction", "balance"):
         raise ValueError(f"unknown mode {mode!r}")
-    kg = lg.kernel
     found, truncated = _kernel.closed_words(kg, n, mode, budget=budget)
-    vs = lg.graph.vertices
+    vs = kg.vertices
     report = WordSetReport(
         n,
         mode,
@@ -120,15 +120,15 @@ def w_m_set(
 
 
 def tally(
-    lg: LabeledGraph,
+    kg: KernelGraph,
     n: int,
     mode: str = "reduction",
     budget: int | None = ENUM_BUDGET,
 ) -> TallyResult:
     """Tally of qualifying length-n words by vertex, from the moment
     engine in _kernel; budget caps its DP transitions."""
-    counts, _, truncated = _kernel.tally_words(lg.kernel, n, mode, budget=budget)
-    return TallyResult(_diagonal(lg, counts), truncated)
+    counts, _, truncated = _kernel.tally_words(kg, n, mode, budget=budget)
+    return TallyResult(_diagonal(kg, counts), truncated)
 
 
 def _unwrap(result: TallyResult, what: str) -> DiagonalElement:
@@ -137,57 +137,55 @@ def _unwrap(result: TallyResult, what: str) -> DiagonalElement:
     return result.diagonal
 
 
-def moment(lg: LabeledGraph, n: int, budget: int | None = ENUM_BUDGET) -> DiagonalElement:
+def moment(kg: KernelGraph, n: int, budget: int | None = ENUM_BUDGET) -> DiagonalElement:
     """E(T_G^n): the admissible length-n words whose free reduction is
     a vertex, counted by the excursion DP."""
-    return _unwrap(tally(lg, n, "reduction", budget=budget), f"moment n={n}")
+    return _unwrap(tally(kg, n, "reduction", budget=budget), f"moment n={n}")
 
 
-def balance_moment(lg: LabeledGraph, n: int, budget: int | None = ENUM_BUDGET) -> DiagonalElement:
+def balance_moment(kg: KernelGraph, n: int, budget: int | None = ENUM_BUDGET) -> DiagonalElement:
     """The balance-condition count (loop words with zero balance vector).
     Diagnostic: agrees with moment on some graphs, not all."""
-    return _unwrap(tally(lg, n, "balance", budget=budget), f"balance n={n}")
+    return _unwrap(tally(kg, n, "balance", budget=budget), f"balance n={n}")
 
 
 def joint_moment(
-    lg: LabeledGraph, indices, budget: int | None = ENUM_BUDGET
+    kg: KernelGraph, indices, budget: int | None = ENUM_BUDGET
 ) -> DiagonalElement:
     """Joint moment for an index tuple: the admissible words whose j-th
     letter carries label indices[j] and which reduce to a vertex,
     counted by the weighted excursion DP on the letter weights of
     T_indices[j] (edge_sum); budget caps its transitions."""
     indices = tuple(indices)
-    _check_indices(lg, indices)
-    counts, truncated = _kernel.closed_by_interval(
-        lg.kernel, [edge_sum(lg, k) for k in indices], budget
-    )
-    diag = _diagonal(lg, counts)
+    _check_indices(kg, indices)
+    counts, truncated = _kernel.closed_by_interval(kg, [edge_sum(kg, k) for k in indices], budget)
+    diag = _diagonal(kg, counts)
     if truncated:
         raise BudgetExceededError(f"joint moment {indices}: DP budget exhausted", partial=diag)
     return diag
 
 
-def _check_indices(lg: LabeledGraph, indices) -> None:
+def _check_indices(kg: KernelGraph, indices) -> None:
     if not indices:
         raise ValueError("index tuple must be nonempty")
     for k in indices:
-        if k == 0 or abs(k) > lg.max_label:
-            raise ValueError(f"label index {k} out of range for N={lg.max_label}")
+        if k == 0 or abs(k) > kg.max_label:
+            raise ValueError(f"label index {k} out of range for N={kg.max_label}")
 
 
 # ---------------------------------------------------------------------------
 # Cumulants
 
 
-def edge_sum(lg: LabeledGraph, k: int) -> tuple:
-    """T_k as letter weights, indexed like lg.kernel: 1 on each signed
-    edge labeled k, 0 elsewhere."""
-    return tuple(int(label == k) for label in lg.kernel.labels)
+def edge_sum(kg: KernelGraph, k: int) -> tuple:
+    """T_k as letter weights, one per signed edge of kg: 1 on each
+    signed edge labeled k, 0 elsewhere."""
+    return tuple(int(label == k) for label in kg.labels)
 
 
-def total_sum(lg: LabeledGraph) -> tuple:
+def total_sum(kg: KernelGraph) -> tuple:
     """T_G as letter weights: 1 on every signed edge."""
-    return (1,) * lg.kernel.n_signed
+    return (1,) * kg.n_signed
 
 
 def _right_mult(tables):
@@ -204,21 +202,20 @@ def _right_mult(tables):
     return multiply
 
 
-def _diagonal(lg: LabeledGraph, counts) -> DiagonalElement:
+def _diagonal(kg: KernelGraph, counts) -> DiagonalElement:
     # the vertices are sorted and distinct: no merge and no sort needed
-    return DiagonalElement(tuple((v, c) for v, c in zip(lg.graph.vertices, counts) if c))
+    return DiagonalElement(tuple((v, c) for v, c in zip(kg.vertices, counts) if c))
 
 
 def expectation_pi(
-    lg: LabeledGraph, pi: NoncrossingPartition, operands, memo=None
+    kg: KernelGraph, pi: NoncrossingPartition, operands, memo=None
 ) -> DiagonalElement:
     """Partition-dependent expectation E_pi of letter-weight operands:
     each block, with the values of the blocks nested in it multiplied
     in, closes with the weighted excursion DP (the closed walks from
     each vertex, weighted by the product of their letters' weights).
     memo: a dict of block closes keyed by the block's weights, shared
-    between calls on the same lg."""
-    kg = lg.kernel
+    between calls on the same kg."""
 
     def close(weights):
         if memo is None:
@@ -229,7 +226,7 @@ def expectation_pi(
         return memo[key]
 
     operands = [tuple(x) for x in operands]
-    return _diagonal(lg, nested(pi, operands, close, _right_mult(kg)))
+    return _diagonal(kg, nested(pi, operands, close, _right_mult(kg)))
 
 
 def _moebius_row(n: int) -> list:
@@ -241,7 +238,7 @@ def _moebius_row(n: int) -> list:
     return [(pi, moebius(pi)) for pi in enumerate_nc(n, even=True)]
 
 
-def cumulant_of(lg: LabeledGraph, operands, row=None, memo=None) -> DiagonalElement:
+def cumulant_of(kg: KernelGraph, operands, row=None, memo=None) -> DiagonalElement:
     """Joint free cumulant of letter-weight operands by Moebius
     inversion: sum over pi of mu(pi, 1_n) E_pi(...).  The oracle of
     closed_form_cumulant, and the route of check_freeness.
@@ -255,12 +252,12 @@ def cumulant_of(lg: LabeledGraph, operands, row=None, memo=None) -> DiagonalElem
         row = _moebius_row(len(operands))
     if memo is None:
         memo = {}
-    index = {v: i for i, v in enumerate(lg.graph.vertices)}
+    index = {v: i for i, v in enumerate(kg.vertices)}
     acc = [0] * len(index)
     for pi, mu in row:
-        for v, c in expectation_pi(lg, pi, operands, memo).coeffs:
+        for v, c in expectation_pi(kg, pi, operands, memo).coeffs:
             acc[index[v]] += mu * c
-    return _diagonal(lg, acc)
+    return _diagonal(kg, acc)
 
 
 def _closed_form(tables, operands) -> list:
@@ -285,14 +282,14 @@ def _closed_form(tables, operands) -> list:
     return [weight * c for c in counts]
 
 
-def closed_form_cumulant(lg: LabeledGraph, operands) -> DiagonalElement:
+def closed_form_cumulant(kg: KernelGraph, operands) -> DiagonalElement:
     """Joint free cumulant of letter-weight operands in closed form:
     O(n |E|) work, no noncrossing partition enumerated.  The primary
     route of cumulant_direct and joint_cumulant."""
-    return _diagonal(lg, _closed_form(lg.kernel, list(operands)))
+    return _diagonal(kg, _closed_form(kg, list(operands)))
 
 
-def cumulant_direct(lg: LabeledGraph, n: int) -> DiagonalElement:
+def cumulant_direct(kg: KernelGraph, n: int) -> DiagonalElement:
     """k_n(T_G, ..., T_G) in closed form: outdeg(v) (-1)^(m-1) C_(m-1)
     for n = 2m.  Orders past ORDER_BUDGET raise BudgetExceededError."""
     if n < 1:
@@ -301,15 +298,15 @@ def cumulant_direct(lg: LabeledGraph, n: int) -> DiagonalElement:
         raise BudgetExceededError(
             f"n={n} exceeds the cumulant order budget {ORDER_BUDGET}"
         )
-    return closed_form_cumulant(lg, [total_sum(lg)] * n)
+    return closed_form_cumulant(kg, [total_sum(kg)] * n)
 
 
-def joint_cumulant(lg: LabeledGraph, indices) -> DiagonalElement:
+def joint_cumulant(kg: KernelGraph, indices) -> DiagonalElement:
     """Joint cumulant with per-position operators T_{indices[j]}, in
     closed form."""
     indices = tuple(indices)
-    _check_indices(lg, indices)
-    return closed_form_cumulant(lg, [edge_sum(lg, k) for k in indices])
+    _check_indices(kg, indices)
+    return closed_form_cumulant(kg, [edge_sum(kg, k) for k in indices])
 
 
 def _balanced_row(row, codes) -> list:
@@ -323,20 +320,19 @@ def _balanced_row(row, codes) -> list:
     ]
 
 
-def _mu_w(lg: LabeledGraph, word, row, memo) -> int:
+def _mu_w(kg: KernelGraph, word, row, memo) -> int:
     """mu_w of a word of signed-edge indices, summed over the pi of row
     that are balanced in its first letter (coded 1) and that letter's
     inverse (coded -1)."""
-    kg = lg.kernel
     first, back = word[0], kg.inv[word[0]]
     codes = [1 if s == first else -1 if s == back else 0 for s in word]
     letters = [tuple(int(t == s) for t in range(kg.n_signed)) for s in word]
-    k = cumulant_of(lg, letters, row=_balanced_row(row, codes), memo=memo)
-    return k.as_dict().get(lg.graph.vertices[kg.src[first]], 0)
+    k = cumulant_of(kg, letters, row=_balanced_row(row, codes), memo=memo)
+    return k.as_dict().get(kg.vertices[kg.src[first]], 0)
 
 
 def cumulant_via_wc(
-    lg: LabeledGraph, n: int, budget: int | None = ENUM_BUDGET
+    kg: KernelGraph, n: int, budget: int | None = ENUM_BUDGET
 ) -> DiagonalElement:
     """k_n(T_G, ..., T_G) by the word-set formula: single-base-edge loop
     words reducing to a vertex, each weighted by mu_w.  An oracle of
@@ -360,7 +356,6 @@ def cumulant_via_wc(
     if n % 2:
         return DiagonalElement.zero()
     row = _moebius_row(n)
-    kg = lg.kernel
     acc = [0] * kg.n_vertices
     seen = 0
     memo: dict = {}
@@ -377,16 +372,16 @@ def cumulant_via_wc(
             if budget is not None and seen > budget:
                 raise BudgetExceededError(
                     "cumulant_via_wc: enumeration budget exhausted",
-                    partial=_diagonal(lg, acc),
+                    partial=_diagonal(kg, acc),
                 )
             # over one generator the reduced word is e^(#e - #inv e), so
             # the word reduces to a vertex exactly when the counts match
             if 2 * w.count(fwd) == n:
                 key = (tuple(s == w[0] for s in w), loop)
                 if key not in weight:
-                    weight[key] = _mu_w(lg, w, row, memo)
+                    weight[key] = _mu_w(kg, w, row, memo)
                 acc[kg.src[w[0]]] += weight[key]
-    return _diagonal(lg, acc)
+    return _diagonal(kg, acc)
 
 
 def _k_pi(tables, pi: NoncrossingPartition, operands) -> list:
@@ -396,15 +391,14 @@ def _k_pi(tables, pi: NoncrossingPartition, operands) -> list:
     return nested(pi, operands, partial(_closed_form, tables), _right_mult(tables))
 
 
-def moment_via_cumulants(lg: LabeledGraph, n: int) -> DiagonalElement:
+def moment_via_cumulants(kg: KernelGraph, n: int) -> DiagonalElement:
     """Reconstruct E(T_G^n) as the sum over NC(n) of the
     partition-dependent cumulants (the inversion identity)."""
-    kg = lg.kernel
-    x = total_sum(lg)
+    x = total_sum(kg)
     acc = [0] * kg.n_vertices
     for pi in enumerate_nc(n):
         acc = list(map(add, acc, _k_pi(kg, pi, [x] * n)))
-    return _diagonal(lg, acc)
+    return _diagonal(kg, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +420,7 @@ class FreenessReport(Value):
         return self.max_abs_coefficient == 0
 
 
-def check_freeness(lg: LabeledGraph, k1: int, k2: int, max_n: int = 4) -> FreenessReport:
+def check_freeness(kg: KernelGraph, k1: int, k2: int, max_n: int = 4) -> FreenessReport:
     """Mixed joint cumulants between the families {T_k1, T_-k1} and
     {T_k2, T_-k2}, all orders 2..max_n, with letters from both families.
     A zero maximum confirms freeness over the diagonal to that order.
@@ -443,14 +437,14 @@ def check_freeness(lg: LabeledGraph, k1: int, k2: int, max_n: int = 4) -> Freene
     if k1 == k2:
         raise ValueError("families must be distinct")
     for k in (k1, k2):
-        if not 1 <= k <= lg.max_label:
-            raise ValueError(f"family index {k} out of range 1..{lg.max_label}")
+        if not 1 <= k <= kg.max_label:
+            raise ValueError(f"family index {k} out of range 1..{kg.max_label}")
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
     # up front: the orders below max_n would otherwise all run first
     ncpartitions.check_nc_budget(max_n)
     alphabet = (k1, -k1, k2, -k2)
-    weights = {k: edge_sum(lg, k) for k in alphabet}
+    weights = {k: edge_sum(kg, k) for k in alphabet}
     memo: dict = {}
     checked = 0
     max_abs = 0
@@ -471,7 +465,7 @@ def check_freeness(lg: LabeledGraph, k1: int, k2: int, max_n: int = 4) -> Freene
             # the Moebius route, not the closed form: this sum is the
             # evidence that the mixed cumulants vanish
             operands = [weights[k] for k in idx]
-            val = cumulant_of(lg, operands, row=balanced, memo=memo)
+            val = cumulant_of(kg, operands, row=balanced, memo=memo)
             if not val.is_zero:
                 if len(nonzero) < NONZERO_CAP:
                     nonzero.append((idx, val))

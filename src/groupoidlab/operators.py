@@ -12,8 +12,8 @@ the basis only to length n // 2, the longest a path can grow on a walk
 of n letters that returns to its vertex.
 
 A Basis is built over the signed-edge tables of the one flat view of a
-labeled graph, the _kernel.KernelGraph LabeledGraph.kernel, which the
-oracle reads for the labels too.  Its elements are positions in a trie
+labeled graph, the _kernel.KernelGraph that labeling.assign_weights
+returns, which the oracle reads for the labels too.  Its elements are positions in a trie
 of signed-edge indices, and right multiplication by a signed edge is
 one step in that trie (Basis.step).
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 from . import _kernel
 from .errors import BASIS_BUDGET, BudgetExceededError
 from .graphs import GraphError
-from .labeling import LabeledGraph
 
 
 class Basis:
@@ -193,23 +192,23 @@ def _edge_sum(basis: Basis, edges) -> SparseOperator:
     return op
 
 
-def labeling_operator(lg: LabeledGraph, k: int, basis: Basis) -> SparseOperator:
+def labeling_operator(kg: _kernel.KernelGraph, k: int, basis: Basis) -> SparseOperator:
     """T_k: the sum of right multiplications by the signed edges whose
     label is k, for k in -N..-1, 1..N."""
-    if k == 0 or abs(k) > lg.max_label:
-        raise GraphError(f"label {k} out of range 1..{lg.max_label} (signed)")
-    return _edge_sum(basis, {e for e, j in enumerate(lg.kernel.labels) if j == k})
+    if k == 0 or abs(k) > kg.max_label:
+        raise GraphError(f"label {k} out of range 1..{kg.max_label} (signed)")
+    return _edge_sum(basis, {e for e, j in enumerate(kg.labels) if j == k})
 
 
-def total_labeling_operator(lg: LabeledGraph, basis: Basis) -> SparseOperator:
+def total_labeling_operator(kg: _kernel.KernelGraph, basis: Basis) -> SparseOperator:
     """T_G: the sum of T_k over all signed labels -N..-1, 1..N, which
     is the sum over every signed edge, as each label lies in that
     range."""
-    return _edge_sum(basis, range(lg.kernel.n_signed))
+    return _edge_sum(basis, range(kg.n_signed))
 
 
 def oracle_expectation_power(
-    lg: LabeledGraph, n: int, max_len: int, budget: int = BASIS_BUDGET
+    kg: _kernel.KernelGraph, n: int, max_len: int, budget: int = BASIS_BUDGET
 ):
     """<T_G^n xi_v, xi_v> for every vertex v, as a plain map vertex ->
     integer: T_G is applied n times to the vertex basis vectors only.
@@ -228,11 +227,11 @@ def oracle_expectation_power(
         raise ValueError("n must be >= 1")
     if max_len < n:
         raise ValueError("need max_len >= n for an exact vertex diagonal")
-    level_sizes(lg.kernel, max_len, budget)
+    level_sizes(kg, max_len, budget)
     if n > budget:
         raise BudgetExceededError(f"n={n} products exceed the basis budget {budget}")
-    basis = build_basis(lg.kernel, n // 2, budget)
-    t = total_labeling_operator(lg, basis)
+    basis = build_basis(kg, n // 2, budget)
+    t = total_labeling_operator(kg, basis)
     vertices = basis.vertex_positions()
     x = SparseOperator(len(basis))
     for i in vertices.values():

@@ -1,8 +1,9 @@
 """The paper's definitions as objects: the oracles that the integer
 routes of groupoidlab are tested against.
 
-The program works on the signed-edge tables of LabeledGraph.kernel,
-and a validated DirectedGraph stands for the shadowed graph.  This
+The program works on the signed-edge tables of a labeled graph's flat
+view, the _kernel.KernelGraph that labeling.assign_weights returns, and
+a validated DirectedGraph stands for the shadowed graph.  This
 module states the same notions as the paper does, over SignedEdge
 words:
 
@@ -20,9 +21,9 @@ words:
 * the operator basis as groupoid elements, and right multiplication by
   one.
 
-Signed edges are numbered and named like lg.kernel, that is in the
-order of signed_edges(lg.graph); the oracles build that numbering
-themselves.
+Signed edges are numbered and named like the flat view lg, that is in
+the order of signed_edges(lg.graph); the oracles build that numbering
+themselves, and read from lg only its graph and its base labels.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def _view(g) -> tuple:
 
 
 def signed_edges(g) -> tuple:
-    """The signed edges of the shadowed graph of g, numbered like
-    lg.kernel: base edge i, in id order, is signed edge 2i forward and
+    """The signed edges of the shadowed graph of g, numbered like the
+    flat view: base edge i, in id order, is signed edge 2i forward and
     2i + 1 shadow."""
     return _view(g)[1]
 
@@ -105,7 +106,7 @@ def signed_by_name(g, name: str) -> SignedEdge:
 
 
 def edge_index(lg) -> dict:
-    """SignedEdge -> its index in lg.kernel."""
+    """SignedEdge -> its index in the flat view lg."""
     return {s: i for i, s in enumerate(signed_edges(lg.graph))}
 
 
@@ -129,10 +130,25 @@ def out_edges(g, v: str) -> tuple:
     return _view(g)[3][v]
 
 
+# id(flat view) -> (the view, base edge id -> label), held like _VIEWS
+_LABELS: dict = {}
+
+
+def base_labels(lg) -> dict:
+    """Base edge id -> its label, in the flat view lg: the label of its
+    forward signed edge, 2i for base edge i.  Built once per view: the
+    oracles ask for it at every letter."""
+    held = _LABELS.get(id(lg))
+    if held is None:
+        labels = dict(zip((e.id for e in lg.graph.edges), lg.labels[0::2]))
+        held = _LABELS[id(lg)] = (lg, labels)
+    return held[1]
+
+
 def label(lg, s: SignedEdge) -> int:
     """The signed label of s: its base edge's label, negated on the
     shadow."""
-    base = lg.base_labels[s.edge.id]
+    base = base_labels(lg)[s.edge.id]
     return -base if s.inverse else base
 
 
@@ -597,13 +613,13 @@ def mu_w(lg, word) -> int:
 
 
 def basis_elements(lg, basis) -> tuple:
-    """The Vertex and ReducedPath objects of an operators.Basis over
-    lg.kernel, in basis order."""
+    """The Vertex and ReducedPath objects of an operators.Basis over the
+    flat view lg, in basis order."""
     signed = signed_edges(lg.graph)
     words = [()] * basis.n_vertices
     for j in range(basis.n_vertices, len(basis)):
         words.append(words[basis.parent[j]] + (signed[basis.last[j]],))
-    return tuple(Vertex(v) for v in lg.kernel.vertices) + tuple(
+    return tuple(Vertex(v) for v in lg.graph.vertices) + tuple(
         ReducedPath(w) for w in words[basis.n_vertices :]
     )
 

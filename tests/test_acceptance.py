@@ -205,7 +205,7 @@ def test_acceptance_8_operator_identities():
     for name in ALL_FIXTURES:
         lg = labeled(name)
         L = 4
-        basis = build_basis(lg.kernel, L)
+        basis = build_basis(lg, L)
         elements = basis_elements(lg, basis)
         for k in range(1, lg.max_label + 1):
             tk = labeling_operator(lg, k, basis)

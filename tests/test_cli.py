@@ -788,6 +788,8 @@ BIG = str(10**9)
 # several seconds.
 HOSTILE = (
     (["moments", "--graph", fx("one-loop"), "--n", BIG, "--budget", "100000"], 5),
+    # the walk counts of single-edge never grow: only --budget stops them
+    (["moments", "--graph", fx("single-edge"), "--n", BIG, "--budget", "100000"], 5),
     (["moments", "--graph", fx("two-loop"), "--n", "10001"], 0),
     (["moments", "--graph", fx("two-loop"), "--n", "10000", "--budget", "1000"], 5),
     (["moments", "--graph", fx("two-loop"), "--n", "10000", "--mode", "balance",
@@ -841,6 +843,16 @@ def test_hostile_sizes_keep_the_exit_code_contract(argv, expected, fmt):
     if code == 5:
         assert err == ""
         assert out.rstrip().endswith("truncated" if not fmt else '"status": "truncated"}')
+
+
+@pytest.mark.parametrize("root", ["", "nope"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_tree_unknown_root_is_a_validation_error(root, fmt):
+    # only an absent --root means the first vertex; an empty one is a name
+    argv = ["tree", "--graph", fx("example-6-2"), "--depth", "1", "--root", root]
+    assert run_contract(argv + fmt) == (
+        4, "", f"validation error: unknown root vertex {root!r}\n"
+    )
 
 
 # A label as large as 10^8 costs neither time nor memory in proportion
@@ -1034,8 +1046,8 @@ def test_special_names_tree_dot_pinned(special_graph):
 
 
 E62 = ["--graph", fx("example-6-2")]
-# every layer reads lg.kernel, the oracle's basis too: one kernel_graph;
-# nc and lattice flatten nothing
+# assign_weights returns the flat view that every layer reads, the
+# oracle's basis too: one kernel_graph; nc and lattice flatten nothing
 ONE = {"kernel_graph": 1}
 FLATTEN_RUNS = (
     (["moments", *E62, "--n", "6", "--verify", "--words"], ONE),

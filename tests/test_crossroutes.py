@@ -110,7 +110,7 @@ def random_multigraph(rng, max_vertices=3, max_edges=4):
             Edge(f"e{j}", rng.choice(vs), rng.choice(vs)) for j in range(1, ne + 1)
         ]
         g = DirectedGraph(vs, es)
-        if validate_graph(g).ok:
+        if not validate_graph(g):
             return g
 
 
@@ -254,13 +254,14 @@ def test_property_balance_ignores_the_label_values(lg, n, data):
     # the balance condition pairs letters +k with letters -k, whatever k
     # is: a one-to-one relabeling of the labels, to values up to 10^9,
     # keeps the counts and the words
-    old = sorted(set(lg.base_labels.values()))
+    labels = paper.base_labels(lg)
+    old = sorted(set(labels.values()))
     new = data.draw(
         st.lists(st.integers(1, 10**9), min_size=len(old), max_size=len(old), unique=True)
     )
     relabel = dict(zip(old, new))
     big = assign_weights(
-        lg.graph, MODE_EXPLICIT, {e: relabel[k] for e, k in lg.base_labels.items()}
+        lg.graph, MODE_EXPLICIT, {e: relabel[k] for e, k in labels.items()}
     )
     assert balance_moment(big, n) == balance_moment(lg, n)
     assert w_m_set(big, n, "balance").words == w_m_set(lg, n, "balance").words
@@ -362,9 +363,8 @@ def test_fractaloid_regular_ignores_the_last_level():
 
 
 @settings(max_examples=40, deadline=None)
-@given(lg=labeled_multigraphs(), n=st.integers(1, 10))
-def test_property_balance_count_matches_full_length_walks(lg, n):
-    kg = _kernel.kernel_graph(lg)
+@given(kg=labeled_multigraphs(), n=st.integers(1, 10))
+def test_property_balance_count_matches_full_length_walks(kg, n):
     counts, _, truncated = _kernel.tally_words(kg, n, "balance")
     assert counts == balanced_loops_full(kg, n)
     assert not truncated
@@ -372,7 +372,7 @@ def test_property_balance_count_matches_full_length_walks(lg, n):
 
 def test_fixture_balance_counts_match_full_length_walks():
     for name in sorted(FIXTURES):
-        kg = _kernel.kernel_graph(labeled(name))
+        kg = labeled(name)
         for n in range(1, 11):
             assert _kernel.tally_words(kg, n, "balance")[0] == balanced_loops_full(kg, n)
 
@@ -446,13 +446,12 @@ def reduces_to_a_vertex(kg, letters) -> bool:
 
 
 @settings(max_examples=100, deadline=None)
-@given(lg=labeled_multigraphs(), data=st.data())
-def test_property_weighted_e_pi_matches_word_sum(lg, data):
+@given(kg=labeled_multigraphs(), data=st.data())
+def test_property_weighted_e_pi_matches_word_sum(kg, data):
     # E_pi of integer letter weights is the sum, over the admissible
     # words from each vertex whose blocks each reduce to a vertex, of
     # the product of the letters' weights at their positions
     n = data.draw(st.integers(1, 5))
-    kg = lg.kernel
     weight = st.integers(-2, 3)
     operands = [tuple(data.draw(weight) for _ in range(kg.n_signed)) for _ in range(n)]
     partitions = enumerate_nc(n)
@@ -480,7 +479,7 @@ def test_property_weighted_e_pi_matches_word_sum(lg, data):
             if mask & need == need:
                 brute[v] += c
         want = DiagonalElement.of(zip(kg.vertices, brute))
-        assert expectation_pi(lg, pi, operands) == want
+        assert expectation_pi(kg, pi, operands) == want
 
 
 @settings(max_examples=100, deadline=None)

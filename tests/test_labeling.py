@@ -19,6 +19,7 @@ from paper import (
     EMPTY_WEIGHT,
     ReducedPath,
     Vertex,
+    base_labels,
     inverse,
     inverted,
     label,
@@ -39,25 +40,25 @@ def labeled(name, mode=MODE_VERTEX, explicit=None):
 def test_circulant_all_labels_one():
     lg = labeled("circulant-3")
     assert lg.max_label == 1
-    assert set(lg.base_labels.values()) == {1}
+    assert set(base_labels(lg).values()) == {1}
 
 
 def test_example_6_2_multiedge_mode():
     lg = labeled("example-6-2", MODE_MULTIEDGE)
-    assert lg.base_labels == {"e12:1": 1, "e12:2": 2, "e13:1": 1, "e22:1": 1}
+    assert base_labels(lg) == {"e12:1": 1, "e12:2": 2, "e13:1": 1, "e22:1": 1}
     assert lg.max_label == 2
 
 
 def test_example_6_2_vertex_mode():
     lg = labeled("example-6-2", MODE_VERTEX)
-    assert lg.base_labels == {"e12:1": 1, "e12:2": 2, "e13:1": 3, "e22:1": 1}
+    assert base_labels(lg) == {"e12:1": 1, "e12:2": 2, "e13:1": 3, "e22:1": 1}
     assert lg.max_label == 3
 
 
 def test_explicit_mode_fixture_labels():
     f = fixture("example-6-2")
     lg = labeled("example-6-2", MODE_EXPLICIT, f.labels)
-    assert lg.base_labels == f.labels
+    assert base_labels(lg) == f.labels
     assert lg.max_label == 2
 
 
@@ -92,7 +93,7 @@ def test_vertex_mode_bijective_per_vertex():
     lg = labeled("example-6-2", MODE_VERTEX)
     g = lg.graph
     for v in g.vertices:
-        out = [lg.base_labels[e.id] for e in g.edges if e.src == v]
+        out = [base_labels(lg)[e.id] for e in g.edges if e.src == v]
         assert len(set(out)) == len(out)
 
 
@@ -110,7 +111,7 @@ def test_labels_number_each_group_by_sorted_id(mode):
         for k in {key(e) for e in g.edges}:
             group = sorted((e for e in g.edges if key(e) == k), key=lambda e: e.id)
             want.update((e.id, j) for j, e in enumerate(group, start=1))
-        assert assign_weights(g, mode).base_labels == want
+        assert base_labels(assign_weights(g, mode)) == want
 
 
 def test_weight_circulant_paths():

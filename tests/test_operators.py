@@ -34,13 +34,9 @@ def labeled(name):
     return assign_weights(shadow(f.graph), mode, f.labels)
 
 
-def tables(name):
-    return labeled(name).kernel
-
-
 def test_basis_one_loop_l3():
     lg = labeled("one-loop")
-    b = build_basis(lg.kernel, 3)
+    b = build_basis(lg, 3)
     assert len(b) == 7
     lengths = sorted(
         0 if isinstance(a, Vertex) else len(a.word) for a in basis_elements(lg, b)
@@ -50,13 +46,13 @@ def test_basis_one_loop_l3():
 
 def test_basis_l0_vertices_only():
     lg = labeled("example-6-2")
-    b = build_basis(lg.kernel, 0)
+    b = build_basis(lg, 0)
     assert len(b) == 3
     assert all(isinstance(a, Vertex) for a in basis_elements(lg, b))
 
 
 def test_basis_two_loop_l2():
-    b = build_basis(tables("two-loop"), 2)
+    b = build_basis(labeled("two-loop"), 2)
     assert len(b) == 17  # 1 + 4 + 12
 
 
@@ -64,7 +60,7 @@ def test_basis_two_loop_l2():
 def test_basis_order_by_length_and_index_sequence(name):
     lg = labeled(name)
     g = lg.graph
-    b = build_basis(lg.kernel, 4)
+    b = build_basis(lg, 4)
     rank = {s: i for i, s in enumerate(signed_edges(g))}
 
     def key(a):
@@ -93,7 +89,7 @@ def right_mult_by_concat(lg, w, basis, elements, index):
 def test_right_mult_trie_walk_matches_concat(name):
     lg = labeled(name)
     g = lg.graph
-    b = build_basis(lg.kernel, 4)
+    b = build_basis(lg, 4)
     elements, index = basis_elements(lg, b), basis_index(lg, b)
     factors = [a for a in elements if isinstance(a, Vertex) or len(a.word) <= 3]
     assert len(factors) >= len(g.vertices) + len(signed_edges(g))
@@ -103,7 +99,7 @@ def test_right_mult_trie_walk_matches_concat(name):
 
 def test_basis_closed_under_inverse():
     lg = labeled("example-6-2")
-    b = build_basis(lg.kernel, 3)
+    b = build_basis(lg, 3)
     index = basis_index(lg, b)
     for a in index:
         assert inverse(a) in index
@@ -111,7 +107,7 @@ def test_basis_closed_under_inverse():
 
 def test_basis_budget():
     with pytest.raises(BudgetExceededError):
-        build_basis(tables("three-loop"), 8, budget=100)
+        build_basis(labeled("three-loop"), 8, budget=100)
 
 
 def built_level_sizes(lg, basis, max_len):
@@ -123,25 +119,24 @@ def built_level_sizes(lg, basis, max_len):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_counted_level_sizes_match_the_built_levels(name):
     lg = labeled(name)
-    sizes = level_sizes(lg.kernel, 6)
+    sizes = level_sizes(lg, 6)
     # counting stops at the first empty length: every longer one is empty
-    assert sizes + [0] * (6 - len(sizes)) == built_level_sizes(lg, build_basis(lg.kernel, 6), 6)
+    assert sizes + [0] * (6 - len(sizes)) == built_level_sizes(lg, build_basis(lg, 6), 6)
     assert all(sizes)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_basis_budget_boundary(name):
     lg = labeled(name)
-    t = lg.kernel
     for max_len in range(1, 6):
-        basis = build_basis(t, max_len)
+        basis = build_basis(lg, max_len)
         size = len(basis)
-        assert len(build_basis(t, max_len, budget=size)) == size
+        assert len(build_basis(lg, max_len, budget=size)) == size
         # one element fewer is refused at the last nonempty length
         sizes = built_level_sizes(lg, basis, max_len)
         longest = max(ell for ell, k in enumerate(sizes, 1) if k)
         with pytest.raises(BudgetExceededError) as exc:
-            build_basis(t, max_len, budget=size - 1)
+            build_basis(lg, max_len, budget=size - 1)
         assert str(exc.value) == f"basis exceeds budget {size - 1} at length {longest}"
 
 
@@ -151,14 +146,14 @@ def test_over_budget_basis_is_refused_before_any_level_is_built(monkeypatch):
         raise AssertionError("a level was built")
 
     monkeypatch.setattr(_kernel.KernelGraph, "out", out)
-    t = tables("three-loop")
+    t = labeled("three-loop")
     with pytest.raises(BudgetExceededError, match="^basis exceeds budget 100000 at length 7$"):
         build_basis(t, 8)
 
 
 def test_vertex_projection_idempotent_selfadjoint():
     lg = labeled("example-6-2")
-    b = build_basis(lg.kernel, 3)
+    b = build_basis(lg, 3)
     for v in lg.graph.vertices:
         p = right_mult(lg, Vertex(v), b)
         assert p @ p == p
@@ -168,7 +163,7 @@ def test_vertex_projection_idempotent_selfadjoint():
 def test_partial_isometry_identity_on_safe_columns():
     lg = labeled("example-6-2")
     L = 4
-    b = build_basis(lg.kernel, L)
+    b = build_basis(lg, L)
     for s in signed_edges(lg.graph):
         w = ReducedPath((s,))
         r = right_mult(lg, w, b)
@@ -184,7 +179,7 @@ def test_partial_isometry_identity_on_safe_columns():
 def test_product_rule_matches_concat():
     lg = labeled("circulant-3")
     L = 5
-    b = build_basis(lg.kernel, L)
+    b = build_basis(lg, L)
     g = lg.graph
     e1 = ReducedPath((signed_by_name(g, "e1"),))  # v1 -> v2
     e2 = ReducedPath((signed_by_name(g, "e2"),))  # v2 -> v3
@@ -203,7 +198,7 @@ def test_product_rule_matches_concat():
 
 def test_column_sparsity():
     lg = labeled("example-6-2")
-    b = build_basis(lg.kernel, 3)
+    b = build_basis(lg, 3)
     for s in signed_edges(lg.graph):
         r = right_mult(lg, ReducedPath((s,)), b)
         assert all(len(col) <= 1 for col in r.cols)
@@ -224,7 +219,7 @@ def right_mult_sum(lg, signed, basis):
 
 def test_labeling_operator_example_6_2():
     lg = labeled("example-6-2")
-    b = build_basis(lg.kernel, 3)
+    b = build_basis(lg, 3)
     g = lg.graph
     t1 = labeling_operator(lg, 1, b)
     assert t1 == right_mult_sum(lg, [signed_by_name(g, e) for e in ("e12:1", "e13:1", "e22:1")], b)
@@ -235,7 +230,7 @@ def test_labeling_operator_example_6_2():
 
 def test_labeling_operator_refuses_a_label_out_of_range():
     lg = labeled("example-6-2")
-    b = build_basis(lg.kernel, 2)
+    b = build_basis(lg, 2)
     for k in (0, lg.max_label + 1, -lg.max_label - 1):
         with pytest.raises(GraphError, match="out of range"):
             labeling_operator(lg, k, b)
@@ -246,7 +241,7 @@ def test_labeling_operator_refuses_a_label_out_of_range():
 )
 def test_adjoint_and_selfadjointness(name):
     lg = labeled(name)
-    b = build_basis(lg.kernel, 4)
+    b = build_basis(lg, 4)
     for k in range(1, lg.max_label + 1):
         assert labeling_operator(lg, k, b).transpose() == labeling_operator(lg, -k, b)
     t = total_labeling_operator(lg, b)
@@ -287,7 +282,7 @@ def test_oracle_requires_max_len_ge_n():
 def full_basis_oracle(lg, n, max_len):
     """<T_G^n xi_v, xi_v> over the whole basis of length max_len: T_G
     applied n times to the vertex columns, no path dropped early."""
-    basis = build_basis(lg.kernel, max_len)
+    basis = build_basis(lg, max_len)
     t = total_labeling_operator(lg, basis)
     vertices = basis.vertex_positions()
     x = SparseOperator(len(basis))
@@ -319,8 +314,8 @@ def test_half_length_oracle_matches_the_full_basis(name):
 def test_oracle_refuses_the_declared_basis_one_element_over(name):
     lg = labeled(name)
     for n in range(1, 6):
-        size = len(build_basis(lg.kernel, n))
-        expected = outcome(build_basis, lg.kernel, n, size - 1)
+        size = len(build_basis(lg, n))
+        expected = outcome(build_basis, lg, n, size - 1)
         assert expected.startswith(f"basis exceeds budget {size - 1} at length ")
         assert outcome(oracle_expectation_power, lg, n, n, size - 1) == expected
 

@@ -6,8 +6,9 @@ method names; it catches helpers that only the tests call.  And no
 module reads another package module's _-prefixed names: a module's
 interface is what its callers use.  And no module holds signed-edge
 objects or a shadowed-graph object: every module reads signed edges
-from the tables of _kernel.KernelGraph.  And every entry point that the
-benchmark's tracer wraps is still where it looks for it."""
+from the tables of _kernel.KernelGraph.  And no module wraps that flat
+view: a labeled graph is its KernelGraph.  And every entry point that
+the benchmark's tracer wraps is still where it looks for it."""
 
 import ast
 import importlib
@@ -143,6 +144,28 @@ def signed_edge_readers():
 
 def test_only_the_kernel_numbers_signed_edges():
     assert signed_edge_readers() == []
+
+
+def flat_view_wrappers():
+    """Modules that name LabeledGraph anywhere, or read an attribute
+    named kernel: labeling.assign_weights returns the flat view itself,
+    and no object stands between a labeled graph and its KernelGraph."""
+    found = set()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            source = fh.read()
+        if "LabeledGraph" in source or any(
+            isinstance(node, ast.Attribute) and node.attr == "kernel"
+            for node in ast.walk(ast.parse(source))
+        ):
+            found.add(name[:-3])
+    return sorted(found)
+
+
+def test_a_labeled_graph_is_its_flat_view():
+    assert flat_view_wrappers() == []
 
 
 def tracer_hooks():

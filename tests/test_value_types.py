@@ -15,7 +15,7 @@ import groupoidlab
 from groupoidlab import _kernel, automaton, cli, moments
 from groupoidlab.errors import Value
 from groupoidlab.fixtures import fixture
-from groupoidlab.graphs import Edge, shadow, validate_graph
+from groupoidlab.graphs import Edge, shadow
 from groupoidlab.labeling import assign_weights
 from groupoidlab.ncpartitions import enumerate_nc
 
@@ -44,14 +44,13 @@ def partition_with_ends():
 CASES = {
     "Edge": lambda: fixture("example-6-2").graph.edges[0],
     "SignedEdge": lambda: paper.signed_edges(shadow(fixture("example-6-2").graph))[1],
-    "ValidationReport": lambda: validate_graph(fixture("circulant-3").graph),
     "Vertex": lambda: paper.Vertex(fixture("circulant-3").graph.vertices[0]),
     "ReducedPath": lambda: paper.reduce_word(word_6_2()),
     "BalanceVector": lambda: paper.theta(
         paper.label(labeled("example-6-2"), s) for s in word_6_2()
     ),
     "WeightedElement": lambda: paper.weight(labeled("example-6-2"), word_6_2()),
-    "KernelGraph": lambda: _kernel.kernel_graph(labeled("example-6-2")),
+    "KernelGraph": lambda: labeled("example-6-2"),
     "TreeNode": lambda: paper.build_tree(
         paper.GraphAutomaton(labeled("two-loop")), "v", 2
     ).root,
@@ -169,8 +168,10 @@ def test_value_types_derive_from_value():
 def test_kernel_graph_ignores_names():
     kg = CASES["KernelGraph"]()
     names = field_names(type(kg))
-    # the names of the vertices and signed edges take no part
-    unnamed = ("vertices", "names")
+    # the names of the vertices and signed edges take no part, nor do
+    # max_label, which the labels determine, and the graph, which holds
+    # the names
+    unnamed = ("vertices", "names", "max_label", "graph")
     other = _kernel.KernelGraph(*(() if n in unnamed else getattr(kg, n) for n in names))
     assert other == kg and hash(other) == hash(kg)
     assert "'v1'" not in repr(kg) and "e12:1" not in repr(kg)
@@ -200,7 +201,7 @@ def test_default_reprs_are_unchanged():
         "witness={'vertex': 'v1', 'reason': 'outgoing labels [1, 1, 2] != full set "
         "[-2, -1, 1, 2]'}, trees=(('v1', False, 13), ('v2', False, 19), ('v3', False, 5)))"
     )
-    assert repr(_kernel.kernel_graph(lg)) == (
+    assert repr(lg) == (
         "KernelGraph(n_vertices=3, n_signed=8, src=(0, 1, 0, 1, 0, 2, 1, 1), "
         "dst=(1, 0, 1, 0, 2, 0, 1, 1), inv=(1, 0, 3, 2, 5, 4, 7, 6), "
         "out_start=(0, 3, 7, 8), out_list=(0, 2, 4, 1, 3, 6, 7, 5), "
