@@ -35,8 +35,6 @@ reads, operators.Basis and the automaton too.  KernelGraph owns the
 numbering of signed edges and their names: no other module numbers them.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate, chain
 from operator import mul
 
@@ -145,7 +143,8 @@ def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
             counts; the others read 0.
 
     Returns (counts per vertex index, admissible length-n words or 0
-    past the walk's own cap or budget (see _walk_count), truncated).
+    when the count was truncated or the walk passed its own cap or
+    budget (see _walk_count), truncated).
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -156,7 +155,7 @@ def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
         counts, truncated = _balanced_loops(kg, n, spend)
     else:
         counts, truncated = _closed_by_length(kg, n, spend)
-    return counts, _walk_count(kg, n, budget), truncated
+    return counts, 0 if truncated else _walk_count(kg, n, budget), truncated
 
 
 def _walk_count(kg, n, budget) -> int:
@@ -297,7 +296,11 @@ def _balanced_loops(kg, n, spend):
     count is the sum of F^2; odd n gives zeros.  The balance vector is
     packed into one integer in balanced base n + 1, whose digits (one
     per coordinate, each in -n/2..n/2) never carry, so equal codes are
-    equal vectors."""
+    equal vectors.
+
+    Every vertex of a validated graph has an out-edge, so each of the
+    n/2 steps charges at least one transition: a start vertex that
+    cannot pay n/2 more is not begun, as it would run out inside."""
     counts = [0] * kg.n_vertices
     if n % 2:
         return counts, False
@@ -306,6 +309,8 @@ def _balanced_loops(kg, n, spend):
         (1 if k > 0 else -1) * radix**axis for k, axis in zip(kg.labels, _axes(kg))
     ]
     for s in range(kg.n_vertices):
+        if spend.cap is not None and spend.spent + n // 2 > spend.cap:
+            return counts, True
         states = {(s, 0): 1}
         for _ in range(n // 2):
             nxt: dict = {}

@@ -9,8 +9,6 @@ The trees, their sizes and their regularity therefore come from the
 tables and from walk counts, and no state is built.
 """
 
-from __future__ import annotations
-
 from . import _kernel
 from .errors import BudgetExceededError, Value
 from .graphs import GraphError

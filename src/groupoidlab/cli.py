@@ -18,8 +18,6 @@ flush of stdout and stderr, then os._exit, which skips the
 interpreter's teardown (it cost more than all of the imports).
 """
 
-from __future__ import annotations
-
 import atexit
 import json
 import os
@@ -69,7 +67,7 @@ def shadow(graph):
 
 def _load_labeled(args) -> tuple:
     """(labeled flat view, inputs, notes) of the file args.graph names."""
-    from . import fixtures, graphio, labeling
+    from . import graphio, labeling
 
     graph, file_labels = graphio.parse_graph_file(args.graph)
     graph = shadow(graph)
@@ -88,7 +86,7 @@ def _load_labeled(args) -> tuple:
         "max_label": kg.max_label,
         "labeling": mode,
     }
-    return kg, inputs, list(fixtures.notes_for(graph, file_labels))
+    return kg, inputs, graphio.notes_for(graph, file_labels)
 
 
 def _emit(args, report: dict) -> None:
@@ -435,7 +433,7 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     """The parser with every subcommand registered: it words all help,
     usage and error text."""
     import argparse

@@ -6,9 +6,11 @@ Schema (UTF-8, no comments):
 "label" is optional per edge; when present anywhere it must be present
 everywhere (explicit labelings are all-or-nothing).  An edge id must
 not start with "~", which marks the name of a shadow edge.
-"""
 
-from __future__ import annotations
+It also recognizes the two bundled examples that carry a note,
+fixtures/example-6-2.json and fixtures/two-loop.json: notes_for gives
+the note of a parsed graph file that coincides with one of them.
+"""
 
 import json
 
@@ -79,6 +81,48 @@ def parse_graph_file(path) -> tuple[DirectedGraph, dict | None]:
         except (ValueError, RecursionError) as exc:
             raise ParseError(str(exc)) from None
     return parse_graph_obj(obj)
+
+
+# The two bundled examples whose note the CLI prints, keyed by the
+# canonical form of a parsed graph file (see notes_for): the published
+# values of fixtures/example-6-2.json, and the balance count on
+# fixtures/two-loop.json.
+_NOTES = {
+    (
+        ("v1", "v2", "v3"),
+        (
+            ("e12:1", "v1", "v2"),
+            ("e12:2", "v1", "v2"),
+            ("e13:1", "v1", "v3"),
+            ("e22:1", "v2", "v2"),
+        ),
+        (("e12:1", 1), ("e12:2", 2), ("e13:1", 1), ("e22:1", 1)),
+    ): (
+        "The published moment word list for this graph omits the loop-edge "
+        "words (e22:1, ~e22:1) and (~e22:1, e22:1); the reduction count and "
+        "the operator oracle both include them, giving {v1: 3, v2: 4, v3: 1} "
+        "at n = 2 instead of the published {v1: 3, v2: 2, v3: 1}."
+    ),
+    (("v",), (("e1", "v", "v"), ("e2", "v", "v")), None): (
+        "For max label N >= 2 the balance-condition count exceeds the "
+        "reduction count (36 vs 28 at n = 4 on the two-loop graph); the "
+        "reduction count is the one matching the operator oracle."
+    ),
+}
+
+
+def notes_for(graph: DirectedGraph, labels: dict | None) -> list:
+    """The notes of the bundled example that a parsed graph file
+    coincides with: its sorted vertex ids, (id, src, dst) of each edge in
+    id order, and its labels, sorted, or None, all equal.  A new list,
+    empty for any other graph."""
+    key = (
+        graph.vertices,
+        tuple((e.id, e.src, e.dst) for e in graph.edges),
+        tuple(sorted(labels.items())) if labels else None,
+    )
+    note = _NOTES.get(key)
+    return [note] if note else []
 
 
 def graph_to_obj(graph: DirectedGraph, labels: dict | None = None) -> dict:

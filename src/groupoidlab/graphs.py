@@ -9,8 +9,6 @@ object here: a validated DirectedGraph stands for it, and
 _kernel.KernelGraph numbers and names its signed edges.
 """
 
-from __future__ import annotations
-
 from .errors import GraphError, Value
 
 

@@ -12,8 +12,6 @@ _kernel.KernelGraph that the moment, automaton and operator layers
 read.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from .errors import BudgetExceededError

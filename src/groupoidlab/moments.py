@@ -25,8 +25,6 @@ letters.  check_freeness keeps the Moebius route: its sums are the
 evidence that mixed cumulants vanish.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import partial
 from math import prod

@@ -17,8 +17,6 @@ groupoidlab.moments) share one left-to-right evaluator, nested(); the
 caller's close and multiply fix the algebra.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import cached_property, lru_cache
 from math import comb

@@ -3,7 +3,7 @@
 A basis of length L collects the vertices and every reduced path of
 length at most L.  Right multiplication operators map basis vectors to
 basis vectors (or to zero), so each column holds at most one unit
-entry; products, adjoints, and powers stay in exact integer arithmetic.
+entry; products and powers stay in exact integer arithmetic.
 This module is the brute-force oracle the moment DP is checked against,
 so it deliberately stays close to the definitions: the moment at a
 vertex v is the coefficient <T_G^n xi_v, xi_v>, read off after
@@ -13,16 +13,13 @@ of n letters that returns to its vertex.
 
 A Basis is built over the signed-edge tables of the one flat view of a
 labeled graph, the _kernel.KernelGraph that labeling.assign_weights
-returns, which the oracle reads for the labels too.  Its elements are positions in a trie
-of signed-edge indices, and right multiplication by a signed edge is
-one step in that trie (Basis.step).
+returns.  Its elements are positions in a trie of signed-edge indices,
+and right multiplication by a signed edge is one step in that trie
+(Basis.step).
 """
-
-from __future__ import annotations
 
 from . import _kernel
 from .errors import BASIS_BUDGET, BudgetExceededError
-from .graphs import GraphError
 
 
 class Basis:
@@ -122,13 +119,6 @@ class SparseOperator:
             x = self @ x
         return x
 
-    def transpose(self) -> "SparseOperator":
-        cols = [dict() for _ in range(self.dim)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                cols[i][j] = v
-        return SparseOperator(self.dim, cols)
-
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
 
@@ -175,36 +165,21 @@ def build_basis(t: _kernel.KernelGraph, max_len: int, budget: int = BASIS_BUDGET
     return Basis(t, max_len, budget)
 
 
-def _edge_sum(basis: Basis, edges) -> SparseOperator:
-    """The sum of the right multiplications by the signed edges in
-    edges, filled column by column in place: column j holds a unit at j
-    times s for each such s leaving the target of j, when that product
-    is in the basis.  Distinct letters give distinct products, so no
-    entry is hit twice."""
+def total_labeling_operator(kg: _kernel.KernelGraph, basis: Basis) -> SparseOperator:
+    """T_G: the sum of T_k over all signed labels -N..-1, 1..N, which
+    is the sum of the right multiplications by every signed edge, as
+    each label lies in that range.  Filled column by column in place:
+    column j holds a unit at j times s for each s leaving the target of
+    j, when that product is in the basis.  Distinct letters give
+    distinct products, so no entry is hit twice."""
     t = basis.tables
     op = SparseOperator(len(basis))
     for j, tgt in enumerate(basis.target):
         for s in t.out(tgt):
-            if s in edges:
-                i = basis.step(j, s)
-                if i >= 0:
-                    op.cols[j][i] = 1
+            i = basis.step(j, s)
+            if i >= 0:
+                op.cols[j][i] = 1
     return op
-
-
-def labeling_operator(kg: _kernel.KernelGraph, k: int, basis: Basis) -> SparseOperator:
-    """T_k: the sum of right multiplications by the signed edges whose
-    label is k, for k in -N..-1, 1..N."""
-    if k == 0 or abs(k) > kg.max_label:
-        raise GraphError(f"label {k} out of range 1..{kg.max_label} (signed)")
-    return _edge_sum(basis, {e for e, j in enumerate(kg.labels) if j == k})
-
-
-def total_labeling_operator(kg: _kernel.KernelGraph, basis: Basis) -> SparseOperator:
-    """T_G: the sum of T_k over all signed labels -N..-1, 1..N, which
-    is the sum over every signed edge, as each label lies in that
-    range."""
-    return _edge_sum(basis, range(kg.n_signed))
 
 
 def oracle_expectation_power(

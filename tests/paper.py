@@ -18,8 +18,10 @@ words:
 * the Moebius value of a noncrossing partition, from the cycle type of
   pi^-1 gamma;
 * E on a single word and the cumulant weight mu_w;
-* the operator basis as groupoid elements, and right multiplication by
-  one.
+* the operator basis as groupoid elements, right multiplication by
+  one, the labeling operators T_k and the adjoint of an operator;
+* the bundled examples, read from their one definition,
+  fixtures/<name>.json, as graphs and as flat views.
 
 Signed edges are numbered and named like the flat view lg, that is in
 the order of signed_edges(lg.graph); the oracles build that numbering
@@ -28,12 +30,42 @@ themselves, and read from lg only its graph and its base labels.
 
 from __future__ import annotations
 
+import os
+from functools import cache
 from math import comb, prod
 
-from groupoidlab import moments
+from groupoidlab import graphio, moments
 from groupoidlab.errors import GraphError, Value
+from groupoidlab.graphs import shadow
+from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.ncpartitions import NoncrossingPartition
 from groupoidlab.operators import SparseOperator
+
+# ---------------------------------------------------------------------------
+# The bundled examples: fixtures/<name>.json is the one definition of each
+
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+FIXTURES = tuple(sorted(f[:-5] for f in os.listdir(FIXTURE_DIR) if f.endswith(".json")))
+
+
+@cache
+def fixture(name: str) -> tuple:
+    """(graph, labels) of fixtures/<name>.json, as graphio parses it:
+    labels is None when the file has none.  Parsed once per name, so
+    every test of one example reads the same graph object."""
+    return graphio.parse_graph_file(os.path.join(FIXTURE_DIR, f"{name}.json"))
+
+
+def labeled(name: str, mode: str = "auto"):
+    """The flat view of a bundled example, labeled as the CLI's
+    --labeling mode does: "auto" takes the file's labels when it has
+    them and vertex labels otherwise, and only explicit mode reads the
+    file's labels."""
+    graph, labels = fixture(name)
+    if mode == "auto":
+        mode = MODE_EXPLICIT if labels else MODE_VERTEX
+    return assign_weights(shadow(graph), mode, labels if mode == MODE_EXPLICIT else None)
+
 
 # ---------------------------------------------------------------------------
 # Signed edges: a base edge with an orientation, the signed edges of a
@@ -661,3 +693,26 @@ def right_mult(lg, w, basis) -> SparseOperator:
         else:
             op.cols[j][i] = 1
     return op
+
+
+def labeling_operator(lg, k: int, basis) -> SparseOperator:
+    """T_k: the sum of the right multiplications by the signed edges
+    whose label is k, for k in -N..-1, 1..N."""
+    if k == 0 or abs(k) > lg.max_label:
+        raise GraphError(f"label {k} out of range 1..{lg.max_label} (signed)")
+    op = SparseOperator(len(basis))
+    for s in signed_edges(lg.graph):
+        if label(lg, s) == k:
+            for j, col in enumerate(right_mult(lg, ReducedPath((s,)), basis).cols):
+                for i, v in col.items():
+                    op.cols[j][i] = op.cols[j].get(i, 0) + v
+    return op
+
+
+def transpose(op: SparseOperator) -> SparseOperator:
+    """The adjoint of an integer operator: its transpose."""
+    cols = [dict() for _ in range(op.dim)]
+    for j, col in enumerate(op.cols):
+        for i, v in col.items():
+            cols[i][j] = v
+    return SparseOperator(op.dim, cols)

@@ -12,19 +12,10 @@ import math
 import random
 import sys
 
-import pytest
-
 from groupoidlab import cli
 from groupoidlab.automaton import is_fractaloid
-from groupoidlab.fixtures import FIXTURES, fixture
-from groupoidlab.graphio import dump_graph_file
 from groupoidlab.graphs import shadow
-from groupoidlab.labeling import (
-    MODE_EXPLICIT,
-    MODE_VERTEX,
-    assign_weights,
-    count_axis_paths,
-)
+from groupoidlab.labeling import count_axis_paths
 from groupoidlab.moments import (
     DiagonalElement,
     balance_moment,
@@ -36,36 +27,34 @@ from groupoidlab.moments import (
 from groupoidlab.ncpartitions import catalan, enumerate_nc, moebius, nested
 from groupoidlab.operators import (
     build_basis,
-    labeling_operator,
     oracle_expectation_power,
     total_labeling_operator,
 )
 
 from paper import (
     EMPTY,
+    FIXTURE_DIR,
     ReducedPath,
     Vertex,
     basis_elements,
     concat,
+    fixture,
     inverse,
     inverted,
     is_admissible,
+    labeled,
+    labeling_operator,
     out_edges,
     partition,
     reduce_word,
     right_mult,
     signed_edges,
+    transpose,
 )
 from test_labeling import count_axis_paths_brute
 
 ORACLE_FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
 ALL_FIXTURES = ORACLE_FIXTURES + ["three-loop", "example-6-2-noloop"]
-
-
-def labeled(name):
-    f = fixture(name)
-    mode = MODE_EXPLICIT if f.labels else MODE_VERTEX
-    return assign_weights(shadow(f.graph), mode, f.labels)
 
 
 def run_cli(argv):
@@ -79,24 +68,16 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
-@pytest.fixture(scope="module")
-def fixture_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("fixtures")
-    for name, f in FIXTURES.items():
-        dump_graph_file(str(d / f"{name}.json"), f.graph, f.labels)
-    return str(d)
-
-
-def test_acceptance_1_example_6_2_reproduction(fixture_dir):
+def test_acceptance_1_example_6_2_reproduction():
     code, out = run_cli(
-        ["moments", "--graph", f"{fixture_dir}/example-6-2-noloop.json", "--n", "2", "--json"]
+        ["moments", "--graph", f"{FIXTURE_DIR}/example-6-2-noloop.json", "--n", "2", "--json"]
     )
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["diagonal"] == {"v1": "3", "v2": "2", "v3": "1"}
 
     code, out = run_cli(
-        ["moments", "--graph", f"{fixture_dir}/example-6-2.json", "--n", "2", "--verify", "--json"]
+        ["moments", "--graph", f"{FIXTURE_DIR}/example-6-2.json", "--n", "2", "--verify", "--json"]
     )
     assert code == 0
     rep = json.loads(out)
@@ -209,9 +190,9 @@ def test_acceptance_8_operator_identities():
         elements = basis_elements(lg, basis)
         for k in range(1, lg.max_label + 1):
             tk = labeling_operator(lg, k, basis)
-            assert tk.transpose() == labeling_operator(lg, -k, basis), (name, k)
+            assert transpose(tk) == labeling_operator(lg, -k, basis), (name, k)
         tg = total_labeling_operator(lg, basis)
-        assert tg.transpose() == tg, name
+        assert transpose(tg) == tg, name
         for s in signed_edges(lg.graph):
             w = ReducedPath((s,))
             r = right_mult(lg, w, basis)
@@ -271,10 +252,10 @@ def _reduce_random_order(word, rng):
     return ReducedPath(tuple(letters))
 
 
-def test_acceptance_10_property_suites(fixture_dir):
+def test_acceptance_10_property_suites():
     rng = random.Random(6_28_2026)
     for name in ORACLE_FIXTURES:
-        g = shadow(fixture(name).graph)
+        g = shadow(fixture(name)[0])
         elems = []
         for word in _random_words(g, 10_000, 8, rng):
             r = reduce_word(word)
@@ -288,7 +269,7 @@ def test_acceptance_10_property_suites(fixture_dir):
                 continue
             assert concat(ab, c) == concat(a, bc)
     argv = [
-        "moments", "--graph", f"{fixture_dir}/example-6-2.json", "--n", "4", "--json"
+        "moments", "--graph", f"{FIXTURE_DIR}/example-6-2.json", "--n", "4", "--json"
     ]
     first = run_cli(argv)
     second = run_cli(argv)

@@ -5,29 +5,23 @@ import pytest
 from groupoidlab import automaton
 from groupoidlab.automaton import build_tree, is_fractaloid
 from groupoidlab.errors import BudgetExceededError
-from groupoidlab.fixtures import FIXTURES, fixture
-from groupoidlab.graphs import GraphError, shadow
-from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
+from groupoidlab.graphs import GraphError
 
 import paper
 from paper import (
     EMPTY,
     EMPTY_WEIGHT,
+    FIXTURES,
     GraphAutomaton,
     concat,
     inverted,
     label,
+    labeled,
     out_edges,
     reduce_word,
     signed_by_name,
     signed_edges,
 )
-
-
-def labeled(name):
-    f = fixture(name)
-    mode = MODE_EXPLICIT if f.labels else MODE_VERTEX
-    return assign_weights(shadow(f.graph), mode, f.labels)
 
 
 def automaton_for(name):
@@ -264,7 +258,7 @@ def assert_same_tree(lg, root, depth):
     assert len(tree.nodes()) == len(objects.nodes()), (root, depth)
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("name", FIXTURES)
 def test_table_tree_matches_the_object_tree(name):
     lg = labeled(name)
     for root in lg.graph.vertices:
@@ -291,7 +285,7 @@ def test_build_tree_stops_counting_past_the_node_budget(monkeypatch):
         build_tree(labeled("two-loop"), "v", 10**9)
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("name", FIXTURES)
 def test_fractaloid_node_bound(name):
     lg = labeled(name)
     verdict = is_fractaloid(lg, depth=5)

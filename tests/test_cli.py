@@ -780,16 +780,22 @@ BIG = str(10**9)
 
 # Hostile sizes for every subcommand, with the exit code each must give.
 # `moments --words` charges each letter it tries or keeps, so it stops
-# within its budget at any n.  Left out, as they run far longer than a
-# test should: `moments` at n = 10^6 or 10^9, or `--n 20000` on
-# two-loop, at the default budget.  There the reduction count stops at
-# once, as it charges its tables before it builds them (test_kernel),
-# but the balance count spends its 10^7 transitions on big integers for
-# several seconds.
+# within its budget at any n.  At n = 10^9 and the default budget,
+# `moments` stops at once: each count charges up front what it cannot
+# finish (test_kernel).  Left out, as they run far longer than a test
+# should: `moments` at n = 10^6, or `--n 20000` on two-loop, at the
+# default budget.  There the reduction count stops at once, but the
+# balance count spends its 10^7 transitions on big integers for several
+# seconds.
+HUGE_N_MOMENTS = tuple(
+    ["moments", "--graph", fx(name), "--n", BIG]
+    for name in ("single-edge", "one-loop", "two-loop")
+)
 HOSTILE = (
     (["moments", "--graph", fx("one-loop"), "--n", BIG, "--budget", "100000"], 5),
     # the walk counts of single-edge never grow: only --budget stops them
     (["moments", "--graph", fx("single-edge"), "--n", BIG, "--budget", "100000"], 5),
+    *((argv, 5) for argv in HUGE_N_MOMENTS),
     (["moments", "--graph", fx("two-loop"), "--n", "10001"], 0),
     (["moments", "--graph", fx("two-loop"), "--n", "10000", "--budget", "1000"], 5),
     (["moments", "--graph", fx("two-loop"), "--n", "10000", "--mode", "balance",
@@ -919,13 +925,19 @@ def test_a_huge_label_costs_no_time_or_memory(loop_graphs, argv, code):
     assert lines[2:] == small[1].splitlines()[2:]
 
 
-def test_huge_n_moments_end_within_seconds():
+@pytest.mark.parametrize(
+    "argv",
+    [["moments", "--graph", fx("one-loop"), "--n", BIG, "--budget", "100000"], *HUGE_N_MOMENTS],
+    ids=argv_id,
+)
+def test_huge_n_moments_end_within_seconds(argv):
     # the count of admissible words, which no result reads, stops at its
-    # own cap instead of taking n big-integer steps
-    argv = ["moments", "--graph", fx("one-loop"), "--n", BIG, "--budget", "100000", "--json"]
+    # own cap instead of taking n big-integer steps; neither count
+    # begins a vertex it cannot finish, and a truncated count skips the
+    # walk count
     proc = subprocess.run(
-        [sys.executable, "-m", "groupoidlab.cli", *argv], capture_output=True, text=True,
-        cwd=ROOT, timeout=5, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        [sys.executable, "-m", "groupoidlab.cli", *argv, "--json"], capture_output=True,
+        text=True, cwd=ROOT, timeout=5, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
     )
     assert (proc.returncode, proc.stderr) == (5, "")
     assert json.loads(proc.stdout)["status"] == "truncated"

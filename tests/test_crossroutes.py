@@ -19,7 +19,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupoidlab import _kernel, automaton
-from groupoidlab.fixtures import FIXTURES, fixture
 from groupoidlab.graphs import DirectedGraph, Edge, shadow, validate_graph
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.labeling import (
@@ -49,12 +48,14 @@ from groupoidlab.operators import oracle_expectation_power
 
 import paper
 from paper import (
+    FIXTURES,
     ReducedPath,
     Vertex,
     concat,
     diagram_distinct,
     inverted,
     label,
+    labeled,
     mu_w,
     out_edges,
     reduce_word,
@@ -63,12 +64,6 @@ from paper import (
 )
 from test_automaton import assert_same_tree
 from test_groupoid import enumerate_admissible_words
-
-
-def labeled(name):
-    f = fixture(name)
-    mode = MODE_EXPLICIT if f.labels else MODE_VERTEX
-    return assign_weights(shadow(f.graph), mode, f.labels)
 
 
 def d_loop_words_by_filter(g, n):
@@ -313,7 +308,7 @@ def assert_verdict_matches_trees(lg, depth):
     assert automaton.is_fractaloid(lg, depth).trees == tuple(trees)
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("name", FIXTURES)
 def test_wc_charges_one_unit_per_word_in_filter_order(name):
     # the partial sum at budget b covers exactly the first b reference
     # words: the wc walk keeps their order and charges each word once
@@ -371,7 +366,7 @@ def test_property_balance_count_matches_full_length_walks(kg, n):
 
 
 def test_fixture_balance_counts_match_full_length_walks():
-    for name in sorted(FIXTURES):
+    for name in FIXTURES:
         kg = labeled(name)
         for n in range(1, 11):
             assert _kernel.tally_words(kg, n, "balance")[0] == balanced_loops_full(kg, n)

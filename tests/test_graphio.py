@@ -1,53 +1,72 @@
 import json
+import shutil
 
 import pytest
 
 from groupoidlab import graphio
-from groupoidlab.fixtures import FIXTURES, fixture, notes_for
 from groupoidlab.graphio import SchemaError, parse_graph_obj
+
+from paper import FIXTURE_DIR, FIXTURES, fixture
 
 
 def test_roundtrip_all_fixtures(tmp_path):
-    for name, f in FIXTURES.items():
+    for name in FIXTURES:
+        graph, labels = fixture(name)
         path = str(tmp_path / f"{name}.json")
-        graphio.dump_graph_file(path, f.graph, f.labels)
-        graph, labels = graphio.parse_graph_file(path)
-        assert graph == fixture(name).graph
-        assert labels == f.labels
-
-
-def test_checked_in_fixtures_match_library():
-    import os
-
-    here = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-    for name, f in FIXTURES.items():
-        graph, labels = graphio.parse_graph_file(os.path.join(here, f"{name}.json"))
-        assert graph == f.graph and labels == f.labels
+        graphio.dump_graph_file(path, graph, labels)
+        assert graphio.parse_graph_file(path) == (graph, labels)
 
 
 def test_example_6_2_fixture_contents():
-    f = fixture("example-6-2")
-    assert len(f.graph.vertices) == 3
-    assert [e.id for e in f.graph.edges] == ["e12:1", "e12:2", "e13:1", "e22:1"]
-    assert [f.labels[e.id] for e in f.graph.edges] == [1, 2, 1, 1]
+    graph, labels = fixture("example-6-2")
+    assert len(graph.vertices) == 3
+    assert [e.id for e in graph.edges] == ["e12:1", "e12:2", "e13:1", "e22:1"]
+    assert [labels[e.id] for e in graph.edges] == [1, 2, 1, 1]
 
 
 def test_circulant_fixture_contents():
-    f = fixture("circulant-3")
-    assert len(f.graph.vertices) == 3 and len(f.graph.edges) == 3
-    assert f.labels is None
+    graph, labels = fixture("circulant-3")
+    assert len(graph.vertices) == 3 and len(graph.edges) == 3
+    assert labels is None
 
 
-def test_notes_matching():
-    f = fixture("example-6-2")
-    assert notes_for(f.graph, f.labels)
-    assert notes_for(f.graph, None) == ()  # labels differ -> no match
-    assert notes_for(fixture("circulant-3").graph, None) == ()
-
-
-def test_unknown_fixture():
-    with pytest.raises(KeyError):
-        fixture("nope")
+def test_notes_name_the_two_noted_examples_exactly(tmp_path):
+    # every bundled file, and a copy of it at another path, is noted
+    # exactly when it is example-6-2 with its labels or two-loop
+    # without labels
+    noted = {}
+    for name in FIXTURES:
+        copy = tmp_path / f"copy-of-{name}.json"
+        shutil.copy(f"{FIXTURE_DIR}/{name}.json", copy)
+        notes = graphio.notes_for(*graphio.parse_graph_file(copy))
+        assert notes == graphio.notes_for(*fixture(name))
+        if notes:
+            noted[name] = notes
+    assert sorted(noted) == ["example-6-2", "two-loop"]
+    assert [len(n) for n in noted.values()] == [1, 1]
+    assert noted["example-6-2"] != noted["two-loop"]
+    # the order of the lists in the file does not matter
+    obj = json.loads((tmp_path / "copy-of-example-6-2.json").read_text())
+    obj["vertices"].reverse()
+    obj["edges"].reverse()
+    assert graphio.notes_for(*parse_graph_obj(obj)) == noted["example-6-2"]
+    # relabeled or renamed variants are other graphs
+    graph, labels = fixture("example-6-2")
+    assert graphio.notes_for(graph, None) == []
+    assert graphio.notes_for(graph, {**labels, "e22:1": 2}) == []
+    assert graphio.notes_for(fixture("example-6-2-noloop")[0], labels) == []
+    graph, _ = fixture("two-loop")
+    assert graphio.notes_for(graph, {"e1": 1, "e2": 2}) == []
+    renamed = graphio.graph_to_obj(graph)
+    renamed["edges"][1]["id"] = "e3"
+    assert graphio.notes_for(*parse_graph_obj(renamed)) == []
+    moved = graphio.graph_to_obj(graph)
+    moved["vertices"] = ["w"]
+    for rec in moved["edges"]:
+        rec["src"] = rec["dst"] = "w"
+    assert graphio.notes_for(*parse_graph_obj(moved)) == []
+    # each call gives a new list, which the CLI extends
+    assert graphio.notes_for(graph, None) is not graphio.notes_for(graph, None)
 
 
 def test_schema_missing_key():
@@ -87,9 +106,9 @@ def test_schema_unknown_keys():
 
 
 def test_dump_is_stable(tmp_path):
-    f = fixture("example-6-2")
+    graph, labels = fixture("example-6-2")
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    graphio.dump_graph_file(p1, f.graph, f.labels)
-    graphio.dump_graph_file(p2, f.graph, f.labels)
+    graphio.dump_graph_file(p1, graph, labels)
+    graphio.dump_graph_file(p2, graph, labels)
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text())["vertices"] == ["v1", "v2", "v3"]

@@ -1,6 +1,5 @@
 import pytest
 
-from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import (
     DirectedGraph,
     Edge,
@@ -9,7 +8,14 @@ from groupoidlab.graphs import (
     validate_graph,
 )
 
-from paper import inverted, out_edges, signed_by_name, signed_edges, vertex_index
+from paper import (
+    fixture,
+    inverted,
+    out_edges,
+    signed_by_name,
+    signed_edges,
+    vertex_index,
+)
 
 
 def test_single_vertex_valid():
@@ -30,7 +36,7 @@ def test_empty_vertex_set():
 
 
 def test_example_6_2_valid():
-    assert validate_graph(fixture("example-6-2").graph) == ()
+    assert validate_graph(fixture("example-6-2")[0]) == ()
 
 
 def test_duplicate_ids_rejected():
@@ -56,11 +62,11 @@ def test_shadow_single_edge():
 
 
 def test_shadow_example_6_2_has_8_signed_edges():
-    assert len(signed_edges(shadow(fixture("example-6-2").graph))) == 8
+    assert len(signed_edges(shadow(fixture("example-6-2")[0]))) == 8
 
 
 def test_shadow_involution():
-    for s in signed_edges(shadow(fixture("example-6-2").graph)):
+    for s in signed_edges(shadow(fixture("example-6-2")[0])):
         assert inverted(inverted(s)) == s
 
 
@@ -78,13 +84,13 @@ def test_shadow_rejects_invalid():
 
 
 def test_unknown_vertex_errors():
-    g = fixture("one-loop").graph
+    g = fixture("one-loop")[0]
     with pytest.raises(GraphError):
         vertex_index(g, "nope")
 
 
 def test_shadowed_out_degree_is_out_plus_in():
-    g = shadow(fixture("example-6-2").graph)
+    g = shadow(fixture("example-6-2")[0])
     for v in g.vertices:
         degree = sum((e.src == v) + (e.dst == v) for e in g.edges)
         assert len(out_edges(g, v)) == degree
@@ -99,7 +105,7 @@ def test_deterministic_ordering():
 
 
 def test_signed_edge_names():
-    g = shadow(fixture("single-edge").graph)
+    g = shadow(fixture("single-edge")[0])
     assert [s.name() for s in signed_edges(g)] == ["e1", "~e1"]
     assert signed_by_name(g, "~e1").inverse
     with pytest.raises(GraphError):

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import Edge, shadow
 from paper import (
     EMPTY,
@@ -13,6 +12,7 @@ from paper import (
     concat,
     diagram,
     diagram_distinct,
+    fixture,
     inverse,
     inverted,
     is_admissible,
@@ -26,7 +26,7 @@ from paper import (
 
 
 def sh(name):
-    return shadow(fixture(name).graph)
+    return shadow(fixture(name)[0])
 
 
 def enumerate_admissible_words(g, n):

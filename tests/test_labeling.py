@@ -5,7 +5,6 @@ from math import factorial
 import pytest
 
 from groupoidlab.errors import BudgetExceededError
-from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import DirectedGraph, Edge, GraphError, shadow
 from groupoidlab.labeling import (
     MODE_EXPLICIT,
@@ -20,9 +19,11 @@ from paper import (
     ReducedPath,
     Vertex,
     base_labels,
+    fixture,
     inverse,
     inverted,
     label,
+    labeled,
     omega_plus,
     out_edges,
     reduce_word,
@@ -31,10 +32,6 @@ from paper import (
     theta,
     weight,
 )
-
-
-def labeled(name, mode=MODE_VERTEX, explicit=None):
-    return assign_weights(shadow(fixture(name).graph), mode, explicit)
 
 
 def test_circulant_all_labels_one():
@@ -56,28 +53,28 @@ def test_example_6_2_vertex_mode():
 
 
 def test_explicit_mode_fixture_labels():
-    f = fixture("example-6-2")
-    lg = labeled("example-6-2", MODE_EXPLICIT, f.labels)
-    assert base_labels(lg) == f.labels
+    lg = labeled("example-6-2", MODE_EXPLICIT)
+    assert base_labels(lg) == fixture("example-6-2")[1]
     assert lg.max_label == 2
 
 
 def test_explicit_mode_missing_labels():
     with pytest.raises(GraphError):
-        labeled("example-6-2", MODE_EXPLICIT, {"e12:1": 1})
+        assign_weights(shadow(fixture("example-6-2")[0]), MODE_EXPLICIT, {"e12:1": 1})
 
 
 def test_explicit_mode_bad_label():
-    f = dict(fixture("example-6-2").labels)
-    f["e12:1"] = 0
+    graph, labels = fixture("example-6-2")
+    bad = {**labels, "e12:1": 0}
     with pytest.raises(GraphError):
-        labeled("example-6-2", MODE_EXPLICIT, f)
+        assign_weights(shadow(graph), MODE_EXPLICIT, bad)
 
 
 @pytest.mark.parametrize("mode", [MODE_VERTEX, MODE_MULTIEDGE])
 def test_only_explicit_mode_takes_a_label_map(mode):
+    graph, labels = fixture("example-6-2")
     with pytest.raises(GraphError, match="takes no label map"):
-        labeled("example-6-2", mode, fixture("example-6-2").labels)
+        assign_weights(shadow(graph), mode, labels)
 
 
 def test_inverse_edges_negated():

@@ -4,9 +4,6 @@ import pytest
 
 from groupoidlab import _kernel
 from groupoidlab.errors import BudgetExceededError
-from groupoidlab.fixtures import FIXTURES as ALL_FIXTURES, fixture
-from groupoidlab.graphs import shadow
-from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.moments import (
     DiagonalElement,
     balance_moment,
@@ -29,8 +26,10 @@ from groupoidlab.ncpartitions import catalan, enumerate_nc, moebius
 from groupoidlab.operators import oracle_expectation_power
 
 from paper import (
+    FIXTURES as ALL_FIXTURES,
     expectation_of_word,
     inverted,
+    labeled,
     mu_w,
     out_edges,
     partition,
@@ -39,12 +38,6 @@ from paper import (
 )
 
 FIXTURES = ["circulant-3", "one-loop", "two-loop", "example-6-2", "single-edge"]
-
-
-def labeled(name):
-    f = fixture(name)
-    mode = MODE_EXPLICIT if f.labels else MODE_VERTEX
-    return assign_weights(shadow(f.graph), mode, f.labels)
 
 
 # --- independent brute oracle (scan-based reduction, product enumeration)

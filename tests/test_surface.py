@@ -8,7 +8,8 @@ interface is what its callers use.  And no module holds signed-edge
 objects or a shadowed-graph object: every module reads signed edges
 from the tables of _kernel.KernelGraph.  And no module wraps that flat
 view: a labeled graph is its KernelGraph.  And every entry point that
-the benchmark's tracer wraps is still where it looks for it."""
+the benchmark's tracer wraps is still where it looks for it.  And no
+module imports __future__."""
 
 import ast
 import importlib
@@ -18,14 +19,11 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "groupoidlab")
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
 
 KEPT = {
-    "operators.labeling_operator": "paper",
-    "operators.SparseOperator.transpose": "paper",
     "moments.moment": "paper",
     "moments.balance_moment": "paper",
     "moments.moment_via_cumulants": "paper",
     "_kernel.backend_name": "perfbench",
     "graphio.dump_graph_file": "schema",
-    "fixtures.fixture": "fixtures",
 }
 
 
@@ -69,6 +67,17 @@ def test_kept_names_exist_and_have_no_caller():
     defs, refs = surface()
     assert sorted(q for q in KEPT if defs.get(q, "") in refs or q not in defs) == []
     assert all(reason.isalpha() for reason in KEPT.values())
+
+
+def test_no_module_imports_from_the_future():
+    # requires-python is >= 3.10, so annotations evaluate as written, and
+    # the __future__ module is one import less per process
+    found = [
+        name for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+        for node in ast.walk(parse(name))
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+    ]
+    assert found == []
 
 
 def test_package_exports_only_its_version():

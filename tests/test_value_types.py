@@ -14,23 +14,17 @@ import pytest
 import groupoidlab
 from groupoidlab import _kernel, automaton, cli, moments
 from groupoidlab.errors import Value
-from groupoidlab.fixtures import fixture
 from groupoidlab.graphs import Edge, shadow
-from groupoidlab.labeling import assign_weights
 from groupoidlab.ncpartitions import enumerate_nc
 
 import paper
+from paper import fixture, labeled
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-def labeled(name):
-    f = fixture(name)
-    return assign_weights(shadow(f.graph), "explicit" if f.labels else "vertex", f.labels)
-
-
 def word_6_2():
-    g = shadow(fixture("example-6-2").graph)
+    g = shadow(fixture("example-6-2")[0])
     return tuple(paper.signed_by_name(g, x) for x in ("e12:1", "e22:1", "~e12:2"))
 
 
@@ -42,9 +36,9 @@ def partition_with_ends():
 
 # One builder per value type, each from the bundled fixtures.
 CASES = {
-    "Edge": lambda: fixture("example-6-2").graph.edges[0],
-    "SignedEdge": lambda: paper.signed_edges(shadow(fixture("example-6-2").graph))[1],
-    "Vertex": lambda: paper.Vertex(fixture("circulant-3").graph.vertices[0]),
+    "Edge": lambda: fixture("example-6-2")[0].edges[0],
+    "SignedEdge": lambda: paper.signed_edges(shadow(fixture("example-6-2")[0]))[1],
+    "Vertex": lambda: paper.Vertex(fixture("circulant-3")[0].vertices[0]),
     "ReducedPath": lambda: paper.reduce_word(word_6_2()),
     "BalanceVector": lambda: paper.theta(
         paper.label(labeled("example-6-2"), s) for s in word_6_2()
@@ -65,7 +59,6 @@ CASES = {
     "WordSetReport": lambda: moments.w_m_set(labeled("example-6-2"), 2),
     "FreenessReport": lambda: moments.check_freeness(labeled("two-loop"), 1, 2, 3),
     "NoncrossingPartition": partition_with_ends,
-    "Fixture": lambda: fixture("example-6-2"),
 }
 
 
@@ -183,7 +176,7 @@ def test_kernel_graph_ignores_names():
 
 
 def test_default_reprs_are_unchanged():
-    assert repr(fixture("example-6-2").graph.edges[0]) == "Edge(id='e12:1', src='v1', dst='v2')"
+    assert repr(fixture("example-6-2")[0].edges[0]) == "Edge(id='e12:1', src='v1', dst='v2')"
     assert repr(Edge("e1", "v", "v")) == "Edge(id='e1', src='v', dst='v')"
     lg = labeled("example-6-2")
     assert repr(moments.tally(lg, 2)) == (
