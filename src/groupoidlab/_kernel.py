@@ -167,21 +167,24 @@ def _walk_count(kg, n, budget) -> int:
     kernel.words metrics), and the walk goes once those metrics are
     replaced."""
     spend = _Budget(ENUM_BUDGET if budget is None else min(budget, ENUM_BUDGET))
-    ends = [1] * kg.n_vertices
-    for _ in range(n):
+    levels = walk_levels(kg, [1] * kg.n_vertices)
+    for _, ends in zip(range(n), levels):
         if not spend.charge(kg.n_signed * (max(ends).bit_length() // 64 + 1)):
             return 0
-        ends = walk_step(kg, ends)
-    return sum(ends)
+    return sum(next(levels))
 
 
-def walk_step(kg, ends) -> list:
-    """Walks one letter longer: ends[v] counts walks ending at vertex v,
-    and each signed edge e carries those at src(e) on to dst(e)."""
-    nxt = [0] * kg.n_vertices
-    for e in range(kg.n_signed):
-        nxt[kg.dst[e]] += ends[kg.src[e]]
-    return nxt
+def walk_levels(kg, counts):
+    """counts, then level by level, without end, the walk counts one
+    letter longer: level d holds at v the sum of counts over the ends of
+    the length-d walks from v.  Every signed edge has its inverse, so
+    from all ones level d counts the length-d walks from every vertex."""
+    while True:
+        yield counts
+        nxt = [0] * kg.n_vertices
+        for a, b in zip(kg.src, kg.dst):
+            nxt[a] += counts[b]
+        counts = nxt
 
 
 def _closed_by_length(kg, n, spend):

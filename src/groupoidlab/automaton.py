@@ -6,8 +6,11 @@ Every phi output on a single edge is nonempty, so each node of an
 action tree is fixed by the signed edge that reaches it: the root at v
 reads (v,v)|0, and the child through e reads (src e,dst e)|label e.
 The trees, their sizes and their regularity therefore come from the
-tables and from walk counts, and no state is built.
+tables and from walk counts, and no state is built: one walk serves
+every root, as _kernel.walk_levels counts the walks from every vertex.
 """
+
+from operator import add
 
 from . import _kernel
 from .errors import BudgetExceededError, Value
@@ -16,18 +19,6 @@ from .graphs import GraphError
 # Nodes of the largest action tree build_tree writes: its DOT text is
 # held whole, about 60 bytes a node.
 NODE_BUDGET = 100_000
-
-
-def _walk_counts(kg, root: int, depth: int):
-    """For d = 0..depth, the number of length-d walks from root ending
-    at each vertex: the depth-d nodes of the action tree by terminal
-    vertex."""
-    ends = [0] * kg.n_vertices
-    ends[root] = 1
-    yield ends
-    for _ in range(depth):
-        ends = _kernel.walk_step(kg, ends)
-        yield ends
 
 
 class ActionTree(Value):
@@ -51,16 +42,16 @@ def build_tree(kg: _kernel.KernelGraph, root_vertex: str, depth: int) -> ActionT
     in index order.  One depth-first walk names the nodes in pre-order
     and writes each edge line after the subtree below it.  A tree of
     more than NODE_BUDGET nodes is refused before any line is written;
-    the node count is the walk counts' sum.  Signed-edge names come from
-    the tables too, as kg.names."""
+    the node count sums the root's entry of each walk level.  Signed-edge
+    names come from the tables too, as kg.names."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if root_vertex not in kg.vertices:
         raise GraphError(f"unknown root vertex {root_vertex!r}")
     root = kg.vertices.index(root_vertex)
     size = 0
-    for d, ends in enumerate(_walk_counts(kg, root, depth)):
-        size += sum(ends)
+    for d, counts in zip(range(depth + 1), _kernel.walk_levels(kg, [1] * kg.n_vertices)):
+        size += counts[root]
         if size > NODE_BUDGET:  # counting stops at the first level past it
             more = "" if d == depth else "more than "
             raise BudgetExceededError(
@@ -113,13 +104,13 @@ def is_fractaloid(
     Local criterion (complete for finite labeled graphs): at every
     vertex of the shadowed graph the outgoing signed edges carry each
     label of {-N..-1, 1..N} exactly once, which makes every action tree
-    the full 2N-regular tree.  No tree is built: per root, the depth-d
-    tree's node count (walks of length <= depth) and its regularity (the
-    local criterion at each vertex reached in fewer than depth steps)
-    come from walk counts.  The verdict is labeled with the depth checked.
-    A tree of more than max_nodes nodes raises BudgetExceededError at the
-    first level where its count passes the bound.  A witness's reason
-    lists the full set, 2N labels.
+    the full 2N-regular tree.  No tree is built: for every root at once,
+    the depth-d tree's node count (walks of length <= depth) and its
+    regularity (the local criterion at each vertex reached in fewer than
+    depth steps) come from walk levels, labeled with the depth checked.
+    BudgetExceededError names the first root in vertex order whose tree
+    passes max_nodes nodes, and the first level where it does.  A
+    witness's reason lists the full set, 2N labels.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -138,22 +129,28 @@ def is_fractaloid(
             "vertex": vertices[v],
             "reason": f"outgoing labels {label_sets[v]} != full set {full}",
         }
-    trees = []
-    for root, v in enumerate(vertices):
-        regular, nodes = True, 0
-        for d, ends in enumerate(_walk_counts(kg, root, depth)):
-            nodes += sum(ends)
-            if max_nodes is not None and nodes > max_nodes:
-                raise BudgetExceededError(
-                    f"the depth-{depth} tree at {v} passes max_nodes at depth {d}"
-                )
-            if d < depth and any(c and bad for c, bad in zip(ends, irregular)):
-                regular = False
-        trees.append((v, regular, nodes))
+    nodes = [0] * kg.n_vertices
+    passed = {}  # per root, the first depth at which its count passes max_nodes
+    for d, counts in zip(range(depth + 1), _kernel.walk_levels(kg, [1] * kg.n_vertices)):
+        nodes = list(map(add, nodes, counts))
+        if max_nodes is not None:  # an earlier depth wins
+            passed = {r: d for r, c in enumerate(nodes) if c > max_nodes} | passed
+            if 0 in passed:  # the first root in vertex order passed
+                break
+    if passed:
+        root = min(passed)
+        raise BudgetExceededError(
+            f"the depth-{depth} tree at {vertices[root]} passes max_nodes at depth {passed[root]}"
+        )
+    # a root is regular when no walk shorter than depth from it reaches
+    # an irregular vertex
+    regular = [True] * kg.n_vertices
+    for _, reach in zip(range(depth), _kernel.walk_levels(kg, irregular)):
+        regular = [ok and not c for ok, c in zip(regular, reach)]
     return FractaloidVerdict(
         fractaloid=witness is None,
         depth=depth,
         max_label=n,
         witness=witness,
-        trees=tuple(trees),
+        trees=tuple(zip(vertices, regular, nodes)),
     )

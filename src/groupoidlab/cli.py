@@ -50,9 +50,9 @@ def _diag_payload(d) -> dict:
 # The graph layer's entry points, module-level names here so that a
 # tracer can wrap them where the CLI calls them.  Each imports the graph
 # layer on its first call: lattice and nc never load it.  shadow
-# validates each graph, once.  validate_graph is no longer called: it
-# stays only as the hook that the benchmark's tracer wraps by name, and
-# goes when the benchmark reads a run ledger instead (ROADMAP item 5).
+# validates each graph, once.  validate_graph, no longer called, is only
+# the hook that the benchmark's tracer wraps by name, until the ROADMAP
+# item "One run ledger, and the benchmark reads it".
 def validate_graph(graph):
     from .graphs import validate_graph
 
@@ -257,8 +257,8 @@ def _cmd_freeness(args, kg, diagnostics) -> dict:
 def _cmd_fractaloid(args, kg, diagnostics) -> dict:
     from . import automaton
 
-    # one step per signed edge, depth and root, charged up front
-    steps = args.depth * kg.n_signed * kg.n_vertices
+    # depth x signed edges, charged up front: one walk serves every root
+    steps = args.depth * kg.n_signed
     if steps > args.budget:
         raise BudgetExceededError(
             f"fractaloid depth={args.depth}: {steps} walk steps exceed the "

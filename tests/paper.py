@@ -15,6 +15,7 @@ words:
   vector;
 * the graph automaton (labeling map phi, shifting maps psi, actions),
   its action trees as node objects, and their DOT rendering;
+* the fractaloid verdict from one walk per root;
 * the Moebius value of a noncrossing partition, from the cycle type of
   pi^-1 gamma;
 * E on a single word and the cumulant weight mu_w;
@@ -35,7 +36,7 @@ from functools import cache
 from math import comb, prod
 
 from groupoidlab import graphio, moments
-from groupoidlab.errors import GraphError, Value
+from groupoidlab.errors import BudgetExceededError, GraphError, Value
 from groupoidlab.graphs import shadow
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.ncpartitions import NoncrossingPartition
@@ -573,6 +574,39 @@ def tree_dot(tree: AutomatonTree) -> str:
         stack.append((child, cname, iter(child.children)))
     lines.append("}")
     return "\n".join(lines)
+
+
+def fractaloid_trees(lg, depth: int, max_nodes: int | None = None) -> tuple:
+    """(fractaloid, trees) from one walk per root, in vertex order:
+    trees holds per root (vertex, regular, node count) of its depth-d
+    action tree.  ends[v] counts the length-d walks from the root that
+    end at v, and the tree's nodes are the walks of length <= depth.  A
+    vertex is regular when its out-edges carry {-N..-1, 1..N}, once
+    each; a tree is regular when every vertex reached in fewer than
+    depth steps is.  The first tree of more than max_nodes nodes raises
+    BudgetExceededError at the first depth where its count passes."""
+    g = lg.graph
+    n = max(base_labels(lg).values())
+    full = [*range(-n, 0), *range(1, n + 1)]
+    irregular = {v for v in g.vertices if sorted(label(lg, s) for s in out_edges(g, v)) != full}
+    trees = []
+    for root in g.vertices:
+        ends, regular, nodes = {root: 1}, True, 0
+        for d in range(depth + 1):
+            nodes += sum(ends.values())
+            if max_nodes is not None and nodes > max_nodes:
+                raise BudgetExceededError(
+                    f"the depth-{depth} tree at {root} passes max_nodes at depth {d}"
+                )
+            if d < depth:
+                regular = regular and not irregular & ends.keys()
+                step = {}
+                for v, c in ends.items():
+                    for s in out_edges(g, v):
+                        step[s.dst] = step.get(s.dst, 0) + c
+                ends = step
+        trees.append((root, regular, nodes))
+    return not irregular, tuple(trees)
 
 
 # ---------------------------------------------------------------------------

@@ -296,3 +296,17 @@ def test_fractaloid_node_bound(name):
     # counting stops at the first level past the bound
     with pytest.raises(BudgetExceededError, match="at depth 6$"):
         is_fractaloid(lg, depth=10**9, max_nodes=largest)
+
+
+def test_fractaloid_node_bound_names_the_first_root_in_vertex_order():
+    # example-6-2 trees of 1, 4, 13, 44, 145, 484 nodes at v1 and 1, 5,
+    # 19, 65, 219, 729 at v2: past 50, v2 passes first (depth 3), but
+    # the error names v1, the first vertex, at its own depth 4
+    lg = labeled("example-6-2")
+    for max_nodes, note in (
+        (50, "the depth-5 tree at v1 passes max_nodes at depth 4"),
+        (500, "the depth-5 tree at v2 passes max_nodes at depth 5"),
+    ):
+        with pytest.raises(BudgetExceededError) as exc:
+            is_fractaloid(lg, depth=5, max_nodes=max_nodes)
+        assert str(exc.value) == note

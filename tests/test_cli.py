@@ -758,9 +758,9 @@ def test_deep_fractaloid_exits_5(capsys):
         (["fractaloid", "--graph", fx("three-loop"), "--depth", "300000"],
          f"fractaloid depth=300000: a node count passes the {limit}-digit limit "
          "for printing an integer"),
-        # depth x signed edges x roots, charged up front
-        (["fractaloid", "--graph", fx("example-6-2"), "--depth", "10", "--budget", "239"],
-         "fractaloid depth=10: 240 walk steps exceed the budget 239"),
+        # depth x signed edges, charged up front: one walk serves every root
+        (["fractaloid", "--graph", fx("example-6-2"), "--depth", "10", "--budget", "79"],
+         "fractaloid depth=10: 80 walk steps exceed the budget 79"),
     ):
         code, out = run(argv)
         assert code == 5, argv
@@ -772,7 +772,7 @@ def test_deep_fractaloid_exits_5(capsys):
         ]
         assert capsys.readouterr().err == ""
     # the whole budget is enough
-    argv = ["fractaloid", "--graph", fx("example-6-2"), "--depth", "10", "--budget", "240"]
+    argv = ["fractaloid", "--graph", fx("example-6-2"), "--depth", "10", "--budget", "80"]
     assert run(argv)[0] == 0
 
 
@@ -1274,7 +1274,8 @@ def test_console_script_takes_the_main_block_path():
 def test_large_graph_set_up_is_linear(tmp_path):
     # a connected graph of 20,000 vertices and 40,000 edges: labeling
     # and flattening take one pass over the edges, so each fresh process
-    # ends within seconds (a scan of every edge per vertex took tens)
+    # ends within seconds (a scan of every edge per vertex took tens);
+    # fractaloid walks once for every root, within the default budget
     rng = random.Random(3)
     nv, ne = 20_000, 40_000
     ends = [(rng.randrange(i), i) for i in range(1, nv)]
@@ -1288,14 +1289,17 @@ def test_large_graph_set_up_is_linear(tmp_path):
         ],
     }))
     reports = []
-    for argv in (["moments", "--n", "2"], ["tree", "--depth", "1"]):
+    for argv in (
+        ["moments", "--n", "2"], ["tree", "--depth", "1"], ["fractaloid", "--depth", "4"]
+    ):
         start = time.perf_counter()
         code, out, err = spawn([*argv, "--graph", str(path), "--json"])
         assert (code, err) == (0, b""), argv
         assert time.perf_counter() - start < 5, argv
         reports.append(json.loads(out))
-    moments, tree = reports
+    moments, tree, fractaloid = reports
     # each length-2 reducing word is e inv(e), one per signed edge
     assert sum(map(int, moments["result"]["diagonal"].values())) == 2 * ne
     root_degree = sum((a == 0) + (b == 0) for a, b in ends)
     assert tree["result"]["nodes"] == 1 + root_degree
+    assert len(fractaloid["result"]["trees"]) == nv

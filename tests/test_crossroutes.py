@@ -337,6 +337,32 @@ def test_property_fractaloid_verdict_matches_built_trees(lg, depth):
     assert_verdict_matches_trees(lg, depth)
 
 
+def verdict_or_error(route, lg, depth, max_nodes):
+    try:
+        return route(lg, depth, max_nodes)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lg=labeled_multigraphs(),
+    depth=st.integers(1, 6),
+    max_nodes=st.none() | st.integers(0, 300),
+)
+def test_property_fractaloid_matches_the_per_root_walk(lg, depth, max_nodes):
+    # one walk for every root against one walk per root: the verdict,
+    # or the error that names the first root in vertex order to pass
+    # max_nodes and its own first depth past it
+    def one_walk(lg, depth, max_nodes):
+        verdict = automaton.is_fractaloid(lg, depth, max_nodes)
+        return verdict.fractaloid, verdict.trees
+
+    assert verdict_or_error(one_walk, lg, depth, max_nodes) == verdict_or_error(
+        paper.fractaloid_trees, lg, depth, max_nodes
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(lg=labeled_multigraphs(), depth=st.integers(0, 5), data=st.data())
 def test_property_table_tree_matches_the_object_tree(lg, depth, data):

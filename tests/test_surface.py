@@ -203,5 +203,6 @@ def test_benchmark_tracer_hooks_exist():
             missing.append(f"{module}.{attr}")
     assert missing == [], (
         f"the benchmark's tracer wraps {missing}: keep these names until the run "
-        "ledger replaces the tracer's wrappers (ROADMAP item 5)"
+        "ledger replaces the tracer's wrappers (ROADMAP, \"One run ledger, and the "
+        "benchmark reads it\")"
     )
