@@ -35,7 +35,6 @@ reads, operators.Basis and the automaton too.  KernelGraph owns the
 numbering of signed edges and their names: no other module numbers them.
 """
 
-from itertools import accumulate, chain
 from operator import mul
 
 from .errors import ENUM_BUDGET, Value
@@ -48,8 +47,8 @@ class KernelGraph(Value):
     order, is signed edge 2i forward and 2i + 1 shadow, so the inverse
     partner of signed edge e is inv[e] = e ^ 1.  Signed edge e has
     endpoints src[e] -> dst[e] (vertex indices) and signed label
-    labels[e] (the shadow carries the negated label).  out_start and
-    out_list form a CSR adjacency over signed edges, index-sorted.
+    labels[e] (the shadow carries the negated label).  out[v] is the
+    tuple of the signed edges leaving vertex v, index-sorted.
     vertices[v] is the id of vertex v and names[e] the name of signed
     edge e: its base edge's id, with a leading ~ on the shadow.
     max_label, the largest label, plays the role of N everywhere
@@ -65,8 +64,7 @@ class KernelGraph(Value):
         "src",
         "dst",
         "inv",
-        "out_start",
-        "out_list",
+        "out",
         "vertices",
         "names",
         "labels",
@@ -76,9 +74,6 @@ class KernelGraph(Value):
     )
 
     _unkeyed = ("vertices", "names", "max_label", "graph")
-
-    def out(self, v: int) -> tuple:
-        return self.out_list[self.out_start[v] : self.out_start[v + 1]]
 
 
 def kernel_graph(graph, base_labels) -> KernelGraph:
@@ -103,8 +98,7 @@ def kernel_graph(graph, base_labels) -> KernelGraph:
         src=tuple(src),
         dst=tuple(dst),
         inv=tuple(e ^ 1 for e in range(len(src))),
-        out_start=tuple(accumulate(map(len, leaving), initial=0)),
-        out_list=tuple(chain.from_iterable(leaving)),
+        out=tuple(map(tuple, leaving)),
         vertices=graph.vertices,
         names=tuple(names),
         labels=tuple(labels),
@@ -203,7 +197,7 @@ def _closed_by_length(kg, n, spend):
     if not spend.charge(kg.n_signed * half * (half - 1) // 2):
         return counts, True
     H = [[1] for _ in range(kg.n_signed)]
-    S = [[len(kg.out(v))] for v in range(kg.n_vertices)]
+    S = [[len(out)] for out in kg.out]
     # G[e][i]: one excursion of length 2i + 2 from a node entered by e
     G = [[] for _ in range(kg.n_signed)]
     for j in range(1, half):
@@ -212,7 +206,7 @@ def _closed_by_length(kg, n, spend):
         for e in range(kg.n_signed):
             H[e].append(sum(map(mul, G[e], reversed(H[e]))))
         for v in range(kg.n_vertices):
-            S[v].append(sum(H[f][j] for f in kg.out(v)))
+            S[v].append(sum(H[f][j] for f in kg.out[v]))
     for v in range(kg.n_vertices):
         if not spend.charge(half * (half + 1) // 2):
             return counts, True
@@ -270,7 +264,7 @@ def closed_by_interval(t: KernelGraph, weights, budget=None):
             for f in range(t.n_signed):
                 Y[f][a - 1, b + 1] = opening[f] * closing[t.inv[f]] * H[f][a, b]
             for u in range(t.n_vertices):
-                X[u][a - 1, b + 1] = sum(Y[f][a - 1, b + 1] for f in t.out(u))
+                X[u][a - 1, b + 1] = sum(Y[f][a - 1, b + 1] for f in t.out[u])
     half = n // 2
     for v in range(t.n_vertices):
         if not spend.charge(half * (half + 1) // 2):
@@ -318,7 +312,7 @@ def _balanced_loops(kg, n, spend):
         for _ in range(n // 2):
             nxt: dict = {}
             for (cur, code), c in states.items():
-                edges = kg.out(cur)
+                edges = kg.out[cur]
                 if not spend.charge(len(edges)):
                     return counts, True
                 for e in edges:
@@ -367,8 +361,7 @@ def _tree_walk(kg, n, spend, words) -> bool:
     is forced, the inverses of the stack from the top down, and is
     written out at once.
     """
-    dst, inv = kg.dst, kg.inv
-    out = [kg.out(v) for v in range(kg.n_vertices)]
+    dst, inv, out = kg.dst, kg.inv, kg.out
     word: list = []
     tops: list = [None]  # tops[k]: the stack of word[:k]
     pending = [iter(range(kg.n_signed))]
@@ -419,8 +412,7 @@ def _balanced_walk(kg, n, spend, words) -> bool:
     the letters left cannot come back to zero.  A full word is kept
     when its norm is zero and it ends at its start vertex.
     """
-    src, dst = kg.src, kg.dst
-    out = [kg.out(v) for v in range(kg.n_vertices)]
+    src, dst, out = kg.src, kg.dst, kg.out
     axis = _axes(kg)
     sign = [1 if k > 0 else -1 for k in kg.labels]
     balance = [0] * kg.n_labels

@@ -65,14 +65,13 @@ def build_tree(kg: _kernel.KernelGraph, root_vertex: str, depth: int) -> ActionT
         _label(f"({vs[kg.src[e]]},{vs[kg.dst[e]]})|{kg.labels[e]}") for e in range(kg.n_signed)
     ]
     edge = [_label(name) for name in kg.names]
-    out = [kg.out(v) for v in range(kg.n_vertices)]
     lines = [
         "digraph automaton_tree {",
         "  rankdir=LR;",
         "  n0" + _label(f"({root_vertex},{root_vertex})|0"),
     ]
     # (node name, out-edges not yet walked, signed edge that reached it)
-    stack = [("n0", iter(out[root] if depth else ()), None)]
+    stack = [("n0", iter(kg.out[root] if depth else ()), None)]
     named = 0
     while stack:
         name, kids, entered = stack[-1]
@@ -85,7 +84,7 @@ def build_tree(kg: _kernel.KernelGraph, root_vertex: str, depth: int) -> ActionT
         named += 1
         child = f"n{named}"
         lines.append(f"  {child}{node[e]}")
-        stack.append((child, iter(out[kg.dst[e]] if len(stack) < depth else ()), e))
+        stack.append((child, iter(kg.out[kg.dst[e]] if len(stack) < depth else ()), e))
     lines.append("}")
     return ActionTree(root_vertex, depth, "\n".join(lines), size)
 
@@ -119,7 +118,7 @@ def is_fractaloid(
     # per vertex, the multiset of signed labels on its outgoing signed
     # edges; every label lies in {-N..-1, 1..N}, so 2N distinct ones are
     # all of them
-    label_sets = [sorted(kg.labels[e] for e in kg.out(v)) for v in range(kg.n_vertices)]
+    label_sets = [sorted(kg.labels[e] for e in out) for out in kg.out]
     irregular = [len(labels) != 2 * n or len(set(labels)) != 2 * n for labels in label_sets]
     witness = None
     if True in irregular:

@@ -170,7 +170,7 @@ def _cmd_moments(args, kg, diagnostics) -> dict:
 
         try:
             oracle = operators.oracle_expectation_power(
-                kg, args.n, args.n, budget=args.basis_budget
+                kg, args.n, args.n // 2, budget=args.basis_budget
             )
         except BudgetExceededError as exc:
             # keep the finished moments

@@ -14,8 +14,8 @@ of n letters that returns to its vertex.
 A Basis is built over the signed-edge tables of the one flat view of a
 labeled graph, the _kernel.KernelGraph that labeling.assign_weights
 returns.  Its elements are positions in a trie of signed-edge indices,
-and right multiplication by a signed edge is one step in that trie
-(Basis.step).
+and T_G, the sum of the right multiplications by every signed edge, is
+the adjacency of that trie: each path is joined to its parent.
 """
 
 from . import _kernel
@@ -33,8 +33,7 @@ class Basis:
     last signed edge (-1 for a vertex) and its target vertex.  Each
     level extends the one before, parent by parent, by the out-edges of
     the parent's target in index order, skipping the inverse of its last
-    letter, so every level is born in order.  Each child is recorded
-    under (parent, signed edge) as it is appended.  The level sizes are
+    letter, so every level is born in order.  The level sizes are
     counted first, so a basis past its budget is refused before any
     level is built.
     """
@@ -49,8 +48,6 @@ class Basis:
         self.parent = [-1] * nv
         self.last = [-1] * nv
         self.target = list(range(nv))
-        # (element, signed edge) -> index of the element one letter longer
-        self._child = {}
         level = range(nv)
         for ell, size in enumerate(level_sizes(t, max_len, budget), 1):
             start = len(self.parent)
@@ -60,9 +57,8 @@ class Basis:
                 grown = []
                 for j in level:
                     back = t.inv[self.last[j]]
-                    grown.extend((j, s) for s in t.out(self.target[j]) if s != back)
+                    grown.extend((j, s) for s in t.out[self.target[j]] if s != back)
             for j, s in grown:
-                self._child[j, s] = len(self.parent)
                 self.parent.append(j)
                 self.last.append(s)
                 self.target.append(t.dst[s])
@@ -73,16 +69,6 @@ class Basis:
 
     def vertex_positions(self):
         return {v: i for i, v in enumerate(self.tables.vertices)}
-
-    def step(self, j: int, s: int) -> int:
-        """Index of element j times signed edge s (s must leave the
-        target of j), or -1 when the product is longer than max_len.
-        A letter inverse to the last one cancels it; any other letter
-        extends the path."""
-        last = self.last[j]
-        if last >= 0 and s == self.tables.inv[last]:
-            return self.parent[j]
-        return self._child.get((j, s), -1)
 
 
 class SparseOperator:
@@ -168,17 +154,16 @@ def build_basis(t: _kernel.KernelGraph, max_len: int, budget: int = BASIS_BUDGET
 def total_labeling_operator(kg: _kernel.KernelGraph, basis: Basis) -> SparseOperator:
     """T_G: the sum of T_k over all signed labels -N..-1, 1..N, which
     is the sum of the right multiplications by every signed edge, as
-    each label lies in that range.  Filled column by column in place:
-    column j holds a unit at j times s for each s leaving the target of
-    j, when that product is in the basis.  Distinct letters give
-    distinct products, so no entry is hit twice."""
-    t = basis.tables
+    each label lies in that range.  Element j times a letter leaving
+    its target is its parent when the letter is the inverse of its last
+    one, and otherwise a child of j, or a path longer than max_len,
+    which is 0.  So T_G holds a unit at (i, parent[i]) and at
+    (parent[i], i) for each path i, and nothing else."""
     op = SparseOperator(len(basis))
-    for j, tgt in enumerate(basis.target):
-        for s in t.out(tgt):
-            i = basis.step(j, s)
-            if i >= 0:
-                op.cols[j][i] = 1
+    for i in range(basis.n_vertices, len(basis)):
+        p = basis.parent[i]
+        op.cols[p][i] = 1
+        op.cols[i][p] = 1
     return op
 
 
@@ -188,20 +173,19 @@ def oracle_expectation_power(
     """<T_G^n xi_v, xi_v> for every vertex v, as a plain map vertex ->
     integer: T_G is applied n times to the vertex basis vectors only.
 
-    Exact in the basis of length max_len whenever max_len >= n: T_G^k
-    xi_v only sees words of length <= k, so the truncation boundary
-    cannot reach it.  The coefficient at xi_v is the coefficient of
-    R_v, because R_w fixes xi_v exactly when w = v.  That basis decides
-    the budget, but the walk runs in the basis of length n // 2: a path
-    that returns to its vertex at step n has length at most
-    min(k, n - k) after step k, so every path the shorter basis drops
-    contributes 0.  The n products are charged against budget too, up
-    front: on a tree the basis stays small whatever n is.
+    Exact in the basis of length max_len whenever max_len >= n // 2: a
+    path that returns to its vertex at step n has length at most
+    min(k, n - k) after step k, so every path longer than n // 2, which
+    the truncation drops, contributes 0.  The coefficient at xi_v is the
+    coefficient of R_v, because R_w fixes xi_v exactly when w = v.  The
+    basis of length max_len decides the budget, and the walk runs in
+    the basis of length n // 2.  The n products are charged against
+    budget too, up front: on a tree the basis stays small whatever n is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if max_len < n:
-        raise ValueError("need max_len >= n for an exact vertex diagonal")
+    if max_len < n // 2:
+        raise ValueError("need max_len >= n // 2 for an exact vertex diagonal")
     level_sizes(kg, max_len, budget)
     if n > budget:
         raise BudgetExceededError(f"n={n} products exceed the basis budget {budget}")

@@ -702,9 +702,13 @@ def right_mult(lg, w, basis) -> SparseOperator:
     truncation length.
 
     Each column whose target is the source of w walks the basis trie
-    along the letters of w.  Both factors are reduced, so letters cancel
-    only at the junction: the walk first climbs towards the root, then
-    only descends, and once it leaves the truncation it cannot return.
+    along the letters of w, one letter at a time: a letter inverse to
+    the last one of the path cancels it (the step to the parent), and
+    any other letter extends the path (the step to the child under that
+    letter, absent when it is longer than the truncation length).  Both
+    factors are reduced, so letters cancel only at the junction: the
+    walk first climbs towards the root, then only descends, and once it
+    leaves the truncation it cannot return.
     """
     if w is EMPTY:
         raise ValueError("right multiplication by Empty is undefined")
@@ -715,13 +719,21 @@ def right_mult(lg, w, basis) -> SparseOperator:
         index = edge_index(lg)
         letters = tuple(index[s] for s in w.word)
         src = basis.tables.src[letters[0]]
+    inv = basis.tables.inv
+    # (element, letter) -> the element one letter longer
+    child = {
+        (p, s): i
+        for i, (p, s) in enumerate(zip(basis.parent, basis.last))
+        if i >= basis.n_vertices
+    }
     op = SparseOperator(len(basis))
     for j, tgt in enumerate(basis.target):
         if tgt != src:
             continue
         i = j
         for s in letters:
-            i = basis.step(i, s)
+            last = basis.last[i]
+            i = basis.parent[i] if last >= 0 and s == inv[last] else child.get((i, s), -1)
             if i < 0:
                 break
         else:

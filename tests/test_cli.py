@@ -278,6 +278,39 @@ def test_verify_past_the_basis_budget_keeps_the_moments(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("name, n", [
+    ("two-loop", 18), ("two-loop", 19), ("three-loop", 12), ("three-loop", 13),
+    ("example-6-2", 24),
+])
+def test_verify_charges_the_basis_it_walks(name, n):
+    # the oracle walks the basis of length n // 2, and that basis is
+    # charged: 39,365 elements for two-loop at n = 19
+    code, rep = run_json(["moments", "--graph", fx(name), "--n", str(n), "--verify"])
+    assert code == 0
+    oracle = rep["diagnostics"]["oracle"]
+    assert {v: c for v, c in oracle.items() if c != "0"} == rep["result"]["diagonal"]
+
+
+@pytest.mark.parametrize("name, n, moment, length", [
+    ("two-loop", 20, 2240795848, 10), ("three-loop", 14, 52718616, 7),
+])
+def test_verify_past_the_walked_basis_keeps_the_moments(name, n, moment, length):
+    argv = ["moments", "--graph", fx(name), "--n", str(n), "--verify"]
+    note = f"basis exceeds budget 100000 at length {length}"
+    assert run(argv) == (5, (
+        "command: moments\n"
+        f"diagonal: {{v: {moment}}}\n"
+        f"note: {note}\n"
+        "truncated: True\n"
+        "status: truncated\n"
+    ))
+    assert run(argv + ["--json"]) == (5, (
+        f'{{"command": "moments", "diagnostics": {{"notes": ["{note}"], '
+        f'"truncated": true}}, "result": {{"diagonal": {{"v": "{moment}"}}}}, '
+        '"status": "truncated"}\n'
+    ))
+
+
 def test_json_output_deterministic():
     argv = ["moments", "--graph", fx("example-6-2"), "--n", "4", "--json"]
     outs = {run(argv)[1] for _ in range(3)}

@@ -275,7 +275,7 @@ def balanced_loops_full(kg, n):
         for _ in range(n):
             nxt = {}
             for (cur, code), c in states.items():
-                for e in kg.out(cur):
+                for e in kg.out[cur]:
                     key = (kg.dst[e], code + step[e])
                     nxt[key] = nxt.get(key, 0) + c
             states = nxt
@@ -447,7 +447,7 @@ def index_words(kg, n):
     on the tables kg, in lexicographic order, built letter by letter."""
     words = [(e,) for e in range(kg.n_signed)]
     for _ in range(n - 1):
-        words = [w + (f,) for w in words for f in kg.out(kg.dst[w[-1]])]
+        words = [w + (f,) for w in words for f in kg.out[kg.dst[w[-1]]]]
     return words
 
 

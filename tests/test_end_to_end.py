@@ -53,7 +53,7 @@ def commands(draw, n_max, graph):
     argvs = [
         ["moments", *graph, "--n", str(n)],
         ["moments", *graph, "--n", str(n), "--words"],
-        ["oracle", *graph, "--n", str(n), "--max-len", str(n + draw(st.integers(0, 2)))],
+        ["oracle", *graph, "--n", str(n), "--max-len", str(draw(st.integers(n // 2, n + 2)))],
         ["cumulants", *graph, "--n", str(n), "--formula", "both"],
         # a first index that starts with "-" would read as a flag
         ["joint", *graph, "--indices", ",".join(map(str, [

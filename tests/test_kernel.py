@@ -39,7 +39,7 @@ def test_kernel_layout_is_the_signed_edge_order(name):
     # one balance coordinate per distinct label
     assert kg.n_labels == len(set(base_labels(kg).values()))
     for v, name in enumerate(vertices):
-        assert kg.out(v) == tuple(index[s] for s in out_edges(g, name))
+        assert kg.out[v] == tuple(index[s] for s in out_edges(g, name))
 
 
 def test_kernel_rejects_bad_args():
@@ -132,8 +132,8 @@ def balance_costs(kg, n):
     for s in range(kg.n_vertices):
         states, cost = {(s, (0,) * kg.max_label)}, 0
         for _ in range(n // 2):
-            cost += sum(len(kg.out(v)) for v, _ in states)
-            states = {(kg.dst[e], moved(b, kg.labels[e])) for v, b in states for e in kg.out(v)}
+            cost += sum(len(kg.out[v]) for v, _ in states)
+            states = {(kg.dst[e], moved(b, kg.labels[e])) for v, b in states for e in kg.out[v]}
         costs.append(cost)
     return costs
 

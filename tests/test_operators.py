@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidlab import _kernel
 from groupoidlab.errors import BudgetExceededError
@@ -27,6 +29,7 @@ from paper import (
     signed_edges,
     transpose,
 )
+from test_crossroutes import labeled_multigraphs
 
 
 def test_basis_one_loop_l3():
@@ -135,13 +138,14 @@ def test_basis_budget_boundary(name):
         assert str(exc.value) == f"basis exceeds budget {size - 1} at length {longest}"
 
 
-def test_over_budget_basis_is_refused_before_any_level_is_built(monkeypatch):
-    # the levels are built from KernelGraph.out; the count never calls it
-    def out(self, v):
-        raise AssertionError("a level was built")
+def test_over_budget_basis_is_refused_before_any_level_is_built():
+    # the levels are built from KernelGraph.out; the count never reads it
+    class Unread:
+        def __getitem__(self, v):
+            raise AssertionError("a level was built")
 
-    monkeypatch.setattr(_kernel.KernelGraph, "out", out)
-    t = labeled("three-loop")
+    kg = labeled("three-loop")
+    t = _kernel.KernelGraph(**{f: getattr(kg, f) for f in kg._fields} | {"out": Unread()})
     with pytest.raises(BudgetExceededError, match="^basis exceeds budget 100000 at length 7$"):
         build_basis(t, 8)
 
@@ -220,7 +224,21 @@ def test_labeling_operator_example_6_2():
     assert t1 == right_mult_sum(lg, [signed_by_name(g, e) for e in ("e12:1", "e13:1", "e22:1")], b)
     t2 = labeling_operator(lg, 2, b)
     assert t2 == right_mult(lg, ReducedPath((signed_by_name(g, "e12:2"),)), b)
-    assert total_labeling_operator(lg, b) == right_mult_sum(lg, signed_edges(g), b)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_total_labeling_operator_is_the_sum_of_right_mults(name):
+    lg = labeled(name)
+    for max_len in range(5):
+        b = build_basis(lg, max_len)
+        assert total_labeling_operator(lg, b) == right_mult_sum(lg, signed_edges(lg.graph), b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lg=labeled_multigraphs(), max_len=st.integers(0, 3))
+def test_property_total_labeling_operator_is_the_sum_of_right_mults(lg, max_len):
+    b = build_basis(lg, max_len)
+    assert total_labeling_operator(lg, b) == right_mult_sum(lg, signed_edges(lg.graph), b)
 
 
 def test_labeling_operator_refuses_a_label_out_of_range():
@@ -268,10 +286,12 @@ def test_oracle_truncation_stable(name):
         assert oracle_expectation_power(lg, 3, L) == base
 
 
-def test_oracle_requires_max_len_ge_n():
+def test_oracle_requires_max_len_ge_half_n():
     lg = labeled("one-loop")
     with pytest.raises(ValueError):
-        oracle_expectation_power(lg, 3, 2)
+        oracle_expectation_power(lg, 3, 0)
+    assert oracle_expectation_power(lg, 3, 1) == oracle_expectation_power(lg, 3, 3)
+    assert oracle_expectation_power(lg, 4, 2) == oracle_expectation_power(lg, 4, 4) == {"v": 6}
 
 
 def full_basis_oracle(lg, n, max_len):
@@ -300,7 +320,7 @@ def test_half_length_oracle_matches_the_full_basis(name):
     # a refusal of the basis of length max_len, are the full basis's
     lg = labeled(name)
     for n in range(1, 9):
-        for max_len in (n, n + 2):
+        for max_len in (n // 2, n, n + 2):
             expected = outcome(full_basis_oracle, lg, n, max_len)
             assert outcome(oracle_expectation_power, lg, n, max_len) == expected
 

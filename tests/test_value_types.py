@@ -197,7 +197,7 @@ def test_default_reprs_are_unchanged():
     assert repr(lg) == (
         "KernelGraph(n_vertices=3, n_signed=8, src=(0, 1, 0, 1, 0, 2, 1, 1), "
         "dst=(1, 0, 1, 0, 2, 0, 1, 1), inv=(1, 0, 3, 2, 5, 4, 7, 6), "
-        "out_start=(0, 3, 7, 8), out_list=(0, 2, 4, 1, 3, 6, 7, 5), "
+        "out=((0, 2, 4), (1, 3, 6, 7), (5,)), "
         "labels=(1, -1, 2, -2, 1, -1, 1, -1), n_labels=2)"
     )
 
