@@ -107,9 +107,10 @@ def is_fractaloid(
     the depth-d tree's node count (walks of length <= depth) and its
     regularity (the local criterion at each vertex reached in fewer than
     depth steps) come from walk levels, labeled with the depth checked.
-    BudgetExceededError names the first root in vertex order whose tree
-    passes max_nodes nodes, and the first level where it does.  A
-    witness's reason lists the full set, 2N labels.
+    Counting stops at the first level where any tree passes max_nodes
+    nodes: BudgetExceededError names that level and the first root in
+    vertex order whose tree passes there.  A witness's reason lists the
+    full set, 2N labels.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -129,18 +130,13 @@ def is_fractaloid(
             "reason": f"outgoing labels {label_sets[v]} != full set {full}",
         }
     nodes = [0] * kg.n_vertices
-    passed = {}  # per root, the first depth at which its count passes max_nodes
     for d, counts in zip(range(depth + 1), _kernel.walk_levels(kg, [1] * kg.n_vertices)):
         nodes = list(map(add, nodes, counts))
-        if max_nodes is not None:  # an earlier depth wins
-            passed = {r: d for r, c in enumerate(nodes) if c > max_nodes} | passed
-            if 0 in passed:  # the first root in vertex order passed
-                break
-    if passed:
-        root = min(passed)
-        raise BudgetExceededError(
-            f"the depth-{depth} tree at {vertices[root]} passes max_nodes at depth {passed[root]}"
-        )
+        if max_nodes is not None and max(nodes) > max_nodes:
+            root = next(r for r, c in enumerate(nodes) if c > max_nodes)
+            raise BudgetExceededError(
+                f"the depth-{depth} tree at {vertices[root]} passes max_nodes at depth {d}"
+            )
     # a root is regular when no walk shorter than depth from it reaches
     # an irregular vertex
     regular = [True] * kg.n_vertices

@@ -194,6 +194,9 @@ def _cmd_oracle(args, kg, diagnostics) -> dict:
     values = operators.oracle_expectation_power(
         kg, args.n, args.max_len, budget=args.basis_budget
     )
+    limit = _digit_limit()
+    if limit and max(values.values(), default=0) >= 10**limit:
+        raise _unprintable(f"oracle n={args.n}: a moment passes", limit)
     return {
         "diagonal": {v: str(c) for v, c in sorted(values.items())},
         "n": args.n,
@@ -321,13 +324,14 @@ def _cmd_lattice(args, kg, diagnostics) -> dict:
 def _cmd_nc(args, kg, diagnostics) -> dict:
     from . import ncpartitions
 
-    row = ncpartitions.moebius_row(args.n)
+    parts = ncpartitions.enumerate_nc(args.n)
+    mus = [ncpartitions.moebius(pi) for pi in parts]
     return {
         "n": args.n,
-        "count": len(row),
+        "count": len(parts),
         "catalan": ncpartitions.catalan(args.n),
-        "moebius_row": [{"blocks": pi.blocks, "mu": mu} for pi, mu in row],
-        "moebius_sum": sum(mu for _, mu in row),
+        "moebius_row": [{"blocks": pi.blocks, "mu": mu} for pi, mu in zip(parts, mus)],
+        "moebius_sum": sum(mus),
     }
 
 

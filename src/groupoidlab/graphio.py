@@ -1,4 +1,4 @@
-"""Graph JSON schema: load, validate, dump.
+"""Graph JSON schema: load and validate.
 
 Schema (UTF-8, no comments):
   {"vertices": ["v1", ...],
@@ -10,6 +10,7 @@ not start with "~", which marks the name of a shadow edge.
 It also recognizes the two bundled examples that carry a note,
 fixtures/example-6-2.json and fixtures/two-loop.json: notes_for gives
 the note of a parsed graph file that coincides with one of them.
+Nothing here writes a file.
 """
 
 import json
@@ -123,19 +124,3 @@ def notes_for(graph: DirectedGraph, labels: dict | None) -> list:
     )
     note = _NOTES.get(key)
     return [note] if note else []
-
-
-def graph_to_obj(graph: DirectedGraph, labels: dict | None = None) -> dict:
-    edges = []
-    for e in graph.edges:
-        rec = {"id": e.id, "src": e.src, "dst": e.dst}
-        if labels is not None:
-            rec["label"] = labels[e.id]
-        edges.append(rec)
-    return {"vertices": list(graph.vertices), "edges": edges}
-
-
-def dump_graph_file(path, graph: DirectedGraph, labels: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_obj(graph, labels), fh, indent=2, sort_keys=True)
-        fh.write("\n")

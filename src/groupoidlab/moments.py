@@ -16,11 +16,11 @@ The edge operators are free over the diagonal and each pairs with its
 inverse as a Haar partial isometry, so the free cumulants have a closed
 form (closed_form_cumulant), the primary route of cumulant_direct and
 joint_cumulant.  Its oracles stay close to the definitions: Moebius
-inversion over noncrossing partitions (cumulant_of), whose nested
-expectations E_pi close each block with the excursion DP, weighted, so
-no product of groupoid elements is ever formed; and the word-set route
-(single-base-edge loop words weighted by mu_w), computed alongside and
-compared, never trusted; mu_w is the Moebius cumulant of a word's
+inversion over a list of noncrossing partitions, each carrying its mu
+(cumulant_of), whose nested expectations E_pi close each block with
+the excursion DP, weighted, so no product of groupoid elements is ever
+formed; and the word-set route (single-base-edge loop words weighted
+by mu_w), computed alongside and compared, never trusted; mu_w is the Moebius cumulant of a word's
 letters.  check_freeness keeps the Moebius route: its sums are the
 evidence that mixed cumulants vanish.
 """
@@ -227,32 +227,26 @@ def expectation_pi(
     return _diagonal(kg, nested(pi, operands, close, _right_mult(kg)))
 
 
-def _moebius_row(n: int) -> list:
-    """(pi, mu(pi, 1_n)) for every pi in NC(n) whose blocks all have
-    even size, through this module's enumerate_nc and moebius.  The
-    other pi add nothing to a Moebius sum of E_pi: a word reduces to a
-    vertex only when each letter meets its inverse, so a block of odd
-    size closes to 0.  Empty for odd n."""
-    return [(pi, moebius(pi)) for pi in enumerate_nc(n, even=True)]
-
-
-def cumulant_of(kg: KernelGraph, operands, row=None, memo=None) -> DiagonalElement:
+def cumulant_of(kg: KernelGraph, operands, parts=None, memo=None) -> DiagonalElement:
     """Joint free cumulant of letter-weight operands by Moebius
     inversion: sum over pi of mu(pi, 1_n) E_pi(...).  The oracle of
     closed_form_cumulant, and the route of check_freeness.
-    row: the (pi, mu) pairs to sum over, when the caller holds them;
-    by default the pi in NC(n) with only even blocks, since E_pi is 0
-    for the others (see _moebius_row).
+    parts: the partitions to sum over, when the caller holds them; by
+    default the pi in NC(n) whose blocks all have even size, through
+    this module's enumerate_nc (none for odd n).  The other pi add
+    nothing: a word reduces to a vertex only when each letter meets its
+    inverse, so a block of odd size closes to 0.
     memo: block closes shared with other calls (see expectation_pi);
     by default, one memo for this call."""
     operands = list(operands)
-    if row is None:
-        row = _moebius_row(len(operands))
+    if parts is None:
+        parts = enumerate_nc(len(operands), even=True)
     if memo is None:
         memo = {}
     index = {v: i for i, v in enumerate(kg.vertices)}
     acc = [0] * len(index)
-    for pi, mu in row:
+    for pi in parts:
+        mu = moebius(pi)
         for v, c in expectation_pi(kg, pi, operands, memo).coeffs:
             acc[index[v]] += mu * c
     return _diagonal(kg, acc)
@@ -307,25 +301,23 @@ def joint_cumulant(kg: KernelGraph, indices) -> DiagonalElement:
     return closed_form_cumulant(kg, [edge_sum(kg, k) for k in indices])
 
 
-def _balanced_row(row, codes) -> list:
-    """The (pi, mu) of row whose blocks each sum their positions' codes
-    to 0.  A block closes to a nonzero value only when its letters
-    reduce to a vertex, so each letter meets its inverse: when a letter
-    and its inverse carry opposite codes, the other pi add exactly 0 to
-    a Moebius sum of E_pi."""
-    return [
-        (pi, mu) for pi, mu in row if not any(sum(codes[i - 1] for i in b) for b in pi.blocks)
-    ]
+def _balanced(parts, codes) -> list:
+    """The pi of parts whose blocks each sum their positions' codes to
+    0.  A block closes to a nonzero value only when its letters reduce
+    to a vertex, so each letter meets its inverse: when a letter and
+    its inverse carry opposite codes, the other pi add exactly 0 to a
+    Moebius sum of E_pi."""
+    return [pi for pi in parts if not any(sum(codes[i - 1] for i in b) for b in pi.blocks)]
 
 
-def _mu_w(kg: KernelGraph, word, row, memo) -> int:
-    """mu_w of a word of signed-edge indices, summed over the pi of row
-    that are balanced in its first letter (coded 1) and that letter's
-    inverse (coded -1)."""
+def _mu_w(kg: KernelGraph, word, parts, memo) -> int:
+    """mu_w of a word of signed-edge indices, summed over the pi of
+    parts that are balanced in its first letter (coded 1) and that
+    letter's inverse (coded -1)."""
     first, back = word[0], kg.inv[word[0]]
     codes = [1 if s == first else -1 if s == back else 0 for s in word]
     letters = [tuple(int(t == s) for t in range(kg.n_signed)) for s in word]
-    k = cumulant_of(kg, letters, row=_balanced_row(row, codes), memo=memo)
+    k = cumulant_of(kg, letters, parts=_balanced(parts, codes), memo=memo)
     return k.as_dict().get(kg.vertices[kg.src[first]], 0)
 
 
@@ -338,28 +330,29 @@ def cumulant_via_wc(
     agree.
 
     The words are tuples of signed-edge indices, walked base edge by
-    base edge in lexicographic order, one unit of budget each: in the
-    layout of _kernel.KernelGraph, base edge i signs as 2i (forward)
-    and 2i + 1 (shadow, its inverse); every word over the two is a
-    loop word when the edge is a loop, otherwise only the two
-    alternating words are.  No loop word of odd length reduces, so
-    odd n is 0 at once.  At even n the Moebius row of the even-block
-    partitions (see _moebius_row) is built before any word, so past
-    NC_BUDGET the route stops there.  The letters of a word are one
-    edge and its inverse, so mu_w depends only on which letters equal
-    the first one and on whether the edge is a loop: it is computed
-    once per such pattern."""
+    base edge, each a signed edge and its inverse, in lexicographic
+    order, one unit of budget each: every word over the two is a loop
+    word when the edge is a loop, otherwise only the two alternating
+    words are.  No loop word of odd length reduces, so odd n is 0 at
+    once.  At even n the even-block partitions of NC(n) (see
+    cumulant_of) are enumerated before any word, so past NC_BUDGET the
+    route stops there.  The letters of a word are one edge and its
+    inverse, so mu_w depends only on which letters equal the first one
+    and on whether the edge is a loop: it is computed once per such
+    pattern."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n % 2:
         return DiagonalElement.zero()
-    row = _moebius_row(n)
+    parts = enumerate_nc(n, even=True)
     acc = [0] * kg.n_vertices
     seen = 0
     memo: dict = {}
     weight: dict = {}
-    for fwd in range(0, kg.n_signed, 2):
-        pair = (fwd, fwd + 1)
+    for fwd, back in enumerate(kg.inv):
+        if back < fwd:  # each base edge once, at the lower of its letters
+            continue
+        pair = (fwd, back)
         loop = kg.src[fwd] == kg.dst[fwd]
         words = (
             itertools.product(pair, repeat=n) if loop
@@ -377,7 +370,7 @@ def cumulant_via_wc(
             if 2 * w.count(fwd) == n:
                 key = (tuple(s == w[0] for s in w), loop)
                 if key not in weight:
-                    weight[key] = _mu_w(kg, w, row, memo)
+                    weight[key] = _mu_w(kg, w, parts, memo)
                 acc[kg.src[w[0]]] += weight[key]
     return _diagonal(kg, acc)
 
@@ -431,7 +424,7 @@ def check_freeness(kg: KernelGraph, k1: int, k2: int, max_n: int = 4) -> Freenes
     holds as many letters of each label k as of -k.  So a tuple with
     unbalanced label counts has every E_pi = 0 and is not summed (it
     still counts in tuples_checked), and a balanced tuple sums only the
-    pi of the even-block row whose blocks are all balanced."""
+    pi of the even-block partitions whose blocks are all balanced."""
     if k1 == k2:
         raise ValueError("families must be distinct")
     for k in (k1, k2):
@@ -451,7 +444,7 @@ def check_freeness(kg: KernelGraph, k1: int, k2: int, max_n: int = 4) -> Freenes
     # their codes sum to 0: fewer than max_n + 1 letters carry k1 or -k1
     code = {k1: 1, -k1: -1, k2: max_n + 1, -k2: -(max_n + 1)}
     for n in range(2, max_n + 1):
-        row = _moebius_row(n)
+        parts = enumerate_nc(n, even=True)
         for idx in itertools.product(alphabet, repeat=n):
             if {abs(i) for i in idx} != {k1, k2}:
                 continue
@@ -459,11 +452,10 @@ def check_freeness(kg: KernelGraph, k1: int, k2: int, max_n: int = 4) -> Freenes
             codes = [code[k] for k in idx]
             if sum(codes):  # an unbalanced tuple: every E_pi is 0
                 continue
-            balanced = _balanced_row(row, codes)
             # the Moebius route, not the closed form: this sum is the
             # evidence that the mixed cumulants vanish
             operands = [weights[k] for k in idx]
-            val = cumulant_of(kg, operands, row=balanced, memo=memo)
+            val = cumulant_of(kg, operands, parts=_balanced(parts, codes), memo=memo)
             if not val.is_zero:
                 if len(nonzero) < NONZERO_CAP:
                     nonzero.append((idx, val))

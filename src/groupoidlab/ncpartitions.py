@@ -2,10 +2,12 @@
 Catalan counts, and nested partition-dependent evaluation.
 
 The Moebius value against the top element comes from the walk that
-makes each partition.  The interval [pi, 1_n] is a product of smaller
-noncrossing lattices indexed by the blocks of the Kreweras complement
-of pi, so mu multiplies haar(|K|) = (-1)^(|K|-1) c_(|K|-1) over those
-blocks K (Nica-Speicher, Lectures 9-10).  The walk meets every such
+makes each partition, which carries it as pi.mu: a Moebius sum takes a
+list of partitions and reads moebius(pi) of each.  The interval
+[pi, 1_n] is a product of smaller noncrossing lattices indexed by the
+blocks of the Kreweras complement of pi, so mu multiplies
+haar(|K|) = (-1)^(|K|-1) c_(|K|-1) over those blocks K
+(Nica-Speicher, Lectures 9-10).  The walk meets every such
 block: the gap between two neighbours of a block closes one, of size
 1 + the gap's top-level blocks, and one more collects the top-level
 blocks of pi.  The two anchor identities mu(0_n, 1_n) =
@@ -124,11 +126,6 @@ def moebius(pi: NoncrossingPartition) -> int:
     """mu(pi, 1_n) in the noncrossing incidence algebra, as the walk
     that made pi carried it."""
     return pi.mu
-
-
-def moebius_row(n: int):
-    """(pi, mu(pi, 1_n)) for every pi, in enumeration order."""
-    return [(pi, moebius(pi)) for pi in enumerate_nc(n)]
 
 
 def nested(pi: NoncrossingPartition, operands, close, multiply):

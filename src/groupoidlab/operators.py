@@ -42,7 +42,6 @@ class Basis:
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
         nv = t.n_vertices
-        self.max_len = max_len
         self.n_vertices = nv
         self.tables = t
         self.parent = [-1] * nv

@@ -39,7 +39,7 @@ from groupoidlab import graphio, moments
 from groupoidlab.errors import BudgetExceededError, GraphError, Value
 from groupoidlab.graphs import shadow
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
-from groupoidlab.ncpartitions import NoncrossingPartition
+from groupoidlab.ncpartitions import NoncrossingPartition, enumerate_nc
 from groupoidlab.operators import SparseOperator
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,16 @@ def fixture(name: str) -> tuple:
     labels is None when the file has none.  Parsed once per name, so
     every test of one example reads the same graph object."""
     return graphio.parse_graph_file(os.path.join(FIXTURE_DIR, f"{name}.json"))
+
+
+def graph_obj(graph, labels: dict | None = None) -> dict:
+    """The graph file object of a parsed graph and its labels, in the
+    schema graphio reads: json.dump writes it to a file."""
+    edges = [{"id": e.id, "src": e.src, "dst": e.dst} for e in graph.edges]
+    if labels is not None:
+        for rec in edges:
+            rec["label"] = labels[rec["id"]]
+    return {"vertices": list(graph.vertices), "edges": edges}
 
 
 def labeled(name: str, mode: str = "auto"):
@@ -577,36 +587,39 @@ def tree_dot(tree: AutomatonTree) -> str:
 
 
 def fractaloid_trees(lg, depth: int, max_nodes: int | None = None) -> tuple:
-    """(fractaloid, trees) from one walk per root, in vertex order:
-    trees holds per root (vertex, regular, node count) of its depth-d
-    action tree.  ends[v] counts the length-d walks from the root that
-    end at v, and the tree's nodes are the walks of length <= depth.  A
-    vertex is regular when its out-edges carry {-N..-1, 1..N}, once
-    each; a tree is regular when every vertex reached in fewer than
-    depth steps is.  The first tree of more than max_nodes nodes raises
-    BudgetExceededError at the first depth where its count passes."""
+    """(fractaloid, trees) from one walk per root, the roots taken in
+    vertex order and all walked one level at a time: trees holds per
+    root (vertex, regular, node count) of its depth-d action tree.
+    ends[root][v] counts the length-d walks from the root that end at
+    v, and the tree's nodes are the walks of length <= depth.  A vertex
+    is regular when its out-edges carry {-N..-1, 1..N}, once each; a
+    tree is regular when every vertex reached in fewer than depth steps
+    is.  At the first depth where a tree has more than max_nodes nodes,
+    BudgetExceededError names the first root whose tree passes there."""
     g = lg.graph
     n = max(base_labels(lg).values())
     full = [*range(-n, 0), *range(1, n + 1)]
     irregular = {v for v in g.vertices if sorted(label(lg, s) for s in out_edges(g, v)) != full}
-    trees = []
-    for root in g.vertices:
-        ends, regular, nodes = {root: 1}, True, 0
-        for d in range(depth + 1):
-            nodes += sum(ends.values())
-            if max_nodes is not None and nodes > max_nodes:
+    ends = {root: {root: 1} for root in g.vertices}
+    regular = dict.fromkeys(g.vertices, True)
+    nodes = dict.fromkeys(g.vertices, 0)
+    for d in range(depth + 1):
+        for root in g.vertices:
+            nodes[root] += sum(ends[root].values())
+        for root in g.vertices:
+            if max_nodes is not None and nodes[root] > max_nodes:
                 raise BudgetExceededError(
                     f"the depth-{depth} tree at {root} passes max_nodes at depth {d}"
                 )
-            if d < depth:
-                regular = regular and not irregular & ends.keys()
+        if d < depth:
+            for root in g.vertices:
+                regular[root] = regular[root] and not irregular & ends[root].keys()
                 step = {}
-                for v, c in ends.items():
+                for v, c in ends[root].items():
                     for s in out_edges(g, v):
                         step[s.dst] = step.get(s.dst, 0) + c
-                ends = step
-        trees.append((root, regular, nodes))
-    return not irregular, tuple(trees)
+                ends[root] = step
+    return not irregular, tuple((root, regular[root], nodes[root]) for root in g.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +684,7 @@ def mu_w(lg, word) -> int:
         raise ValueError("mu_w requires a word that reduces to a vertex")
     index = edge_index(lg)
     letters = tuple(index[s] for s in word)
-    return moments._mu_w(lg, letters, moments._moebius_row(len(word)), {})
+    return moments._mu_w(lg, letters, enumerate_nc(len(word), even=True), {})
 
 
 # ---------------------------------------------------------------------------

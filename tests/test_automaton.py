@@ -300,11 +300,13 @@ def test_fractaloid_node_bound(name):
 
 def test_fractaloid_node_bound_names_the_first_root_in_vertex_order():
     # example-6-2 trees of 1, 4, 13, 44, 145, 484 nodes at v1 and 1, 5,
-    # 19, 65, 219, 729 at v2: past 50, v2 passes first (depth 3), but
-    # the error names v1, the first vertex, at its own depth 4
+    # 19, 65, 219, 729 at v2: past 40, both pass at depth 3, and the
+    # error names v1; past 50, v2 passes first (depth 3), and counting
+    # stops there, before v1 passes at depth 4
     lg = labeled("example-6-2")
     for max_nodes, note in (
-        (50, "the depth-5 tree at v1 passes max_nodes at depth 4"),
+        (40, "the depth-5 tree at v1 passes max_nodes at depth 3"),
+        (50, "the depth-5 tree at v2 passes max_nodes at depth 3"),
         (500, "the depth-5 tree at v2 passes max_nodes at depth 5"),
     ):
         with pytest.raises(BudgetExceededError) as exc:

@@ -675,6 +675,32 @@ def test_tree_past_the_node_budget_exits_5(capsys):
         assert capsys.readouterr().err == ""
 
 
+def write_path_graph(directory) -> str:
+    """The path of a new file in directory holding the 3-vertex path
+    a -> b -> c."""
+    path = directory / "path.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [
+        {"id": "ab", "src": "a", "dst": "b"}, {"id": "bc", "src": "b", "dst": "c"},
+    ]}))
+    return str(path)
+
+
+def test_oracle_past_the_digit_limit_exits_5(tmp_path, capsys):
+    # a path's basis stays small at any length, so only the digit limit
+    # stops a long moment from printing
+    graph = ["--graph", write_path_graph(tmp_path)]
+    code, rep = run_json(["oracle", *graph, "--n", "20000", "--max-len", "20000"])
+    assert code == 0 and len(rep["result"]["diagonal"]["a"]) < sys.get_int_max_str_digits()
+    code, rep = run_json(["oracle", *graph, "--n", "30000", "--max-len", "30000"])
+    assert code == 5
+    assert rep["result"] == {}
+    assert rep["diagnostics"] == {"truncated": True, "notes": [
+        f"oracle n=30000: a moment passes the {sys.get_int_max_str_digits()}-digit "
+        "limit for printing an integer"
+    ]}
+    assert capsys.readouterr().err == ""
+
+
 def test_lattice_budgets_exit_5(capsys):
     for argv, note in (
         # the recurrence's terms are charged to --budget up front
@@ -824,6 +850,8 @@ HUGE_N_MOMENTS = tuple(
     ["moments", "--graph", fx(name), "--n", BIG]
     for name in ("single-edge", "one-loop", "two-loop")
 )
+# The 3-vertex path a -> b -> c, which the test writes to a temporary file.
+PATH_GRAPH = "<path a-b-c>"
 HOSTILE = (
     (["moments", "--graph", fx("one-loop"), "--n", BIG, "--budget", "100000"], 5),
     # the walk counts of single-edge never grow: only --budget stops them
@@ -843,6 +871,8 @@ HOSTILE = (
     (["oracle", "--graph", fx("two-loop"), "--n", BIG, "--max-len", "2"], 4),
     # a tree's basis is finite: the n products are what the budget stops
     (["oracle", "--graph", fx("single-edge"), "--n", str(10**9), "--max-len", str(10**9)], 5),
+    # a path's basis stays small, and its moments outgrow the digit limit
+    (["oracle", "--graph", PATH_GRAPH, "--n", "30000", "--max-len", "30000"], 5),
     (["cumulants", "--graph", fx("two-loop"), "--n", BIG], 5),
     (["cumulants", "--graph", fx("two-loop"), "--n", BIG, "--formula", "both"], 5),
     (["cumulants", "--graph", fx("two-loop"), "--n", "13", "--formula", "wc"], 0),
@@ -875,8 +905,13 @@ def argv_id(argv):
 
 @pytest.mark.parametrize("argv, expected", HOSTILE, ids=[argv_id(a) for a, _ in HOSTILE])
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
-def test_hostile_sizes_keep_the_exit_code_contract(argv, expected, fmt):
+def test_hostile_sizes_keep_the_exit_code_contract(argv, expected, fmt, tmp_path):
+    if PATH_GRAPH in argv:
+        path = write_path_graph(tmp_path)
+        argv = [path if a == PATH_GRAPH else a for a in argv]
+    start = time.perf_counter()
     code, out, err = run_contract(argv + fmt)
+    assert time.perf_counter() - start < 5
     assert code == expected
     assert "Traceback" not in err
     if code == 5:

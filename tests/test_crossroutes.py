@@ -34,6 +34,7 @@ from groupoidlab.moments import (
     balance_moment,
     check_freeness,
     closed_form_cumulant,
+    cumulant_direct,
     cumulant_of,
     cumulant_via_wc,
     edge_sum,
@@ -43,7 +44,7 @@ from groupoidlab.moments import (
     moment,
     w_m_set,
 )
-from groupoidlab.ncpartitions import enumerate_nc, moebius_row
+from groupoidlab.ncpartitions import enumerate_nc
 from groupoidlab.operators import oracle_expectation_power
 
 import paper
@@ -352,8 +353,8 @@ def verdict_or_error(route, lg, depth, max_nodes):
 )
 def test_property_fractaloid_matches_the_per_root_walk(lg, depth, max_nodes):
     # one walk for every root against one walk per root: the verdict,
-    # or the error that names the first root in vertex order to pass
-    # max_nodes and its own first depth past it
+    # or the error that names the first depth where a tree passes
+    # max_nodes and the first root in vertex order to pass there
     def one_walk(lg, depth, max_nodes):
         verdict = automaton.is_fractaloid(lg, depth, max_nodes)
         return verdict.fractaloid, verdict.trees
@@ -537,13 +538,13 @@ def freeness_over_full_rows(lg, k1, k2, max_n):
     memo = {}
     checked, max_abs, nonzero = 0, 0, []
     for n in range(2, max_n + 1):
-        row = moebius_row(n)
+        parts = enumerate_nc(n)
         for idx in itertools.product(alphabet, repeat=n):
             if {abs(k) for k in idx} != {k1, k2}:
                 continue
             checked += 1
             operands = [weights[k] for k in idx]
-            val = cumulant_of(lg, operands, row=row, memo=memo)
+            val = cumulant_of(lg, operands, parts=parts, memo=memo)
             if not val.is_zero:
                 if len(nonzero) < NONZERO_CAP:
                     nonzero.append((idx, val))
@@ -564,6 +565,22 @@ def test_freeness_skips_match_the_full_rows(name):
     # the top order 6 costs about 9/10 of the reference's time
     for max_n in (3, 6):
         assert check_freeness(lg, 1, 2, max_n) == freeness_over_full_rows(lg, 1, 2, max_n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lg=labeled_multigraphs(), max_n=st.integers(2, 4))
+def test_property_freeness_skips_match_the_full_rows(lg, max_n):
+    assume(lg.max_label >= 2)
+    assert check_freeness(lg, 1, 2, max_n) == freeness_over_full_rows(lg, 1, 2, max_n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lg=labeled_multigraphs())
+def test_property_wc_matches_direct(lg):
+    # loops, parallel edges and any edge order: the word walk pairs each
+    # signed edge with its inverse from the flat view's tables
+    for n in (2, 4, 6):
+        assert cumulant_via_wc(lg, n, budget=None) == cumulant_direct(lg, n)
 
 
 @settings(max_examples=60, deadline=None)

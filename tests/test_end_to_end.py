@@ -24,9 +24,10 @@ import os
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidlab import cli, graphio
+from groupoidlab import cli
 from groupoidlab.errors import BASIS_BUDGET
 
+from paper import graph_obj
 from test_crossroutes import labeled_multigraphs
 
 REFS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "refs.py")
@@ -75,7 +76,8 @@ def commands(draw, n_max, graph):
 def test_every_command_matches_the_reference(tmp_path_factory, kg, mode, data):
     path = str(tmp_path_factory.mktemp("graph") / "g.json")
     labels = dict(zip((e.id for e in kg.graph.edges), kg.labels[0::2]))
-    graphio.dump_graph_file(path, kg.graph, labels)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(graph_obj(kg.graph, labels), fh)
     graph = ["--graph", path, "--labeling", mode]
     n_max = refs.load_graph(path, mode).max_label
     cache = {}

@@ -22,7 +22,7 @@ from groupoidlab.moments import (
     total_sum,
     w_m_set,
 )
-from groupoidlab.ncpartitions import catalan, enumerate_nc, moebius
+from groupoidlab.ncpartitions import catalan, enumerate_nc
 from groupoidlab.operators import oracle_expectation_power
 
 from paper import (
@@ -393,12 +393,12 @@ def test_mu_w_balanced_row_matches_the_full_even_row():
         signed = signed_edges(lg.graph)
         e = signed_by_name(lg.graph, edge)
         for n in (2, 4, 6, 8):
-            full = [(pi, moebius(pi)) for pi in enumerate_nc(n, even=True)]
+            full = enumerate_nc(n, even=True)
             for word in itertools.product((e, inverted(e)), repeat=n):
                 if expectation_of_word(word).is_zero:
                     continue
                 letters = [tuple(int(t == s) for t in signed) for s in word]
-                want = cumulant_of(lg, letters, row=full).as_dict().get(word[0].src, 0)
+                want = cumulant_of(lg, letters, parts=full).as_dict().get(word[0].src, 0)
                 assert mu_w(lg, word) == want, word
 
 

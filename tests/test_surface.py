@@ -9,7 +9,7 @@ objects or a shadowed-graph object: every module reads signed edges
 from the tables of _kernel.KernelGraph.  And no module wraps that flat
 view: a labeled graph is its KernelGraph.  And every entry point that
 the benchmark's tracer wraps is still where it looks for it.  And no
-module imports __future__."""
+module imports __future__.  And no module opens a file for writing."""
 
 import ast
 import importlib
@@ -23,7 +23,6 @@ KEPT = {
     "moments.balance_moment": "paper",
     "moments.moment_via_cumulants": "paper",
     "_kernel.backend_name": "perfbench",
-    "graphio.dump_graph_file": "schema",
 }
 
 
@@ -78,6 +77,32 @@ def test_no_module_imports_from_the_future():
         if isinstance(node, ast.ImportFrom) and node.module == "__future__"
     ]
     assert found == []
+
+
+def file_writers():
+    """(module, line) of each open(...) call whose mode is not a string
+    that only reads: one that writes, appends, creates or updates, or
+    one that is not a literal."""
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(parse(name)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "open":
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r")
+            )
+            if not isinstance(mode, ast.Constant) or set("wax+") & set(str(mode.value)):
+                found.append((name[:-3], node.lineno))
+    return found
+
+
+def test_no_module_writes_a_file():
+    assert file_writers() == []
 
 
 def test_package_exports_only_its_version():
