@@ -112,6 +112,12 @@ def backend_name() -> str:
     return "dp"
 
 
+def _check_mode(mode) -> None:
+    """The one check of a moment mode, for the counts and the words."""
+    if mode not in ("reduction", "balance"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 class _Budget:
     """Running count of work against an optional cap: DP transitions
     (terms of the recurrence sums, or edge steps out of a balance
@@ -142,8 +148,7 @@ def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if mode not in ("reduction", "balance"):
-        raise ValueError(f"unknown tally mode {mode!r}")
+    _check_mode(mode)
     spend = _Budget(budget)
     if mode == "balance":
         counts, truncated = _balanced_loops(kg, n, spend)
@@ -332,20 +337,24 @@ def closed_words(kg: KernelGraph, n: int, mode: str, budget=None):
     it, so only the qualifying words and their prefixes are built.
     mode: "reduction" keeps the closed walks of the universal-cover
           tree; "balance" keeps the loop words with an all-zero balance
-          vector.
+          vector; any other is a ValueError, as in tally_words.
     budget: cap on letters, charged one per letter tried and n per word
             kept, so the words held never exceed it.  When it runs out
             the flag is set and the words are those found so far, a
-            prefix of the full list.
+            prefix of the full list.  Below an even n it keeps no
+            word, so the walk is not begun.
 
     Returns (words, truncated).
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    words: list = []
+    _check_mode(mode)
     # closed tree walks and balanced words both have even length
     if n % 2:
-        return words, False
+        return [], False
+    if budget is not None and n > budget:
+        return [], True
+    words: list = []
     walk = _tree_walk if mode == "reduction" else _balanced_walk
     return words, walk(kg, n, _Budget(budget), words)
 

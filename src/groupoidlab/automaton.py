@@ -13,8 +13,7 @@ every root, as _kernel.walk_levels counts the walks from every vertex.
 from operator import add
 
 from . import _kernel
-from .errors import BudgetExceededError, Value
-from .graphs import GraphError
+from .errors import BudgetExceededError, GraphError, Value
 
 # Nodes of the largest action tree build_tree writes: its DOT text is
 # held whole, about 60 bytes a node.

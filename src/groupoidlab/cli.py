@@ -76,9 +76,7 @@ def _load_labeled(args) -> tuple:
         mode = labeling.MODE_EXPLICIT if file_labels else labeling.MODE_VERTEX
     if mode == labeling.MODE_EXPLICIT and not file_labels:
         raise SchemaError("explicit labeling requested but the file has no labels")
-    kg = labeling.assign_weights(
-        graph, mode, explicit=file_labels if mode == labeling.MODE_EXPLICIT else None
-    )
+    kg = labeling.assign_weights(graph, mode, explicit=file_labels)
     inputs = {
         "graph": args.graph,
         "vertices": len(graph.vertices),
@@ -165,7 +163,11 @@ def _cmd_moments(args, kg, diagnostics) -> dict:
     if args.words:
         rep = moments.w_m_set(kg, args.n, args.mode, budget=args.budget)
         result["words"] = _word_names(kg, rep.words)
-    if args.verify:
+    if args.verify and reduction.truncated:
+        diagnostics["notes"].append(
+            f"verification skipped: the reduction count at n={args.n} is truncated"
+        )
+    elif args.verify:
         from . import operators
 
         try:

@@ -19,8 +19,8 @@ class Edge(Value):
 class DirectedGraph:
     """Finite directed multigraph with deterministic vertex/edge order.
 
-    Loops and parallel edges are permitted.  Ids must be unique; edge
-    endpoints must be declared vertices.
+    Loops and parallel edges are permitted.  Edges are Edge values; ids
+    must be unique, and edge endpoints must be declared vertices.
     """
 
     def __init__(self, vertices, edges):
@@ -32,8 +32,6 @@ class DirectedGraph:
         es = []
         seen = set()
         for e in edges:
-            if not isinstance(e, Edge):
-                e = Edge(*e)
             if e.id in seen:
                 raise GraphError(f"duplicate edge id {e.id!r}")
             seen.add(e.id)
@@ -54,14 +52,13 @@ class DirectedGraph:
 
 
 def validate_graph(g: DirectedGraph) -> tuple:
-    """The violations of the structural requirements, nonempty and
-    connected, as a tuple of messages: empty when g is valid.  The
-    constructor has already rejected an edge whose endpoint is not a
-    vertex.
+    """The violations of the structural requirements, a nonempty vertex
+    set, connected, with an edge to label, as a tuple of the first
+    one's message: empty when g is valid.  The constructor has already
+    rejected an edge whose endpoint is not a vertex.
 
     Connectivity is tested on the shadowed graph: between any two
     distinct vertices there must be a path ignoring edge direction.
-    A single vertex with no edges is vacuously connected.
     """
     if not g.vertices:
         return ("empty vertex set",)
@@ -81,6 +78,8 @@ def validate_graph(g: DirectedGraph) -> tuple:
     missing = [v for v in g.vertices if v not in seen]
     if missing:
         return ("disconnected: unreachable vertices " + ", ".join(missing),)
+    if not g.edges:
+        return ("cannot label a graph with no edges",)
     return ()
 
 

@@ -9,13 +9,14 @@ heights are linearly independent.
 
 A labeled graph is its one flat view: assign_weights returns the
 _kernel.KernelGraph that the moment, automaton and operator layers
-read.
+read.  It checks no input: graphio checks a file's labels, and
+graphs.validate_graph the graph, including that it has an edge.
 """
 
 from math import comb
 
-from .errors import BudgetExceededError
-from .graphs import DirectedGraph, GraphError
+from .errors import BudgetExceededError, GraphError
+from .graphs import DirectedGraph
 
 MODE_VERTEX = "vertex"  # per-vertex-bijective (default)
 MODE_MULTIEDGE = "multiedge"  # parallel-edge index
@@ -36,32 +37,18 @@ def assign_weights(
     sorted-id order.  multiedge mode: the label is the 1-based index
     among parallel edges with the same endpoints, in sorted-id order.
     Both number the id-sorted edges in one pass, with a running count
-    per source or per endpoint pair.  explicit mode: labels are taken
-    from the given map and checked for presence and range; only this
-    mode takes a map.
+    per source or per endpoint pair, and ignore explicit.  explicit
+    mode: edge e gets explicit[e.id], from the labels graphio has read.
     """
-    if not g.edges:
-        raise GraphError("cannot label a graph with no edges")
-    if explicit is not None and mode != MODE_EXPLICIT:
-        raise GraphError(f"labeling mode {mode!r} takes no label map")
-    labels = []  # per base edge, in id order
-    if mode in (MODE_VERTEX, MODE_MULTIEDGE):
+    if mode == MODE_EXPLICIT:
+        labels = [explicit[e.id] for e in g.edges]
+    elif mode in (MODE_VERTEX, MODE_MULTIEDGE):
+        labels = []  # per base edge, in id order
         counts: dict = {}
         for e in g.edges:
             key = e.src if mode == MODE_VERTEX else (e.src, e.dst)
             counts[key] = counts.get(key, 0) + 1
             labels.append(counts[key])
-    elif mode == MODE_EXPLICIT:
-        if explicit is None:
-            raise GraphError("explicit mode requires a label map")
-        missing = [e.id for e in g.edges if e.id not in explicit]
-        if missing:
-            raise GraphError("missing explicit labels for " + ", ".join(missing))
-        for e in g.edges:
-            k = explicit[e.id]
-            if not isinstance(k, int) or k < 1:
-                raise GraphError(f"explicit label for {e.id!r} must be a positive integer")
-            labels.append(k)
     else:
         raise GraphError(f"unknown labeling mode {mode!r}")
     from . import _kernel  # lattice loads this module, never the kernel

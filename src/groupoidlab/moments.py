@@ -102,8 +102,6 @@ def w_m_set(
     the word walk of _kernel, which builds only the qualifying words and
     their prefixes.  budget caps its letters, tried and kept; when it
     runs out, the words found so far are the partial result."""
-    if mode not in ("reduction", "balance"):
-        raise ValueError(f"unknown mode {mode!r}")
     found, truncated = _kernel.closed_words(kg, n, mode, budget=budget)
     vs = kg.vertices
     report = WordSetReport(

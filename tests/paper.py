@@ -15,7 +15,8 @@ words:
   vector;
 * the graph automaton (labeling map phi, shifting maps psi, actions),
   its action trees as node objects, and their DOT rendering;
-* the fractaloid verdict from one walk per root;
+* the fractaloid verdict from one walk per root, the permutation test
+  of a Schreier graph, and the closed walks of a regular tree;
 * the Moebius value of a noncrossing partition, from the cycle type of
   pi^-1 gamma;
 * E on a single word and the cumulant weight mu_w;
@@ -75,7 +76,7 @@ def labeled(name: str, mode: str = "auto"):
     graph, labels = fixture(name)
     if mode == "auto":
         mode = MODE_EXPLICIT if labels else MODE_VERTEX
-    return assign_weights(shadow(graph), mode, labels if mode == MODE_EXPLICIT else None)
+    return assign_weights(shadow(graph), mode, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +621,34 @@ def fractaloid_trees(lg, depth: int, max_nodes: int | None = None) -> tuple:
                         step[s.dst] = step.get(s.dst, 0) + c
                 ends[root] = step
     return not irregular, tuple((root, regular[root], nodes[root]) for root in g.vertices)
+
+
+def is_schreier(lg) -> bool:
+    """Whether lg is the Schreier graph of N permutations of its
+    vertices: for each label k in 1..N, every vertex is the source of
+    exactly one label-k edge and the target of exactly one.  Read from
+    the base edges and their labels alone."""
+    g, labels = lg.graph, base_labels(lg)
+    for k in range(1, max(labels.values()) + 1):
+        edges = [e for e in g.edges if labels[e.id] == k]
+        if sorted(e.src for e in edges) != list(g.vertices):
+            return False
+        if sorted(e.dst for e in edges) != list(g.vertices):
+            return False
+    return True
+
+
+def tree_moment(d: int, n: int) -> int:
+    """The closed walks of length n >= 1 from a node of the d-regular
+    tree: none for odd n, and for n = 2m
+    M(2m) = sum_{j=1..m} j/(2m-j) C(2m-j, m) d^j (d-1)^(m-j),
+    the walks whose returns to the root number j."""
+    if n % 2:
+        return 0
+    m = n // 2
+    return sum(
+        j * comb(n - j, m) // (n - j) * d**j * (d - 1) ** (m - j) for j in range(1, m + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

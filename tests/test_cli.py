@@ -278,6 +278,46 @@ def test_verify_past_the_basis_budget_keeps_the_moments(capsys):
     assert capsys.readouterr().err == ""
 
 
+TWO_LOOP_NOTE = (
+    "For max label N >= 2 the balance-condition count exceeds the reduction count "
+    "(36 vs 28 at n = 4 on the two-loop graph); the reduction count is the one "
+    "matching the operator oracle."
+)
+
+
+@pytest.mark.parametrize("budget", [5, 20])
+def test_verify_of_a_truncated_count_is_skipped(budget, capsys, monkeypatch):
+    # a partial reduction count has nothing to be checked against: no
+    # oracle runs, a note says so, and the run is truncated, not a mismatch
+    from groupoidlab import operators
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(operators, "oracle_expectation_power", no_oracle)
+    argv = ["moments", "--graph", fx("two-loop"), "--n", "8", "--verify", "--budget", str(budget)]
+    skipped = "verification skipped: the reduction count at n=8 is truncated"
+    assert run(argv) == (5, (
+        "command: moments\n"
+        "graph: " + fx("two-loop") + "  |V|=1 |E|=2 N=2 labeling=vertex\n"
+        "diagonal: {}\n"
+        "mode: reduction\n"
+        "n: 8\n"
+        "balance_count: 0\n"
+        f"note: {TWO_LOOP_NOTE}\n"
+        f"note: {skipped}\n"
+        "reduction_count: 0\n"
+        "truncated: True\n"
+        "status: truncated\n"
+    ))
+    code, rep = run_json(argv)
+    assert code == 5 and rep["status"] == "truncated"
+    assert "oracle" not in rep["diagnostics"]
+    assert rep["diagnostics"]["notes"][-1] == skipped
+    assert rep["diagnostics"]["reduction_count"] == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("name, n", [
     ("two-loop", 18), ("two-loop", 19), ("three-loop", 12), ("three-loop", 13),
     ("example-6-2", 24),
@@ -863,8 +903,13 @@ HOSTILE = (
       "--budget", "1000"], 5),
     (["moments", "--graph", fx("two-loop"), "--n", "10000", "--verify",
       "--budget", "1000"], 5),
+    # a truncated reduction count is not verified
+    *((["moments", "--graph", fx("two-loop"), "--n", "8", "--verify", "--budget", b], 5)
+      for b in ("5", "20")),
     (["moments", "--graph", fx("two-loop"), "--n", "-" + BIG], 4),
     (["moments", "--graph", fx("two-loop"), "--n", "20000", "--words", "--budget", "1000"], 5),
+    # no word of 10^9 letters fits the default letter budget: not begun
+    (["moments", "--graph", fx("one-loop"), "--n", BIG, "--words"], 5),
     (["moments", "--graph", fx("three-loop"), "--n", "12", "--words", "--mode", "balance",
       "--budget", "100000"], 5),
     (["oracle", "--graph", fx("two-loop"), "--n", BIG, "--max-len", BIG], 5),
@@ -995,20 +1040,58 @@ def test_a_huge_label_costs_no_time_or_memory(loop_graphs, argv, code):
 
 @pytest.mark.parametrize(
     "argv",
-    [["moments", "--graph", fx("one-loop"), "--n", BIG, "--budget", "100000"], *HUGE_N_MOMENTS],
+    [
+        ["moments", "--graph", fx("one-loop"), "--n", BIG, "--budget", "100000"],
+        *HUGE_N_MOMENTS,
+        ["moments", "--graph", fx("one-loop"), "--n", BIG, "--words"],
+    ],
     ids=argv_id,
 )
 def test_huge_n_moments_end_within_seconds(argv):
     # the count of admissible words, which no result reads, stops at its
     # own cap instead of taking n big-integer steps; neither count
     # begins a vertex it cannot finish, and a truncated count skips the
-    # walk count
+    # walk count.  The word walk is not begun when one word would pass
+    # its letter budget (it held 0.8 GB at n = 10^9 when it was).
     proc = subprocess.run(
         [sys.executable, "-m", "groupoidlab.cli", *argv, "--json"], capture_output=True,
-        text=True, cwd=ROOT, timeout=5, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        text=True, cwd=ROOT, timeout=5, preexec_fn=address_space_cap,
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
     )
     assert (proc.returncode, proc.stderr) == (5, "")
-    assert json.loads(proc.stdout)["status"] == "truncated"
+    report = json.loads(proc.stdout)
+    assert report["status"] == "truncated"
+    if "--words" in argv:
+        assert report["result"] == {"diagonal": {}, "words": []}
+
+
+# Graph files that each input rule refuses, with the stderr of the one
+# layer that checks it: graphio the labels, graphs.validate_graph the graph.
+REFUSED_GRAPHS = (
+    ({"vertices": ["v"], "edges": []}, [],
+     4, "validation error: cannot label a graph with no edges\n"),
+    ({"vertices": ["a", "b"], "edges": []}, [],
+     4, "validation error: disconnected: unreachable vertices b\n"),
+    ({"vertices": [], "edges": []}, [], 4, "validation error: empty vertex set\n"),
+    ({"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]},
+     ["--labeling", "explicit"],
+     3, "schema error: explicit labeling requested but the file has no labels\n"),
+    ({"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v", "label": 0}]}, [],
+     3, "schema error: edges[0].label: must be >= 1\n"),
+)
+
+
+@pytest.mark.parametrize("obj, flags, code, err", REFUSED_GRAPHS)
+@pytest.mark.parametrize("command", [
+    ["moments", "--n", "4"], ["fractaloid"], ["tree", "--depth", "1"],
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_each_input_rule_refuses_with_its_own_message(obj, flags, code, err, command, fmt,
+                                                      tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(obj))
+    argv = command[:1] + ["--graph", str(path), *flags] + command[1:] + fmt
+    assert run_contract(argv) == (code, "", err)
 
 
 RERUN = (

@@ -384,6 +384,82 @@ def test_fractaloid_regular_ignores_the_last_level():
     assert automaton.is_fractaloid(lg, 2).trees[0] == ("v1", False, 17)
 
 
+@st.composite
+def schreier_graphs(draw, max_vertices=6, max_n=3):
+    """Schreier graphs of N <= max_n random permutations of 1..max_vertices
+    vertices, kept when connected: label k on the edge v -> sigma_k(v),
+    labeled explicitly."""
+    vs = [f"v{i}" for i in range(1, draw(st.integers(1, max_vertices)) + 1)]
+    perms = draw(st.lists(st.permutations(vs), min_size=1, max_size=max_n))
+    arcs = {f"s{k}{v}": (k, v, w) for k, perm in enumerate(perms, 1) for v, w in zip(vs, perm)}
+    g = DirectedGraph(vs, [Edge(i, v, w) for i, (_, v, w) in arcs.items()])
+    assume(not validate_graph(g))
+    return assign_weights(shadow(g), MODE_EXPLICIT, {i: k for i, (k, _, _) in arcs.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(lg=schreier_graphs(), depth=st.integers(1, 4))
+def test_property_schreier_graphs_are_fractaloids(lg, depth):
+    # every action tree is the full 2N-regular tree
+    assert paper.is_schreier(lg)
+    verdict = automaton.is_fractaloid(lg, depth)
+    assert verdict.fractaloid and verdict.witness is None
+    size = sum((2 * lg.max_label) ** level for level in range(depth + 1))
+    assert verdict.trees == tuple((v, True, size) for v in lg.graph.vertices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lg=schreier_graphs(), data=st.data())
+def test_property_schreier_moments_are_the_tree_formula(lg, data):
+    # the universal cover is the 2N-regular tree: every route counts its
+    # closed walks, the same at every vertex
+    d = 2 * lg.max_label
+    for n in range(1, 11):
+        want = DiagonalElement.of((v, paper.tree_moment(d, n)) for v in lg.graph.vertices)
+        assert moment(lg, n) == want, n
+    n = data.draw(st.integers(1, 10))
+    want = {v: paper.tree_moment(d, n) for v in lg.graph.vertices}
+    assert oracle_expectation_power(lg, n, n // 2) == want
+    # the word walk holds every word: at most a few thousand per vertex
+    n = data.draw(st.integers(1, 10 if d == 2 else 8 if d == 4 else 6))
+    want = DiagonalElement.of((v, paper.tree_moment(d, n)) for v in lg.graph.vertices)
+    assert w_m_set(lg, n).tallies == want
+
+
+def reduces_in_free_group(indices) -> bool:
+    """Whether a word over +-1..+-N, letter k the generator and -k its
+    inverse, freely reduces to the identity."""
+    stack: list = []
+    for k in indices:
+        if stack and stack[-1] == -k:
+            stack.pop()
+        else:
+            stack.append(k)
+    return not stack
+
+
+@settings(max_examples=100, deadline=None)
+@given(lg=schreier_graphs(), data=st.data())
+def test_property_schreier_joint_moment_is_the_free_group_indicator(lg, data):
+    # a label word reads one walk from each vertex, closed in the tree
+    # exactly when the word is the identity of F_N
+    letters = [k for j in range(1, lg.max_label + 1) for k in (j, -j)]
+    words = list(itertools.product(letters, repeat=2))
+    words += data.draw(st.lists(st.tuples(*[st.sampled_from(letters)] * 4), max_size=6))
+    a, b = data.draw(st.sampled_from(letters)), data.draw(st.sampled_from(letters))
+    words += [(a, -a, b, -b), (a, b, -b, -a)]
+    for indices in words:
+        one = int(reduces_in_free_group(indices))
+        want = DiagonalElement.of((v, one) for v in lg.graph.vertices)
+        assert joint_moment(lg, indices) == want, indices
+
+
+@settings(max_examples=200, deadline=None)
+@given(lg=labeled_multigraphs(max_vertices=4, max_edges=8))
+def test_property_fractaloid_verdict_is_the_permutation_test(lg):
+    assert automaton.is_fractaloid(lg, 1).fractaloid == paper.is_schreier(lg)
+
+
 @settings(max_examples=40, deadline=None)
 @given(kg=labeled_multigraphs(), n=st.integers(1, 10))
 def test_property_balance_count_matches_full_length_walks(kg, n):

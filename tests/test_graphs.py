@@ -18,9 +18,10 @@ from paper import (
 )
 
 
-def test_single_vertex_valid():
+def test_single_vertex_without_edges_is_refused():
+    # connected, but with no edge to label
     g = DirectedGraph(["v"], [])
-    assert validate_graph(g) == ()
+    assert validate_graph(g) == ("cannot label a graph with no edges",)
 
 
 def test_two_isolated_vertices_disconnected():
@@ -70,8 +71,9 @@ def test_shadow_involution():
         assert inverted(inverted(s)) == s
 
 
-def test_shadow_empty_edge_set():
-    assert signed_edges(shadow(DirectedGraph(["v"], []))) == ()
+def test_shadow_rejects_the_empty_edge_set():
+    with pytest.raises(GraphError, match="^cannot label a graph with no edges$"):
+        shadow(DirectedGraph(["v"], []))
 
 
 def test_shadow_rejects_invalid():

@@ -50,6 +50,31 @@ def test_kernel_rejects_bad_args():
         _kernel.tally_words(kg, 2, "nope")
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_counts_and_words_refuse_an_unknown_mode_alike(n):
+    # one check, before any work: odd n and a budget of 0 included
+    kg = labeled("one-loop")
+    for call in (_kernel.tally_words, _kernel.closed_words):
+        with pytest.raises(ValueError, match="^unknown mode 'nope'$"):
+            call(kg, n, "nope", budget=0)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("mode", ["reduction", "balance"])
+def test_words_below_the_letters_of_one_word_skip_the_walk(name, mode):
+    # a kept word costs n letters, so under a budget below an even n the
+    # walk keeps none and runs out: the early return is what it gives
+    kg = labeled(name)
+    walk = _kernel._tree_walk if mode == "reduction" else _kernel._balanced_walk
+    for n in range(2, 13, 2):
+        for budget in range(n):
+            words = []
+            assert walk(kg, n, _kernel._Budget(budget), words) is True
+            assert words == []
+            assert _kernel.closed_words(kg, n, mode, budget) == ([], True)
+        assert _kernel.closed_words(kg, n + 1, mode, 0) == ([], False)
+
+
 @pytest.mark.parametrize("mode", ["reduction", "balance"])
 def test_one_loop_closed_form_at_large_n(mode):
     # F_1: a word reduces (and balances) exactly when it has as many

@@ -58,23 +58,15 @@ def test_explicit_mode_fixture_labels():
     assert lg.max_label == 2
 
 
-def test_explicit_mode_missing_labels():
-    with pytest.raises(GraphError):
-        assign_weights(shadow(fixture("example-6-2")[0]), MODE_EXPLICIT, {"e12:1": 1})
-
-
-def test_explicit_mode_bad_label():
-    graph, labels = fixture("example-6-2")
-    bad = {**labels, "e12:1": 0}
-    with pytest.raises(GraphError):
-        assign_weights(shadow(graph), MODE_EXPLICIT, bad)
-
-
 @pytest.mark.parametrize("mode", [MODE_VERTEX, MODE_MULTIEDGE])
-def test_only_explicit_mode_takes_a_label_map(mode):
+def test_only_explicit_mode_reads_the_label_map(mode):
     graph, labels = fixture("example-6-2")
-    with pytest.raises(GraphError, match="takes no label map"):
-        assign_weights(shadow(graph), mode, labels)
+    assert assign_weights(shadow(graph), mode, labels) == assign_weights(shadow(graph), mode)
+
+
+def test_unknown_labeling_mode_errors():
+    with pytest.raises(GraphError, match="unknown labeling mode 'edge'"):
+        assign_weights(shadow(fixture("example-6-2")[0]), "edge")
 
 
 def test_inverse_edges_negated():
