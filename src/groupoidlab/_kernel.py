@@ -37,7 +37,11 @@ numbering of signed edges and their names: no other module numbers them.
 
 from operator import mul
 
-from .errors import ENUM_BUDGET, Value
+from .errors import ENUM_BUDGET, BudgetExceededError, Value
+
+# The letters the words of closed_words may hold, whatever its budget:
+# a kept word holds its n letters until the command prints them.
+KEPT_LETTERS = ENUM_BUDGET
 
 
 class KernelGraph(Value):
@@ -343,6 +347,9 @@ def closed_words(kg: KernelGraph, n: int, mode: str, budget=None):
             the flag is set and the words are those found so far, a
             prefix of the full list.  Below an even n it keeps no
             word, so the walk is not begun.
+    The words kept also hold at most KEPT_LETTERS letters, whatever the
+    budget: past that cap, BudgetExceededError carries the words found
+    so far.
 
     Returns (words, truncated).
     """
@@ -355,8 +362,17 @@ def closed_words(kg: KernelGraph, n: int, mode: str, budget=None):
     if budget is not None and n > budget:
         return [], True
     words: list = []
-    walk = _tree_walk if mode == "reduction" else _balanced_walk
-    return words, walk(kg, n, _Budget(budget), words)
+    spend = _Budget(budget)
+    if n <= KEPT_LETTERS:
+        walk = _tree_walk if mode == "reduction" else _balanced_walk
+        truncated = walk(kg, n, spend, words)
+        # a walk stopped within its budget was stopped by the cap
+        if not truncated or budget is not None and spend.spent > budget:
+            return words, truncated
+    raise BudgetExceededError(
+        f"word set n={n}: the words kept pass the cap of {KEPT_LETTERS} letters",
+        partial=words,
+    )
 
 
 def _tree_walk(kg, n, spend, words) -> bool:
@@ -371,6 +387,7 @@ def _tree_walk(kg, n, spend, words) -> bool:
     written out at once.
     """
     dst, inv, out = kg.dst, kg.inv, kg.out
+    most = KEPT_LETTERS // n  # the words the cap admits
     word: list = []
     tops: list = [None]  # tops[k]: the stack of word[:k]
     pending = [iter(range(kg.n_signed))]
@@ -395,7 +412,7 @@ def _tree_walk(kg, n, spend, words) -> bool:
                 continue
             stack = (inv[e], top, depth)
         if depth == left:
-            if not spend.charge(n):
+            if not spend.charge(n) or len(words) == most:
                 return True
             tail = []
             while stack is not None:
@@ -422,6 +439,7 @@ def _balanced_walk(kg, n, spend, words) -> bool:
     when its norm is zero and it ends at its start vertex.
     """
     src, dst, out = kg.src, kg.dst, kg.out
+    most = KEPT_LETTERS // n  # the words the cap admits
     axis = _axes(kg)
     sign = [1 if k > 0 else -1 for k in kg.labels]
     balance = [0] * kg.n_labels
@@ -447,7 +465,7 @@ def _balanced_walk(kg, n, spend, words) -> bool:
             continue
         if not left:
             if dst[e] == src[word[0]]:
-                if not spend.charge(n):
+                if not spend.charge(n) or len(words) == most:
                     return True
                 words.append((*word, e))
             continue

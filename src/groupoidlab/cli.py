@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 IO error, 3 parse/schema error, 4 validation
-failure, 5 budget exhausted (partial results are still emitted, with a
-truncated flag), 6 verification mismatch.  Identical invocations print
-byte-identical output.
+failure, 5 budget exhausted, 6 verification mismatch.  Identical
+invocations print byte-identical output.
 
 Each subcommand returns only its result, adding its own diagnostics to
-the dict it is handed; main assembles and emits the one report.
+the dict it is handed; _execute builds the one report around them.  A
+budget that runs out only marks that report truncated and adds its
+note: the result keeps what finished.
 
 A well-formed argv is read straight from the command table, COMMANDS;
 argparse is imported, and its full parser built, only for help, usage
@@ -25,7 +26,7 @@ import sys
 from types import SimpleNamespace
 
 from .errors import BASIS_BUDGET, ENUM_BUDGET, BudgetExceededError, GraphError
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, VerificationMismatch
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -33,12 +34,6 @@ EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 EXIT_BUDGET = 5
 EXIT_VERIFY = 6
-
-
-class VerificationMismatch(RuntimeError):
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
 
 
 def _diag_payload(d) -> dict:
@@ -140,30 +135,41 @@ def _unprintable(what: str, limit: int) -> BudgetExceededError:
     return BudgetExceededError(f"{what} the {limit}-digit limit for printing an integer")
 
 
+def _truncated(diagnostics, exc: BudgetExceededError):
+    """Mark the report truncated, with exc's note; what finished, or None."""
+    diagnostics["truncated"] = True
+    diagnostics.setdefault("notes", []).append(str(exc))
+    return exc.partial
+
+
 def _cmd_moments(args, kg, diagnostics) -> dict:
     from . import moments
 
-    reduction = moments.tally(kg, args.n, "reduction", budget=args.budget)
-    balance = moments.tally(kg, args.n, "balance", budget=args.budget)
-    primary = reduction if args.mode == "reduction" else balance
-    if reduction.truncated or balance.truncated:
-        diagnostics["truncated"] = True
-    red_total = sum(c for _, c in reduction.diagonal.coeffs)
-    bal_total = sum(c for _, c in balance.diagonal.coeffs)
-    diagnostics["reduction_count"] = red_total
-    diagnostics["balance_count"] = bal_total
-    # a difference between partial tallies says nothing about the counts
-    if red_total != bal_total and not diagnostics["truncated"]:
+    # only what was asked for (the --mode count, --words, --verify)
+    # decides the status; a count that ran out is a note, not a sum
+    tallies = {m: moments.tally(kg, args.n, m, args.budget) for m in ("reduction", "balance")}
+    for mode, tally in tallies.items():
+        if tally.truncated:
+            diagnostics["notes"].append(f"the {mode} count at n={args.n} ran out of --budget")
+        else:
+            diagnostics[f"{mode}_count"] = sum(c for _, c in tally.diagonal.coeffs)
+    reduction, primary = tallies["reduction"], tallies[args.mode]
+    diagnostics["truncated"] = primary.truncated
+    counts = [diagnostics.get(f"{mode}_count") for mode in tallies]
+    if None not in counts and counts[0] != counts[1]:
         diagnostics["notes"].append(
-            f"reduction and balance counts differ at n={args.n} "
-            f"({red_total} vs {bal_total}); the reduction count is the one "
-            "matching the operator oracle."
+            "reduction and balance counts differ at n={} ({} vs {}); the reduction count "
+            "is the one matching the operator oracle.".format(args.n, *counts)
         )
     result = {"diagonal": _diag_payload(primary.diagonal), "n": args.n, "mode": args.mode}
     if args.words:
-        rep = moments.w_m_set(kg, args.n, args.mode, budget=args.budget)
-        result["words"] = _word_names(kg, rep.words)
+        try:
+            words = moments.w_m_set(kg, args.n, args.mode, budget=args.budget).words
+        except BudgetExceededError as exc:
+            words = _truncated(diagnostics, exc).words  # the words found so far
+        result["words"] = _word_names(kg, words)
     if args.verify and reduction.truncated:
+        diagnostics["truncated"] = True
         diagnostics["notes"].append(
             f"verification skipped: the reduction count at n={args.n} is truncated"
         )
@@ -175,8 +181,8 @@ def _cmd_moments(args, kg, diagnostics) -> dict:
                 kg, args.n, args.n // 2, budget=args.basis_budget
             )
         except BudgetExceededError as exc:
-            # keep the finished moments
-            raise BudgetExceededError(str(exc), partial=primary.diagonal) from exc
+            _truncated(diagnostics, exc)
+            return result
         diagnostics["oracle"] = {v: str(c) for v, c in sorted(oracle.items())}
         if moments.DiagonalElement.of(oracle) != reduction.diagonal:
             raise VerificationMismatch("moments disagree with the oracle", result)
@@ -211,16 +217,16 @@ def _cmd_cumulants(args, kg, diagnostics) -> dict:
 
     result: dict = {"n": args.n, "formula": args.formula}
     if args.formula in ("direct", "both"):
-        direct = moments.cumulant_direct(kg, args.n)
-        result["diagonal"] = _diag_payload(direct)
+        result["diagonal"] = _diag_payload(moments.cumulant_direct(kg, args.n))
     if args.formula in ("wc", "both"):
         try:
             wc = moments.cumulant_via_wc(kg, args.n, budget=args.budget)
         except BudgetExceededError as exc:
-            # keep the finished direct value
-            if args.formula == "wc":
-                raise
-            raise BudgetExceededError(str(exc), partial=direct) from exc
+            # the direct value when there is one, else wc's partial sum
+            partial = _truncated(diagnostics, exc)
+            if partial is not None:
+                result.setdefault("diagonal", _diag_payload(partial))
+            return result
         result.setdefault("diagonal", _diag_payload(wc))
         result["wc"] = _diag_payload(wc)
     if args.formula == "both":
@@ -231,7 +237,10 @@ def _cmd_cumulants(args, kg, diagnostics) -> dict:
 def _cmd_joint(args, kg, diagnostics) -> dict:
     from . import moments
 
-    m = moments.joint_moment(kg, args.indices, budget=args.budget)
+    try:
+        m = moments.joint_moment(kg, args.indices, budget=args.budget)
+    except BudgetExceededError as exc:  # the vertices the DP finished
+        return {"diagonal": _diag_payload(_truncated(diagnostics, exc))}
     k = moments.joint_cumulant(kg, args.indices)
     return {
         "indices": list(args.indices),
@@ -546,39 +555,21 @@ def _execute(args) -> tuple:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION, None
     except BudgetExceededError as exc:
-        report = {
-            "command": args.command,
-            "result": _partial_payload(exc, kg),
-            "diagnostics": {"truncated": True, "notes": [str(exc)]},
-        }
+        _truncated(diagnostics, exc)
+        report["result"] = {}
     except VerificationMismatch as exc:
-        report.update(result=exc.result, status="verification-mismatch")
+        if exc.result is None:
+            diagnostics["notes"].append(str(exc))
+        report.update(result=exc.result or {}, status="verification-mismatch")
         return EXIT_VERIFY, report
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION, None
     if report["result"] is None:  # tree has printed its DOT
         return EXIT_OK, None
-    truncated = report["diagnostics"]["truncated"]
+    truncated = diagnostics["truncated"]
     report["status"] = "truncated" if truncated else "ok"
     return EXIT_BUDGET if truncated else EXIT_OK, report
-
-
-def _partial_payload(exc: BudgetExceededError, kg) -> dict:
-    partial = exc.partial
-    if partial is None:
-        return {}
-    # every partial result is a value of the moment layer
-    from .moments import DiagonalElement, WordSetReport
-
-    if isinstance(partial, WordSetReport):
-        return {
-            "diagonal": _diag_payload(partial.tallies),
-            "words": _word_names(kg, partial.words),
-        }
-    if isinstance(partial, DiagonalElement):
-        return {"diagonal": _diag_payload(partial)}
-    return {}
 
 
 def run(argv=None):

@@ -36,6 +36,19 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
+class VerificationMismatch(RuntimeError):
+    """Two routes to one quantity disagree.
+
+    Carries the result the command had built, to report with the
+    mismatch, or None when there is none: the message then says what
+    disagreed.
+    """
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
+
+
 class Value:
     """Base of the immutable value types.
 

@@ -32,7 +32,7 @@ from operator import add, mul
 
 from . import _kernel, ncpartitions
 from ._kernel import KernelGraph
-from .errors import ENUM_BUDGET, BudgetExceededError, Value
+from .errors import ENUM_BUDGET, BudgetExceededError, Value, VerificationMismatch
 from .ncpartitions import NoncrossingPartition, enumerate_nc, haar, moebius, nested
 
 # The closed-form k_n has about 0.3 n digits: Python converts at most
@@ -100,9 +100,14 @@ def w_m_set(
     """The qualifying length-n words themselves, as tuples of
     signed-edge indices in lexicographic order, with per-vertex tallies:
     the word walk of _kernel, which builds only the qualifying words and
-    their prefixes.  budget caps its letters, tried and kept; when it
+    their prefixes.  budget caps its letters, tried and kept, and the
+    words kept hold at most _kernel.KEPT_LETTERS letters; when either
     runs out, the words found so far are the partial result."""
-    found, truncated = _kernel.closed_words(kg, n, mode, budget=budget)
+    try:
+        found, truncated = _kernel.closed_words(kg, n, mode, budget=budget)
+        stop = f"word set n={n}: letter budget exhausted"
+    except BudgetExceededError as exc:  # the cap on letters kept
+        found, truncated, stop = exc.partial, True, str(exc)
     vs = kg.vertices
     report = WordSetReport(
         n,
@@ -111,7 +116,7 @@ def w_m_set(
         DiagonalElement.of((vs[kg.src[w[0]]], 1) for w in found),
     )
     if truncated:
-        raise BudgetExceededError(f"word set n={n}: letter budget exhausted", partial=report)
+        raise BudgetExceededError(stop, partial=report)
     return report
 
 
@@ -422,7 +427,12 @@ def check_freeness(kg: KernelGraph, k1: int, k2: int, max_n: int = 4) -> Freenes
     holds as many letters of each label k as of -k.  So a tuple with
     unbalanced label counts has every E_pi = 0 and is not summed (it
     still counts in tuples_checked), and a balanced tuple sums only the
-    pi of the even-block partitions whose blocks are all balanced."""
+    pi of the even-block partitions whose blocks are all balanced.
+
+    The tuples of one family go through the same skips and sums, and
+    each is checked against closed_form_cumulant, which is nonzero on
+    the alternating ones: a sum or a skip that loses a term raises
+    VerificationMismatch.  They do not count in tuples_checked."""
     if k1 == k2:
         raise ValueError("families must be distinct")
     for k in (k1, k2):
@@ -444,16 +454,21 @@ def check_freeness(kg: KernelGraph, k1: int, k2: int, max_n: int = 4) -> Freenes
     for n in range(2, max_n + 1):
         parts = enumerate_nc(n, even=True)
         for idx in itertools.product(alphabet, repeat=n):
+            codes = [code[k] for k in idx]
+            operands = [weights[k] for k in idx]
+            # the Moebius route, not the closed form: this sum is the
+            # evidence that the mixed cumulants vanish.  An unbalanced
+            # tuple has every E_pi = 0 and is not summed.
+            val = DiagonalElement.zero() if sum(codes) else cumulant_of(
+                kg, operands, parts=_balanced(parts, codes), memo=memo
+            )
             if {abs(i) for i in idx} != {k1, k2}:
+                if val != closed_form_cumulant(kg, operands):
+                    raise VerificationMismatch(
+                        f"freeness: the Moebius sum of {idx} disagrees with the closed form"
+                    )
                 continue
             checked += 1
-            codes = [code[k] for k in idx]
-            if sum(codes):  # an unbalanced tuple: every E_pi is 0
-                continue
-            # the Moebius route, not the closed form: this sum is the
-            # evidence that the mixed cumulants vanish
-            operands = [weights[k] for k in idx]
-            val = cumulant_of(kg, operands, parts=_balanced(parts, codes), memo=memo)
             if not val.is_zero:
                 if len(nonzero) < NONZERO_CAP:
                     nonzero.append((idx, val))

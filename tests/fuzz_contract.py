@@ -6,7 +6,11 @@ every other one; a choice from its choices, a graph from fixtures/, an
 integer from INTEGERS, a label list from LABELS.  Each case runs in a
 fresh process, one at a time, with its address space capped at 600 MB
 (on the child only) and a 10 s timeout.  A case is printed when it
-exits outside 0/2/3/4/5/6, prints a traceback, or runs over 5 s.
+exits outside 0/2/3/4/5/6, prints a traceback, or runs over 5 s, and,
+for a --json case that exits 0, 5 or 6, when its report (the last
+stdout line) breaks the report contract: a status that does not match
+the exit code, no inputs in a graph command's report, or a truncated
+report without a note.
 
     PYTHONPATH=src python tests/fuzz_contract.py --seed 1 --cases 200
 
@@ -14,6 +18,7 @@ The exit code is 1 when any case was printed.
 """
 
 import argparse
+import json
 import os
 import random
 import resource
@@ -33,6 +38,7 @@ INTEGERS = (-1, 0, 1, 2, 3, 5, 8, 13, 20, 40, 100, 10**3, 10**4, 10**6, 10**9, 1
 LABELS = (-3, -2, -1, 0, 1, 2, 3, 10**9)
 ROOTS = ("v", "v1", "a", "nope", "")
 CONTRACT = {0, 2, 3, 4, 5, 6}
+STATUS = {0: "ok", 5: "truncated", 6: "verification-mismatch"}
 SLOW_S, TIMEOUT_S, ADDRESS_SPACE = 5, 10, 600 * 2**20
 
 
@@ -87,6 +93,23 @@ def run_case(argv) -> str | None:
         return f"traceback, exit {proc.returncode}"
     if took > SLOW_S:
         return f"exit {proc.returncode} after {took:.1f} s"
+    if "--json" in argv and proc.returncode in STATUS:
+        return report_fault(argv, proc.returncode, proc.stdout)
+    return None
+
+
+def report_fault(argv, code, stdout) -> str | None:
+    """Why the JSON report on stdout breaks the report contract, or None."""
+    try:
+        report = json.loads(stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        return f"exit {code} without a JSON report"
+    if report.get("status") != STATUS[code]:
+        return f"exit {code} with status {report.get('status')!r}"
+    if "--graph" in argv and "inputs" not in report:
+        return f"exit {code}: a graph command's report without inputs"
+    if code == 5 and not report.get("diagnostics", {}).get("notes"):
+        return "exit 5: a truncated report without a note"
     return None
 
 

@@ -118,6 +118,28 @@ def test_freeness_subcommand():
     assert rep["result"]["families_diagram_distinct"] is True
 
 
+@pytest.mark.parametrize("mutation", ["skip-every-tuple", "drop-a-partition"])
+def test_freeness_that_loses_a_term_is_a_mismatch(monkeypatch, capsys, mutation):
+    # the tuples of one family go through the same skips and Moebius
+    # sums as the mixed ones, and their closed form is nonzero on the
+    # alternating tuples: a route that loses a term cannot pass
+    from groupoidlab import moments
+
+    if mutation == "skip-every-tuple":
+        monkeypatch.setattr(moments, "cumulant_of", lambda *a, **k: moments.DiagonalElement.zero())
+    else:
+        balanced = moments._balanced
+        monkeypatch.setattr(moments, "_balanced", lambda parts, codes: balanced(parts, codes)[1:])
+    argv = ["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", "4"]
+    code, rep = run_json(argv)
+    assert code == 6
+    assert rep["status"] == "verification-mismatch" and rep["result"] == {}
+    assert rep["diagnostics"]["notes"][-1] == (
+        "freeness: the Moebius sum of (1, -1) disagrees with the closed form"
+    )
+    assert capsys.readouterr().err == ""
+
+
 def test_fractaloid_subcommand():
     code, rep = run_json(
         ["fractaloid", "--graph", fx("circulant-3"), "--depth", "4"]
@@ -234,13 +256,18 @@ def test_exit_budget_partial(tmp_path):
 
 
 def test_truncated_moments_drop_the_counts_note():
-    # partial tallies are not compared: no "counts differ" note
+    # a count that ran out is not compared, and not printed: no "counts
+    # differ" note and no balance_count.  The requested count is the one
+    # that ran out, so the run is truncated.
     code, rep = run_json(
-        ["moments", "--graph", fx("two-loop"), "--n", "8", "--budget", "50"]
+        ["moments", "--graph", fx("two-loop"), "--n", "8", "--mode", "balance", "--budget", "50"]
     )
     assert code == 5
     assert rep["diagnostics"]["truncated"] is True
     assert not any("differ" in n for n in rep["diagnostics"]["notes"])
+    assert rep["diagnostics"]["notes"][-1] == "the balance count at n=8 ran out of --budget"
+    assert "balance_count" not in rep["diagnostics"]
+    assert rep["diagnostics"]["reduction_count"] == 2092
 
 
 def test_exit_verify_mismatch(monkeypatch):
@@ -257,24 +284,33 @@ def test_exit_verify_mismatch(monkeypatch):
     assert rep["status"] == "verification-mismatch"
 
 
-def test_verify_past_the_basis_budget_keeps_the_moments(capsys):
-    # the DP has finished when the oracle's basis runs out: its diagonal
-    # is the partial result, and the note is the oracle's
-    argv = ["moments", "--graph", fx("one-loop"), "--n", "2", "--verify", "--basis-budget", "1"]
+def test_verify_past_the_basis_budget_keeps_the_moments(monkeypatch, capsys):
+    # the DP has finished when the oracle's basis runs out: the report
+    # keeps its moments and counts, and the note is the oracle's
+    monkeypatch.chdir(ROOT)
+    argv = ["moments", "--graph", "fixtures/one-loop.json", "--n", "2", "--verify",
+            "--basis-budget", "1"]
     assert run(argv) == (5, (
         "command: moments\n"
+        "graph: fixtures/one-loop.json  |V|=1 |E|=1 N=1 labeling=vertex\n"
         "diagonal: {v: 2}\n"
+        "mode: reduction\n"
+        "n: 2\n"
+        "balance_count: 2\n"
         "note: basis exceeds budget 1 at length 1\n"
+        "reduction_count: 2\n"
         "truncated: True\n"
         "status: truncated\n"
     ))
     assert run(argv + ["--json"]) == (5, (
-        '{"command": "moments", "diagnostics": {"notes": ["basis exceeds budget 1 at '
-        'length 1"], "truncated": true}, "result": {"diagonal": {"v": "2"}}, '
-        '"status": "truncated"}\n'
+        '{"command": "moments", "diagnostics": {"balance_count": 2, "notes": ["basis '
+        'exceeds budget 1 at length 1"], "reduction_count": 2, "truncated": true}, '
+        '"inputs": {"edges": 1, "graph": "fixtures/one-loop.json", "labeling": "vertex", '
+        '"max_label": 1, "vertices": 1}, "result": {"diagonal": {"v": "2"}, "mode": '
+        '"reduction", "n": 2}, "status": "truncated"}\n'
     ))
     code, rep = run_json(argv[:5] + ["--mode", "balance", "--verify", "--basis-budget", "1"])
-    assert code == 5 and rep["result"] == {"diagonal": {"v": "2"}}
+    assert code == 5 and rep["result"] == {"diagonal": {"v": "2"}, "mode": "balance", "n": 2}
     assert capsys.readouterr().err == ""
 
 
@@ -303,10 +339,10 @@ def test_verify_of_a_truncated_count_is_skipped(budget, capsys, monkeypatch):
         "diagonal: {}\n"
         "mode: reduction\n"
         "n: 8\n"
-        "balance_count: 0\n"
         f"note: {TWO_LOOP_NOTE}\n"
+        "note: the reduction count at n=8 ran out of --budget\n"
+        "note: the balance count at n=8 ran out of --budget\n"
         f"note: {skipped}\n"
-        "reduction_count: 0\n"
         "truncated: True\n"
         "status: truncated\n"
     ))
@@ -314,7 +350,10 @@ def test_verify_of_a_truncated_count_is_skipped(budget, capsys, monkeypatch):
     assert code == 5 and rep["status"] == "truncated"
     assert "oracle" not in rep["diagnostics"]
     assert rep["diagnostics"]["notes"][-1] == skipped
-    assert rep["diagnostics"]["reduction_count"] == 0
+    assert "reduction_count" not in rep["diagnostics"]
+    # the skipped check keeps the run truncated in either mode
+    code, rep = run_json(argv + ["--mode", "balance"])
+    assert code == 5 and rep["diagnostics"]["notes"][-1] == skipped
     assert capsys.readouterr().err == ""
 
 
@@ -331,23 +370,38 @@ def test_verify_charges_the_basis_it_walks(name, n):
     assert {v: c for v, c in oracle.items() if c != "0"} == rep["result"]["diagonal"]
 
 
-@pytest.mark.parametrize("name, n, moment, length", [
-    ("two-loop", 20, 2240795848, 10), ("three-loop", 14, 52718616, 7),
+@pytest.mark.parametrize("name, n, moment, balance, length, notes", [
+    ("two-loop", 20, 2240795848, 34134779536, 10, [TWO_LOOP_NOTE]),
+    ("three-loop", 14, 52718616, 936369720, 7, []),
 ])
-def test_verify_past_the_walked_basis_keeps_the_moments(name, n, moment, length):
-    argv = ["moments", "--graph", fx(name), "--n", str(n), "--verify"]
-    note = f"basis exceeds budget 100000 at length {length}"
+def test_verify_past_the_walked_basis_keeps_the_moments(
+    monkeypatch, name, n, moment, balance, length, notes
+):
+    monkeypatch.chdir(ROOT)
+    argv = ["moments", "--graph", f"fixtures/{name}.json", "--n", str(n), "--verify"]
+    notes = [*notes, (
+        f"reduction and balance counts differ at n={n} ({moment} vs {balance}); the "
+        "reduction count is the one matching the operator oracle."
+    ), f"basis exceeds budget 100000 at length {length}"]
+    edges = {"two-loop": 2, "three-loop": 3}[name]
     assert run(argv) == (5, (
         "command: moments\n"
+        f"graph: fixtures/{name}.json  |V|=1 |E|={edges} N={edges} labeling=vertex\n"
         f"diagonal: {{v: {moment}}}\n"
-        f"note: {note}\n"
+        "mode: reduction\n"
+        f"n: {n}\n"
+        f"balance_count: {balance}\n"
+        + "".join(f"note: {note}\n" for note in notes)
+        + f"reduction_count: {moment}\n"
         "truncated: True\n"
         "status: truncated\n"
     ))
     assert run(argv + ["--json"]) == (5, (
-        f'{{"command": "moments", "diagnostics": {{"notes": ["{note}"], '
-        f'"truncated": true}}, "result": {{"diagonal": {{"v": "{moment}"}}}}, '
-        '"status": "truncated"}\n'
+        f'{{"command": "moments", "diagnostics": {{"balance_count": {balance}, '
+        f'"notes": {json.dumps(notes)}, "reduction_count": {moment}, "truncated": true}}, '
+        f'"inputs": {{"edges": {edges}, "graph": "fixtures/{name}.json", "labeling": '
+        f'"vertex", "max_label": {edges}, "vertices": 1}}, "result": {{"diagonal": '
+        f'{{"v": "{moment}"}}, "mode": "reduction", "n": {n}}}, "status": "truncated"}}\n'
     ))
 
 
@@ -502,8 +556,9 @@ ORACLE_TWO_LOOP_7_JSON = (
 
 ORACLE_THREE_LOOP_8_JSON = (
     '{"command": "oracle", "diagnostics": {"notes": ["basis exceeds budget '
-    '100000 at length 7"], "truncated": true}, "result": {}, '
-    '"status": "truncated"}\n'
+    '100000 at length 7"], "truncated": true}, "inputs": {"edges": 3, "graph": '
+    '"fixtures/three-loop.json", "labeling": "vertex", "max_label": 3, '
+    '"vertices": 1}, "result": {}, "status": "truncated"}\n'
 )
 
 
@@ -556,15 +611,25 @@ def test_tree_bytes_pinned(monkeypatch, capsys, name, argv, fmt):
 
 
 JOINT_TRUNCATED_NOTE = "joint moment (1, -1, 1, -1, 1, -1, 1, -1): DP budget exhausted"
+EXAMPLE_6_2_NOTE = (
+    "The published moment word list for this graph omits the loop-edge words "
+    "(e22:1, ~e22:1) and (~e22:1, e22:1); the reduction count and the operator "
+    "oracle both include them, giving {v1: 3, v2: 4, v3: 1} at n = 2 instead of the "
+    "published {v1: 3, v2: 2, v3: 1}."
+)
 JOINT_TRUNCATED_TEXT = f"""command: joint
+graph: fixtures/example-6-2.json  |V|=3 |E|=4 N=2 labeling=explicit
 diagonal: {{v1: 34}}
+note: {EXAMPLE_6_2_NOTE}
 note: {JOINT_TRUNCATED_NOTE}
 truncated: True
 status: truncated
 """
 JOINT_TRUNCATED_JSON = (
-    '{"command": "joint", "diagnostics": {"notes": ["' + JOINT_TRUNCATED_NOTE + '"], '
-    '"truncated": true}, "result": {"diagonal": {"v1": "34"}}, "status": "truncated"}\n'
+    '{"command": "joint", "diagnostics": {"notes": ["' + EXAMPLE_6_2_NOTE + '", "'
+    + JOINT_TRUNCATED_NOTE + '"], "truncated": true}, "inputs": {"edges": 4, "graph": '
+    '"fixtures/example-6-2.json", "labeling": "explicit", "max_label": 2, "vertices": 3}, '
+    '"result": {"diagonal": {"v1": "34"}}, "status": "truncated"}\n'
 )
 
 
@@ -583,15 +648,17 @@ def test_truncated_joint_bytes_pinned(monkeypatch, capsys, fmt, want):
 def test_nc_budget_exhaustion_exits_5(capsys):
     # NC(13) is past NC_BUDGET = 12: a truncated report, not an error
     note = "n=13 exceeds the NC enumeration budget 12"
-    for argv in (
-        ["nc", "--n", "13"],
-        # checked before any of the 4^n index tuples is built
-        ["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", "13"],
+    for argv, notes in (
+        (["nc", "--n", "13"], [note]),
+        # checked before any of the 4^n index tuples is built; the
+        # report keeps the file's note
+        (["freeness", "--graph", fx("two-loop"), "--families", "1,2", "--max-n", "13"],
+         [TWO_LOOP_NOTE, note]),
     ):
         code, rep = run_json(argv)
         assert code == 5, argv
         assert rep["status"] == "truncated"
-        assert rep["diagnostics"] == {"truncated": True, "notes": [note]}
+        assert rep["diagnostics"] == {"truncated": True, "notes": notes}
         code, out = run(argv)
         assert code == 5
         assert "status: truncated" in out and note in out
@@ -657,21 +724,24 @@ def test_cumulants_both_past_nc_budget_keeps_the_direct_value(capsys):
     note = "n=14 exceeds the NC enumeration budget 12"
     code, rep = run_json(argv)
     assert code == 5
-    assert rep["result"] == {"diagonal": {"v": "264"}}
+    assert rep["result"] == {"diagonal": {"v": "264"}, "formula": "both", "n": 14}
     assert rep["diagnostics"] == {"truncated": True, "notes": [note]}
     code, out = run(argv)
     assert code == 5
     assert out.splitlines() == [
         "command: cumulants",
+        f"graph: {fx('one-loop')}  |V|=1 |E|=1 N=1 labeling=vertex",
         "diagonal: {v: 264}",
+        "formula: both",
+        "n: 14",
         f"note: {note}",
         "truncated: True",
         "status: truncated",
     ]
-    # the wc route alone has nothing finished to report
+    # the wc route alone has no value to report
     code, rep = run_json(argv[:-1] + ["wc"])
     assert code == 5
-    assert rep["result"] == {}
+    assert rep["result"] == {"formula": "wc", "n": 14}
     assert capsys.readouterr().err == ""
 
 
@@ -688,7 +758,7 @@ def test_hostile_cumulant_orders(capsys):
         code, rep = run_json(argv)
         assert code == 5, argv
         assert rep["status"] == "truncated"
-        assert rep["diagnostics"]["notes"][0].endswith(note)
+        assert rep["diagnostics"]["notes"][-1].endswith(note)
         assert capsys.readouterr().err == ""
 
 
@@ -708,6 +778,7 @@ def test_tree_past_the_node_budget_exits_5(capsys):
         assert code == 5
         assert out.splitlines() == [
             "command: tree",
+            f"graph: {fx('three-loop')}  |V|=1 |E|=3 N=3 labeling=vertex",
             f"note: {note}",
             "truncated: True",
             "status: truncated",
@@ -779,8 +850,87 @@ def test_cumulants_both_past_the_word_budget_keeps_the_direct_value(capsys):
             "--budget", "10"]
     code, rep = run_json(argv)
     assert code == 5
-    assert rep["result"] == {"diagonal": {"v": "4"}}
+    assert rep["result"] == {"diagonal": {"v": "4"}, "formula": "both", "n": 6}
     assert rep["diagnostics"]["notes"] == ["cumulant_via_wc: enumeration budget exhausted"]
+    assert capsys.readouterr().err == ""
+
+
+# Every way a graph command runs out of a budget, each on a graph with a
+# file note (two-loop) and on example-6-2: the one report keeps the
+# inputs, the file's notes first, then the budget's.
+OUT_OF_BUDGET = (
+    ["moments", "--n", "8", "--budget", "5"],
+    ["moments", "--n", "4", "--verify", "--basis-budget", "1"],
+    ["moments", "--n", "4", "--words", "--budget", "20"],
+    ["cumulants", "--n", "14", "--formula", "both"],
+    ["cumulants", "--n", "8", "--formula", "wc", "--budget", "3"],
+    ["joint", "--indices=1,-1,1,-1", "--budget", "3"],
+    ["oracle", "--n", "8", "--max-len", "8", "--basis-budget", "10"],
+    ["fractaloid", "--depth", "100000", "--budget", "100"],
+    ["tree", "--depth", "40"],
+    ["freeness", "--families", "1,2", "--max-n", "13"],
+)
+
+
+@pytest.mark.parametrize("name", ["two-loop", "example-6-2"])
+@pytest.mark.parametrize("argv", OUT_OF_BUDGET, ids=" ".join)
+def test_a_truncated_run_reports_what_it_did(name, argv, capsys):
+    graph = ["--graph", fx(name)]
+    code, rep = run_json([argv[0], *graph, *argv[1:]])
+    assert code == 5 and rep["status"] == "truncated"
+    assert rep["diagnostics"]["truncated"] is True
+    assert rep["inputs"] == run_json(["fractaloid", *graph, "--depth", "1"])[1]["inputs"]
+    file_notes = {"two-loop": [TWO_LOOP_NOTE], "example-6-2": [EXAMPLE_6_2_NOTE]}[name]
+    notes = rep["diagnostics"]["notes"]
+    assert notes[: len(file_notes)] == file_notes and len(notes) > len(file_notes)
+    # a count that ran out is a note, never a partial sum
+    for mode in ("reduction", "balance"):
+        if any(note.startswith(f"the {mode} count at ") for note in notes):
+            assert f"{mode}_count" not in rep["diagnostics"]
+    assert capsys.readouterr().err == ""
+
+
+def test_only_the_requested_count_decides_the_status(capsys):
+    # the reduction count finishes at n = 400 and the balance count runs
+    # out: a note takes the place of its count, and the run is ok
+    code, rep = run_json(["moments", "--graph", fx("two-loop"), "--n", "400"])
+    assert code == 0 and rep["status"] == "ok"
+    assert rep["diagnostics"]["notes"] == [
+        TWO_LOOP_NOTE, "the balance count at n=400 ran out of --budget"
+    ]
+    assert "balance_count" not in rep["diagnostics"]
+    assert rep["diagnostics"]["reduction_count"] == int(rep["result"]["diagonal"]["v"])
+    # words that run out keep the words found so far, and the diagonal
+    # is the DP's, not their tally
+    argv = ["moments", "--graph", fx("two-loop"), "--n", "20", "--verify", "--words",
+            "--budget", "100000"]
+    code, rep = run_json(argv)
+    assert code == 5
+    assert rep["result"]["diagonal"] == {"v": "2240795848"}
+    assert rep["result"]["words"] and (rep["result"]["n"], rep["result"]["mode"]) == (20, "reduction")
+    assert rep["diagnostics"]["notes"][-2:] == [
+        "word set n=20: letter budget exhausted", "basis exceeds budget 100000 at length 10"
+    ]
+    assert capsys.readouterr().err == ""
+
+
+def test_kept_words_stop_at_their_cap(monkeypatch, capsys):
+    # whatever --budget is, the words kept hold at most KEPT_LETTERS letters
+    from groupoidlab import _kernel
+
+    monkeypatch.setattr(_kernel, "KEPT_LETTERS", 40)
+    argv = ["moments", "--graph", fx("example-6-2"), "--n", "4", "--words",
+            "--budget", str(10**18)]
+    code, rep = run_json(argv)
+    assert code == 5 and rep["status"] == "truncated"
+    assert rep["diagnostics"]["notes"][-1] == (
+        "word set n=4: the words kept pass the cap of 40 letters"
+    )
+    monkeypatch.setattr(_kernel, "KEPT_LETTERS", 10**7)
+    full = run_json(argv)[1]["result"]["words"]
+    assert rep["result"]["words"] == full[:10]
+    # the diagonal is the DP's either way
+    assert rep["result"]["diagonal"] == run_json(argv[:5])[1]["result"]["diagonal"]
     assert capsys.readouterr().err == ""
 
 
@@ -846,25 +996,34 @@ def test_unread_flags_are_usage_errors():
         assert out == "" and "Traceback" not in err
 
 
-def test_deep_fractaloid_exits_5(capsys):
+def test_deep_fractaloid_exits_5(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
     limit = sys.get_int_max_str_digits()
     for argv, note in (
         # the node counts pass the digit limit long before depth 20000;
         # counting stops at the first level past it
-        (["fractaloid", "--graph", fx("example-6-2"), "--depth", "20000"],
+        (["fractaloid", "--graph", "fixtures/example-6-2.json", "--depth", "20000"],
          f"fractaloid depth=20000: a node count passes the {limit}-digit limit "
          "for printing an integer"),
-        (["fractaloid", "--graph", fx("three-loop"), "--depth", "300000"],
+        (["fractaloid", "--graph", "fixtures/three-loop.json", "--depth", "300000"],
          f"fractaloid depth=300000: a node count passes the {limit}-digit limit "
          "for printing an integer"),
         # depth x signed edges, charged up front: one walk serves every root
-        (["fractaloid", "--graph", fx("example-6-2"), "--depth", "10", "--budget", "79"],
+        (["fractaloid", "--graph", "fixtures/example-6-2.json", "--depth", "10", "--budget", "79"],
          "fractaloid depth=10: 80 walk steps exceed the budget 79"),
     ):
         code, out = run(argv)
         assert code == 5, argv
+        graph = argv[2]
+        inputs = {
+            "fixtures/example-6-2.json": "|V|=3 |E|=4 N=2 labeling=explicit",
+            "fixtures/three-loop.json": "|V|=1 |E|=3 N=3 labeling=vertex",
+        }[graph]
+        file_notes = [EXAMPLE_6_2_NOTE] if "example-6-2" in graph else []
         assert out.splitlines() == [
             "command: fractaloid",
+            f"graph: {graph}  {inputs}",
+            *(f"note: {n}" for n in file_notes),
             f"note: {note}",
             "truncated: True",
             "status: truncated",
@@ -907,6 +1066,14 @@ HOSTILE = (
     *((["moments", "--graph", fx("two-loop"), "--n", "8", "--verify", "--budget", b], 5)
       for b in ("5", "20")),
     (["moments", "--graph", fx("two-loop"), "--n", "-" + BIG], 4),
+    # only the diagnostic balance count runs out: the run is ok.  At the
+    # default budget the balance count spends about 3 s before it runs
+    # out (test_only_the_requested_count_decides_the_status runs that);
+    # 100000 is just enough for the reduction count
+    (["moments", "--graph", fx("two-loop"), "--n", "400", "--budget", "100000"], 0),
+    # the words and the oracle's basis run out; the DP's moment stays
+    (["moments", "--graph", fx("two-loop"), "--n", "20", "--verify", "--words",
+      "--budget", "100000"], 5),
     (["moments", "--graph", fx("two-loop"), "--n", "20000", "--words", "--budget", "1000"], 5),
     # no word of 10^9 letters fits the default letter budget: not begun
     (["moments", "--graph", fx("one-loop"), "--n", BIG, "--words"], 5),
@@ -1025,6 +1192,7 @@ def test_a_huge_label_costs_no_time_or_memory(loop_graphs, argv, code):
     if code == 5:
         assert lines == [
             f"command: {argv[0]}",
+            f"graph: {loop_graphs[HUGE_LABEL]}  |V|=1 |E|=1 N={HUGE_LABEL} labeling=explicit",
             f"note: fractaloid: the full label set of {2 * HUGE_LABEL} labels exceeds "
             "the budget 10000000",
             "truncated: True",
@@ -1062,7 +1230,28 @@ def test_huge_n_moments_end_within_seconds(argv):
     report = json.loads(proc.stdout)
     assert report["status"] == "truncated"
     if "--words" in argv:
-        assert report["result"] == {"diagonal": {}, "words": []}
+        assert report["result"] == {"diagonal": {}, "mode": "reduction", "n": 10**9, "words": []}
+
+
+def test_kept_words_stop_at_their_cap_in_a_fresh_process(tmp_path):
+    # --budget 10^18 admits far more letters than memory holds: the cap
+    # on letters kept stops the walk, under the fuzzer's 600 MB address
+    # space, within the wall-clock ceiling
+    out = tmp_path / "out.txt"
+    argv = ["moments", "--graph", fx("example-6-2"), "--budget", str(10**18), "--n", "100",
+            "--words"]
+    with open(out, "w", encoding="utf-8") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupoidlab.cli", *argv], stdout=fh, stderr=subprocess.PIPE,
+            text=True, cwd=ROOT, timeout=15, preexec_fn=lambda: address_space_cap(600 * 2**20),
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        )
+    assert (proc.returncode, proc.stderr) == (5, "")
+    with open(out, "rb") as fh:
+        fh.seek(-2000, os.SEEK_END)
+        tail = fh.read().decode().splitlines()
+    assert "note: word set n=100: the words kept pass the cap of 10000000 letters" in tail
+    assert tail[-1] == "status: truncated"
 
 
 # Graph files that each input rule refuses, with the stderr of the one

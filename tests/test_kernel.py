@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from groupoidlab import _kernel
+from groupoidlab.errors import BudgetExceededError
 from groupoidlab.graphs import DirectedGraph, Edge, shadow
 from groupoidlab.labeling import assign_weights, count_axis_paths
 
@@ -57,6 +58,26 @@ def test_counts_and_words_refuse_an_unknown_mode_alike(n):
     for call in (_kernel.tally_words, _kernel.closed_words):
         with pytest.raises(ValueError, match="^unknown mode 'nope'$"):
             call(kg, n, "nope", budget=0)
+
+
+@pytest.mark.parametrize("mode", ["reduction", "balance"])
+@pytest.mark.parametrize("budget", [None, 10**18])
+def test_words_kept_stop_at_their_cap_whatever_the_budget(monkeypatch, mode, budget):
+    # past KEPT_LETTERS the words found so far, a prefix of the full
+    # list, ride on the error; a budget that runs out first still
+    # returns its flag
+    kg = labeled("example-6-2")
+    full, _ = _kernel.closed_words(kg, 4, mode, budget)
+    monkeypatch.setattr(_kernel, "KEPT_LETTERS", 4 * 5 + 3)
+    with pytest.raises(BudgetExceededError, match="the words kept pass the cap of 23 letters") as exc:
+        _kernel.closed_words(kg, 4, mode, budget)
+    assert exc.value.partial == full[:5]
+    words, truncated = _kernel.closed_words(kg, 4, mode, 10)
+    assert truncated is True and words == full[: len(words)]
+    # no word longer than the cap is walked for
+    with pytest.raises(BudgetExceededError) as exc:
+        _kernel.closed_words(kg, 24, mode, budget)
+    assert exc.value.partial == []
 
 
 @pytest.mark.parametrize("name", FIXTURES)
