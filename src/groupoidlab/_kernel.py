@@ -33,6 +33,11 @@ A labeled graph is its one flat view, KernelGraph: labeling.assign_weights
 calls kernel_graph once per graph and returns the view, which every layer
 reads, operators.Basis and the automaton too.  KernelGraph owns the
 numbering of signed edges and their names: no other module numbers them.
+
+A budget runs out one way: every route that takes one charges its work
+to a _Budget, whose charge raises BudgetExceededError carrying what
+finished, the exact counts of the vertices done so far (0 elsewhere) or
+the words found so far.  No route returns a flag beside its result.
 """
 
 from operator import mul
@@ -125,16 +130,21 @@ def _check_mode(mode) -> None:
 class _Budget:
     """Running count of work against an optional cap: DP transitions
     (terms of the recurrence sums, or edge steps out of a balance
-    state), or the letters a word walk tries and keeps."""
+    state), or the letters a word walk tries and keeps.  Running out is
+    one event: charge raises BudgetExceededError with the note and what
+    finished."""
 
-    def __init__(self, cap):
+    def __init__(self, cap, note):
         self.cap = cap
+        self.note = note
         self.spent = 0
 
-    def charge(self, work: int) -> bool:
-        """Book work transitions; False once the cap would be passed."""
+    def charge(self, work: int, partial, ahead: int = 0) -> None:
+        """Book work; raise, with partial, once the cap is passed or
+        would be by ahead more."""
         self.spent += work
-        return self.cap is None or self.spent <= self.cap
+        if self.cap is not None and self.spent + ahead > self.cap:
+            raise BudgetExceededError(self.note, partial=partial)
 
 
 def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
@@ -142,23 +152,19 @@ def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
 
     mode: "reduction" counts words whose free reduction is a vertex;
           "balance" counts loop words with an all-zero balance vector.
-    budget: cap on DP transitions.  When it runs out the flag is set
-            and only the vertices finished so far carry their (exact)
-            counts; the others read 0.
+    budget: cap on DP transitions.  When it runs out,
+            BudgetExceededError carries the counts of the vertices
+            finished so far (exact), and 0 for the others.
 
     Returns (counts per vertex index, admissible length-n words or 0
-    when the count was truncated or the walk passed its own cap or
-    budget (see _walk_count), truncated).
+    when the walk passed its own cap or budget (see _walk_count)).
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     _check_mode(mode)
-    spend = _Budget(budget)
-    if mode == "balance":
-        counts, truncated = _balanced_loops(kg, n, spend)
-    else:
-        counts, truncated = _closed_by_length(kg, n, spend)
-    return counts, 0 if truncated else _walk_count(kg, n, budget), truncated
+    spend = _Budget(budget, f"{mode} count n={n}: DP budget exhausted")
+    count = _balanced_loops if mode == "balance" else _closed_by_length
+    return count(kg, n, spend), _walk_count(kg, n, budget)
 
 
 def _walk_count(kg, n, budget) -> int:
@@ -169,10 +175,12 @@ def _walk_count(kg, n, budget) -> int:
     the program reads this count; the benchmark's tracer does (its
     kernel.words metrics), and the walk goes once those metrics are
     replaced."""
-    spend = _Budget(ENUM_BUDGET if budget is None else min(budget, ENUM_BUDGET))
+    cap = ENUM_BUDGET if budget is None else min(budget, ENUM_BUDGET)
+    limbs = 0
     levels = walk_levels(kg, [1] * kg.n_vertices)
     for _, ends in zip(range(n), levels):
-        if not spend.charge(kg.n_signed * (max(ends).bit_length() // 64 + 1)):
+        limbs += kg.n_signed * (max(ends).bit_length() // 64 + 1)
+        if limbs > cap:
             return 0
     return sum(next(levels))
 
@@ -199,12 +207,11 @@ def _closed_by_length(kg, n, spend):
     """
     counts = [0] * kg.n_vertices
     if n % 2:
-        return counts, False
+        return counts
     half = n // 2
     # No vertex finishes before the tables are built, so their
     # transitions are charged up front, as in closed_by_interval.
-    if not spend.charge(kg.n_signed * half * (half - 1) // 2):
-        return counts, True
+    spend.charge(kg.n_signed * half * (half - 1) // 2, counts)
     H = [[1] for _ in range(kg.n_signed)]
     S = [[len(out)] for out in kg.out]
     # G[e][i]: one excursion of length 2i + 2 from a node entered by e
@@ -217,33 +224,33 @@ def _closed_by_length(kg, n, spend):
         for v in range(kg.n_vertices):
             S[v].append(sum(H[f][j] for f in kg.out[v]))
     for v in range(kg.n_vertices):
-        if not spend.charge(half * (half + 1) // 2):
-            return counts, True
+        spend.charge(half * (half + 1) // 2, counts)
         M = [1]
         for j in range(1, half + 1):
             M.append(sum(map(mul, S[v][:j], reversed(M))))
         counts[v] = M[half]
-    return counts, False
+    return counts
 
 
-def closed_by_interval(t: KernelGraph, weights, budget=None):
+def closed_by_interval(t: KernelGraph, weights, budget=None, note="DP budget exhausted"):
     """Weighted reduction counts by start vertex: the excursion
     recurrence over intervals [a, b) of word positions.  A closed walk
     weighs the product of weights[p][e] over its letters e at positions
-    p.  budget caps the DP transitions, as in tally_words.
+    p.  budget caps the DP transitions, as in tally_words, and note is
+    the message of the BudgetExceededError it raises when they run out.
 
     H[e][a, b] sums the closed walks below a node entered by e that
     fill positions a..b-1.  Y[f][a, c] sums the single excursions
     through f that open at position a and close at c-1 with inv(f),
     and X[u][a, c] sums Y over the out-edges f of u.
 
-    Returns (counts per vertex index, truncated).
+    Returns the counts per vertex index.
     """
-    spend = _Budget(budget)
+    spend = _Budget(budget, note)
     n = len(weights)
     counts = [0] * t.n_vertices
     if n % 2:
-        return counts, False
+        return counts
     H = [{} for _ in range(t.n_signed)]
     Y = [{} for _ in range(t.n_signed)]
     X = [{} for _ in range(t.n_vertices)]
@@ -257,8 +264,7 @@ def closed_by_interval(t: KernelGraph, weights, budget=None):
     # so their transitions are charged up front, and a budget that
     # cannot pay for them stops the count before any table is built.
     lengths = range(0, n - 1, 2)
-    if not spend.charge(sum(t.n_signed * (n - 1 - m) * (m // 2) for m in lengths)):
-        return counts, True
+    spend.charge(sum(t.n_signed * (n - 1 - m) * (m // 2) for m in lengths), counts)
     for length in lengths:
         starts = range(1, n - length)
         for a in starts:
@@ -276,13 +282,12 @@ def closed_by_interval(t: KernelGraph, weights, budget=None):
                 X[u][a - 1, b + 1] = sum(Y[f][a - 1, b + 1] for f in t.out[u])
     half = n // 2
     for v in range(t.n_vertices):
-        if not spend.charge(half * (half + 1) // 2):
-            return counts, True
+        spend.charge(half * (half + 1) // 2, counts)
         M = {n: 1}
         for a in range(n - 2, -1, -2):
             M[a] = sum(X[v][a, c] * M[c] for c in range(a + 2, n + 1, 2))
         counts[v] = M[0]
-    return counts, False
+    return counts
 
 
 def _axes(kg) -> list:
@@ -309,27 +314,25 @@ def _balanced_loops(kg, n, spend):
     cannot pay n/2 more is not begun, as it would run out inside."""
     counts = [0] * kg.n_vertices
     if n % 2:
-        return counts, False
+        return counts
     radix = n + 1
     step = [
         (1 if k > 0 else -1) * radix**axis for k, axis in zip(kg.labels, _axes(kg))
     ]
     for s in range(kg.n_vertices):
-        if spend.cap is not None and spend.spent + n // 2 > spend.cap:
-            return counts, True
+        spend.charge(0, counts, ahead=n // 2)
         states = {(s, 0): 1}
         for _ in range(n // 2):
             nxt: dict = {}
             for (cur, code), c in states.items():
                 edges = kg.out[cur]
-                if not spend.charge(len(edges)):
-                    return counts, True
+                spend.charge(len(edges), counts)
                 for e in edges:
                     key = (kg.dst[e], code + step[e])
                     nxt[key] = nxt.get(key, 0) + c
             states = nxt
         counts[s] = sum(c * c for c in states.values())
-    return counts, False
+    return counts
 
 
 def closed_words(kg: KernelGraph, n: int, mode: str, budget=None):
@@ -343,40 +346,32 @@ def closed_words(kg: KernelGraph, n: int, mode: str, budget=None):
           tree; "balance" keeps the loop words with an all-zero balance
           vector; any other is a ValueError, as in tally_words.
     budget: cap on letters, charged one per letter tried and n per word
-            kept, so the words held never exceed it.  When it runs out
-            the flag is set and the words are those found so far, a
-            prefix of the full list.  Below an even n it keeps no
-            word, so the walk is not begun.
+            kept, so the words held never exceed it.
     The words kept also hold at most KEPT_LETTERS letters, whatever the
-    budget: past that cap, BudgetExceededError carries the words found
-    so far.
-
-    Returns (words, truncated).
+    budget.  When either runs out, BudgetExceededError carries the
+    words found so far, a prefix of the full list.  Where one word does
+    not fit, the walk is not begun.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     _check_mode(mode)
+    words: list = []
     # closed tree walks and balanced words both have even length
     if n % 2:
-        return [], False
-    if budget is not None and n > budget:
-        return [], True
-    words: list = []
-    spend = _Budget(budget)
-    if n <= KEPT_LETTERS:
-        walk = _tree_walk if mode == "reduction" else _balanced_walk
-        truncated = walk(kg, n, spend, words)
-        # a walk stopped within its budget was stopped by the cap
-        if not truncated or budget is not None and spend.spent > budget:
-            return words, truncated
-    raise BudgetExceededError(
-        f"word set n={n}: the words kept pass the cap of {KEPT_LETTERS} letters",
-        partial=words,
+        return words
+    spend = _Budget(budget, f"word set n={n}: letter budget exhausted")
+    keep = _Budget(
+        KEPT_LETTERS, f"word set n={n}: the words kept pass the cap of {KEPT_LETTERS} letters"
     )
+    spend.charge(0, words, ahead=n)
+    keep.charge(0, words, ahead=n)
+    walk = _tree_walk if mode == "reduction" else _balanced_walk
+    walk(kg, n, spend, keep, words)
+    return words
 
 
-def _tree_walk(kg, n, spend, words) -> bool:
-    """Reduction-mode words into words; True when the budget ran out.
+def _tree_walk(kg, n, spend, keep, words) -> None:
+    """Reduction-mode words into words, each charged to spend and keep.
 
     The letters of the prefix that free reduction leaves form a linked
     stack of nodes (inverse of the letter, node below, depth), None when
@@ -387,12 +382,10 @@ def _tree_walk(kg, n, spend, words) -> bool:
     written out at once.
     """
     dst, inv, out = kg.dst, kg.inv, kg.out
-    most = KEPT_LETTERS // n  # the words the cap admits
     word: list = []
     tops: list = [None]  # tops[k]: the stack of word[:k]
     pending = [iter(range(kg.n_signed))]
-    if not spend.charge(kg.n_signed):
-        return True
+    spend.charge(kg.n_signed, words)
     while pending:
         e = next(pending[-1], None)
         if e is None:
@@ -412,8 +405,8 @@ def _tree_walk(kg, n, spend, words) -> bool:
                 continue
             stack = (inv[e], top, depth)
         if depth == left:
-            if not spend.charge(n) or len(words) == most:
-                return True
+            spend.charge(n, words)
+            keep.charge(n, words)
             tail = []
             while stack is not None:
                 tail.append(stack[0])
@@ -423,14 +416,12 @@ def _tree_walk(kg, n, spend, words) -> bool:
         word.append(e)
         tops.append(stack)
         following = out[dst[e]]
-        if not spend.charge(len(following)):
-            return True
+        spend.charge(len(following), words)
         pending.append(iter(following))
-    return False
 
 
-def _balanced_walk(kg, n, spend, words) -> bool:
-    """Balance-mode words into words; True when the budget ran out.
+def _balanced_walk(kg, n, spend, keep, words) -> None:
+    """Balance-mode words into words, each charged to spend and keep.
 
     The prefix carries its balance vector, moved in place, and the
     vector's L1 norm.  Labels are nonzero, so each letter moves one
@@ -439,15 +430,13 @@ def _balanced_walk(kg, n, spend, words) -> bool:
     when its norm is zero and it ends at its start vertex.
     """
     src, dst, out = kg.src, kg.dst, kg.out
-    most = KEPT_LETTERS // n  # the words the cap admits
     axis = _axes(kg)
     sign = [1 if k > 0 else -1 for k in kg.labels]
     balance = [0] * kg.n_labels
     word: list = []
     norms = [0]  # norms[k]: the norm after word[:k]
     pending = [iter(range(kg.n_signed))]
-    if not spend.charge(kg.n_signed):
-        return True
+    spend.charge(kg.n_signed, words)
     while pending:
         e = next(pending[-1], None)
         if e is None:
@@ -465,15 +454,13 @@ def _balanced_walk(kg, n, spend, words) -> bool:
             continue
         if not left:
             if dst[e] == src[word[0]]:
-                if not spend.charge(n) or len(words) == most:
-                    return True
+                spend.charge(n, words)
+                keep.charge(n, words)
                 words.append((*word, e))
             continue
         word.append(e)
         balance[axis[e]] = after
         norms.append(norm)
         following = out[dst[e]]
-        if not spend.charge(len(following)):
-            return True
+        spend.charge(len(following), words)
         pending.append(iter(following))
-    return False

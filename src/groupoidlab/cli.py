@@ -147,28 +147,31 @@ def _cmd_moments(args, kg, diagnostics) -> dict:
 
     # only what was asked for (the --mode count, --words, --verify)
     # decides the status; a count that ran out is a note, not a sum
-    tallies = {m: moments.tally(kg, args.n, m, args.budget) for m in ("reduction", "balance")}
-    for mode, tally in tallies.items():
-        if tally.truncated:
+    counts, ran_out = {}, set()
+    for mode, count in (("reduction", moments.moment), ("balance", moments.balance_moment)):
+        try:
+            counts[mode] = count(kg, args.n, args.budget)
+        except BudgetExceededError as exc:  # the vertices it finished
+            counts[mode] = exc.partial
+            ran_out.add(mode)
             diagnostics["notes"].append(f"the {mode} count at n={args.n} ran out of --budget")
         else:
-            diagnostics[f"{mode}_count"] = sum(c for _, c in tally.diagonal.coeffs)
-    reduction, primary = tallies["reduction"], tallies[args.mode]
-    diagnostics["truncated"] = primary.truncated
-    counts = [diagnostics.get(f"{mode}_count") for mode in tallies]
-    if None not in counts and counts[0] != counts[1]:
+            diagnostics[f"{mode}_count"] = sum(c for _, c in counts[mode].coeffs)
+    diagnostics["truncated"] = args.mode in ran_out
+    sums = [diagnostics.get(f"{mode}_count") for mode in counts]
+    if None not in sums and sums[0] != sums[1]:
         diagnostics["notes"].append(
             "reduction and balance counts differ at n={} ({} vs {}); the reduction count "
-            "is the one matching the operator oracle.".format(args.n, *counts)
+            "is the one matching the operator oracle.".format(args.n, *sums)
         )
-    result = {"diagonal": _diag_payload(primary.diagonal), "n": args.n, "mode": args.mode}
+    result = {"diagonal": _diag_payload(counts[args.mode]), "n": args.n, "mode": args.mode}
     if args.words:
         try:
             words = moments.w_m_set(kg, args.n, args.mode, budget=args.budget).words
         except BudgetExceededError as exc:
-            words = _truncated(diagnostics, exc).words  # the words found so far
+            words = _truncated(diagnostics, exc)  # the words found so far
         result["words"] = _word_names(kg, words)
-    if args.verify and reduction.truncated:
+    if args.verify and "reduction" in ran_out:
         diagnostics["truncated"] = True
         diagnostics["notes"].append(
             f"verification skipped: the reduction count at n={args.n} is truncated"
@@ -184,7 +187,7 @@ def _cmd_moments(args, kg, diagnostics) -> dict:
             _truncated(diagnostics, exc)
             return result
         diagnostics["oracle"] = {v: str(c) for v, c in sorted(oracle.items())}
-        if moments.DiagonalElement.of(oracle) != reduction.diagonal:
+        if moments.DiagonalElement.of(oracle) != counts["reduction"]:
             raise VerificationMismatch("moments disagree with the oracle", result)
     return result
 

@@ -23,6 +23,10 @@ formed; and the word-set route (single-base-edge loop words weighted
 by mu_w), computed alongside and compared, never trusted; mu_w is the Moebius cumulant of a word's
 letters.  check_freeness keeps the Moebius route: its sums are the
 evidence that mixed cumulants vanish.
+
+A budget runs out one way: a route past its budget raises
+BudgetExceededError carrying what finished, for a count the vertices
+it finished as a DiagonalElement, for the words the words found so far.
 """
 
 import itertools
@@ -78,10 +82,6 @@ class DiagonalElement(Value):
         return "Diagonal(" + ", ".join(f"{v}: {c}" for v, c in self.coeffs) + ")"
 
 
-class TallyResult(Value):
-    __slots__ = ("diagonal", "truncated")
-
-
 class WordSetReport(Value):
     # words: tuples of signed-edge indices of the flat view
     __slots__ = ("n", "mode", "words", "tallies")
@@ -102,52 +102,35 @@ def w_m_set(
     the word walk of _kernel, which builds only the qualifying words and
     their prefixes.  budget caps its letters, tried and kept, and the
     words kept hold at most _kernel.KEPT_LETTERS letters; when either
-    runs out, the words found so far are the partial result."""
-    try:
-        found, truncated = _kernel.closed_words(kg, n, mode, budget=budget)
-        stop = f"word set n={n}: letter budget exhausted"
-    except BudgetExceededError as exc:  # the cap on letters kept
-        found, truncated, stop = exc.partial, True, str(exc)
+    runs out, BudgetExceededError carries the words found so far."""
+    found = _kernel.closed_words(kg, n, mode, budget=budget)
     vs = kg.vertices
-    report = WordSetReport(
-        n,
-        mode,
-        tuple(found),
-        DiagonalElement.of((vs[kg.src[w[0]]], 1) for w in found),
+    return WordSetReport(
+        n, mode, tuple(found), DiagonalElement.of((vs[kg.src[w[0]]], 1) for w in found)
     )
-    if truncated:
-        raise BudgetExceededError(stop, partial=report)
-    return report
 
 
-def tally(
-    kg: KernelGraph,
-    n: int,
-    mode: str = "reduction",
-    budget: int | None = ENUM_BUDGET,
-) -> TallyResult:
-    """Tally of qualifying length-n words by vertex, from the moment
-    engine in _kernel; budget caps its DP transitions."""
-    counts, _, truncated = _kernel.tally_words(kg, n, mode, budget=budget)
-    return TallyResult(_diagonal(kg, counts), truncated)
-
-
-def _unwrap(result: TallyResult, what: str) -> DiagonalElement:
-    if result.truncated:
-        raise BudgetExceededError(f"{what}: DP budget exhausted", partial=result)
-    return result.diagonal
+def _finished(kg: KernelGraph, count) -> DiagonalElement:
+    """count(), the counts per vertex index of a _kernel route, as a
+    DiagonalElement; when the route runs out of budget, its error
+    carries the vertices it finished as one."""
+    try:
+        return _diagonal(kg, count())
+    except BudgetExceededError as exc:
+        exc.partial = _diagonal(kg, exc.partial)
+        raise
 
 
 def moment(kg: KernelGraph, n: int, budget: int | None = ENUM_BUDGET) -> DiagonalElement:
     """E(T_G^n): the admissible length-n words whose free reduction is
-    a vertex, counted by the excursion DP."""
-    return _unwrap(tally(kg, n, "reduction", budget=budget), f"moment n={n}")
+    a vertex, counted by the excursion DP; budget caps its transitions."""
+    return _finished(kg, lambda: _kernel.tally_words(kg, n, "reduction", budget)[0])
 
 
 def balance_moment(kg: KernelGraph, n: int, budget: int | None = ENUM_BUDGET) -> DiagonalElement:
     """The balance-condition count (loop words with zero balance vector).
     Diagnostic: agrees with moment on some graphs, not all."""
-    return _unwrap(tally(kg, n, "balance", budget=budget), f"balance n={n}")
+    return _finished(kg, lambda: _kernel.tally_words(kg, n, "balance", budget)[0])
 
 
 def joint_moment(
@@ -159,11 +142,9 @@ def joint_moment(
     T_indices[j] (edge_sum); budget caps its transitions."""
     indices = tuple(indices)
     _check_indices(kg, indices)
-    counts, truncated = _kernel.closed_by_interval(kg, [edge_sum(kg, k) for k in indices], budget)
-    diag = _diagonal(kg, counts)
-    if truncated:
-        raise BudgetExceededError(f"joint moment {indices}: DP budget exhausted", partial=diag)
-    return diag
+    weights = [edge_sum(kg, k) for k in indices]
+    note = f"joint moment {indices}: DP budget exhausted"
+    return _finished(kg, lambda: _kernel.closed_by_interval(kg, weights, budget, note))
 
 
 def _check_indices(kg: KernelGraph, indices) -> None:
@@ -216,14 +197,14 @@ def expectation_pi(
     in, closes with the weighted excursion DP (the closed walks from
     each vertex, weighted by the product of their letters' weights).
     memo: a dict of block closes keyed by the block's weights, shared
-    between calls on the same kg."""
+    between calls on the same kg; by default, one for this call."""
+    if memo is None:
+        memo = {}
 
     def close(weights):
-        if memo is None:
-            return _kernel.closed_by_interval(kg, weights)[0]
         key = tuple(weights)
         if key not in memo:
-            memo[key] = _kernel.closed_by_interval(kg, weights)[0]
+            memo[key] = _kernel.closed_by_interval(kg, weights)
         return memo[key]
 
     operands = [tuple(x) for x in operands]

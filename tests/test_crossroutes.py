@@ -236,10 +236,9 @@ def test_property_word_walk_matches_filter(lg, n, mode, data):
     try:
         w_m_set(lg, n, mode, budget=budget)
     except BudgetExceededError as exc:
-        part = exc.partial
-        assert letters(part.words) == full[: len(part.words)]
-        assert n * len(part.words) <= budget
-        assert part.tallies == DiagonalElement.of((w[0].src, 1) for w in letters(part.words))
+        part = exc.partial  # the words found so far
+        assert letters(part) == full[: len(part)]
+        assert n * len(part) <= budget
     else:
         assert n % 2  # odd lengths close no word and walk nothing
 
@@ -463,9 +462,8 @@ def test_property_fractaloid_verdict_is_the_permutation_test(lg):
 @settings(max_examples=40, deadline=None)
 @given(kg=labeled_multigraphs(), n=st.integers(1, 10))
 def test_property_balance_count_matches_full_length_walks(kg, n):
-    counts, _, truncated = _kernel.tally_words(kg, n, "balance")
+    counts, _ = _kernel.tally_words(kg, n, "balance")
     assert counts == balanced_loops_full(kg, n)
-    assert not truncated
 
 
 def test_fixture_balance_counts_match_full_length_walks():

@@ -18,7 +18,6 @@ from groupoidlab.moments import (
     joint_moment,
     moment,
     moment_via_cumulants,
-    tally,
     total_sum,
     w_m_set,
 )
@@ -199,31 +198,32 @@ def test_moment_agrees_with_enumeration(name):
 
 
 def test_moment_budget_truncation():
-    # the budget caps DP transitions; a truncated tally reports only
+    # the budget caps DP transitions; a count that runs out raises with
     # exact per-vertex counts, and some budgets leave a nonempty part;
-    # the walk count the kernel returns beside them is exact, or 0 once
-    # its steps pass the budget
+    # the walk count the kernel returns beside a finished count is
+    # exact, or 0 once its steps pass the budget
     lg = labeled("example-6-2")
-    for mode in ("reduction", "balance"):
-        full = tally(lg, 6, mode, budget=None)
-        exact = full.diagonal.as_dict()
+    for count, mode in ((moment, "reduction"), (balance_moment, "balance")):
+        exact = count(lg, 6, budget=None).as_dict()
         words = _kernel.tally_words(lg, 6, mode)[1]
         partial_seen = False
         budget = 1
         while True:
-            result = tally(lg, 6, mode, budget=budget)
-            got = result.diagonal.as_dict()
-            assert all(exact[v] == c for v, c in got.items()), (mode, budget, got)
+            try:
+                got = count(lg, 6, budget=budget).as_dict()
+            except BudgetExceededError as exc:
+                part = exc.partial.as_dict()
+                assert all(exact[v] == c for v, c in part.items()), (mode, budget, part)
+                partial_seen = partial_seen or bool(part)
+                budget += 1
+                continue
+            assert got == exact
             assert _kernel.tally_words(lg, 6, mode, budget=budget)[1] in (0, words)
-            if not result.truncated:
-                assert got == exact
-                break
-            partial_seen = partial_seen or bool(got)
-            budget += 1
+            break
         assert partial_seen, mode
-    with pytest.raises(BudgetExceededError) as exc:
+    with pytest.raises(BudgetExceededError, match="^reduction count n=6: DP budget exhausted$") as exc:
         moment(labeled("two-loop"), 6, budget=10)
-    assert exc.value.partial.truncated
+    assert exc.value.partial == DiagonalElement.zero()
 
 
 def test_joint_moment_budget_truncation_points():

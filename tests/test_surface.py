@@ -9,7 +9,10 @@ objects or a shadowed-graph object: every module reads signed edges
 from the tables of _kernel.KernelGraph.  And no module wraps that flat
 view: a labeled graph is its KernelGraph.  And every entry point that
 the benchmark's tracer wraps is still where it looks for it.  And no
-module imports __future__.  And no module opens a file for writing."""
+module imports __future__.  And no module opens a file for writing.
+And a budget runs out one way: the kernel and moments raise
+BudgetExceededError with what finished, so neither names a truncated
+flag, and no TallyResult wraps a count."""
 
 import ast
 import importlib
@@ -19,8 +22,6 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "groupoidlab")
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
 
 KEPT = {
-    "moments.moment": "paper",
-    "moments.balance_moment": "paper",
     "moments.moment_via_cumulants": "paper",
     "_kernel.backend_name": "perfbench",
 }
@@ -231,3 +232,30 @@ def test_benchmark_tracer_hooks_exist():
         "ledger replaces the tracer's wrappers (ROADMAP, \"One run ledger, and the "
         "benchmark reads it\")"
     )
+
+
+def identifiers(name):
+    """Every name the module binds or reads: classes, functions,
+    arguments, keywords, imports, attributes and plain names."""
+    for node in ast.walk(parse(name)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.alias)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+
+
+def test_a_budget_runs_out_one_way():
+    # a route that runs out raises BudgetExceededError with its partial;
+    # a flag beside the counts is one a caller can forget to read
+    assert [m for m in ("_kernel.py", "moments.py") if "truncated" in identifiers(m)] == []
+    assert [
+        name for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+        for node in ast.walk(parse(name))
+        if isinstance(node, ast.ClassDef) and node.name == "TallyResult"
+    ] == []

@@ -13,7 +13,7 @@ import pytest
 
 import groupoidlab
 from groupoidlab import _kernel, automaton, cli, moments
-from groupoidlab.errors import Value
+from groupoidlab.errors import BudgetExceededError, Value
 from groupoidlab.graphs import Edge, shadow
 from groupoidlab.ncpartitions import enumerate_nc
 
@@ -55,7 +55,6 @@ CASES = {
     "FractaloidVerdict": lambda: automaton.is_fractaloid(labeled("two-loop"), 2),
     "FractaloidVerdict-witness": lambda: automaton.is_fractaloid(labeled("example-6-2"), 2),
     "DiagonalElement": lambda: moments.moment(labeled("example-6-2"), 2),
-    "TallyResult": lambda: moments.tally(labeled("example-6-2"), 2),
     "WordSetReport": lambda: moments.w_m_set(labeled("example-6-2"), 2),
     "FreenessReport": lambda: moments.check_freeness(labeled("two-loop"), 1, 2, 3),
     "NoncrossingPartition": partition_with_ends,
@@ -179,12 +178,10 @@ def test_default_reprs_are_unchanged():
     assert repr(fixture("example-6-2")[0].edges[0]) == "Edge(id='e12:1', src='v1', dst='v2')"
     assert repr(Edge("e1", "v", "v")) == "Edge(id='e1', src='v', dst='v')"
     lg = labeled("example-6-2")
-    assert repr(moments.tally(lg, 2)) == (
-        "TallyResult(diagonal=Diagonal(v1: 3, v2: 4, v3: 1), truncated=False)"
-    )
-    assert repr(moments.tally(lg, 4, budget=3)) == (
-        "TallyResult(diagonal=Diagonal(0), truncated=True)"
-    )
+    assert repr(moments.moment(lg, 2)) == "Diagonal(v1: 3, v2: 4, v3: 1)"
+    with pytest.raises(BudgetExceededError) as exc:
+        moments.moment(lg, 4, budget=3)
+    assert repr(exc.value.partial) == "Diagonal(0)"
     assert repr(CASES["FractaloidVerdict"]()) == (
         "FractaloidVerdict(fractaloid=True, depth=2, max_label=2, witness=None, "
         "trees=(('v', True, 21),))"
