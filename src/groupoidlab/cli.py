@@ -167,7 +167,7 @@ def _cmd_moments(args, kg, diagnostics) -> dict:
     result = {"diagonal": _diag_payload(counts[args.mode]), "n": args.n, "mode": args.mode}
     if args.words:
         try:
-            words = moments.w_m_set(kg, args.n, args.mode, budget=args.budget).words
+            words = moments.w_m_set(kg, args.n, args.mode, budget=args.budget)
         except BudgetExceededError as exc:
             words = _truncated(diagnostics, exc)  # the words found so far
         result["words"] = _word_names(kg, words)

@@ -7,9 +7,9 @@ Moments count admissible words
 that freely reduce to a vertex (the reduction characterization) with
 the excursion DP of _kernel.  The words themselves (w_m_set) come from
 the word walk of _kernel, which builds only the qualifying words and
-their prefixes; its tallies are a cross-check on the DP.  Words here
-are tuples of signed-edge indices in the layout that _kernel.KernelGraph
-states, which also names the letters.
+their prefixes; counted at their first vertex, they are a cross-check
+on the DP.  Words here are tuples of signed-edge indices in the layout
+that _kernel.KernelGraph states, which also names the letters.
 
 Cumulant operands are letter weights (one integer per signed edge).
 The edge operators are free over the diagonal and each pairs with its
@@ -82,32 +82,19 @@ class DiagonalElement(Value):
         return "Diagonal(" + ", ".join(f"{v}: {c}" for v, c in self.coeffs) + ")"
 
 
-class WordSetReport(Value):
-    # words: tuples of signed-edge indices of the flat view
-    __slots__ = ("n", "mode", "words", "tallies")
-
-    @property
-    def count(self) -> int:
-        return len(self.words)
-
-
 def w_m_set(
     kg: KernelGraph,
     n: int,
     mode: str = "reduction",
     budget: int | None = ENUM_BUDGET,
-) -> WordSetReport:
+) -> tuple:
     """The qualifying length-n words themselves, as tuples of
-    signed-edge indices in lexicographic order, with per-vertex tallies:
-    the word walk of _kernel, which builds only the qualifying words and
-    their prefixes.  budget caps its letters, tried and kept, and the
-    words kept hold at most _kernel.KEPT_LETTERS letters; when either
-    runs out, BudgetExceededError carries the words found so far."""
-    found = _kernel.closed_words(kg, n, mode, budget=budget)
-    vs = kg.vertices
-    return WordSetReport(
-        n, mode, tuple(found), DiagonalElement.of((vs[kg.src[w[0]]], 1) for w in found)
-    )
+    signed-edge indices in lexicographic order: the word walk of
+    _kernel, which builds only the qualifying words and their prefixes.
+    budget caps its letters, tried and kept, and the words kept hold at
+    most _kernel.KEPT_LETTERS letters; when either runs out,
+    BudgetExceededError carries the words found so far."""
+    return tuple(_kernel.closed_words(kg, n, mode, budget=budget))
 
 
 def _finished(kg: KernelGraph, count) -> DiagonalElement:

@@ -1,21 +1,21 @@
 """Exact sparse operators on the truncated graph Hilbert space.
 
 A basis of length L collects the vertices and every reduced path of
-length at most L.  Right multiplication operators map basis vectors to
-basis vectors (or to zero), so each column holds at most one unit
-entry; products and powers stay in exact integer arithmetic.
-This module is the brute-force oracle the moment DP is checked against,
-so it deliberately stays close to the definitions: the moment at a
-vertex v is the coefficient <T_G^n xi_v, xi_v>, read off after
-applying T_G n times to the vertex basis vectors.  The oracle builds
-the basis only to length n // 2, the longest a path can grow on a walk
-of n letters that returns to its vertex.
+length at most L, and a vector is a list of exact integers indexed by
+that basis.  This module is the brute-force oracle the moment DP is
+checked against, so it deliberately stays close to the definitions:
+the moment at a vertex v is the coefficient <T_G^n xi_v, xi_v>, read
+off after applying T_G n times to one vector, the sum of the vertex
+basis vectors.  The oracle builds the basis only to length n // 2, the
+longest a path can grow on a walk of n letters that returns to its
+vertex.
 
 A Basis is built over the signed-edge tables of the one flat view of a
 labeled graph, the _kernel.KernelGraph that labeling.assign_weights
 returns.  Its elements are positions in a trie of signed-edge indices,
 and T_G, the sum of the right multiplications by every signed edge, is
-the adjacency of that trie: each path is joined to its parent.
+the adjacency of that trie: each path is joined to its parent.  So
+T_G acts on a vector through the trie's parent links alone.
 """
 
 from . import _kernel
@@ -71,33 +71,25 @@ class Basis:
 
 
 class SparseOperator:
-    """Integer matrix stored column-wise: cols[j] maps row -> value."""
+    """T_G on a basis trie: the adjacency of its parent links.  A vector
+    is a list of integers indexed by the basis, and T_G maps x to y with
+    y[i] += x[parent[i]] and y[parent[i]] += x[i] for each path i."""
 
-    def __init__(self, dim: int, cols=None):
-        self.dim = dim
-        self.cols = cols if cols is not None else [dict() for _ in range(dim)]
+    def __init__(self, parent: list, n_vertices: int):
+        self.parent = parent
+        self.n_vertices = n_vertices
 
-    def entry(self, i: int, j: int) -> int:
-        return self.cols[j].get(i, 0)
+    def __matmul__(self, x: list) -> list:
+        parent = self.parent
+        y = [0] * len(parent)
+        for i in range(self.n_vertices, len(parent)):
+            p = parent[i]
+            y[i] += x[p]
+            y[p] += x[i]
+        return y
 
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        assert self.dim == other.dim
-        cols = []
-        for bcol in other.cols:
-            c: dict[int, int] = {}
-            for k, bv in bcol.items():
-                for r, av in self.cols[k].items():
-                    nv = c.get(r, 0) + av * bv
-                    if nv:
-                        c[r] = nv
-                    else:
-                        c.pop(r, None)
-            cols.append(c)
-        return SparseOperator(self.dim, cols)
-
-    def power(self, n: int, x: "SparseOperator") -> "SparseOperator":
-        """self^n @ x, as n left products self @ acc: only the nonzero
-        columns of x are ever expanded."""
+    def power(self, n: int, x: list) -> list:
+        """T_G^n x, as n products."""
         if n < 0:
             raise ValueError("power must be >= 0")
         for _ in range(n):
@@ -105,17 +97,8 @@ class SparseOperator:
         return x
 
     def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseOperator)
-            and self.dim == other.dim
-            and self.cols == other.cols
-        )
-
-    def __repr__(self) -> str:
-        return f"SparseOperator(dim={self.dim}, nnz={self.nnz()})"
+        """The nonzero entries of T_G: two units for each path."""
+        return 2 * (len(self.parent) - self.n_vertices)
 
 
 def level_sizes(t, max_len: int, budget: int = BASIS_BUDGET) -> list:
@@ -157,20 +140,19 @@ def total_labeling_operator(kg: _kernel.KernelGraph, basis: Basis) -> SparseOper
     its target is its parent when the letter is the inverse of its last
     one, and otherwise a child of j, or a path longer than max_len,
     which is 0.  So T_G holds a unit at (i, parent[i]) and at
-    (parent[i], i) for each path i, and nothing else."""
-    op = SparseOperator(len(basis))
-    for i in range(basis.n_vertices, len(basis)):
-        p = basis.parent[i]
-        op.cols[p][i] = 1
-        op.cols[i][p] = 1
-    return op
+    (parent[i], i) for each path i, and nothing else: the trie's
+    parent links."""
+    return SparseOperator(basis.parent, basis.n_vertices)
 
 
 def oracle_expectation_power(
     kg: _kernel.KernelGraph, n: int, max_len: int, budget: int = BASIS_BUDGET
 ):
     """<T_G^n xi_v, xi_v> for every vertex v, as a plain map vertex ->
-    integer: T_G is applied n times to the vertex basis vectors only.
+    integer: T_G is applied n times to one vector, the sum of the
+    vertex basis vectors.  T_G joins a path only to its parent and its
+    children, so it keeps each vertex's subtree of the trie, and the
+    entry at v of T_G^n applied to that sum is the entry of T_G^n xi_v.
 
     Exact in the basis of length max_len whenever max_len >= n // 2: a
     path that returns to its vertex at step n has length at most
@@ -190,9 +172,5 @@ def oracle_expectation_power(
         raise BudgetExceededError(f"n={n} products exceed the basis budget {budget}")
     basis = build_basis(kg, n // 2, budget)
     t = total_labeling_operator(kg, basis)
-    vertices = basis.vertex_positions()
-    x = SparseOperator(len(basis))
-    for i in vertices.values():
-        x.cols[i][i] = 1
-    p = t.power(n, x)
-    return {v: p.entry(i, i) for v, i in vertices.items()}
+    x = t.power(n, [1] * basis.n_vertices + [0] * (len(basis) - basis.n_vertices))
+    return {v: x[i] for v, i in basis.vertex_positions().items()}

@@ -19,9 +19,12 @@ words:
   of a Schreier graph, and the closed walks of a regular tree;
 * the Moebius value of a noncrossing partition, from the cycle type of
   pi^-1 gamma;
-* E on a single word and the cumulant weight mu_w;
-* the operator basis as groupoid elements, right multiplication by
-  one, the labeling operators T_k and the adjoint of an operator;
+* E on a single word, a list of closed words tallied at their
+  vertices, and the cumulant weight mu_w;
+* integer matrices stored column-wise, with their products; the
+  operator basis as groupoid elements, right multiplication by one,
+  the labeling operators T_k and T_G as sums of those, the matrix of
+  an operator that acts on vectors, and the adjoint of a matrix;
 * the bundled examples, read from their one definition,
   fixtures/<name>.json, as graphs and as flat views.
 
@@ -41,7 +44,6 @@ from groupoidlab.errors import BudgetExceededError, GraphError, Value
 from groupoidlab.graphs import shadow
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.ncpartitions import NoncrossingPartition, enumerate_nc
-from groupoidlab.operators import SparseOperator
 
 # ---------------------------------------------------------------------------
 # The bundled examples: fixtures/<name>.json is the one definition of each
@@ -701,6 +703,13 @@ def expectation_of_word(w) -> moments.DiagonalElement:
     return moments.DiagonalElement.zero()
 
 
+def tallies(lg, words) -> moments.DiagonalElement:
+    """Words of signed-edge indices counted at the vertex each starts
+    from: for closed words, the sum of E over them."""
+    signed = signed_edges(lg.graph)
+    return moments.DiagonalElement.of((signed[w[0]].src, 1) for w in words)
+
+
 def mu_w(lg, word) -> int:
     """The cumulant weight of a vertex-reducing word: the Moebius sum
     over the noncrossing partitions each of whose blocks, its letters
@@ -720,6 +729,60 @@ def mu_w(lg, word) -> int:
 # The operator basis as groupoid elements
 
 
+class Matrix:
+    """Integer matrix stored column-wise: cols[j] maps row -> value."""
+
+    def __init__(self, dim: int, cols=None):
+        self.dim = dim
+        self.cols = cols if cols is not None else [dict() for _ in range(dim)]
+
+    def entry(self, i: int, j: int) -> int:
+        return self.cols[j].get(i, 0)
+
+    def __matmul__(self, other: Matrix) -> Matrix:
+        assert self.dim == other.dim
+        cols = []
+        for bcol in other.cols:
+            c: dict[int, int] = {}
+            for k, bv in bcol.items():
+                for r, av in self.cols[k].items():
+                    nv = c.get(r, 0) + av * bv
+                    if nv:
+                        c[r] = nv
+                    else:
+                        c.pop(r, None)
+            cols.append(c)
+        return Matrix(self.dim, cols)
+
+    def apply(self, x: list) -> list:
+        """The matrix times the vector x, a list of dim integers."""
+        y = [0] * self.dim
+        for j, col in enumerate(self.cols):
+            for i, v in col.items():
+                y[i] += v * x[j]
+        return y
+
+    def nnz(self) -> int:
+        return sum(len(c) for c in self.cols)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Matrix) and self.dim == other.dim and self.cols == other.cols
+
+    def __repr__(self) -> str:
+        return f"Matrix(dim={self.dim}, nnz={self.nnz()})"
+
+
+def matrix_of(op, dim: int) -> Matrix:
+    """The matrix of an operator that maps a vector of dim integers to
+    another, op @ x: column j is op @ e_j."""
+    cols = []
+    for j in range(dim):
+        e = [0] * dim
+        e[j] = 1
+        cols.append({i: v for i, v in enumerate(op @ e) if v})
+    return Matrix(dim, cols)
+
+
 def basis_elements(lg, basis) -> tuple:
     """The Vertex and ReducedPath objects of an operators.Basis over the
     flat view lg, in basis order."""
@@ -737,7 +800,7 @@ def basis_index(lg, basis) -> dict:
     return {a: i for i, a in enumerate(basis_elements(lg, basis))}
 
 
-def right_mult(lg, w, basis) -> SparseOperator:
+def right_mult(lg, w, basis) -> Matrix:
     """Matrix of the right multiplication by a groupoid element: column
     w' holds a unit at the basis position of w'w when that product is a
     basis element, nothing when it is Empty or longer than the
@@ -768,7 +831,7 @@ def right_mult(lg, w, basis) -> SparseOperator:
         for i, (p, s) in enumerate(zip(basis.parent, basis.last))
         if i >= basis.n_vertices
     }
-    op = SparseOperator(len(basis))
+    op = Matrix(len(basis))
     for j, tgt in enumerate(basis.target):
         if tgt != src:
             continue
@@ -783,24 +846,35 @@ def right_mult(lg, w, basis) -> SparseOperator:
     return op
 
 
-def labeling_operator(lg, k: int, basis) -> SparseOperator:
+def right_mult_sum(lg, signed, basis) -> Matrix:
+    """The entry-wise sum of the right multiplications by the given
+    signed edges."""
+    total = Matrix(len(basis))
+    for s in signed:
+        for col, add in zip(total.cols, right_mult(lg, ReducedPath((s,)), basis).cols):
+            for r, v in add.items():
+                col[r] = col.get(r, 0) + v
+    return total
+
+
+def labeling_operator(lg, k: int, basis) -> Matrix:
     """T_k: the sum of the right multiplications by the signed edges
     whose label is k, for k in -N..-1, 1..N."""
     if k == 0 or abs(k) > lg.max_label:
         raise GraphError(f"label {k} out of range 1..{lg.max_label} (signed)")
-    op = SparseOperator(len(basis))
-    for s in signed_edges(lg.graph):
-        if label(lg, s) == k:
-            for j, col in enumerate(right_mult(lg, ReducedPath((s,)), basis).cols):
-                for i, v in col.items():
-                    op.cols[j][i] = op.cols[j].get(i, 0) + v
-    return op
+    return right_mult_sum(lg, [s for s in signed_edges(lg.graph) if label(lg, s) == k], basis)
 
 
-def transpose(op: SparseOperator) -> SparseOperator:
-    """The adjoint of an integer operator: its transpose."""
+def total_labeling_matrix(lg, basis) -> Matrix:
+    """T_G: the sum of the right multiplications by every signed edge,
+    which is the sum of T_k over all signed labels."""
+    return right_mult_sum(lg, signed_edges(lg.graph), basis)
+
+
+def transpose(op: Matrix) -> Matrix:
+    """The adjoint of an integer matrix: its transpose."""
     cols = [dict() for _ in range(op.dim)]
     for j, col in enumerate(op.cols):
         for i, v in col.items():
             cols[i][j] = v
-    return SparseOperator(op.dim, cols)
+    return Matrix(op.dim, cols)

@@ -44,6 +44,7 @@ from paper import (
     is_admissible,
     labeled,
     labeling_operator,
+    matrix_of,
     out_edges,
     partition,
     reduce_word,
@@ -191,7 +192,7 @@ def test_acceptance_8_operator_identities():
         for k in range(1, lg.max_label + 1):
             tk = labeling_operator(lg, k, basis)
             assert transpose(tk) == labeling_operator(lg, -k, basis), (name, k)
-        tg = total_labeling_operator(lg, basis)
+        tg = matrix_of(total_labeling_operator(lg, basis), len(basis))
         assert transpose(tg) == tg, name
         for s in signed_edges(lg.graph):
             w = ReducedPath((s,))

@@ -61,6 +61,7 @@ from paper import (
     out_edges,
     reduce_word,
     signed_edges,
+    tallies,
     theta,
 )
 from test_automaton import assert_same_tree
@@ -134,7 +135,7 @@ def test_glued_graph_three_routes():
     for n in range(1, 7):
         m = moment(lg, n)
         assert m == DiagonalElement.of(oracle_expectation_power(lg, n, n))
-        assert m == w_m_set(lg, n).tallies
+        assert m == tallies(lg, w_m_set(lg, n))
     # hand count at n = 2: from a the words ee~, la la~, ~la la;
     # from b: ~e e, lb lb~, ~lb lb
     assert moment(lg, 2).as_dict() == {"a": 3, "b": 3}
@@ -161,7 +162,7 @@ def test_random_graphs_routes_agree():
         lg = assign_weights(shadow(g))
         for n in range(1, 5):
             m = moment(lg, n)
-            assert m == w_m_set(lg, n).tallies, (trial, n, g)
+            assert m == tallies(lg, w_m_set(lg, n)), (trial, n, g)
             assert m == DiagonalElement.of(oracle_expectation_power(lg, n, n)), (
                 trial,
                 n,
@@ -195,9 +196,9 @@ def labeled_multigraphs(draw, max_vertices=3, max_edges=4):
 @given(lg=labeled_multigraphs(), n=st.integers(1, 5))
 def test_property_dp_matches_enumeration_and_oracle(lg, n):
     m = moment(lg, n)
-    assert m == w_m_set(lg, n).tallies
+    assert m == tallies(lg, w_m_set(lg, n))
     assert m == DiagonalElement.of(oracle_expectation_power(lg, n, n))
-    assert balance_moment(lg, n) == w_m_set(lg, n, "balance").tallies
+    assert balance_moment(lg, n) == tallies(lg, w_m_set(lg, n, "balance"))
 
 
 def qualifying_words_by_filter(lg, n, mode):
@@ -227,9 +228,9 @@ def test_property_word_walk_matches_filter(lg, n, mode, data):
     def letters(words):  # signed-edge indices to the letters they number
         return [tuple(signed[e] for e in w) for w in words]
 
-    rep = w_m_set(lg, n, mode)
-    assert letters(rep.words) == full
-    assert rep.tallies == (moment if mode == "reduction" else balance_moment)(lg, n)
+    words = w_m_set(lg, n, mode)
+    assert letters(words) == full
+    assert tallies(lg, words) == (moment if mode == "reduction" else balance_moment)(lg, n)
     # the walk charges every first letter and n per word kept, so any
     # budget below that runs out wherever there is anything to walk
     budget = data.draw(st.integers(0, len(signed_edges(lg.graph)) + n * len(full) - 1))
@@ -259,7 +260,7 @@ def test_property_balance_ignores_the_label_values(lg, n, data):
         lg.graph, MODE_EXPLICIT, {e: relabel[k] for e, k in labels.items()}
     )
     assert balance_moment(big, n) == balance_moment(lg, n)
-    assert w_m_set(big, n, "balance").words == w_m_set(lg, n, "balance").words
+    assert w_m_set(big, n, "balance") == w_m_set(lg, n, "balance")
 
 
 def balanced_loops_full(kg, n):
@@ -422,7 +423,7 @@ def test_property_schreier_moments_are_the_tree_formula(lg, data):
     # the word walk holds every word: at most a few thousand per vertex
     n = data.draw(st.integers(1, 10 if d == 2 else 8 if d == 4 else 6))
     want = DiagonalElement.of((v, paper.tree_moment(d, n)) for v in lg.graph.vertices)
-    assert w_m_set(lg, n).tallies == want
+    assert tallies(lg, w_m_set(lg, n)) == want
 
 
 def reduces_in_free_group(indices) -> bool:

@@ -6,7 +6,6 @@ from groupoidlab import _kernel
 from groupoidlab.errors import BudgetExceededError
 from groupoidlab.graphs import GraphError
 from groupoidlab.operators import (
-    SparseOperator,
     build_basis,
     level_sizes,
     oracle_expectation_power,
@@ -16,6 +15,7 @@ from groupoidlab.operators import (
 from paper import (
     EMPTY,
     FIXTURES,
+    Matrix,
     ReducedPath,
     Vertex,
     basis_elements,
@@ -24,12 +24,15 @@ from paper import (
     inverse,
     labeled,
     labeling_operator,
+    matrix_of,
     right_mult,
+    right_mult_sum,
     signed_by_name,
     signed_edges,
+    total_labeling_matrix,
     transpose,
 )
-from test_crossroutes import labeled_multigraphs
+from test_crossroutes import labeled_multigraphs, schreier_graphs
 
 
 def test_basis_one_loop_l3():
@@ -75,7 +78,7 @@ def test_basis_order_by_length_and_index_sequence(name):
 def right_mult_by_concat(lg, w, basis, elements, index):
     """Reference right multiplication: each basis element times w by
     concat, located through the basis index."""
-    op = SparseOperator(len(basis))
+    op = Matrix(len(basis))
     for j, a in enumerate(elements):
         t = concat(a, w)
         if t is not EMPTY and t in index:
@@ -204,18 +207,6 @@ def test_column_sparsity():
         assert all(v == 1 for col in r.cols for v in col.values())
 
 
-def right_mult_sum(lg, signed, basis):
-    """The entry-wise sum of the right multiplications by the given
-    signed edges."""
-    total = SparseOperator(len(basis))
-    for s in signed:
-        op = right_mult(lg, ReducedPath((s,)), basis)
-        for col, add in zip(total.cols, op.cols):
-            for r, v in add.items():
-                col[r] = col.get(r, 0) + v
-    return total
-
-
 def test_labeling_operator_example_6_2():
     lg = labeled("example-6-2")
     b = build_basis(lg, 3)
@@ -231,14 +222,36 @@ def test_total_labeling_operator_is_the_sum_of_right_mults(name):
     lg = labeled(name)
     for max_len in range(5):
         b = build_basis(lg, max_len)
-        assert total_labeling_operator(lg, b) == right_mult_sum(lg, signed_edges(lg.graph), b)
+        assert matrix_of(total_labeling_operator(lg, b), len(b)) == total_labeling_matrix(lg, b)
 
 
 @settings(max_examples=40, deadline=None)
 @given(lg=labeled_multigraphs(), max_len=st.integers(0, 3))
 def test_property_total_labeling_operator_is_the_sum_of_right_mults(lg, max_len):
     b = build_basis(lg, max_len)
-    assert total_labeling_operator(lg, b) == right_mult_sum(lg, signed_edges(lg.graph), b)
+    assert matrix_of(total_labeling_operator(lg, b), len(b)) == total_labeling_matrix(lg, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lg=st.one_of(labeled_multigraphs(), schreier_graphs()),
+    max_len=st.integers(0, 4),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_property_update_rule_on_any_vector(lg, max_len, rnd):
+    # T_G acts through the trie's parent links: on any integer vector it
+    # is the sum of the right multiplications, as a matrix, and so are
+    # its powers; its nonzero count is that matrix's
+    b = build_basis(lg, max_len)
+    t = total_labeling_operator(lg, b)
+    m = total_labeling_matrix(lg, b)
+    x = [rnd.randint(-9, 9) for _ in range(len(b))]
+    assert t @ x == m.apply(x)
+    y = x
+    for n in range(7):
+        assert t.power(n, x) == y, n
+        y = m.apply(y)
+    assert t.nnz() == m.nnz()
 
 
 def test_labeling_operator_refuses_a_label_out_of_range():
@@ -257,7 +270,7 @@ def test_adjoint_and_selfadjointness(name):
     b = build_basis(lg, 4)
     for k in range(1, lg.max_label + 1):
         assert transpose(labeling_operator(lg, k, b)) == labeling_operator(lg, -k, b)
-    t = total_labeling_operator(lg, b)
+    t = matrix_of(total_labeling_operator(lg, b), len(b))
     assert transpose(t) == t
 
 
@@ -295,16 +308,18 @@ def test_oracle_requires_max_len_ge_half_n():
 
 
 def full_basis_oracle(lg, n, max_len):
-    """<T_G^n xi_v, xi_v> over the whole basis of length max_len: T_G
-    applied n times to the vertex columns, no path dropped early."""
+    """<T_G^n xi_v, xi_v> over the whole basis of length max_len: the
+    matrix of T_G, the sum of the right multiplications, applied n times
+    to the vertex columns, no path dropped early."""
     basis = build_basis(lg, max_len)
-    t = total_labeling_operator(lg, basis)
+    t = total_labeling_matrix(lg, basis)
     vertices = basis.vertex_positions()
-    x = SparseOperator(len(basis))
+    x = Matrix(len(basis))
     for i in vertices.values():
         x.cols[i][i] = 1
-    p = t.power(n, x)
-    return {v: p.entry(i, i) for v, i in vertices.items()}
+    for _ in range(n):
+        x = t @ x
+    return {v: x.entry(i, i) for v, i in vertices.items()}
 
 
 def outcome(fn, *args):

@@ -12,7 +12,8 @@ the benchmark's tracer wraps is still where it looks for it.  And no
 module imports __future__.  And no module opens a file for writing.
 And a budget runs out one way: the kernel and moments raise
 BudgetExceededError with what finished, so neither names a truncated
-flag, and no TallyResult wraps a count."""
+flag, and no TallyResult wraps a count.  And the operator oracle acts
+on vectors: no module reads or writes an attribute named cols."""
 
 import ast
 import importlib
@@ -24,6 +25,7 @@ TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
 KEPT = {
     "moments.moment_via_cumulants": "paper",
     "_kernel.backend_name": "perfbench",
+    "operators.SparseOperator.nnz": "perfbench",
 }
 
 
@@ -258,4 +260,14 @@ def test_a_budget_runs_out_one_way():
         name for name in sorted(os.listdir(SRC)) if name.endswith(".py")
         for node in ast.walk(parse(name))
         if isinstance(node, ast.ClassDef) and node.name == "TallyResult"
+    ] == []
+
+
+def test_no_module_keeps_a_column_matrix():
+    # T_G acts on one vector through the basis trie's parent links; the
+    # column-dict matrix and its general product are the tests' oracle
+    assert [
+        (name[:-3], node.lineno) for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+        for node in ast.walk(parse(name))
+        if isinstance(node, ast.Attribute) and node.attr == "cols"
     ] == []

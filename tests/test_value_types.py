@@ -55,7 +55,6 @@ CASES = {
     "FractaloidVerdict": lambda: automaton.is_fractaloid(labeled("two-loop"), 2),
     "FractaloidVerdict-witness": lambda: automaton.is_fractaloid(labeled("example-6-2"), 2),
     "DiagonalElement": lambda: moments.moment(labeled("example-6-2"), 2),
-    "WordSetReport": lambda: moments.w_m_set(labeled("example-6-2"), 2),
     "FreenessReport": lambda: moments.check_freeness(labeled("two-loop"), 1, 2, 3),
     "NoncrossingPartition": partition_with_ends,
 }
