@@ -34,15 +34,15 @@ calls kernel_graph once per graph and returns the view, which every layer
 reads, operators.Basis and the automaton too.  KernelGraph owns the
 numbering of signed edges and their names: no other module numbers them.
 
-A budget runs out one way: every route that takes one charges its work
-to a _Budget, whose charge raises BudgetExceededError carrying what
-finished, the exact counts of the vertices done so far (0 elsewhere) or
-the words found so far.  No route returns a flag beside its result.
+A route that takes a budget charges its work to an errors.Budget, whose
+charge raises BudgetExceededError carrying what finished: the exact
+counts of the vertices done so far (0 elsewhere), or the words found so
+far.  No route returns a flag beside its result.
 """
 
 from operator import mul
 
-from .errors import ENUM_BUDGET, BudgetExceededError, Value
+from .errors import ENUM_BUDGET, Budget, Value
 
 # The letters the words of closed_words may hold, whatever its budget:
 # a kept word holds its n letters until the command prints them.
@@ -127,26 +127,6 @@ def _check_mode(mode) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-class _Budget:
-    """Running count of work against an optional cap: DP transitions
-    (terms of the recurrence sums, or edge steps out of a balance
-    state), or the letters a word walk tries and keeps.  Running out is
-    one event: charge raises BudgetExceededError with the note and what
-    finished."""
-
-    def __init__(self, cap, note):
-        self.cap = cap
-        self.note = note
-        self.spent = 0
-
-    def charge(self, work: int, partial, ahead: int = 0) -> None:
-        """Book work; raise, with partial, once the cap is passed or
-        would be by ahead more."""
-        self.spent += work
-        if self.cap is not None and self.spent + ahead > self.cap:
-            raise BudgetExceededError(self.note, partial=partial)
-
-
 def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
     """Count qualifying admissible length-n words by start vertex.
 
@@ -162,7 +142,7 @@ def tally_words(kg: KernelGraph, n: int, mode: str, budget=None):
     if n < 1:
         raise ValueError("word length must be >= 1")
     _check_mode(mode)
-    spend = _Budget(budget, f"{mode} count n={n}: DP budget exhausted")
+    spend = Budget(budget, f"{mode} count n={n}: DP budget exhausted")
     count = _balanced_loops if mode == "balance" else _closed_by_length
     return count(kg, n, spend), _walk_count(kg, n, budget)
 
@@ -246,7 +226,7 @@ def closed_by_interval(t: KernelGraph, weights, budget=None, note="DP budget exh
 
     Returns the counts per vertex index.
     """
-    spend = _Budget(budget, note)
+    spend = Budget(budget, note)
     n = len(weights)
     counts = [0] * t.n_vertices
     if n % 2:
@@ -359,8 +339,8 @@ def closed_words(kg: KernelGraph, n: int, mode: str, budget=None):
     # closed tree walks and balanced words both have even length
     if n % 2:
         return words
-    spend = _Budget(budget, f"word set n={n}: letter budget exhausted")
-    keep = _Budget(
+    spend = Budget(budget, f"word set n={n}: letter budget exhausted")
+    keep = Budget(
         KEPT_LETTERS, f"word set n={n}: the words kept pass the cap of {KEPT_LETTERS} letters"
     )
     spend.charge(0, words, ahead=n)

@@ -13,7 +13,7 @@ every root, as _kernel.walk_levels counts the walks from every vertex.
 from operator import add
 
 from . import _kernel
-from .errors import BudgetExceededError, GraphError, Value
+from .errors import Budget, GraphError, Value
 
 # Nodes of the largest action tree build_tree writes: its DOT text is
 # held whole, about 60 bytes a node.
@@ -48,14 +48,13 @@ def build_tree(kg: _kernel.KernelGraph, root_vertex: str, depth: int) -> ActionT
     if root_vertex not in kg.vertices:
         raise GraphError(f"unknown root vertex {root_vertex!r}")
     root = kg.vertices.index(root_vertex)
-    size = 0
+    # counting stops at the first level past the budget
+    spend = Budget(NODE_BUDGET, lambda: (
+        f"tree of {'' if d == depth else 'more than '}{spend.spent} nodes "
+        f"exceeds the node budget {NODE_BUDGET}"
+    ))
     for d, counts in zip(range(depth + 1), _kernel.walk_levels(kg, [1] * kg.n_vertices)):
-        size += counts[root]
-        if size > NODE_BUDGET:  # counting stops at the first level past it
-            more = "" if d == depth else "more than "
-            raise BudgetExceededError(
-                f"tree of {more}{size} nodes exceeds the node budget {NODE_BUDGET}"
-            )
+        spend.charge(counts[root])
 
     # per signed edge, the label of the node it reaches and of the edge
     # line that leads there
@@ -85,7 +84,7 @@ def build_tree(kg: _kernel.KernelGraph, root_vertex: str, depth: int) -> ActionT
         lines.append(f"  {child}{node[e]}")
         stack.append((child, iter(kg.out[kg.dst[e]] if len(stack) < depth else ()), e))
     lines.append("}")
-    return ActionTree(root_vertex, depth, "\n".join(lines), size)
+    return ActionTree(root_vertex, depth, "\n".join(lines), spend.spent)
 
 
 class FractaloidVerdict(Value):
@@ -128,19 +127,23 @@ def is_fractaloid(
             "vertex": vertices[v],
             "reason": f"outgoing labels {label_sets[v]} != full set {full}",
         }
+    # the largest tree so far is charged: its node count never shrinks
+    spend = Budget(max_nodes, lambda: (
+        f"the depth-{depth} tree at "
+        f"{vertices[next(r for r, c in enumerate(nodes) if c > max_nodes)]} "
+        f"passes max_nodes at depth {d}"
+    ))
     nodes = [0] * kg.n_vertices
     for d, counts in zip(range(depth + 1), _kernel.walk_levels(kg, [1] * kg.n_vertices)):
         nodes = list(map(add, nodes, counts))
-        if max_nodes is not None and max(nodes) > max_nodes:
-            root = next(r for r, c in enumerate(nodes) if c > max_nodes)
-            raise BudgetExceededError(
-                f"the depth-{depth} tree at {vertices[root]} passes max_nodes at depth {d}"
-            )
+        spend.charge(max(nodes) - spend.spent)
     # a root is regular when no walk shorter than depth from it reaches
     # an irregular vertex
     regular = [True] * kg.n_vertices
     for _, reach in zip(range(depth), _kernel.walk_levels(kg, irregular)):
         regular = [ok and not c for ok, c in zip(regular, reach)]
+        if True not in regular:  # no root is left to decide
+            break
     return FractaloidVerdict(
         fractaloid=witness is None,
         depth=depth,

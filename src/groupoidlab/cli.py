@@ -25,7 +25,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import BASIS_BUDGET, ENUM_BUDGET, BudgetExceededError, GraphError
+from .errors import BASIS_BUDGET, ENUM_BUDGET, Budget, BudgetExceededError, GraphError
 from .errors import ParseError, SchemaError, VerificationMismatch
 
 EXIT_OK = 0
@@ -276,17 +276,14 @@ def _cmd_fractaloid(args, kg, diagnostics) -> dict:
 
     # depth x signed edges, charged up front: one walk serves every root
     steps = args.depth * kg.n_signed
-    if steps > args.budget:
-        raise BudgetExceededError(
-            f"fractaloid depth={args.depth}: {steps} walk steps exceed the "
-            f"budget {args.budget}"
-        )
+    Budget(args.budget, lambda: (
+        f"fractaloid depth={args.depth}: {steps} walk steps exceed the budget {args.budget}"
+    )).charge(steps)
     # a witness note prints the full label set, 2N labels
-    if 2 * kg.max_label > args.budget:
-        raise BudgetExceededError(
-            f"fractaloid: the full label set of {2 * kg.max_label} labels exceeds "
-            f"the budget {args.budget}"
-        )
+    labels = 2 * kg.max_label
+    Budget(args.budget, lambda: (
+        f"fractaloid: the full label set of {labels} labels exceeds the budget {args.budget}"
+    )).charge(labels)
     limit = _digit_limit()
     try:
         verdict = automaton.is_fractaloid(

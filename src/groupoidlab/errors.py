@@ -1,5 +1,5 @@
-"""Shared error types, the default budgets, and the base of the immutable
-value types."""
+"""Shared error types, the default budgets and the Budget that charges
+them, and the base of the immutable value types."""
 
 from operator import attrgetter
 
@@ -28,12 +28,39 @@ class BudgetExceededError(RuntimeError):
     """A configured DP, enumeration or basis budget was exhausted.
 
     Carries whatever partial result was assembled so callers can emit
-    it with a truncation flag instead of discarding the work.
+    it with a truncation flag instead of discarding the work.  Raised by
+    Budget.charge.
     """
 
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class Budget:
+    """Running count of work against an optional cap: the one way a
+    budget runs out.  Every capped route books its work here, so spent
+    ends equal to the quantity cap bounds; a cap of None never runs out.
+
+    note is the message of the error, or a function of no arguments
+    that builds it when the charge raises, for a note naming the level
+    a loop has reached."""
+
+    __slots__ = ("cap", "note", "spent")
+
+    def __init__(self, cap, note):
+        self.cap = cap
+        self.note = note
+        self.spent = 0
+
+    def charge(self, work: int, partial=None, ahead: int = 0) -> None:
+        """Book work; raise BudgetExceededError, with the note and
+        partial, once spent passes the cap or would pass it by ahead
+        more."""
+        self.spent += work
+        if self.cap is not None and self.spent + ahead > self.cap:
+            note = self.note
+            raise BudgetExceededError(note() if callable(note) else note, partial)
 
 
 class VerificationMismatch(RuntimeError):

@@ -15,7 +15,7 @@ graphs.validate_graph the graph, including that it has an edge.
 
 from math import comb
 
-from .errors import BudgetExceededError, GraphError
+from .errors import Budget, GraphError
 from .graphs import DirectedGraph
 
 MODE_VERTEX = "vertex"  # per-vertex-bijective (default)
@@ -80,11 +80,9 @@ def count_axis_paths(max_label: int, length: int, budget: int | None = None) -> 
     if max_label == 1:
         return comb(length, half)
     terms = (max_label - 2) * (half + 1) * (half + 2) // 2 + half + 1
-    if budget is not None and terms > budget:
-        raise BudgetExceededError(
-            f"lattice N={max_label} k={length}: {terms} recurrence terms "
-            f"exceed the budget {budget}"
-        )
+    Budget(budget, lambda: (
+        f"lattice N={max_label} k={length}: {terms} recurrence terms exceed the budget {budget}"
+    )).charge(terms)
     g = [1] * (half + 1)
     for _ in range(max_label - 2):
         g = [_square_convolution(g, t) for t in range(half + 1)]

@@ -24,9 +24,9 @@ by mu_w), computed alongside and compared, never trusted; mu_w is the Moebius cu
 letters.  check_freeness keeps the Moebius route: its sums are the
 evidence that mixed cumulants vanish.
 
-A budget runs out one way: a route past its budget raises
-BudgetExceededError carrying what finished, for a count the vertices
-it finished as a DiagonalElement, for the words the words found so far.
+A route past its budget raises BudgetExceededError from the charge of
+its errors.Budget, carrying what finished: for a count the vertices it
+finished as a DiagonalElement, for the words the words found so far.
 """
 
 import itertools
@@ -34,9 +34,9 @@ from functools import partial
 from math import prod
 from operator import add, mul
 
-from . import _kernel, ncpartitions
+from . import _kernel
 from ._kernel import KernelGraph
-from .errors import ENUM_BUDGET, BudgetExceededError, Value, VerificationMismatch
+from .errors import ENUM_BUDGET, Budget, BudgetExceededError, Value, VerificationMismatch
 from .ncpartitions import NoncrossingPartition, enumerate_nc, haar, moebius, nested
 
 # The closed-form k_n has about 0.3 n digits: Python converts at most
@@ -254,13 +254,10 @@ def closed_form_cumulant(kg: KernelGraph, operands) -> DiagonalElement:
 
 def cumulant_direct(kg: KernelGraph, n: int) -> DiagonalElement:
     """k_n(T_G, ..., T_G) in closed form: outdeg(v) (-1)^(m-1) C_(m-1)
-    for n = 2m.  Orders past ORDER_BUDGET raise BudgetExceededError."""
+    for n = 2m.  n is charged to ORDER_BUDGET, an order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > ORDER_BUDGET:
-        raise BudgetExceededError(
-            f"n={n} exceeds the cumulant order budget {ORDER_BUDGET}"
-        )
+    Budget(ORDER_BUDGET, f"n={n} exceeds the cumulant order budget {ORDER_BUDGET}").charge(n)
     return closed_form_cumulant(kg, [total_sum(kg)] * n)
 
 
@@ -302,7 +299,7 @@ def cumulant_via_wc(
 
     The words are tuples of signed-edge indices, walked base edge by
     base edge, each a signed edge and its inverse, in lexicographic
-    order, one unit of budget each: every word over the two is a loop
+    order, each charged 1 to budget: every word over the two is a loop
     word when the edge is a loop, otherwise only the two alternating
     words are.  No loop word of odd length reduces, so odd n is 0 at
     once.  At even n the even-block partitions of NC(n) (see
@@ -310,14 +307,21 @@ def cumulant_via_wc(
     route stops there.  The letters of a word are one edge and its
     inverse, so mu_w depends only on which letters equal the first one
     and on whether the edge is a loop: it is computed once per such
-    pattern."""
+    pattern.  When the budget runs out, BudgetExceededError carries the
+    sum over the words charged so far."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n % 2:
         return DiagonalElement.zero()
     parts = enumerate_nc(n, even=True)
+    spend = Budget(budget, "cumulant_via_wc: enumeration budget exhausted")
+    return _finished(kg, lambda: _wc_sum(kg, n, parts, spend))
+
+
+def _wc_sum(kg: KernelGraph, n: int, parts, spend) -> list:
+    """The word-set sum of cumulant_via_wc, per vertex index, each word
+    charged 1 to spend, with the sum so far as the partial."""
     acc = [0] * kg.n_vertices
-    seen = 0
     memo: dict = {}
     weight: dict = {}
     for fwd, back in enumerate(kg.inv):
@@ -330,12 +334,7 @@ def cumulant_via_wc(
             else (pair * (n // 2), pair[::-1] * (n // 2))
         )
         for w in words:
-            seen += 1
-            if budget is not None and seen > budget:
-                raise BudgetExceededError(
-                    "cumulant_via_wc: enumeration budget exhausted",
-                    partial=_diagonal(kg, acc),
-                )
+            spend.charge(1, acc)
             # over one generator the reduced word is e^(#e - #inv e), so
             # the word reduces to a vertex exactly when the counts match
             if 2 * w.count(fwd) == n:
@@ -343,7 +342,7 @@ def cumulant_via_wc(
                 if key not in weight:
                     weight[key] = _mu_w(kg, w, parts, memo)
                 acc[kg.src[w[0]]] += weight[key]
-    return _diagonal(kg, acc)
+    return acc
 
 
 def _k_pi(tables, pi: NoncrossingPartition, operands) -> list:
@@ -408,8 +407,9 @@ def check_freeness(kg: KernelGraph, k1: int, k2: int, max_n: int = 4) -> Freenes
             raise ValueError(f"family index {k} out of range 1..{kg.max_label}")
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
-    # up front: the orders below max_n would otherwise all run first
-    ncpartitions.check_nc_budget(max_n)
+    # the top order first: past NC_BUDGET its charge runs out before any
+    # order below it is summed
+    orders = {n: enumerate_nc(n, even=True) for n in range(max_n, 1, -1)}
     alphabet = (k1, -k1, k2, -k2)
     weights = {k: edge_sum(kg, k) for k in alphabet}
     memo: dict = {}
@@ -420,7 +420,7 @@ def check_freeness(kg: KernelGraph, k1: int, k2: int, max_n: int = 4) -> Freenes
     # their codes sum to 0: fewer than max_n + 1 letters carry k1 or -k1
     code = {k1: 1, -k1: -1, k2: max_n + 1, -k2: -(max_n + 1)}
     for n in range(2, max_n + 1):
-        parts = enumerate_nc(n, even=True)
+        parts = orders[n]
         for idx in itertools.product(alphabet, repeat=n):
             codes = [code[k] for k in idx]
             operands = [weights[k] for k in idx]

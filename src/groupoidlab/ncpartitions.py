@@ -23,7 +23,7 @@ import itertools
 from functools import cached_property, lru_cache
 from math import comb
 
-from .errors import BudgetExceededError, Value
+from .errors import Budget, Value
 
 NC_BUDGET = 12
 
@@ -103,21 +103,15 @@ def _gen_blocks(elems, even=False):
                 yield (block, *(b for p in parts for b in p[0])), top + 1, inner
 
 
-def check_nc_budget(n: int) -> None:
-    """Raise BudgetExceededError when n is above NC_BUDGET: the count of
-    NC(n) is catalan(n), which explodes quickly."""
-    if n > NC_BUDGET:
-        raise BudgetExceededError(f"n={n} exceeds the NC enumeration budget {NC_BUDGET}")
-
-
 def enumerate_nc(n: int, even: bool = False):
     """All noncrossing partitions of {1..n}, deterministically ordered,
     each with its mu(pi, 1_n) from the walk; with even, only those whose
     blocks all have even size (none for odd n, C(3m, m)/(2m+1) for
-    n = 2m), in the same relative order.  Guarded by check_nc_budget."""
+    n = 2m), in the same relative order.  n is charged to NC_BUDGET, an
+    order: the count of NC(n) is catalan(n), which explodes quickly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_nc_budget(n)
+    Budget(NC_BUDGET, f"n={n} exceeds the NC enumeration budget {NC_BUDGET}").charge(n)
     walk = _gen_blocks(tuple(range(1, n + 1)), even)
     return [NoncrossingPartition(n, bs, inner * haar(top)) for bs, top, inner in walk]
 

@@ -19,7 +19,7 @@ T_G acts on a vector through the trie's parent links alone.
 """
 
 from . import _kernel
-from .errors import BASIS_BUDGET, BudgetExceededError
+from .errors import BASIS_BUDGET, Budget
 
 
 class Basis:
@@ -108,10 +108,12 @@ def level_sizes(t, max_len: int, budget: int = BASIS_BUDGET) -> list:
     that end in signed edge s: c[s] = 1 at length 1, and a path grows by
     any letter s' leaving the end of s except the inverse of s, so
     c'[s'] is the count of the paths ending at the source of s' less
-    c[inv s'].  Raises BudgetExceededError at the first length that
-    takes the vertices and the paths so far past budget."""
+    c[inv s'].  The vertices and each length's paths are charged to
+    budget, the vertices with the first length, so the charge raises
+    BudgetExceededError at the first length that takes the basis so far
+    past budget."""
+    spend = Budget(budget, lambda: f"basis exceeds budget {budget} at length {ell}")
     sizes = []
-    total = t.n_vertices
     c = [1] * t.n_signed
     for ell in range(1, max_len + 1):
         if ell > 1:
@@ -120,9 +122,7 @@ def level_sizes(t, max_len: int, budget: int = BASIS_BUDGET) -> list:
                 ending[t.dst[s]] += k
             c = [ending[t.src[s]] - c[t.inv[s]] for s in range(t.n_signed)]
         size = sum(c)
-        total += size
-        if total > budget:
-            raise BudgetExceededError(f"basis exceeds budget {budget} at length {ell}")
+        spend.charge(size + (t.n_vertices if ell == 1 else 0))
         if not size:  # no path extends, at this length or any longer one
             break
         sizes.append(size)
@@ -168,8 +168,7 @@ def oracle_expectation_power(
     if max_len < n // 2:
         raise ValueError("need max_len >= n // 2 for an exact vertex diagonal")
     level_sizes(kg, max_len, budget)
-    if n > budget:
-        raise BudgetExceededError(f"n={n} products exceed the basis budget {budget}")
+    Budget(budget, f"n={n} products exceed the basis budget {budget}").charge(n)
     basis = build_basis(kg, n // 2, budget)
     t = total_labeling_operator(kg, basis)
     x = t.power(n, [1] * basis.n_vertices + [0] * (len(basis) - basis.n_vertices))

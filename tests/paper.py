@@ -26,7 +26,9 @@ words:
   the labeling operators T_k and T_G as sums of those, the matrix of
   an operator that acts on vectors, and the adjoint of a matrix;
 * the bundled examples, read from their one definition,
-  fixtures/<name>.json, as graphs and as flat views.
+  fixtures/<name>.json, as graphs and as flat views;
+* random k-fold lifts of a labeled graph, whose universal cover is the
+  base graph's.
 
 Signed edges are numbered and named like the flat view lg, that is in
 the order of signed_edges(lg.graph); the oracles build that numbering
@@ -41,7 +43,7 @@ from math import comb, prod
 
 from groupoidlab import graphio, moments
 from groupoidlab.errors import BudgetExceededError, GraphError, Value
-from groupoidlab.graphs import shadow
+from groupoidlab.graphs import DirectedGraph, Edge, shadow, validate_graph
 from groupoidlab.labeling import MODE_EXPLICIT, MODE_VERTEX, assign_weights
 from groupoidlab.ncpartitions import NoncrossingPartition, enumerate_nc
 
@@ -79,6 +81,30 @@ def labeled(name: str, mode: str = "auto"):
     if mode == "auto":
         mode = MODE_EXPLICIT if labels else MODE_VERTEX
     return assign_weights(shadow(graph), mode, labels)
+
+
+def lift(kg, k: int, rng) -> tuple | None:
+    """A random k-fold lift of the labeled graph kg, as (flat view,
+    base): copy j of each base edge a -> b runs from copy j of a to
+    copy sigma(j) of b, for one random permutation sigma per base edge,
+    and carries the base edge's label; base maps each lifted vertex to
+    the vertex it lies over.  Lifted ids are numbered in random order,
+    so the lift's sorted order is not the base's.  None when the lift
+    is disconnected, as every lift of a tree with k > 1 is."""
+    copies = [(v, j) for v in kg.vertices for j in range(k)]
+    name = {c: f"u{i}" for i, c in enumerate(rng.sample(copies, len(copies)))}
+    ids = iter(rng.sample(range(k * len(kg.graph.edges)), k * len(kg.graph.edges)))
+    edges, labels = [], {}
+    for e, label in zip(kg.graph.edges, kg.labels[0::2]):
+        sigma = rng.sample(range(k), k)
+        for j in range(k):
+            edge = Edge(f"d{next(ids)}", name[e.src, j], name[e.dst, sigma[j]])
+            edges.append(edge)
+            labels[edge.id] = label
+    g = DirectedGraph(name.values(), edges)
+    if validate_graph(g):
+        return None
+    return assign_weights(shadow(g), MODE_EXPLICIT, labels), {u: v for (v, _), u in name.items()}
 
 
 # ---------------------------------------------------------------------------

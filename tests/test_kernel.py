@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from groupoidlab import _kernel
-from groupoidlab.errors import BudgetExceededError
+from groupoidlab.errors import Budget, BudgetExceededError
 from groupoidlab.graphs import DirectedGraph, Edge, shadow
 from groupoidlab.labeling import assign_weights, count_axis_paths
 
@@ -68,6 +68,46 @@ def test_counts_and_words_refuse_an_unknown_mode_alike(n):
             call(kg, n, "nope", budget=0)
 
 
+def test_budget_runs_out_past_its_cap_and_not_at_it():
+    for cap in (0, 1, 7):
+        for work in range(cap + 1):
+            spend = Budget(cap, "x")
+            spend.charge(work, ahead=cap - work)  # spent + ahead == cap passes
+            assert spend.spent == work
+        with pytest.raises(BudgetExceededError, match="^x$"):
+            Budget(cap, "x").charge(cap + 1)
+        with pytest.raises(BudgetExceededError):
+            Budget(cap, "x").charge(0, ahead=cap + 1)
+
+
+def test_budget_without_a_cap_never_runs_out():
+    spend = Budget(None, "x")
+    for work in (0, 1, 10**100):
+        spend.charge(work, ahead=10**100)
+    assert spend.spent == 1 + 10**100
+
+
+def test_budget_books_the_work_before_it_raises():
+    spend = Budget(5, "x")
+    spend.charge(3)
+    with pytest.raises(BudgetExceededError):
+        spend.charge(4)
+    assert spend.spent == 7
+
+
+def test_budget_raises_with_the_partial_it_was_handed_and_a_built_note():
+    partial = [1, 2]
+    level = []
+    spend = Budget(0, lambda: f"at level {len(level)}")
+    level.append(0)  # the note reads the loop's state when it raises
+    with pytest.raises(BudgetExceededError, match="^at level 1$") as exc:
+        spend.charge(1, partial)
+    assert exc.value.partial is partial
+    with pytest.raises(BudgetExceededError) as exc:
+        Budget(0, "x").charge(1)
+    assert exc.value.partial is None
+
+
 @pytest.mark.parametrize("mode", ["reduction", "balance"])
 @pytest.mark.parametrize("budget", [None, 10**18])
 def test_words_kept_stop_at_their_cap_whatever_the_budget(monkeypatch, mode, budget):
@@ -99,7 +139,7 @@ def test_words_below_the_letters_of_one_word_skip_the_walk(name, mode):
     walk = _kernel._tree_walk if mode == "reduction" else _kernel._balanced_walk
     for n in range(2, 13, 2):
         for budget in range(n):
-            spend, keep = _kernel._Budget(budget, "letters"), _kernel._Budget(None, "kept")
+            spend, keep = Budget(budget, "letters"), Budget(None, "kept")
             assert partial_of(walk, kg, n, spend, keep, []) == []
             assert partial_of(_kernel.closed_words, kg, n, mode, budget) == []
         assert _kernel.closed_words(kg, n + 1, mode, 0) == []

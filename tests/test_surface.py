@@ -10,10 +10,12 @@ from the tables of _kernel.KernelGraph.  And no module wraps that flat
 view: a labeled graph is its KernelGraph.  And every entry point that
 the benchmark's tracer wraps is still where it looks for it.  And no
 module imports __future__.  And no module opens a file for writing.
-And a budget runs out one way: the kernel and moments raise
-BudgetExceededError with what finished, so neither names a truncated
-flag, and no TallyResult wraps a count.  And the operator oracle acts
-on vectors: no module reads or writes an attribute named cols."""
+And a budget runs out one way: every capped route charges an
+errors.Budget, whose charge is the one place BudgetExceededError is
+built, beside cli._unprintable, which bounds a printed value rather
+than work; so the kernel and moments name no truncated flag, and no
+TallyResult wraps a count.  And the operator oracle acts on vectors:
+no module reads or writes an attribute named cols."""
 
 import ast
 import importlib
@@ -261,6 +263,34 @@ def test_a_budget_runs_out_one_way():
         for node in ast.walk(parse(name))
         if isinstance(node, ast.ClassDef) and node.name == "TallyResult"
     ] == []
+
+
+def error_builders():
+    """Module.Class.function of each call of BudgetExceededError in the
+    package, by the def it is written in (the module, at top level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and "BudgetExceededError" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append(owner)
+            visit(child, owner)
+
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            visit(parse(name), name[:-3])
+    return found
+
+
+def test_budget_exceeded_is_built_in_one_place():
+    # every cap is a charge of errors.Budget; the digit limit bounds a
+    # value to print, not work, and its lattice test never computes (2N)^k
+    assert sorted(error_builders()) == ["cli._unprintable", "errors.Budget.charge"]
 
 
 def test_no_module_keeps_a_column_matrix():

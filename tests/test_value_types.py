@@ -245,11 +245,11 @@ GRAPH = ["--graph", "fixtures/example-6-2.json"]
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["nc", "--n", "4"], {"graphs", "labeling", "moments", "automaton", "operators"}),
+    (["nc", "--n", "4"], {"_kernel", "graphs", "labeling", "moments", "automaton", "operators"}),
     (["tree", *GRAPH, "--depth", "2"], {"moments", "ncpartitions", "operators"}),
     (["fractaloid", *GRAPH, "--depth", "2"], {"moments", "ncpartitions", "operators"}),
     (["moments", *GRAPH, "--n", "4", "--words"], {"operators", "automaton"}),
-    (["lattice", "--max-label", "2", "--length", "4"], {"moments"}),
+    (["lattice", "--max-label", "2", "--length", "4"], {"_kernel", "moments"}),
 ], ids=lambda a: a[0] if isinstance(a, list) else None)
 def test_each_subcommand_loads_only_the_layers_it_runs(argv, absent):
     loaded = loaded_modules(argv)
